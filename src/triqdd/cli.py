@@ -15,8 +15,6 @@ from importlib import resources
 
 from . import circuits, ddseq, qmat, runner, spinsys
 
-FAMILIES = ("XY8", "UR12", "XY16", "KDD20")
-
 
 # -- config plumbing -------------------------------------------------------
 
@@ -61,7 +59,7 @@ def _add_system_flags(sub):
 
 def _parse_families(raw: str | None) -> tuple[str, ...]:
     if not raw:
-        return FAMILIES
+        return runner.FAMILIES
     return tuple(p.strip() for p in raw.split(",") if p.strip())
 
 
@@ -241,7 +239,6 @@ _CONFIG_DOC = (
     ("noise", "gamma_corr_s", "1.5", "correlated (common-mode) dephasing rate, 1/s"),
     ("pulse", "flip_fraction_error", "0", "fractional flip-angle error on every pulse"),
     ("pulse", "phase_error_rad", "0", "phase offset added to every pulse, rad"),
-    ("pulse", "duration_s", "0", "pulse window width, s (0 means instantaneous)"),
     ("pulse", "internal_h_during_pulse", "off",
      "integrate offsets and couplings through pulse windows instead of around them"),
     ("disorder", "enabled", "off", "average runs over static offset disorder"),

@@ -20,8 +20,18 @@ they feel, while the all-spin sequence leaves every coupling running.
 Static disorder is handled by shot averaging: each shot draws per-spin
 offset shifts once and keeps them for the whole evolution, the complex
 states are averaged across shots, and only then are magnitudes or
-concurrences taken. Shots share the walk, batched along the leading
-axis, so a curve is one pass over its pulse schedule.
+concurrences taken. Shots are batched along the leading axis.
+
+A repeat unit is compiled once per curve into a short list of segments.
+Free evolution is element-wise, and a pulse whose unitary is a signed
+permutation (any hard rotation by whole half turns, so every error-free
+pi pulse) carries an element-wise factor into another element-wise
+factor: the toggling frame of average-Hamiltonian theory. Consecutive
+gaps and such pulses therefore fold into one fused map per shot,
+rho -> C * rho[perm][:, perm]. A pulse that mixes basis states, one
+with a flip-angle error or one integrated with the internal Hamiltonian
+in its window, stays a dense U rho U^dagger segment between fused ones.
+Free evolution alone is one factor stack per recorded time.
 
 Reference percentages from the published tables are bundled as data and
 used strictly for qualitative ordering checks (which protocol beats
@@ -47,6 +57,7 @@ GRID_T_MAX = 0.7
 GRID_POINTS = 20
 MARGIN_PP = 5.0
 
+FAMILIES = ("XY8", "UR12", "XY16", "KDD20")
 KINDS = ("FreeEv", "DD1sp", "DD2sp", "DD3sp", "mDD2sp")
 _KIND_TARGET_COUNT = {"DD1sp": 1, "DD2sp": 2, "mDD2sp": 2, "DD3sp": 3}
 
@@ -248,13 +259,29 @@ def _disorder_shifts(sys: SpinSystem) -> np.ndarray:
     """Per-shot (8, 8) element frequency shifts; one zero shot without disorder."""
     if sys.disorder is None:
         return np.zeros((1, spinsys.DIM, spinsys.DIM))
-    deltas = sys.disorder.draw()
-    return np.stack([spinsys.disorder_phase_rates(tuple(d)) for d in deltas])
+    return spinsys.disorder_phase_rates(sys.disorder.draw())
+
+
+def _pulse_segment(ev, sys: SpinSystem) -> tuple:
+    """('monomial', perm, d d*) for a signed-permutation pulse, else ('dense', U, U dagger)."""
+    signed = spinsys.pulse_permutation(ev, sys)
+    if signed is None:
+        u = spinsys.pulse_propagator(ev, sys)
+        return ("dense", u, u.conj().T)
+    perm, d = signed
+    return ("monomial", perm, np.outer(d, d.conj()))
 
 
 def _unit_plan(sys: SpinSystem, cycle: ddseq.DDCycle, shifts: np.ndarray) -> list:
-    """Segment list for one repeat unit: ('free', stacked factors) and
-    ('pulse', U, U dagger), batched over disorder shots.
+    """Segment list for one repeat unit, batched over disorder shots.
+
+    ('fused', C, perm) is the map rho -> C * rho[perm][:, perm] with C
+    of shape (shots, 8, 8) and perm None for the identity; ('dense', U,
+    U dagger) is a pulse that mixes basis states. Walking the unit's
+    gaps and pulses in time order, a free gap multiplies C by its factor
+    stack, and a signed-permutation pulse U[i, p[i]] = d[i] turns C
+    into d d* * C[p][:, p] and perm into perm[p]; a dense pulse closes
+    the pending fused segment and follows it.
 
     Hard pulses (internal Hamiltonian off) are rotations at the scheduled
     pulse centers while free evolution, dephasing included, runs through
@@ -264,17 +291,7 @@ def _unit_plan(sys: SpinSystem, cycle: ddseq.DDCycle, shifts: np.ndarray) -> lis
     """
     events, duration = ddseq.program(cycle, cycle.unit_cycles)
     hard = not sys.pulse.internal_h_during_pulse
-    plan = []
-    gap_cache: dict[float, np.ndarray] = {}
-    pulse_cache: dict[tuple, np.ndarray] = {}
-
-    def free_segment(dt):
-        key = round(dt, 15)
-        if key not in gap_cache:
-            gap_cache[key] = np.stack(
-                [spinsys.free_factors(sys, dt, shift) for shift in shifts])
-        plan.append(("free", gap_cache[key]))
-
+    steps = []  # ("free", seconds) or ("pulse", event), in time order
     t = 0.0
     for ev in sorted(events, key=lambda e: e.start):
         edge = ev.start + ev.duration / 2.0 if hard else ev.start
@@ -282,29 +299,60 @@ def _unit_plan(sys: SpinSystem, cycle: ddseq.DDCycle, shifts: np.ndarray) -> lis
         if gap < -spinsys.TIME_ATOL:
             raise InvariantError(f"overlapping events in {cycle.name} program")
         if gap > spinsys.TIME_ATOL:
-            free_segment(gap)
-        key = (ev.targets, ev.phases, ev.flip, ev.duration)
-        if key not in pulse_cache:
-            pulse_cache[key] = spinsys.pulse_propagator(ev, sys)
-        u = pulse_cache[key]
-        plan.append(("pulse", u, u.conj().T))
+            steps.append(("free", gap))
+        steps.append(("pulse", ev))
         t = edge if hard else ev.end
     if duration - t > spinsys.TIME_ATOL:
-        free_segment(duration - t)
+        steps.append(("free", duration - t))
+
+    plan, coef, perm = [], None, None
+    gap_cache: dict[float, np.ndarray] = {}
+    pulse_cache: dict[tuple, tuple] = {}
+
+    def close_fused():
+        if coef is not None:
+            identity = perm is None or np.array_equal(perm, np.arange(spinsys.DIM))
+            plan.append(("fused", coef, None if identity else perm))
+
+    for kind, item in steps:
+        if kind == "free":
+            key = round(item, 15)
+            if key not in gap_cache:
+                gap_cache[key] = spinsys.free_factors(sys, item, shifts)
+            coef = gap_cache[key] if coef is None else coef * gap_cache[key]
+            continue
+        key = (item.targets, item.phases, item.flip, item.duration)
+        if key not in pulse_cache:
+            pulse_cache[key] = _pulse_segment(item, sys)
+        seg = pulse_cache[key]
+        if seg[0] == "dense":
+            close_fused()
+            coef = perm = None
+            plan.append(seg)
+        else:
+            _, p, phase = seg
+            coef = phase if coef is None else phase * coef[..., p[:, None], p]
+            perm = p if perm is None else perm[p]
+    close_fused()
     return plan
 
 
 def _apply_unit(states: np.ndarray, plan) -> np.ndarray:
-    for seg in plan:
-        if seg[0] == "free":
-            states = states * seg[1]
+    for kind, a, b in plan:
+        if kind == "fused":
+            if b is not None:
+                states = states[:, b[:, None], b]
+            states = a * states
         else:
-            states = np.matmul(seg[1], states) @ seg[2]
+            states = np.matmul(a, states) @ b
     return states
 
 
 def _record(avg: np.ndarray, element, keep):
-    qmat.assert_density_matrix(avg)
+    try:
+        qmat.assert_density_matrix(avg)
+    except ValueError as exc:
+        raise InvariantError(f"recorded state is not a density matrix: {exc}") from exc
     if keep is not None:
         return qmat.concurrence(qmat.partial_trace(avg, keep))
     return complex(avg[element])
@@ -321,12 +369,8 @@ def _evolve_values(rho0, sys, cycle, times, element=None, keep=None,
         return _record(avg, element, keep)
 
     if cycle is None:
-        values = []
-        for i, t in enumerate(times):
-            stack = np.stack(
-                [rho0 * spinsys.free_factors(sys, t, shift) for shift in shifts])
-            values.append(finish(stack.mean(axis=0), i))
-        return values
+        return [finish(rho0 * spinsys.free_factors(sys, t, shifts).mean(axis=0), i)
+                for i, t in enumerate(times)]
 
     counts = _unit_counts(times, cycle.unit_duration, cycle.name)
     plan = _unit_plan(sys, cycle, shifts)
@@ -402,7 +446,7 @@ class GridRun:
 def run_grid(sys: SpinSystem, families=None, states=TABLE_STATES,
              t_max: float = GRID_T_MAX, points: int = GRID_POINTS) -> GridRun:
     """FreeEv, the designated protocol, and DD3sp for every table state."""
-    families = tuple(families) if families else ("XY8", "UR12", "XY16", "KDD20")
+    families = tuple(families) if families else FAMILIES
     curves, percents = [], {}
     for state_id in states:
         protos = [default_protocol("FreeEv")]
@@ -537,7 +581,7 @@ class OrderingReport:
         }
 
 
-def ordering_facts(families=("XY8", "UR12", "XY16", "KDD20")):
+def ordering_facts(families=FAMILIES):
     """The committed qualitative claims, per family: (state, lhs, rhs)."""
     free = ("FreeEv", None)
     out = []
@@ -556,7 +600,7 @@ def ordering_facts(families=("XY8", "UR12", "XY16", "KDD20")):
 
 def compare_to_reference(percents: dict, table: ReferenceTable | None = None,
                          margin_pp: float = MARGIN_PP,
-                         families=("XY8", "UR12", "XY16", "KDD20")) -> OrderingReport:
+                         families=FAMILIES) -> OrderingReport:
     """Check every committed ordering fact against a results grid."""
     table = table or load_reference()
     facts = [fact_check(percents, state_id, lhs, rhs, margin_pp, table)

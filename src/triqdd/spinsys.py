@@ -26,7 +26,11 @@ Pulses are transverse rf rotations. An instantaneous pulse on a target is
 exp(-i (theta/2) (cos(phi) X + sin(phi) Y)); a pulse of finite duration
 t_p integrates the rf term (amplitude theta / (2 pi t_p) in Hz) together
 with the internal Hamiltonian when that is enabled, which is what exposes
-simultaneously driven spins to their mutual coupling. Dephasing acts in
+simultaneously driven spins to their mutual coupling. Without it the rf
+terms of different targets commute, so every pulse is the plain product
+of its single-target rotations. A rotation by a whole number of half
+turns maps basis states onto basis states: its unitary is a signed
+permutation, which pulse_permutation returns exactly. Dephasing acts in
 the free gaps between pulses, not inside pulse windows.
 
 Static offset disorder (slow inhomogeneity) is modeled as Gaussian
@@ -80,19 +84,14 @@ class PulseErrorModel:
     """Systematic pulse imperfections.
 
     flip_fraction_error scales every flip angle by (1 + eps); phase_error
-    is added to every pulse phase in radians; duration_s is the default
-    pulse width used when building schedules; internal_h_during_pulse
-    keeps the internal Hamiltonian on inside finite pulse windows.
+    is added to every pulse phase in radians; internal_h_during_pulse
+    keeps the internal Hamiltonian on inside finite pulse windows. Pulse
+    widths belong to the schedule, not to this model.
     """
 
     flip_fraction_error: float = 0.0
     phase_error: float = 0.0
-    duration_s: float = 0.0
     internal_h_during_pulse: bool = False
-
-    def __post_init__(self):
-        if self.duration_s < 0:
-            raise ValueError("pulse duration must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -176,10 +175,14 @@ def _tables(offsets, couplings, noise):
     return energy, phase, decay, sens
 
 
-def disorder_phase_rates(deltas: tuple[float, float, float], corr: float = 0.0) -> np.ndarray:
-    """Element-wise frequency shift in Hz for static per-spin offset shifts."""
+def disorder_phase_rates(deltas, corr: float = 0.0) -> np.ndarray:
+    """Element-wise frequency shift in Hz for static per-spin offset shifts.
+
+    deltas is one (3,) shift or a (shots, 3) stack, giving (8, 8) or
+    (shots, 8, 8) respectively.
+    """
     sens = _tables((0.0,) * 3, (0.0,) * 3, NoiseModel())[3]
-    shift = sens @ np.asarray(deltas, dtype=float)
+    shift = np.einsum("abq,...q->...ab", sens, np.asarray(deltas, dtype=float))
     if corr:
         shift = shift + corr * coherence_order_matrix(N_QUBITS)
     return shift
@@ -188,8 +191,9 @@ def disorder_phase_rates(deltas: tuple[float, float, float], corr: float = 0.0) 
 def free_factors(sys: SpinSystem, t: float, extra_hz: np.ndarray | None = None) -> np.ndarray:
     """Element-wise factors of free evolution for time t.
 
-    extra_hz, if given, is an (8, 8) matrix of additional element
-    frequencies (static disorder shifts) folded into the phase.
+    extra_hz, if given, holds additional element frequencies (static
+    disorder shifts) folded into the phase: an (8, 8) matrix, or a
+    (shots, 8, 8) stack that yields one factor matrix per shot.
     """
     if t < 0:
         raise ValueError(f"negative evolution time {t}")
@@ -266,36 +270,71 @@ def rotation2(theta: float, phi: float) -> np.ndarray:
     return np.cos(theta / 2) * IDENTITY_2 - 1j * np.sin(theta / 2) * axis
 
 
+def _rotation_product(targets, flip: float, phases) -> np.ndarray:
+    u = np.eye(DIM, dtype=complex)
+    for q, ph in zip(targets, phases):
+        u = embed(rotation2(flip, ph), q) @ u
+    return u
+
+
+def _applied_rotation(ev: PulseEvent, sys: SpinSystem) -> tuple[float, list[float]]:
+    """Flip angle and per-target phases after the system's pulse errors."""
+    if ev.duration > 0.0 and ev.flip == 0.0:
+        raise ValueError("finite-duration pulse with zero flip angle has no defined rf amplitude")
+    err = sys.pulse
+    return ev.flip * (1.0 + err.flip_fraction_error), [p + err.phase_error for p in ev.phases]
+
+
 def pulse_propagator(ev: PulseEvent, sys: SpinSystem, *, ideal: bool = False) -> np.ndarray:
     """Unitary of one pulse event.
 
     ideal=True ignores the system's pulse error model and treats the
-    pulse as an instantaneous error-free rotation.
+    pulse as an instantaneous error-free rotation. Only a finite window
+    with the internal Hamiltonian on needs a matrix exponential; any
+    other pulse is the product of its single-target rotations.
     """
     if ideal:
-        flips = [ev.flip] * len(ev.targets)
-        phases = list(ev.phases)
-        u = np.eye(DIM, dtype=complex)
-        for q, th, ph in zip(ev.targets, flips, phases):
-            u = embed(rotation2(th, ph), q) @ u
-        return u
-    err = sys.pulse
-    flip = ev.flip * (1.0 + err.flip_fraction_error)
-    phases = [p + err.phase_error for p in ev.phases]
-    if ev.duration == 0.0:
-        u = np.eye(DIM, dtype=complex)
-        for q, ph in zip(ev.targets, phases):
-            u = embed(rotation2(flip, ph), q) @ u
-        return u
-    if ev.flip == 0.0:
-        raise ValueError("finite-duration pulse with zero flip angle has no defined rf amplitude")
+        return _rotation_product(ev.targets, ev.flip, ev.phases)
+    flip, phases = _applied_rotation(ev, sys)
+    if ev.duration == 0.0 or not sys.pulse.internal_h_during_pulse:
+        return _rotation_product(ev.targets, flip, phases)
     omega = flip / ev.duration  # rad/s
     h = np.zeros((DIM, DIM), dtype=complex)
     for q, ph in zip(ev.targets, phases):
         h += (omega / 2.0) * embed(np.cos(ph) * SIGMA_X + np.sin(ph) * SIGMA_Y, q)
-    if err.internal_h_during_pulse:
-        h = h + 2.0 * np.pi * np.diag(energies(sys)).astype(complex)
+    h = h + 2.0 * np.pi * np.diag(energies(sys)).astype(complex)
     return expm(-1j * h * ev.duration)
+
+
+# cos and sin of a rotation's half angle, indexed by its half turns mod 4
+_HALF_TURN_COS_SIN = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+def pulse_permutation(ev: PulseEvent, sys: SpinSystem):
+    """Signed-permutation form (perm, d) of a pulse, U[i, perm[i]] = d[i].
+
+    A pulse is a signed permutation when it is a plain rotation product
+    (no internal Hamiltonian inside a finite window) whose flip angle,
+    errors included, is a whole number of half turns. The entries are
+    then built from exact cosines and sines. Returns None for any other
+    pulse, which needs pulse_propagator's dense unitary.
+    """
+    flip, phases = _applied_rotation(ev, sys)
+    if ev.duration > 0.0 and sys.pulse.internal_h_during_pulse:
+        return None
+    half_turns = flip / np.pi
+    if half_turns != round(half_turns):
+        return None
+    n = int(round(half_turns))
+    c, s = _HALF_TURN_COS_SIN[n % 4]
+    index = np.arange(DIM)
+    perm, d = index.copy(), np.ones(DIM, dtype=complex)
+    for q, ph in zip(ev.targets, phases):
+        rot = c * IDENTITY_2 - 1j * s * (np.cos(ph) * SIGMA_X + np.sin(ph) * SIGMA_Y)
+        row_bit = (index >> (N_QUBITS - q)) & 1
+        d = d * rot[row_bit, row_bit ^ (n % 2)]
+        perm = perm ^ ((n % 2) << (N_QUBITS - q))
+    return perm, d
 
 
 def apply_unitary(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -353,7 +392,7 @@ def apply_sequence(rho: np.ndarray, sys: SpinSystem, events, duration: float,
 _SYSTEM_SCHEMA = {
     "system": {"offsets_hz", "couplings_hz"},
     "noise": {"gamma_s", "gamma_corr_s"},
-    "pulse": {"flip_fraction_error", "phase_error_rad", "duration_s", "internal_h_during_pulse"},
+    "pulse": {"flip_fraction_error", "phase_error_rad", "internal_h_during_pulse"},
     "disorder": {"enabled", "sigma_hz", "sigma_corr_hz", "shots", "seed"},
 }
 
@@ -419,8 +458,6 @@ def system_from_mapping(cfg: dict[str, dict[str, str]], *, base: SpinSystem | No
         perr = replace(perr, flip_fraction_error=_floats(sec["flip_fraction_error"], 1, "[pulse] flip_fraction_error")[0])
     if "phase_error_rad" in sec:
         perr = replace(perr, phase_error=_floats(sec["phase_error_rad"], 1, "[pulse] phase_error_rad")[0])
-    if "duration_s" in sec:
-        perr = replace(perr, duration_s=_floats(sec["duration_s"], 1, "[pulse] duration_s")[0])
     if "internal_h_during_pulse" in sec:
         perr = replace(perr, internal_h_during_pulse=_flag(sec["internal_h_during_pulse"], "[pulse] internal_h_during_pulse"))
     sys = replace(sys, pulse=perr)

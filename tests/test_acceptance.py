@@ -244,8 +244,7 @@ def test_channel_properties_and_semigroup():
     sys = SpinSystem(noise=NoiseModel((0.5, 0.8, 1.1), 0.3))
     err_sys = SpinSystem(
         noise=NoiseModel(),
-        pulse=PulseErrorModel(flip_fraction_error=0.03, phase_error=0.05,
-                              duration_s=2e-5))
+        pulse=PulseErrorModel(flip_fraction_error=0.03, phase_error=0.05))
     unitaries = [
         spinsys.pulse_propagator(spinsys.pulse(0.0, (1,), np.pi, 0.0), QUIET),
         spinsys.pulse_propagator(

@@ -144,6 +144,9 @@ def test_decay_rejects_broken_config(capsys, tmp_path):
     assert code == 2
     code, _, err = run_cli(capsys, "decay", "--set", "shots=16")
     assert code == 2 and "section.key=value" in err
+    # the pulse section sets no width: widths come from the delay table
+    code, _, err = run_cli(capsys, *decay_args(tmp_path, "--set", "pulse.duration_s=2e-5"))
+    assert code == 2 and "unknown key 'duration_s'" in err
 
 
 # -- protect ---------------------------------------------------------------
@@ -200,10 +203,11 @@ def test_config_reference_documents_every_key(capsys):
     code, out, _ = run_cli(capsys, "config-reference")
     assert code == 0
     for key in ("offsets_hz", "couplings_hz", "gamma_s", "gamma_corr_s",
-                "flip_fraction_error", "phase_error_rad", "duration_s",
+                "flip_fraction_error", "phase_error_rad",
                 "internal_h_during_pulse", "enabled", "sigma_hz",
                 "sigma_corr_hz", "shots", "seed"):
         assert key in out
+    assert "duration_s" not in out  # pulse widths come from the delay table
     # the committed run config is echoed verbatim at the end
     assert "sigma_corr_hz = 0.72" in out
     assert "gamma_s = 0.08 0.10 0.22" in out
@@ -220,3 +224,16 @@ def test_invariant_violations_exit_three(capsys, monkeypatch):
     monkeypatch.setattr(runner, "run_grid", boom)
     code, _, err = run_cli(capsys, "decay")
     assert code == 3 and "invariant violation" in err
+
+
+def test_broken_state_mid_run_exits_three(capsys, monkeypatch, tmp_path):
+    from triqdd import spinsys
+    real = spinsys.free_factors
+
+    def doubled(*args, **kwargs):  # breaks the trace of every evolved state
+        return 2.0 * real(*args, **kwargs)
+
+    monkeypatch.setattr(spinsys, "free_factors", doubled)
+    code, _, err = run_cli(capsys, *decay_args(tmp_path))
+    assert code == 3
+    assert "invariant violation" in err and "trace is" in err

@@ -117,6 +117,12 @@ def test_disorder_phase_rates():
     assert shift[2, 4] == pytest.approx(1.0 - 10.0)
     corr_only = spinsys.disorder_phase_rates((0.0, 0.0, 0.0), corr=2.0)
     assert np.array_equal(corr_only, 2.0 * qmat.coherence_order_matrix(3))
+    deltas = np.random.default_rng(3).standard_normal((5, 3))
+    stacked = spinsys.disorder_phase_rates(deltas, corr=0.4)
+    assert stacked.shape == (5, 8, 8)
+    for row, shift in zip(deltas, stacked):
+        assert np.allclose(shift, spinsys.disorder_phase_rates(tuple(row), corr=0.4),
+                           rtol=0, atol=1e-13)
 
 
 def test_disorder_draw_is_seeded_and_sized():
@@ -155,8 +161,49 @@ def test_finite_pulse_without_internal_h_equals_instantaneous():
     assert np.allclose(inst, wide, atol=1e-10)
 
 
+def test_hard_pulse_equals_expm_of_rf_hamiltonian():
+    rng = np.random.default_rng(41)
+    for _ in range(60):
+        targets = tuple(int(q) for q in rng.permutation((1, 2, 3))[:rng.integers(1, 4)])
+        flip = rng.choice((np.pi, np.pi / 2, rng.uniform(-3 * np.pi, 3 * np.pi)))
+        phases = rng.uniform(-np.pi, np.pi, size=len(targets))
+        eps, phase_err = rng.choice((0.0, 0.02, -0.02)), rng.uniform(-0.1, 0.1)
+        duration = rng.uniform(1e-6, 1e-4)
+        sys = plain_system(pulse=PulseErrorModel(eps, phase_err))
+        got = spinsys.pulse_propagator(pulse(0.0, targets, flip, phases, duration), sys)
+        omega = flip * (1 + eps) / duration
+        h = sum((omega / 2) * spinsys.embed(np.cos(ph + phase_err) * spinsys.SIGMA_X
+                                            + np.sin(ph + phase_err) * spinsys.SIGMA_Y, q)
+                for q, ph in zip(targets, phases))
+        assert np.max(np.abs(got - expm(-1j * h * duration))) <= 1e-13
+
+
+def test_pulse_permutation_is_the_exact_signed_permutation():
+    rng = np.random.default_rng(43)
+    for _ in range(60):
+        targets = tuple(int(q) for q in rng.permutation((1, 2, 3))[:rng.integers(1, 4)])
+        flip = rng.choice((-3, -2, -1, 1, 2, 3, 4)) * np.pi
+        phases = rng.uniform(-np.pi, np.pi, size=len(targets))
+        duration = rng.choice((0.0, 3e-5))
+        sys = plain_system(pulse=PulseErrorModel(phase_error=rng.uniform(-0.1, 0.1)))
+        ev = pulse(0.0, targets, flip, phases, duration)
+        perm, d = spinsys.pulse_permutation(ev, sys)
+        signed = np.zeros((8, 8), dtype=complex)
+        signed[np.arange(8), perm] = d
+        assert sorted(perm) == list(range(8))
+        assert np.allclose(np.abs(d), 1.0, rtol=0, atol=1e-15)
+        assert np.max(np.abs(signed - spinsys.pulse_propagator(ev, sys))) <= 1e-15
+    ev = pulse(0.0, (1, 2), np.pi, 0.3, duration=3e-5)
+    assert spinsys.pulse_permutation(
+        ev, plain_system(pulse=PulseErrorModel(flip_fraction_error=0.02))) is None
+    inside = plain_system(pulse=PulseErrorModel(internal_h_during_pulse=True))
+    assert spinsys.pulse_permutation(ev, inside) is None
+    assert spinsys.pulse_permutation(pulse(0.0, (1, 2), np.pi, 0.3), inside) is not None
+    assert spinsys.pulse_permutation(pulse(0.0, 1, np.pi / 2, 0.0), plain_system()) is None
+
+
 def test_finite_pulse_with_internal_h_feels_couplings():
-    sys = plain_system(pulse=PulseErrorModel(duration_s=50e-6, internal_h_during_pulse=True))
+    sys = plain_system(pulse=PulseErrorModel(internal_h_during_pulse=True))
     inst = spinsys.pulse_propagator(pulse(0.0, (1, 2), np.pi, 0.0), sys, ideal=True)
     wide = spinsys.pulse_propagator(pulse(0.0, (1, 2), np.pi, 0.0, duration=500e-6), sys)
     assert not np.allclose(inst, wide, atol=1e-3)
@@ -258,7 +305,6 @@ gamma_s = 1.0 1.2 2.0
 gamma_corr_s = 1.5
 
 [pulse]
-duration_s = 2.5e-5
 internal_h_during_pulse = on
 
 [disorder]
@@ -278,7 +324,6 @@ def test_config_round_trip(tmp_path):
     assert sys.couplings == (48.0, 161.0, -192.0)
     assert sys.noise.gamma == (1.0, 1.2, 2.0)
     assert sys.noise.gamma_corr == 1.5
-    assert sys.pulse.duration_s == 2.5e-5
     assert sys.pulse.internal_h_during_pulse
     assert sys.disorder is not None
     assert sys.disorder.shots == 64
