@@ -23,6 +23,7 @@ unit-trace matrix and projects onto the physical cone.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from functools import lru_cache
 from importlib import resources
 
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import qmat, spinsys
 from .qmat import InvariantError
-from .spinsys import PulseEvent, SpinSystem, pulse
+from .spinsys import PulseErrorModel, PulseEvent, SpinSystem, pulse
 
 DIM = spinsys.DIM
 
@@ -176,12 +177,16 @@ def star_circuit_nmr(sys: SpinSystem) -> tuple[tuple[PulseEvent, ...], float]:
     return tuple(events), t
 
 
-def prepare_star_nmr(sys: SpinSystem, *, ideal_pulses: bool = True) -> np.ndarray:
-    """Run the pulse-level star program from |000> on the given system."""
+def prepare_star_nmr(sys: SpinSystem) -> np.ndarray:
+    """Run the pulse-level star program from |000> on the given system.
+
+    The system's offsets, couplings and dephasing act; its pulses are
+    taken as error-free.
+    """
     rho0 = np.zeros((DIM, DIM), dtype=complex)
     rho0[0, 0] = 1.0
     events, duration = star_circuit_nmr(sys)
-    return spinsys.apply_sequence(rho0, sys, events, duration, ideal_pulses=ideal_pulses)
+    return spinsys.apply_sequence(rho0, replace(sys, pulse=PulseErrorModel()), events, duration)
 
 
 # -- readout ---------------------------------------------------------------

@@ -232,27 +232,10 @@ def cmd_tomo(args) -> int:
 
 # -- config-reference ------------------------------------------------------
 
-_CONFIG_DOC = (
-    ("system", "offsets_hz", "500 -300 150", "chemical-shift offsets of the three spins, Hz"),
-    ("system", "couplings_hz", "48 161 -192", "scalar couplings J12 J13 J23, Hz"),
-    ("noise", "gamma_s", "1.0 1.2 2.0", "independent per-spin dephasing rates, 1/s"),
-    ("noise", "gamma_corr_s", "1.5", "correlated (common-mode) dephasing rate, 1/s"),
-    ("pulse", "flip_fraction_error", "0", "fractional flip-angle error on every pulse"),
-    ("pulse", "phase_error_rad", "0", "phase offset added to every pulse, rad"),
-    ("pulse", "internal_h_during_pulse", "off",
-     "integrate offsets and couplings through pulse windows instead of around them"),
-    ("disorder", "enabled", "off", "average runs over static offset disorder"),
-    ("disorder", "sigma_hz", "0 0 0", "per-spin disorder spread, Hz"),
-    ("disorder", "sigma_corr_hz", "0", "common-mode disorder spread, Hz"),
-    ("disorder", "shots", "128", "disorder samples per run"),
-    ("disorder", "seed", "0", "disorder rng seed"),
-)
-
-
 def cmd_config_reference(args) -> int:
     print("Config keys and their built-in defaults; every key may be omitted.")
     section = None
-    for sec, key, default, doc in _CONFIG_DOC:
+    for sec, key, _, _, default, doc in spinsys.CONFIG_KEYS:
         if sec != section:
             print(f"\n[{sec}]")
             section = sec

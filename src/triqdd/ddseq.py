@@ -194,39 +194,28 @@ def repeat_to(cycle: DDCycle, total_time: float) -> tuple[tuple[PulseEvent, ...]
     return events, duration, k * cycle.unit_cycles
 
 
-def _free_unitary(sys: SpinSystem, t: float) -> np.ndarray:
-    return np.diag(np.exp(-2j * PI * spinsys.energies(sys) * t))
-
-
-def cycle_propagator(cycle: DDCycle, sys: SpinSystem, *, ideal: bool = False,
+def cycle_propagator(cycle: DDCycle, sys: SpinSystem, *,
                      n_cycles: int | None = None) -> np.ndarray:
-    """Coherent propagator of the repeat unit (noise ignored).
+    """Coherent propagator of the repeat unit, or of n_cycles cycles (noise ignored).
 
-    Ordered product of free-evolution and pulse unitaries. With ideal
-    pulses the pulse windows contribute no evolution at all; otherwise
-    the pulse model of sys applies.
+    Ordered product of the free-evolution and pulse unitaries of the
+    program's steps, under the pulse model of sys and the pulse-window
+    convention of spinsys.
     """
     events, duration = program(cycle, cycle.unit_cycles if n_cycles is None else n_cycles)
+    energy = spinsys.energies(sys)
     u = np.eye(spinsys.DIM, dtype=complex)
-    cursor = 0.0
-    for ev in events:
-        gap = ev.start - cursor
-        if gap > spinsys.TIME_ATOL:
-            u = _free_unitary(sys, gap) @ u
-        u = spinsys.pulse_propagator(ev, sys, ideal=ideal) @ u
-        cursor = max(cursor, ev.end)
-    if duration - cursor > spinsys.TIME_ATOL:
-        u = _free_unitary(sys, duration - cursor) @ u
+    for kind, item in spinsys.program_steps(events, duration, sys.pulse.internal_h_during_pulse):
+        if kind == "free":
+            u = np.exp(-2j * PI * energy * item)[:, None] * u
+        else:
+            u = spinsys.pulse_propagator(item, sys) @ u
     return u
 
 
 def pulse_product(cycle: DDCycle, n_cycles: int | None = None) -> np.ndarray:
-    """Product of the ideal pulse rotations alone (zero Hamiltonian)."""
-    events, _ = program(cycle, cycle.unit_cycles if n_cycles is None else n_cycles)
-    u = np.eye(spinsys.DIM, dtype=complex)
-    for ev in events:
-        u = spinsys.pulse_propagator(ev, SpinSystem(), ideal=True) @ u
-    return u
+    """Product of the error-free pulse rotations alone (zero Hamiltonian)."""
+    return cycle_propagator(cycle, SpinSystem((0.0,) * 3, (0.0,) * 3), n_cycles=n_cycles)
 
 
 def single_spin_survival(cycle: DDCycle, offset_hz: float, flip_error: float,
@@ -234,8 +223,9 @@ def single_spin_survival(cycle: DDCycle, offset_hz: float, flip_error: float,
     """Robustness probe: guaranteed coherence survival of one spin.
 
     Composes the whole train (free precession at the given offset, every
-    pulse scaled by 1 + flip_error, offset active inside finite pulse
-    windows) into a single unitary and returns the smallest singular
+    pulse scaled by 1 + flip_error, finite windows integrated with the
+    offset on, as on the windowed side of the spinsys pulse-window
+    convention) into a single unitary and returns the smallest singular
     value of its transverse Bloch block. That is the survival of 2|rho01|
     for the worst initial coherence phase, which is the honest figure of
     merit: a constant-phase train keeps the quadrature along its own axis
@@ -261,17 +251,9 @@ def single_spin_survival(cycle: DDCycle, offset_hz: float, flip_error: float,
         axis = (nx * spinsys.SIGMA_X + ny * spinsys.SIGMA_Y + nz * spinsys.SIGMA_Z) / angle
         return np.cos(angle / 2) * spinsys.IDENTITY_2 - 1j * np.sin(angle / 2) * axis
 
-    events, duration = program(cycle, n_cycles)
     u = np.eye(2, dtype=complex)
-    cursor = 0.0
-    for ev in events:
-        gap = ev.start - cursor
-        if gap > spinsys.TIME_ATOL:
-            u = free_u(gap) @ u
-        u = pulse_u(ev) @ u
-        cursor = max(cursor, ev.end)
-    if duration - cursor > spinsys.TIME_ATOL:
-        u = free_u(duration - cursor) @ u
+    for kind, item in spinsys.program_steps(*program(cycle, n_cycles), windowed=True):
+        u = (free_u(item) if kind == "free" else pulse_u(item)) @ u
     block = np.empty((2, 2))
     for a, sa in enumerate((spinsys.SIGMA_X, spinsys.SIGMA_Y)):
         for b, sb in enumerate((spinsys.SIGMA_X, spinsys.SIGMA_Y)):

@@ -1,10 +1,11 @@
 """Experiment protocols: decay curves, ordering reports, star protection.
 
 A Protocol names what runs on which qubits: free evolution or a DD
-family on one, two (optionally m-modified), or all three spins. Decay
-runs prepare a catalog state, evolve it over a commensurate time grid,
-and record the state's tracked element normalized to its starting
-value; star runs track the concurrence of one reduced pair instead.
+family on one spin, on two as the m-modified pair cycle, or on all
+three spins. Decay runs prepare a catalog state, evolve it over a
+commensurate time grid, and record the state's tracked element
+normalized to its starting value; star runs track the concurrence of
+one reduced pair instead.
 
 Free evolution records the element magnitude. Pulsed runs record the
 echo amplitude in phase with the prepared element, floored at zero: a
@@ -22,15 +23,9 @@ offset shifts once and keeps them for the whole evolution, the complex
 states are averaged across shots, and only then are magnitudes or
 concurrences taken. Shots are batched along the leading axis.
 
-A repeat unit is compiled once per curve into a short list of segments.
-Free evolution is element-wise, and a pulse whose unitary is a signed
-permutation (any hard rotation by whole half turns, so every error-free
-pi pulse) carries an element-wise factor into another element-wise
-factor: the toggling frame of average-Hamiltonian theory. Consecutive
-gaps and such pulses therefore fold into one fused map per shot,
-rho -> C * rho[perm][:, perm]. A pulse that mixes basis states, one
-with a flip-angle error or one integrated with the internal Hamiltonian
-in its window, stays a dense U rho U^dagger segment between fused ones.
+A repeat unit is compiled once per curve by spinsys.compile_program,
+under the pulse-window convention and into the segment forms that the
+spinsys docstring sets out, and walked unit by unit over the shot stack.
 Free evolution alone is one factor stack per recorded time.
 
 Reference percentages from the published tables are bundled as data and
@@ -58,8 +53,8 @@ GRID_POINTS = 20
 MARGIN_PP = 5.0
 
 FAMILIES = ("XY8", "UR12", "XY16", "KDD20")
-KINDS = ("FreeEv", "DD1sp", "DD2sp", "DD3sp", "mDD2sp")
-_KIND_TARGET_COUNT = {"DD1sp": 1, "DD2sp": 2, "mDD2sp": 2, "DD3sp": 3}
+KINDS = ("FreeEv", "DD1sp", "DD3sp", "mDD2sp")
+_KIND_TARGET_COUNT = {"DD1sp": 1, "mDD2sp": 2, "DD3sp": 3}
 
 TABLE_STATES = ("psi0a", "psi0b", "psi1a", "psi1b", "psi2a", "psi2b", "psi3")
 STAR_PAIRS = {"AC": (1, 3), "BC": (2, 3)}
@@ -262,92 +257,6 @@ def _disorder_shifts(sys: SpinSystem) -> np.ndarray:
     return spinsys.disorder_phase_rates(sys.disorder.draw())
 
 
-def _pulse_segment(ev, sys: SpinSystem) -> tuple:
-    """('monomial', perm, d d*) for a signed-permutation pulse, else ('dense', U, U dagger)."""
-    signed = spinsys.pulse_permutation(ev, sys)
-    if signed is None:
-        u = spinsys.pulse_propagator(ev, sys)
-        return ("dense", u, u.conj().T)
-    perm, d = signed
-    return ("monomial", perm, np.outer(d, d.conj()))
-
-
-def _unit_plan(sys: SpinSystem, cycle: ddseq.DDCycle, shifts: np.ndarray) -> list:
-    """Segment list for one repeat unit, batched over disorder shots.
-
-    ('fused', C, perm) is the map rho -> C * rho[perm][:, perm] with C
-    of shape (shots, 8, 8) and perm None for the identity; ('dense', U,
-    U dagger) is a pulse that mixes basis states. Walking the unit's
-    gaps and pulses in time order, a free gap multiplies C by its factor
-    stack, and a signed-permutation pulse U[i, p[i]] = d[i] turns C
-    into d d* * C[p][:, p] and perm into perm[p]; a dense pulse closes
-    the pending fused segment and follows it.
-
-    Hard pulses (internal Hamiltonian off) are rotations at the scheduled
-    pulse centers while free evolution, dephasing included, runs through
-    the nominal window spans; the window width then only shapes the
-    schedule. With the internal Hamiltonian on, each window is integrated
-    as a finite segment and free evolution covers the gaps alone.
-    """
-    events, duration = ddseq.program(cycle, cycle.unit_cycles)
-    hard = not sys.pulse.internal_h_during_pulse
-    steps = []  # ("free", seconds) or ("pulse", event), in time order
-    t = 0.0
-    for ev in sorted(events, key=lambda e: e.start):
-        edge = ev.start + ev.duration / 2.0 if hard else ev.start
-        gap = edge - t
-        if gap < -spinsys.TIME_ATOL:
-            raise InvariantError(f"overlapping events in {cycle.name} program")
-        if gap > spinsys.TIME_ATOL:
-            steps.append(("free", gap))
-        steps.append(("pulse", ev))
-        t = edge if hard else ev.end
-    if duration - t > spinsys.TIME_ATOL:
-        steps.append(("free", duration - t))
-
-    plan, coef, perm = [], None, None
-    gap_cache: dict[float, np.ndarray] = {}
-    pulse_cache: dict[tuple, tuple] = {}
-
-    def close_fused():
-        if coef is not None:
-            identity = perm is None or np.array_equal(perm, np.arange(spinsys.DIM))
-            plan.append(("fused", coef, None if identity else perm))
-
-    for kind, item in steps:
-        if kind == "free":
-            key = round(item, 15)
-            if key not in gap_cache:
-                gap_cache[key] = spinsys.free_factors(sys, item, shifts)
-            coef = gap_cache[key] if coef is None else coef * gap_cache[key]
-            continue
-        key = (item.targets, item.phases, item.flip, item.duration)
-        if key not in pulse_cache:
-            pulse_cache[key] = _pulse_segment(item, sys)
-        seg = pulse_cache[key]
-        if seg[0] == "dense":
-            close_fused()
-            coef = perm = None
-            plan.append(seg)
-        else:
-            _, p, phase = seg
-            coef = phase if coef is None else phase * coef[..., p[:, None], p]
-            perm = p if perm is None else perm[p]
-    close_fused()
-    return plan
-
-
-def _apply_unit(states: np.ndarray, plan) -> np.ndarray:
-    for kind, a, b in plan:
-        if kind == "fused":
-            if b is not None:
-                states = states[:, b[:, None], b]
-            states = a * states
-        else:
-            states = np.matmul(a, states) @ b
-    return states
-
-
 def _record(avg: np.ndarray, element, keep):
     try:
         qmat.assert_density_matrix(avg)
@@ -373,12 +282,12 @@ def _evolve_values(rho0, sys, cycle, times, element=None, keep=None,
                 for i, t in enumerate(times)]
 
     counts = _unit_counts(times, cycle.unit_duration, cycle.name)
-    plan = _unit_plan(sys, cycle, shifts)
+    plan = spinsys.compile_program(sys, *ddseq.program(cycle, cycle.unit_cycles), shifts)
     states = np.broadcast_to(rho0, (shifts.shape[0],) + rho0.shape).copy()
     values, applied = [], 0
     for i, k in enumerate(counts):
         while applied < k:
-            states = _apply_unit(states, plan)
+            states = spinsys.apply_program(states, plan)
             applied += 1
         values.append(finish(states.mean(axis=0), i))
     return values

@@ -30,8 +30,28 @@ simultaneously driven spins to their mutual coupling. Without it the rf
 terms of different targets commute, so every pulse is the plain product
 of its single-target rotations. A rotation by a whole number of half
 turns maps basis states onto basis states: its unitary is a signed
-permutation, which pulse_permutation returns exactly. Dephasing acts in
-the free gaps between pulses, not inside pulse windows.
+permutation, which pulse_permutation returns exactly.
+
+Timed pulse programs
+--------------------
+Every timed schedule runs through one engine: program_steps orders the
+events into free gaps and pulses, compile_program folds those steps into
+segments and apply_program walks them. The pulse-window convention is
+the same for every caller. A hard pulse (internal_h_during_pulse off) is
+a rotation at the center of its window, and free evolution, dephasing
+and disorder included, runs straight through the window, so the width
+only places the pulse. With internal_h_during_pulse on, a window of
+finite width is integrated as rf plus internal Hamiltonian, without
+dephasing, and free evolution covers only the gaps between windows.
+Events at the same instant keep their list order.
+
+Free evolution is element-wise, and a signed-permutation pulse carries
+an element-wise factor into another element-wise factor: the toggling
+frame of average-Hamiltonian theory. Consecutive gaps and such pulses
+therefore fold into one fused map rho -> C * rho[perm][:, perm], with C
+stacked per disorder shot. A pulse that mixes basis states, one with a
+flip-angle error or one integrated with the internal Hamiltonian in its
+window, stays a dense U rho U^dagger segment between fused ones.
 
 Static offset disorder (slow inhomogeneity) is modeled as Gaussian
 per-spin offsets plus a correlated common-mode component, averaged over a
@@ -110,6 +130,8 @@ class DisorderModel:
             raise ValueError("disorder widths must be nonnegative")
         if self.shots < 1:
             raise ValueError("shots must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
     def draw(self) -> np.ndarray:
         """Per-spin offset shifts in Hz, shape (shots, 3). Deterministic."""
@@ -203,10 +225,9 @@ def free_factors(sys: SpinSystem, t: float, extra_hz: np.ndarray | None = None) 
     return np.exp((-2j * np.pi * phase - decay) * t)
 
 
-def free_propagate(rho: np.ndarray, sys: SpinSystem, t: float,
-                   extra_hz: np.ndarray | None = None) -> np.ndarray:
+def free_propagate(rho: np.ndarray, sys: SpinSystem, t: float) -> np.ndarray:
     """Evolve rho freely for time t under Hamiltonian phases and dephasing."""
-    return np.asarray(rho, dtype=complex) * free_factors(sys, t, extra_hz)
+    return np.asarray(rho, dtype=complex) * free_factors(sys, t)
 
 
 @dataclass(frozen=True)
@@ -285,16 +306,13 @@ def _applied_rotation(ev: PulseEvent, sys: SpinSystem) -> tuple[float, list[floa
     return ev.flip * (1.0 + err.flip_fraction_error), [p + err.phase_error for p in ev.phases]
 
 
-def pulse_propagator(ev: PulseEvent, sys: SpinSystem, *, ideal: bool = False) -> np.ndarray:
-    """Unitary of one pulse event.
+def pulse_propagator(ev: PulseEvent, sys: SpinSystem) -> np.ndarray:
+    """Unitary of one pulse event under the system's pulse model.
 
-    ideal=True ignores the system's pulse error model and treats the
-    pulse as an instantaneous error-free rotation. Only a finite window
-    with the internal Hamiltonian on needs a matrix exponential; any
-    other pulse is the product of its single-target rotations.
+    Only a finite window with the internal Hamiltonian on needs a matrix
+    exponential; any other pulse is the product of its single-target
+    rotations.
     """
-    if ideal:
-        return _rotation_product(ev.targets, ev.flip, ev.phases)
     flip, phases = _applied_rotation(ev, sys)
     if ev.duration == 0.0 or not sys.pulse.internal_h_during_pulse:
         return _rotation_product(ev.targets, flip, phases)
@@ -341,7 +359,11 @@ def apply_unitary(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
     return u @ np.asarray(rho, dtype=complex) @ u.conj().T
 
 
+# -- the schedule engine ---------------------------------------------------
+
 def _validate_schedule(events: tuple[PulseEvent, ...], duration: float) -> None:
+    if duration < 0:
+        raise ValueError("sequence duration must be nonnegative")
     for ev in events:
         if ev.end > duration + TIME_ATOL:
             raise ValueError(
@@ -360,42 +382,106 @@ def _validate_schedule(events: tuple[PulseEvent, ...], duration: float) -> None:
                 )
 
 
-def apply_sequence(rho: np.ndarray, sys: SpinSystem, events, duration: float,
-                   *, ideal_pulses: bool = False,
-                   extra_hz: np.ndarray | None = None) -> np.ndarray:
-    """Run a timed pulse program: free evolution in the gaps, pulses between.
+def program_steps(events, duration: float, windowed: bool) -> list:
+    """Validated, time-ordered ("free", seconds) and ("pulse", event) steps.
 
-    Events are sorted by start time; same-instant zero-width events keep
-    list order. Dephasing and Hamiltonian phases act in the gaps; pulses
-    act through pulse_propagator.
+    windowed picks the side of the pulse-window convention (module
+    docstring): False puts each pulse at its window center with free
+    time through the window, True integrates the window and frees only
+    the gaps between windows.
     """
-    if duration < 0:
-        raise ValueError("sequence duration must be nonnegative")
     events = tuple(sorted(events, key=lambda e: e.start))
     _validate_schedule(events, duration)
-    out = np.asarray(rho, dtype=complex).copy()
-    cursor = 0.0
-    for ev in events:
-        gap = ev.start - cursor
+
+    def edge(ev):
+        return ev.start if windowed else ev.start + ev.duration / 2.0
+
+    steps, t = [], 0.0
+    for ev in sorted(events, key=edge):
+        gap = edge(ev) - t
         if gap > TIME_ATOL:
-            out = free_propagate(out, sys, gap, extra_hz)
-        u = pulse_propagator(ev, sys, ideal=ideal_pulses)
-        out = apply_unitary(out, u)
-        cursor = max(cursor, ev.end)
-    if duration - cursor > TIME_ATOL:
-        out = free_propagate(out, sys, duration - cursor, extra_hz)
-    return out
+            steps.append(("free", gap))
+        steps.append(("pulse", ev))
+        t = max(t, ev.end if windowed else edge(ev))
+    if duration - t > TIME_ATOL:
+        steps.append(("free", duration - t))
+    return steps
+
+
+def _pulse_segment(ev: PulseEvent, sys: SpinSystem) -> tuple:
+    """('monomial', perm, d d*) for a signed-permutation pulse, else ('dense', U, U dagger)."""
+    signed = pulse_permutation(ev, sys)
+    if signed is None:
+        u = pulse_propagator(ev, sys)
+        return ("dense", u, u.conj().T)
+    perm, d = signed
+    return ("monomial", perm, np.outer(d, d.conj()))
+
+
+def compile_program(sys: SpinSystem, events, duration: float,
+                    shifts: np.ndarray | None = None) -> list:
+    """Segment list of a timed pulse program, for apply_program.
+
+    shifts, a (shots, 8, 8) stack of disorder frequency shifts, batches
+    the program over shots; without it the program runs one shot free of
+    disorder. ('fused', C, perm) is the map rho -> C * rho[perm][:, perm]
+    with perm None for the identity; ('dense', U, U dagger) is a pulse
+    that mixes basis states. Walking the steps in time order, a free gap
+    multiplies C by its factors, and a signed-permutation pulse
+    U[i, p[i]] = d[i] turns C into d d* * C[p][:, p] and perm into
+    perm[p]; a dense pulse closes the pending fused segment and follows
+    it.
+    """
+    plan, coef, perm = [], None, None
+    gap_cache: dict[float, np.ndarray] = {}
+    pulse_cache: dict[tuple, tuple] = {}
+
+    def close_fused():
+        if coef is not None:
+            identity = perm is None or np.array_equal(perm, np.arange(DIM))
+            plan.append(("fused", coef, None if identity else perm))
+
+    for kind, item in program_steps(events, duration, sys.pulse.internal_h_during_pulse):
+        if kind == "free":
+            key = round(item, 15)
+            if key not in gap_cache:
+                gap_cache[key] = free_factors(sys, item, shifts)
+            coef = gap_cache[key] if coef is None else coef * gap_cache[key]
+            continue
+        key = (item.targets, item.phases, item.flip, item.duration)
+        if key not in pulse_cache:
+            pulse_cache[key] = _pulse_segment(item, sys)
+        seg = pulse_cache[key]
+        if seg[0] == "dense":
+            close_fused()
+            coef = perm = None
+            plan.append(seg)
+        else:
+            _, p, phase = seg
+            coef = phase if coef is None else phase * coef[..., p[:, None], p]
+            perm = p if perm is None else perm[p]
+    close_fused()
+    return plan
+
+
+def apply_program(states: np.ndarray, plan) -> np.ndarray:
+    """Walk a compiled plan over one (8, 8) state or a (shots, 8, 8) stack."""
+    for kind, a, b in plan:
+        if kind == "fused":
+            if b is not None:
+                states = states[..., b[:, None], b]
+            states = a * states
+        else:
+            states = np.matmul(a, states) @ b
+    return states
+
+
+def apply_sequence(rho: np.ndarray, sys: SpinSystem, events, duration: float) -> np.ndarray:
+    """Run a timed pulse program on one state, free of disorder."""
+    return apply_program(np.asarray(rho, dtype=complex), compile_program(sys, events, duration))
 
 
 # -- configuration ---------------------------------------------------------
-
-_SYSTEM_SCHEMA = {
-    "system": {"offsets_hz", "couplings_hz"},
-    "noise": {"gamma_s", "gamma_corr_s"},
-    "pulse": {"flip_fraction_error", "phase_error_rad", "internal_h_during_pulse"},
-    "disorder": {"enabled", "sigma_hz", "sigma_corr_hz", "shots", "seed"},
-}
-
 
 def read_ini(text: str) -> dict[str, dict[str, str]]:
     """Parse key = value sections from plain text, preserving case."""
@@ -408,24 +494,32 @@ def read_ini(text: str) -> dict[str, dict[str, str]]:
     return {name: dict(cp[name]) for name in cp.sections()}
 
 
-def check_known_keys(cfg: dict[str, dict[str, str]], schema: dict[str, set[str]]) -> None:
-    for section, entries in cfg.items():
-        if section not in schema:
-            raise ConfigError(f"unknown config section [{section}]")
-        for key in entries:
-            if key not in schema[section]:
-                raise ConfigError(f"unknown key '{key}' in section [{section}]")
-
-
 def _floats(raw: str, count: int, where: str) -> tuple[float, ...]:
     parts = [p.strip() for p in raw.replace(",", " ").split()]
     try:
         vals = tuple(float(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"{where}: expected numbers, got '{raw}'") from exc
+    if not np.all(np.isfinite(vals)):
+        raise ConfigError(f"{where}: expected finite numbers, got '{raw}'")
     if len(vals) != count:
         raise ConfigError(f"{where}: expected {count} values, got {len(vals)}")
     return vals
+
+
+def _triple(raw: str, where: str) -> tuple[float, float, float]:
+    return _floats(raw, N_QUBITS, where)
+
+
+def _number(raw: str, where: str) -> float:
+    return _floats(raw, 1, where)[0]
+
+
+def _whole(raw: str, where: str) -> int:
+    val = _number(raw, where)
+    if not val.is_integer():
+        raise ConfigError(f"{where}: expected a whole number, got '{raw}'")
+    return int(val)
 
 
 def _flag(raw: str, where: str) -> bool:
@@ -437,51 +531,64 @@ def _flag(raw: str, where: str) -> bool:
     raise ConfigError(f"{where}: expected on/off, got '{raw}'")
 
 
-def system_from_mapping(cfg: dict[str, dict[str, str]], *, base: SpinSystem | None = None) -> SpinSystem:
-    """Build a SpinSystem from parsed config sections, starting from base."""
-    sys = base if base is not None else SpinSystem()
-    sec = cfg.get("system", {})
-    if "offsets_hz" in sec:
-        sys = replace(sys, offsets=_floats(sec["offsets_hz"], 3, "[system] offsets_hz"))
-    if "couplings_hz" in sec:
-        sys = replace(sys, couplings=_floats(sec["couplings_hz"], 3, "[system] couplings_hz"))
-    sec = cfg.get("noise", {})
-    noise = sys.noise
-    if "gamma_s" in sec:
-        noise = replace(noise, gamma=_floats(sec["gamma_s"], 3, "[noise] gamma_s"))
-    if "gamma_corr_s" in sec:
-        noise = replace(noise, gamma_corr=_floats(sec["gamma_corr_s"], 1, "[noise] gamma_corr_s")[0])
-    sys = replace(sys, noise=noise)
-    sec = cfg.get("pulse", {})
-    perr = sys.pulse
-    if "flip_fraction_error" in sec:
-        perr = replace(perr, flip_fraction_error=_floats(sec["flip_fraction_error"], 1, "[pulse] flip_fraction_error")[0])
-    if "phase_error_rad" in sec:
-        perr = replace(perr, phase_error=_floats(sec["phase_error_rad"], 1, "[pulse] phase_error_rad")[0])
-    if "internal_h_during_pulse" in sec:
-        perr = replace(perr, internal_h_during_pulse=_flag(sec["internal_h_during_pulse"], "[pulse] internal_h_during_pulse"))
-    sys = replace(sys, pulse=perr)
-    sec = cfg.get("disorder", {})
-    if sec:
-        enabled = _flag(sec.get("enabled", "off"), "[disorder] enabled")
-        if enabled:
-            dis = DisorderModel(
-                sigma=_floats(sec.get("sigma_hz", "0 0 0"), 3, "[disorder] sigma_hz"),
-                sigma_corr=_floats(sec.get("sigma_corr_hz", "0"), 1, "[disorder] sigma_corr_hz")[0],
-                shots=int(_floats(sec.get("shots", "128"), 1, "[disorder] shots")[0]),
-                seed=int(_floats(sec.get("seed", "0"), 1, "[disorder] seed")[0]),
-            )
-            sys = replace(sys, disorder=dis)
-        else:
-            sys = replace(sys, disorder=None)
-    return sys
+# Every config key: (section, key, model field, parser, default, doc). The
+# section names the model (SpinSystem itself for [system]); the defaults
+# are those of the models, which the test suite checks.
+CONFIG_KEYS = (
+    ("system", "offsets_hz", "offsets", _triple, "500 -300 150",
+     "chemical-shift offsets of the three spins, Hz"),
+    ("system", "couplings_hz", "couplings", _triple, "48 161 -192",
+     "scalar couplings J12 J13 J23, Hz"),
+    ("noise", "gamma_s", "gamma", _triple, "1.0 1.2 2.0",
+     "independent per-spin dephasing rates, 1/s"),
+    ("noise", "gamma_corr_s", "gamma_corr", _number, "1.5",
+     "correlated (common-mode) dephasing rate, 1/s"),
+    ("pulse", "flip_fraction_error", "flip_fraction_error", _number, "0",
+     "fractional flip-angle error on every pulse"),
+    ("pulse", "phase_error_rad", "phase_error", _number, "0",
+     "phase offset added to every pulse, rad"),
+    ("pulse", "internal_h_during_pulse", "internal_h_during_pulse", _flag, "off",
+     "integrate offsets and couplings through pulse windows instead of around them"),
+    ("disorder", "enabled", None, _flag, "off", "average runs over static offset disorder"),
+    ("disorder", "sigma_hz", "sigma", _triple, "0 0 0", "per-spin disorder spread, Hz"),
+    ("disorder", "sigma_corr_hz", "sigma_corr", _number, "0", "common-mode disorder spread, Hz"),
+    ("disorder", "shots", "shots", _whole, "128", "disorder samples per run"),
+    ("disorder", "seed", "seed", _whole, "0", "disorder rng seed"),
+)
+
+
+def system_from_mapping(cfg: dict[str, dict[str, str]]) -> SpinSystem:
+    """Build a SpinSystem from parsed config sections.
+
+    Every given key is parsed and validated, [disorder] ones included
+    when disorder is off; an unknown section or key is an error.
+    """
+    table = {(section, key): (name, parse) for section, key, name, parse, _, _ in CONFIG_KEYS}
+    fields: dict[str, dict] = {section: {} for section, *_ in CONFIG_KEYS}
+    for section, entries in cfg.items():
+        if section not in fields:
+            raise ConfigError(f"unknown config section [{section}]")
+        for key, raw in entries.items():
+            if (section, key) not in table:
+                raise ConfigError(f"unknown key '{key}' in section [{section}]")
+            name, parse = table[section, key]
+            fields[section][name] = parse(raw, f"[{section}] {key}")
+    base = SpinSystem()
+    try:
+        enabled = fields["disorder"].pop(None, False)
+        disorder = DisorderModel(**fields["disorder"])
+        return replace(
+            base, **fields["system"],
+            noise=replace(base.noise, **fields["noise"]),
+            pulse=replace(base.pulse, **fields["pulse"]),
+            disorder=disorder if enabled else None)
+    except ValueError as exc:
+        raise ConfigError(f"invalid config: {exc}") from exc
 
 
 def system_from_text(text: str) -> SpinSystem:
     """Build a SpinSystem from config text, rejecting unknown keys."""
-    cfg = read_ini(text)
-    check_known_keys(cfg, _SYSTEM_SCHEMA)
-    return system_from_mapping(cfg)
+    return system_from_mapping(read_ini(text))
 
 
 def load_system_config(path) -> SpinSystem:

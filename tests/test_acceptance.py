@@ -90,7 +90,7 @@ def test_single_spin_refocusing_theorem():
     tau, q = 0.5e-3, 2
     sys = QUIET
     cycle = ddseq.generate("XY8", tau, 0.0, targets=(q,))
-    u_sim = ddseq.cycle_propagator(cycle, sys, ideal=True)
+    u_sim = ddseq.cycle_propagator(cycle, sys)
 
     def free_u(energies, t):
         return np.diag(np.exp(-2j * np.pi * energies * t))
@@ -118,7 +118,7 @@ def test_single_spin_refocusing_theorem():
 
     # the all-spin counterpart refocuses the offsets but not the couplings
     cycle3 = ddseq.generate("XY8", tau, 0.0, targets=(1, 2, 3))
-    u3 = ddseq.cycle_propagator(cycle3, sys, ideal=True)
+    u3 = ddseq.cycle_propagator(cycle3, sys)
     e_j_only = energies_oracle((0.0, 0.0, 0.0), sys.couplings)
     assert phase_distance(u3, free_u(e_j_only, 8 * tau)) <= 1e-9
     assert phase_distance(u3, np.eye(DIM)) > 0.01

@@ -147,6 +147,11 @@ def test_decay_rejects_broken_config(capsys, tmp_path):
     # the pulse section sets no width: widths come from the delay table
     code, _, err = run_cli(capsys, *decay_args(tmp_path, "--set", "pulse.duration_s=2e-5"))
     assert code == 2 and "unknown key 'duration_s'" in err
+    # counts and seeds are whole numbers, never truncated
+    code, _, err = run_cli(capsys, *decay_args(tmp_path, "--set", "disorder.shots=2.7"))
+    assert code == 2 and "[disorder] shots" in err and "whole number" in err
+    code, _, err = run_cli(capsys, *decay_args(tmp_path, "--set", "disorder.seed=1.5"))
+    assert code == 2 and "[disorder] seed" in err and "whole number" in err
 
 
 # -- protect ---------------------------------------------------------------

@@ -195,7 +195,7 @@ def deleted_h_unitary(sys, removed_qubit, t):
 def test_single_spin_xy8_deletes_that_spins_terms():
     sys = plain_system()
     c = ddseq.generate("XY8", 1e-3, 0.0, (3,))
-    u = ddseq.cycle_propagator(c, sys, ideal=True)
+    u = ddseq.cycle_propagator(c, sys)
     assert np.allclose(u, brute_force_propagator(c, sys), atol=1e-12)
     assert np.allclose(u, deleted_h_unitary(sys, 3, c.cycle_duration), atol=1e-9)
 
@@ -203,7 +203,7 @@ def test_single_spin_xy8_deletes_that_spins_terms():
 def test_refocused_spin_is_fully_decoupled():
     sys = plain_system()
     c = ddseq.generate("XY8", 1e-3, 0.0, (3,))
-    u = ddseq.cycle_propagator(c, sys, ideal=True)
+    u = ddseq.cycle_propagator(c, sys)
     rng = np.random.default_rng(41)
     for _ in range(5):
         g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
@@ -214,7 +214,7 @@ def test_refocused_spin_is_fully_decoupled():
 def test_all_spin_xy8_keeps_couplings():
     sys = plain_system()
     c = ddseq.generate("XY8", 1e-3, 0.0, (1, 2, 3))
-    u = ddseq.cycle_propagator(c, sys, ideal=True)
+    u = ddseq.cycle_propagator(c, sys)
     assert np.allclose(u, brute_force_propagator(c, sys), atol=1e-12)
     # offsets refocused, J terms survive in full
     j_only = SpinSystem(offsets=(0.0, 0.0, 0.0), couplings=sys.couplings, noise=NoiseModel())
@@ -226,11 +226,11 @@ def test_all_spin_xy8_keeps_couplings():
 def test_cycle_propagator_covers_modified_unit():
     sys = plain_system()
     m = ddseq.modify(ddseq.generate("XY8", 1e-3, 0.0, (1, 2)))
-    u = ddseq.cycle_propagator(m, sys, ideal=True)
+    u = ddseq.cycle_propagator(m, sys)
     assert u.shape == (8, 8)
     assert np.allclose(u @ u.conj().T, np.eye(8), atol=1e-10)
     with pytest.raises(ValueError):
-        ddseq.cycle_propagator(m, sys, ideal=True, n_cycles=3)
+        ddseq.cycle_propagator(m, sys, n_cycles=3)
 
 
 # -- repetition and serialization ------------------------------------------

@@ -204,7 +204,7 @@ def test_pulse_permutation_is_the_exact_signed_permutation():
 
 def test_finite_pulse_with_internal_h_feels_couplings():
     sys = plain_system(pulse=PulseErrorModel(internal_h_during_pulse=True))
-    inst = spinsys.pulse_propagator(pulse(0.0, (1, 2), np.pi, 0.0), sys, ideal=True)
+    inst = spinsys.pulse_propagator(pulse(0.0, (1, 2), np.pi, 0.0), sys)
     wide = spinsys.pulse_propagator(pulse(0.0, (1, 2), np.pi, 0.0, duration=500e-6), sys)
     assert not np.allclose(inst, wide, atol=1e-3)
     # still unitary
@@ -216,7 +216,7 @@ def test_flip_error_scales_angle():
     u = spinsys.pulse_propagator(pulse(0.0, 3, np.pi, 0.0), sys)
     expect = spinsys.embed(spinsys.rotation2(1.05 * np.pi, 0.0), 3)
     assert np.allclose(u, expect, atol=1e-12)
-    ideal = spinsys.pulse_propagator(pulse(0.0, 3, np.pi, 0.0), sys, ideal=True)
+    ideal = spinsys.pulse_propagator(pulse(0.0, 3, np.pi, 0.0), plain_system())
     assert np.allclose(ideal, spinsys.embed(spinsys.rotation2(np.pi, 0.0), 3), atol=1e-12)
 
 
@@ -348,6 +348,29 @@ def test_config_rejects_malformed_values(tmp_path):
     path.write_text("[noise]\ngamma_corr_s = fast\n")
     with pytest.raises(ConfigError):
         spinsys.load_system_config(path)
+    path.write_text("[noise]\ngamma_corr_s = nan\n")
+    with pytest.raises(ConfigError):
+        spinsys.load_system_config(path)
+
+
+def test_config_parses_disorder_keys_while_disorder_is_off(tmp_path):
+    path = tmp_path / "sys.cfg"
+    for bad in ("sigma_hz = abc", "shots = banana", "shots = 0", "seed = -1",
+                "sigma_corr_hz = -2"):
+        path.write_text(f"[disorder]\nenabled = off\n{bad}\n")
+        with pytest.raises(ConfigError):
+            spinsys.load_system_config(path)
+    path.write_text("[disorder]\nenabled = off\nshots = 64\nseed = 3\n")
+    assert spinsys.load_system_config(path).disorder is None
+
+
+def test_config_table_defaults_are_the_model_defaults():
+    every_default = {}
+    for section, key, _, _, default, _ in spinsys.CONFIG_KEYS:
+        every_default.setdefault(section, {})[key] = default
+    assert spinsys.system_from_mapping(every_default) == SpinSystem()
+    every_default["disorder"]["enabled"] = "on"
+    assert spinsys.system_from_mapping(every_default).disorder == DisorderModel()
 
 
 def test_coupling_lookup():

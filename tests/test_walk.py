@@ -1,27 +1,33 @@
-"""The fused repeat-unit walk against the plain dense walk it replaced.
+"""The schedule engine against the plain dense walk it replaced.
 
-The reference below is the earlier engine, kept verbatim: one pair of
-(8 x 8) matmuls per shot per pulse and one free_factors call per shot per
-gap. The fused walk must reproduce its shot-averaged states over random
-families, targets, modification slots, pulse errors, pulse widths and
-disorder shots.
+The reference below is the earlier runner engine, kept verbatim except
+that it takes a program's (events, duration) instead of a cycle: one pair
+of (8 x 8) matmuls per shot per pulse and one free_factors call per shot
+per gap. spinsys.compile_program must reproduce its shot-averaged states
+over random families, targets, modification slots, pulse errors, pulse
+widths and disorder shots, and on the pulse-level star preparation; every
+other schedule runner (apply_sequence, cycle_propagator) must agree with
+it on the committed protocols.
 """
 
+from dataclasses import replace
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triqdd import ddseq, runner, spinsys
+from triqdd import circuits, ddseq, runner, spinsys
 from triqdd.qmat import InvariantError
 from triqdd.spinsys import DisorderModel, NoiseModel, PulseErrorModel, SpinSystem
 
 from conftest import random_rho
 
 
-# -- reference: the dense walk, verbatim -----------------------------------
+# -- reference: the dense walk ---------------------------------------------
 
-def _unit_plan(sys: SpinSystem, cycle: ddseq.DDCycle, shifts: np.ndarray) -> list:
-    """Segment list for one repeat unit: ('free', stacked factors) and
+def _unit_plan(sys: SpinSystem, events, duration: float, shifts: np.ndarray) -> list:
+    """Segment list for one program: ('free', stacked factors) and
     ('pulse', U, U dagger), batched over disorder shots.
 
     Hard pulses (internal Hamiltonian off) are rotations at the scheduled
@@ -30,7 +36,6 @@ def _unit_plan(sys: SpinSystem, cycle: ddseq.DDCycle, shifts: np.ndarray) -> lis
     schedule. With the internal Hamiltonian on, each window is integrated
     as a finite segment and free evolution covers the gaps alone.
     """
-    events, duration = ddseq.program(cycle, cycle.unit_cycles)
     hard = not sys.pulse.internal_h_during_pulse
     plan = []
     gap_cache: dict[float, np.ndarray] = {}
@@ -48,7 +53,7 @@ def _unit_plan(sys: SpinSystem, cycle: ddseq.DDCycle, shifts: np.ndarray) -> lis
         edge = ev.start + ev.duration / 2.0 if hard else ev.start
         gap = edge - t
         if gap < -spinsys.TIME_ATOL:
-            raise InvariantError(f"overlapping events in {cycle.name} program")
+            raise InvariantError("overlapping events in the program")
         if gap > spinsys.TIME_ATOL:
             free_segment(gap)
         key = (ev.targets, ev.phases, ev.flip, ev.duration)
@@ -73,8 +78,8 @@ def _apply_unit(states: np.ndarray, plan) -> np.ndarray:
 
 # -- the property ----------------------------------------------------------
 
-def averaged_states(plan_fn, apply_fn, rho, sys, cycle, shifts, units):
-    plan = plan_fn(sys, cycle, shifts)
+def averaged_states(plan_fn, apply_fn, rho, sys, program, shifts, units):
+    plan = plan_fn(sys, *program, shifts)
     states = np.broadcast_to(rho, (shifts.shape[0],) + rho.shape).copy()
     out = []
     for _ in range(units):
@@ -113,18 +118,68 @@ def test_fused_walk_matches_dense_walk(case):
     cycle, sys, units, seed = case
     rho = random_rho(np.random.default_rng(seed), spinsys.DIM)
     shifts = runner._disorder_shifts(sys)
-    want, _ = averaged_states(_unit_plan, _apply_unit, rho, sys, cycle, shifts, units)
-    got, plan = averaged_states(runner._unit_plan, runner._apply_unit,
-                                rho, sys, cycle, shifts, units)
+    program = ddseq.program(cycle, cycle.unit_cycles)
+    want, _ = averaged_states(_unit_plan, _apply_unit, rho, sys, program, shifts, units)
+    got, plan = averaged_states(spinsys.compile_program, spinsys.apply_program,
+                                rho, sys, program, shifts, units)
     for a, b in zip(got, want):
         assert np.max(np.abs(a - b)) <= 1e-12
 
     # the fast path is really taken: dense segments only for pulses that mix states
     err = sys.pulse
     mixing = err.flip_fraction_error != 0.0 or (err.internal_h_during_pulse and cycle.t_p > 0)
-    n_pulses = len(ddseq.program(cycle, cycle.unit_cycles)[0])
+    n_pulses = len(program[0])
     n_dense = sum(seg[0] == "dense" for seg in plan)
     assert n_dense == (n_pulses if mixing else 0)
     if not mixing:  # a whole unit is one fused map, unpermuted when its pulses are
         keeps_basis = np.allclose(np.abs(np.diag(ddseq.pulse_product(cycle))), 1.0)
         assert len(plan) == 1 and (plan[0][2] is None) == keeps_basis
+
+
+STAR_SYSTEMS = (
+    SpinSystem(),
+    SpinSystem(noise=NoiseModel((0.5, 0.8, 1.1), 0.3),
+               disorder=DisorderModel((3.0, 4.0, 5.0), 6.0, shots=4, seed=3)),
+    SpinSystem(pulse=PulseErrorModel(flip_fraction_error=0.02, phase_error=0.1),
+               disorder=DisorderModel((3.0, 4.0, 5.0), 6.0, shots=3, seed=8)),
+)
+
+
+@pytest.mark.parametrize("sys", STAR_SYSTEMS)
+def test_star_program_matches_dense_walk(sys):
+    # pi/2 pulses mix basis states, and several events share an instant
+    program = circuits.star_circuit_nmr(sys)
+    assert len({ev.start for ev in program[0]}) < len(program[0])
+    rho = random_rho(np.random.default_rng(5), spinsys.DIM)
+    shifts = runner._disorder_shifts(sys)
+    want, _ = averaged_states(_unit_plan, _apply_unit, rho, sys, program, shifts, 1)
+    got, plan = averaged_states(spinsys.compile_program, spinsys.apply_program,
+                                rho, sys, program, shifts, 1)
+    assert np.max(np.abs(got[0] - want[0])) <= 1e-12
+    assert any(seg[0] == "dense" for seg in plan) and any(seg[0] == "fused" for seg in plan)
+
+
+COMMITTED = (("DD1sp", "psi1a"), ("mDD2sp", "psi2a"), ("DD3sp", "psi3"))
+
+
+@pytest.mark.parametrize("kind, state", COMMITTED)
+def test_every_schedule_runner_shares_the_pulse_window_convention(kind, state):
+    cycle = runner.build_cycle(runner.default_protocol(kind, state, "XY8"))
+    assert cycle.t_p > 0  # the committed widths are finite
+    program = ddseq.program(cycle, cycle.unit_cycles)
+    rho = random_rho(np.random.default_rng(11), spinsys.DIM)
+
+    def one_unit(plan_fn, apply_fn, sys):
+        shifts = runner._disorder_shifts(sys)
+        return averaged_states(plan_fn, apply_fn, rho, sys, program, shifts, 1)[0][0]
+
+    dephasing = replace(runner.default_system(), disorder=None)
+    coherent = dephasing.without_noise()
+    for sys in (dephasing, coherent):
+        reference = one_unit(_unit_plan, _apply_unit, sys)
+        runs = [one_unit(spinsys.compile_program, spinsys.apply_program, sys),
+                spinsys.apply_sequence(rho, sys, *program)]
+        if sys is coherent:  # cycle_propagator ignores noise
+            runs.append(spinsys.apply_unitary(rho, ddseq.cycle_propagator(cycle, sys)))
+        for got in runs:
+            assert np.max(np.abs(got - reference)) <= 1e-12
