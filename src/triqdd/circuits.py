@@ -282,6 +282,8 @@ def tomography(rho_true: np.ndarray, sigma: float = 0.0, seed: int = 0,
         raise ValueError(f"expected an 8x8 state, got {rho_true.shape}")
     if scans < 1:
         raise ValueError("scans must be positive")
+    if not 0.0 <= sigma < np.inf:
+        raise ValueError(f"readout noise sigma must be finite and nonnegative, got {sigma}")
     y = _observe(rho_true)
     if sigma > 0:
         draws = np.random.default_rng(seed).normal(0.0, sigma, size=(scans, y.size))

@@ -29,15 +29,6 @@ def _merge_overrides(cfg: dict, pairs) -> dict:
     return cfg
 
 
-def _render_ini(cfg: dict) -> str:
-    lines = []
-    for section, entries in cfg.items():
-        lines.append(f"[{section}]")
-        lines.extend(f"{key} = {value}" for key, value in entries.items())
-        lines.append("")
-    return "\n".join(lines)
-
-
 def resolve_system(args) -> tuple[spinsys.SpinSystem, dict]:
     """(system, merged config sections) from --config/--set, or committed."""
     if getattr(args, "config", None):
@@ -46,8 +37,7 @@ def resolve_system(args) -> tuple[spinsys.SpinSystem, dict]:
     else:
         text = resources.files("triqdd").joinpath("data/default_run.cfg").read_text()
     cfg = _merge_overrides(spinsys.read_ini(text), getattr(args, "set", None) or [])
-    # round-trip through the text loader so overrides hit the same checks
-    return spinsys.system_from_text(_render_ini(cfg)), cfg
+    return spinsys.system_from_mapping(cfg), cfg
 
 
 def _add_system_flags(sub):
@@ -138,21 +128,12 @@ def cmd_prepare(args) -> int:
 
 # -- decay and protect -----------------------------------------------------
 
-def _ordering_report(run, states, families) -> runner.OrderingReport:
-    table = runner.load_reference()
-    facts = tuple(
-        runner.fact_check(run.percents, state_id, lhs, rhs, table=table)
-        for state_id, lhs, rhs in runner.ordering_facts(families)
-        if state_id in states)
-    return runner.OrderingReport(facts)
-
-
 def cmd_decay(args) -> int:
     sys_, cfg = resolve_system(args)
     states = tuple(args.state) if args.state else runner.TABLE_STATES
     families = _parse_families(args.families)
     run = runner.run_grid(sys_, families, states, args.t_max, args.points)
-    report = _ordering_report(run, states, families)
+    report = runner.compare_to_reference(run.percents, families, states)
     runner.write_curves_csv(run.curves, args.out_csv)
     runner.write_summary_json(runner.grid_summary(run, report, cfg), args.out_json)
     print(f"wrote {len(run.curves)} decay curves to {args.out_csv}")
@@ -175,7 +156,7 @@ def cmd_protect(args) -> int:
     sys_, cfg = resolve_system(args)
     families = _parse_families(args.families)
     run = runner.run_grid(sys_, families)
-    report = _ordering_report(run, runner.TABLE_STATES, families)
+    report = runner.compare_to_reference(run.percents, families)
     for f in report.facts:
         print(_fact_line(f))
     checked = [f for f in report.facts if f.verdict != "n/a"]
@@ -192,11 +173,8 @@ def cmd_protect(args) -> int:
 
 def cmd_star(args) -> int:
     sys_, _ = resolve_system(args)
-    kwargs = dict(family=args.family, prep=args.prep, seed=args.seed,
-                  t_max=args.t_max, points=args.points)
-    if args.tomo_sigma is not None:
-        kwargs["tomo_sigma"] = args.tomo_sigma
-    curves = runner.star_protection(sys_, **kwargs)
+    curves = runner.star_protection(sys_, prep=args.prep, tomo_sigma=args.tomo_sigma,
+                                    seed=args.seed, t_max=args.t_max, points=args.points)
     rows = [curves["AC"], curves["BC"]]
     if args.free:
         free = runner.star_protection(
@@ -290,9 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--out-json", metavar="PATH", help="also write the summary here")
     sub.set_defaults(func=cmd_protect)
 
-    sub = subs.add_parser("star", help="pair concurrences of the protected star state")
+    sub = subs.add_parser("star", help="pair concurrences of the star state under mXY8")
     _add_system_flags(sub)
-    sub.add_argument("--family", default="XY8")
     sub.add_argument("--free", action="store_true", help="also emit free-evolution curves")
     sub.add_argument("--prep", default="ideal", choices=("ideal", "nmr"))
     sub.add_argument("--tomo-sigma", type=float, default=None,

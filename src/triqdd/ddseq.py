@@ -37,7 +37,7 @@ from .spinsys import PulseEvent, SpinSystem, pulse
 
 PI = np.pi
 
-# total_time commensurability slack, seconds
+# whole-unit time commensurability slack, seconds
 REPEAT_ATOL = 1e-9
 
 
@@ -135,13 +135,11 @@ def generate_cpmg(n_pulses: int, tau: float, t_p: float = 0.0, targets=(1, 2, 3)
     return _make_cycle(f"CPMG{n_pulses}", targets, tau, t_p, (0.0,) * n_pulses)
 
 
-def modify(cycle: DDCycle, slot: int | None = None,
-           passive: int | None = None, doubled: int | None = None) -> DDCycle:
-    """Passive/doubled variant of a two-qubit cycle at one slot.
+def modify(cycle: DDCycle, slot: int | None = None) -> DDCycle:
+    """Passive/doubled variant of a two-qubit cycle at one slot (default n/2).
 
-    Defaults: slot n/2, passive is the first listed target, doubled the
-    second. The result must be run an even number of cycles; repeat_to
-    and the propagator helpers enforce that.
+    The first listed target is passive, the second doubled. The result
+    must be run an even number of cycles; program enforces that.
     """
     if cycle.modified is not None:
         raise ValueError(f"{cycle.name} is already modified at slot {cycle.modified[0]}")
@@ -150,15 +148,10 @@ def modify(cycle: DDCycle, slot: int | None = None,
     slot = cycle.n_slots // 2 if slot is None else slot
     if not 0 <= slot < cycle.n_slots:
         raise ValueError(f"slot {slot} out of range 0..{cycle.n_slots - 1}")
-    passive = cycle.targets[0] if passive is None else passive
-    doubled = cycle.targets[1] if doubled is None else doubled
-    if {passive, doubled} != set(cycle.targets):
-        raise ValueError(
-            f"passive/doubled must cover the pair {cycle.targets}, got {passive}/{doubled}")
     if cycle.t_p > 0 and cycle.tau <= cycle.t_p / 2:
         raise ValueError("delay too short to host the doubled pulse window")
     return _make_cycle("m" + cycle.name, cycle.targets, cycle.tau, cycle.t_p,
-                       cycle.phases_deg, (slot, passive, doubled))
+                       cycle.phases_deg, (slot,) + cycle.targets)
 
 
 def program(cycle: DDCycle, n_cycles: int) -> tuple[tuple[PulseEvent, ...], float]:
@@ -176,33 +169,27 @@ def program(cycle: DDCycle, n_cycles: int) -> tuple[tuple[PulseEvent, ...], floa
     return tuple(events), n_cycles * cycle.cycle_duration
 
 
-def repeat_to(cycle: DDCycle, total_time: float) -> tuple[tuple[PulseEvent, ...], float, int]:
-    """Schedule covering total_time exactly; returns (events, duration, cycles).
-
-    total_time must be a whole number of repeat units within 1e-9 s.
-    """
-    if total_time < 0:
-        raise ValueError("total_time must be nonnegative")
-    unit = cycle.unit_duration
-    k = round(total_time / unit)
-    if abs(total_time - k * unit) > REPEAT_ATOL:
-        lo, hi = int(np.floor(total_time / unit)), int(np.ceil(total_time / unit))
+def unit_count(t: float, unit: float, name: str) -> int:
+    """Number of repeat units of length unit in time t, which must be whole."""
+    if t < 0:
+        raise ValueError(f"negative time {t}")
+    k = round(t / unit)
+    if abs(t - k * unit) > REPEAT_ATOL:
+        lo, hi = np.floor(t / unit) * unit, np.ceil(t / unit) * unit
         raise ValueError(
-            f"{total_time} s is not a whole number of {cycle.name} units "
-            f"({unit:.6g} s); nearest valid times are {lo * unit:.6g} s and {hi * unit:.6g} s")
-    events, duration = program(cycle, k * cycle.unit_cycles)
-    return events, duration, k * cycle.unit_cycles
+            f"time {t} s is not a whole number of {name} units "
+            f"({unit:.6g} s); nearest valid times are {lo:.6g} and {hi:.6g}")
+    return int(k)
 
 
-def cycle_propagator(cycle: DDCycle, sys: SpinSystem, *,
-                     n_cycles: int | None = None) -> np.ndarray:
-    """Coherent propagator of the repeat unit, or of n_cycles cycles (noise ignored).
+def cycle_propagator(cycle: DDCycle, sys: SpinSystem) -> np.ndarray:
+    """Coherent propagator of the repeat unit (noise ignored).
 
     Ordered product of the free-evolution and pulse unitaries of the
     program's steps, under the pulse model of sys and the pulse-window
     convention of spinsys.
     """
-    events, duration = program(cycle, cycle.unit_cycles if n_cycles is None else n_cycles)
+    events, duration = program(cycle, cycle.unit_cycles)
     energy = spinsys.energies(sys)
     u = np.eye(spinsys.DIM, dtype=complex)
     for kind, item in spinsys.program_steps(events, duration, sys.pulse.internal_h_during_pulse):
@@ -213,9 +200,9 @@ def cycle_propagator(cycle: DDCycle, sys: SpinSystem, *,
     return u
 
 
-def pulse_product(cycle: DDCycle, n_cycles: int | None = None) -> np.ndarray:
-    """Product of the error-free pulse rotations alone (zero Hamiltonian)."""
-    return cycle_propagator(cycle, SpinSystem((0.0,) * 3, (0.0,) * 3), n_cycles=n_cycles)
+def pulse_product(cycle: DDCycle) -> np.ndarray:
+    """Repeat-unit product of the error-free pulse rotations alone (zero Hamiltonian)."""
+    return cycle_propagator(cycle, SpinSystem((0.0,) * 3, (0.0,) * 3))
 
 
 def single_spin_survival(cycle: DDCycle, offset_hz: float, flip_error: float,

@@ -178,9 +178,8 @@ def _psd_sqrt(m: np.ndarray) -> np.ndarray:
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Squared Uhlmann fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2.
 
-    The squared convention is used everywhere in this package and is
-    recorded in report metadata as 'uhlmann-squared'. For a pure rho it
-    reduces to <psi|sigma|psi>.
+    The squared convention is used everywhere in this package. For a pure
+    rho it reduces to <psi|sigma|psi>.
     """
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
@@ -190,9 +189,6 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     s = _psd_sqrt(rho)
     val = np.trace(_psd_sqrt(s @ sigma @ s)).real ** 2
     return float(min(max(val, 0.0), 1.0))
-
-
-FIDELITY_CONVENTION = "uhlmann-squared"
 
 
 def rho_to_json(rho: np.ndarray) -> dict:

@@ -69,7 +69,6 @@ class Protocol:
     tau: float | None = None
     t_p: float = 0.0
     targets: tuple[int, ...] = ()
-    slot: int | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -87,8 +86,6 @@ class Protocol:
         want = _KIND_TARGET_COUNT[self.kind]
         if len(self.targets) != want:
             raise ValueError(f"{self.kind} targets exactly {want} qubit(s), got {self.targets}")
-        if self.slot is not None and self.kind != "mDD2sp":
-            raise ValueError("a modification slot only applies to mDD2sp")
 
     @property
     def sequence_label(self) -> str:
@@ -103,7 +100,7 @@ def build_cycle(protocol: Protocol) -> ddseq.DDCycle | None:
         return None
     cycle = ddseq.generate(protocol.family, protocol.tau, protocol.t_p, protocol.targets)
     if protocol.kind == "mDD2sp":
-        cycle = ddseq.modify(cycle, slot=protocol.slot)
+        cycle = ddseq.modify(cycle)
     return cycle
 
 
@@ -174,18 +171,15 @@ def default_protocol(kind: str, state_id: str | None = None, family: str = "XY8"
     return Protocol(kind, family, tau, t_p, targets)
 
 
-def star_protocol(pair: tuple[int, int], family: str = "XY8") -> Protocol:
-    """Committed m-cycle protocol for one star pair."""
+def star_protocol(pair: tuple[int, int]) -> Protocol:
+    """Committed mXY8 protocol for one star pair."""
     key = f"{pair[0]}-{pair[1]}"
     rows = delay_table()["star_pairs"]
     if key not in rows:
         raise ValueError(f"no star delay for pair {pair}, expected one of {sorted(rows)}")
-    if family not in rows[key]:
-        raise ValueError(f"no star delay for pair {pair}, family {family!r}")
-    tau_ms, cycle_s = rows[key][family]
-    tau = tau_ms * 1e-3
-    t_p = _pulse_width(family, tau, cycle_s, modified=True)
-    return Protocol("mDD2sp", family, tau, t_p, tuple(pair))
+    tau, cycle_s = _delay_row(rows, key, "XY8")
+    t_p = _pulse_width("XY8", tau, cycle_s, modified=True)
+    return Protocol("mDD2sp", "XY8", tau, t_p, tuple(pair))
 
 
 # -- curves ----------------------------------------------------------------
@@ -225,29 +219,9 @@ def default_time_grid(unit: float | None, t_max: float = GRID_T_MAX,
         raise ValueError("need t_max >= 0 and at least two grid points")
     if unit is None:
         return tuple(float(t) for t in np.linspace(0.0, t_max, points))
-    total = round(t_max / unit)
-    if abs(t_max - total * unit) > ddseq.REPEAT_ATOL:
-        raise ValueError(
-            f"t_max {t_max} s is not a whole number of {unit} s units; "
-            f"nearest are {np.floor(t_max / unit) * unit:.6g} and "
-            f"{np.ceil(t_max / unit) * unit:.6g}")
+    total = ddseq.unit_count(t_max, unit, "repeat")
     counts = sorted(set(int(round(k)) for k in np.linspace(0, total, points)))
     return tuple(k * unit for k in counts)
-
-
-def _unit_counts(times, unit, name) -> list[int]:
-    counts = []
-    for t in times:
-        if t < 0:
-            raise ValueError(f"negative time {t}")
-        k = round(t / unit)
-        if abs(t - k * unit) > ddseq.REPEAT_ATOL:
-            lo, hi = np.floor(t / unit) * unit, np.ceil(t / unit) * unit
-            raise ValueError(
-                f"time {t} s is not a whole number of {name} units "
-                f"({unit:.6g} s); nearest valid times are {lo:.6g} and {hi:.6g}")
-        counts.append(int(k))
-    return counts
 
 
 def _disorder_shifts(sys: SpinSystem) -> np.ndarray:
@@ -281,7 +255,7 @@ def _evolve_values(rho0, sys, cycle, times, element=None, keep=None,
         return [finish(rho0 * spinsys.free_factors(sys, t, shifts).mean(axis=0), i)
                 for i, t in enumerate(times)]
 
-    counts = _unit_counts(times, cycle.unit_duration, cycle.name)
+    counts = [ddseq.unit_count(t, cycle.unit_duration, cycle.name) for t in times]
     plan = spinsys.compile_program(sys, *ddseq.program(cycle, cycle.unit_cycles), shifts)
     states = np.broadcast_to(rho0, (shifts.shape[0],) + rho0.shape).copy()
     values, applied = [], 0
@@ -320,19 +294,13 @@ def run_decay(state_id: str, protocol: Protocol, sys: SpinSystem,
     return DecayCurve(state_id, protocol, "amplitude", times, values, element=element)
 
 
-def percent_at(curve: DecayCurve, t: float, interpolate: bool = False) -> float:
-    """100 * C(t); t must sit on the curve's grid unless interpolate."""
-    times = np.asarray(curve.times)
-    hit = np.nonzero(np.abs(times - t) <= ddseq.REPEAT_ATOL)[0]
-    if hit.size:
-        return 100.0 * curve.values[int(hit[0])]
-    if interpolate:
-        if not (times[0] <= t <= times[-1]):
-            raise ValueError(f"time {t} outside the curve range")
-        return 100.0 * float(np.interp(t, times, curve.values))
-    shown = ", ".join(f"{x:.6g}" for x in curve.times[:8])
-    raise ValueError(f"time {t} not on the curve grid ({shown}, ...); "
-                     "pass interpolate=True to interpolate")
+def percent_at(curve: DecayCurve, t: float) -> float:
+    """100 * C(t); t must sit on the curve's grid."""
+    hit = np.nonzero(np.abs(np.asarray(curve.times) - t) <= ddseq.REPEAT_ATOL)[0]
+    if not hit.size:
+        shown = ", ".join(f"{x:.6g}" for x in curve.times[:8])
+        raise ValueError(f"time {t} not on the curve grid ({shown}, ...)")
+    return 100.0 * curve.values[int(hit[0])]
 
 
 # -- table grid ------------------------------------------------------------
@@ -356,6 +324,9 @@ def run_grid(sys: SpinSystem, families=None, states=TABLE_STATES,
              t_max: float = GRID_T_MAX, points: int = GRID_POINTS) -> GridRun:
     """FreeEv, the designated protocol, and DD3sp for every table state."""
     families = tuple(families) if families else FAMILIES
+    unknown = [s for s in states if s not in TABLE_STATES]
+    if unknown:
+        raise ValueError(f"unknown table state(s) {unknown}, expected some of {TABLE_STATES}")
     curves, percents = [], {}
     for state_id in states:
         protos = [default_protocol("FreeEv")]
@@ -433,7 +404,6 @@ class FactCheck:
 
 
 def fact_check(percents: dict, state_id: str, lhs: tuple, rhs: tuple,
-               margin_pp: float = MARGIN_PP,
                table: ReferenceTable | None = None) -> FactCheck:
     """Does protocol lhs beat protocol rhs for this state by the margin.
 
@@ -452,7 +422,7 @@ def fact_check(percents: dict, state_id: str, lhs: tuple, rhs: tuple,
     lhs_pct = percents[(state_id,) + lhs]
     rhs_pct = percents[(state_id,) + rhs]
     margin = lhs_pct - rhs_pct
-    verdict = "pass" if margin >= margin_pp else "fail"
+    verdict = "pass" if margin >= MARGIN_PP else "fail"
     published = [None, None]
     if table is not None:
         for i, side in enumerate((lhs, rhs)):
@@ -507,26 +477,24 @@ def ordering_facts(families=FAMILIES):
     return tuple(out)
 
 
-def compare_to_reference(percents: dict, table: ReferenceTable | None = None,
-                         margin_pp: float = MARGIN_PP,
-                         families=FAMILIES) -> OrderingReport:
-    """Check every committed ordering fact against a results grid."""
-    table = table or load_reference()
-    facts = [fact_check(percents, state_id, lhs, rhs, margin_pp, table)
-             for state_id, lhs, rhs in ordering_facts(families)]
-    return OrderingReport(tuple(facts), margin_pp)
+def compare_to_reference(percents: dict, families=FAMILIES,
+                         states=TABLE_STATES) -> OrderingReport:
+    """Check the committed ordering facts on the given states against a results grid."""
+    table = load_reference()
+    return OrderingReport(tuple(
+        fact_check(percents, state_id, lhs, rhs, table)
+        for state_id, lhs, rhs in ordering_facts(families) if state_id in states))
 
 
 # -- star pair protection --------------------------------------------------
 
 def star_protection(sys: SpinSystem, times=None, protected: bool = True,
-                    family: str = "XY8", protocols: dict | None = None,
                     prep: str = "ideal", tomo_sigma: float | None = None,
                     seed: int = 0, t_max: float = GRID_T_MAX,
                     points: int = GRID_POINTS) -> dict[str, DecayCurve]:
     """Concurrence curves of both reduced star pairs, protected or free.
 
-    Each pair is its own experiment: the m-cycle (or nothing) runs on
+    Each pair is its own experiment: mXY8 (or nothing) runs on
     that pair while the third spin rides along and is traced out. The
     free-evolution variant keeps the protected run's time grid so the
     two can be compared point by point. times may be one grid for both
@@ -538,7 +506,7 @@ def star_protection(sys: SpinSystem, times=None, protected: bool = True,
     rho0 = circuits.prepare("star") if prep == "ideal" else circuits.prepare_star_nmr(sys)
     out = {}
     for name, pair in STAR_PAIRS.items():
-        proto = (protocols or {}).get(name) or star_protocol(pair, family)
+        proto = star_protocol(pair)
         cycle = build_cycle(proto)
         grid = times.get(name) if isinstance(times, dict) else times
         if grid is None:

@@ -204,3 +204,6 @@ def test_tomography_input_validation():
         circuits.tomography(np.eye(4) / 4)
     with pytest.raises(ValueError):
         circuits.tomography(np.eye(8) / 8, sigma=0.01, scans=0)
+    for sigma in (-1.0, -1e-12, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="sigma"):
+            circuits.tomography(np.eye(8) / 8, sigma=sigma)

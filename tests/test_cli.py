@@ -4,8 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from triqdd import cli, ddseq, qmat
+from triqdd import cli, ddseq, qmat, spinsys
 
 
 def run_cli(capsys, *argv):
@@ -152,6 +154,43 @@ def test_decay_rejects_broken_config(capsys, tmp_path):
     assert code == 2 and "[disorder] shots" in err and "whole number" in err
     code, _, err = run_cli(capsys, *decay_args(tmp_path, "--set", "disorder.seed=1.5"))
     assert code == 2 and "[disorder] seed" in err and "whole number" in err
+    # only the seven table states have a designated protocol
+    for state in ("nope", "star"):
+        code, _, err = run_cli(capsys, "decay", "--state", state)
+        assert code == 2 and f"'{state}'" in err and "psi3" in err
+
+
+_SECTIONS = sorted({section for section, *_ in spinsys.CONFIG_KEYS})
+_NAMES = st.text(min_size=1, max_size=10).filter(lambda s: not s.startswith("-"))
+_NUMBERS = st.floats(allow_nan=True, allow_infinity=True).map(repr)
+
+
+@st.composite
+def overrides(draw):
+    section, key, _, _, default, _ = draw(st.sampled_from(spinsys.CONFIG_KEYS))
+    if draw(st.booleans()):  # an unknown key, in a known or an unknown section
+        section, key = draw(st.tuples(st.sampled_from(_SECTIONS) | _NAMES, _NAMES))
+    value = draw(st.one_of(
+        st.just(default),
+        st.text(max_size=16),
+        _NUMBERS,
+        st.lists(_NUMBERS, min_size=1, max_size=4).map(" ".join),
+        st.sampled_from(["nan", "inf", "-inf", " ", "\t", " 1 ", "on", "off", "2.7"])))
+    return f"{section}.{key}={value}"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(overrides(), min_size=1, max_size=3))
+def test_fuzzed_overrides_give_a_system_or_a_config_error(pairs):
+    argv = ["decay"]
+    for raw in pairs:
+        argv += ["--set", raw]
+    args = cli.build_parser().parse_args(argv)
+    try:
+        sys_, _ = cli.resolve_system(args)
+    except spinsys.ConfigError:
+        return
+    assert isinstance(sys_, spinsys.SpinSystem)
 
 
 # -- protect ---------------------------------------------------------------
@@ -200,6 +239,15 @@ def test_tomo_reports_fidelity(capsys, tmp_path):
     doc = json.loads(path.read_text())
     assert doc["fidelity"] >= 0.97
     assert doc["rho"]["dim"] == 8
+
+
+def test_negative_or_non_finite_readout_noise_exits_two(capsys, tmp_path):
+    for sigma in ("-1", "nan"):
+        code, out, err = run_cli(capsys, "tomo", "psi1a", "--sigma", sigma)
+        assert code == 2 and "sigma" in err and "fidelity" not in out
+    code, _, err = run_cli(capsys, "star", "--tomo-sigma", "-0.5", "--points", "2",
+                           "--out-csv", str(tmp_path / "star.csv"))
+    assert code == 2 and "sigma" in err
 
 
 # -- config-reference ------------------------------------------------------

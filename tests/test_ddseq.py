@@ -119,8 +119,8 @@ def test_modify_defaults_and_overrides():
     c = ddseq.generate("UR12", 1e-3, 0.0, (2, 3))
     m = ddseq.modify(c)
     assert m.modified == (6, 2, 3)
-    m2 = ddseq.modify(c, slot=1, passive=3, doubled=2)
-    assert m2.modified == (1, 3, 2)
+    m2 = ddseq.modify(c, slot=1)
+    assert m2.modified == (1, 2, 3)
     assert m2.unit_cycles == 2
     assert c.unit_cycles == 1
 
@@ -135,10 +135,6 @@ def test_modify_rejections():
         ddseq.modify(ddseq.generate("XY8", 1e-3, 0.0, (1,)))
     with pytest.raises(ValueError):
         ddseq.modify(c, slot=8)
-    with pytest.raises(ValueError):
-        ddseq.modify(c, passive=1, doubled=1)
-    with pytest.raises(ValueError):
-        ddseq.modify(c, passive=1, doubled=3)
 
 
 def up_to_phase_identity(u, atol):
@@ -229,32 +225,33 @@ def test_cycle_propagator_covers_modified_unit():
     u = ddseq.cycle_propagator(m, sys)
     assert u.shape == (8, 8)
     assert np.allclose(u @ u.conj().T, np.eye(8), atol=1e-10)
-    with pytest.raises(ValueError):
-        ddseq.cycle_propagator(m, sys, n_cycles=3)
 
 
 # -- repetition and serialization ------------------------------------------
 
-def test_repeat_to_counts():
+def test_unit_count_counts():
     c = ddseq.generate("XY8", 0.58e-3, 0.045e-3, (2,))
     assert c.cycle_duration == pytest.approx(0.005)
-    events, duration, cycles = ddseq.repeat_to(c, 0.7)
+    cycles = ddseq.unit_count(0.7, c.unit_duration, c.name) * c.unit_cycles
     assert cycles == 140
+    events, duration = ddseq.program(c, cycles)
     assert duration == pytest.approx(0.7)
     assert len(events) == 140 * 8
     m = ddseq.modify(ddseq.generate("XY8", 0.538e-3, (0.005 - 8 * 0.538e-3) / 9, (1, 2)))
     assert m.cycle_duration == pytest.approx(0.005)
-    _, duration, cycles = ddseq.repeat_to(m, 0.7)
+    cycles = ddseq.unit_count(0.7, m.unit_duration, m.name) * m.unit_cycles
     assert cycles == 140
+    _, duration = ddseq.program(m, cycles)
     assert duration == pytest.approx(0.7)
 
 
-def test_repeat_to_empty_and_rejection():
+def test_unit_count_empty_and_rejection():
     c = ddseq.generate("XY16", 0.58e-3, (0.01 - 16 * 0.58e-3) / 16, (2,))
-    events, duration, cycles = ddseq.repeat_to(c, 0.0)
-    assert events == () and duration == 0.0 and cycles == 0
+    cycles = ddseq.unit_count(0.0, c.unit_duration, c.name)
+    assert cycles == 0
+    assert ddseq.program(c, cycles) == ((), 0.0)
     with pytest.raises(ValueError) as err:
-        ddseq.repeat_to(c, 0.7 + 0.004)
+        ddseq.unit_count(0.7 + 0.004, c.unit_duration, c.name)
     assert "nearest valid" in str(err.value)
 
 
