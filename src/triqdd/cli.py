@@ -159,10 +159,9 @@ def cmd_protect(args) -> int:
     report = runner.compare_to_reference(run.percents, families)
     for f in report.facts:
         print(_fact_line(f))
-    checked = [f for f in report.facts if f.verdict != "n/a"]
-    passed = sum(f.verdict == "pass" for f in checked)
-    print(f"ordering: {passed}/{len(checked)} pass "
-          f"(margin >= {report.margin_pp:g}pp at t = {run.t_eval:g} s)")
+    passed = sum(f.verdict == "pass" for f in report.facts)
+    print(f"ordering: {passed}/{len(report.facts)} pass "
+          f"(margin >= {runner.MARGIN_PP:g}pp at t = {run.t_eval:g} s)")
     if args.out_json:
         runner.write_summary_json(runner.grid_summary(run, report, cfg), args.out_json)
         print(f"wrote summary to {args.out_json}")

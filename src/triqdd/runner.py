@@ -26,7 +26,10 @@ concurrences taken. Shots are batched along the leading axis.
 A repeat unit is compiled once per curve by spinsys.compile_program,
 under the pulse-window convention and into the segment forms that the
 spinsys docstring sets out, and walked unit by unit over the shot stack.
-Free evolution alone is one factor stack per recorded time.
+Free evolution alone is one factor stack per recorded time. Every curve
+records from this one walk: each shot-averaged state is checked to be a
+density matrix before anything reads it, and before any tomography
+readout, so a broken evolution fails as an invariant violation.
 
 Reference percentages from the published tables are bundled as data and
 used strictly for qualitative ordering checks (which protocol beats
@@ -38,9 +41,10 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from types import MappingProxyType
 
 import numpy as np
 
@@ -193,8 +197,6 @@ class DecayCurve:
     kind: str  # "amplitude" or "concurrence"
     times: tuple[float, ...]
     values: tuple[float, ...]
-    element: tuple[int, int] | None = None
-    subsystem: str | None = None
 
     def __post_init__(self):
         if self.kind not in ("amplitude", "concurrence"):
@@ -231,40 +233,27 @@ def _disorder_shifts(sys: SpinSystem) -> np.ndarray:
     return spinsys.disorder_phase_rates(sys.disorder.draw())
 
 
-def _record(avg: np.ndarray, element, keep):
-    try:
-        qmat.assert_density_matrix(avg)
-    except ValueError as exc:
-        raise InvariantError(f"recorded state is not a density matrix: {exc}") from exc
-    if keep is not None:
-        return qmat.concurrence(qmat.partial_trace(avg, keep))
-    return complex(avg[element])
-
-
-def _evolve_values(rho0, sys, cycle, times, element=None, keep=None,
-                   tomo_sigma=None, tomo_seed=0):
-    """Shot-averaged tracked values at the given times (DD or free)."""
+def _averaged_states(rho0, sys, cycle, times):
+    """Checked shot-averaged state at each of the given times (DD or free)."""
     shifts = _disorder_shifts(sys)
-
-    def finish(avg, index):
-        if tomo_sigma is not None:
-            avg = circuits.tomography(avg, sigma=tomo_sigma, seed=tomo_seed + index)
-        return _record(avg, element, keep)
-
-    if cycle is None:
-        return [finish(rho0 * spinsys.free_factors(sys, t, shifts).mean(axis=0), i)
-                for i, t in enumerate(times)]
-
-    counts = [ddseq.unit_count(t, cycle.unit_duration, cycle.name) for t in times]
-    plan = spinsys.compile_program(sys, *ddseq.program(cycle, cycle.unit_cycles), shifts)
-    states = np.broadcast_to(rho0, (shifts.shape[0],) + rho0.shape).copy()
-    values, applied = [], 0
-    for i, k in enumerate(counts):
-        while applied < k:
-            states = spinsys.apply_program(states, plan)
-            applied += 1
-        values.append(finish(states.mean(axis=0), i))
-    return values
+    if cycle is not None:
+        counts = [ddseq.unit_count(t, cycle.unit_duration, cycle.name) for t in times]
+        plan = spinsys.compile_program(sys, *ddseq.program(cycle, cycle.unit_cycles), shifts)
+        states = np.broadcast_to(rho0, (shifts.shape[0],) + rho0.shape).copy()
+        applied = 0
+    for i, t in enumerate(times):
+        if cycle is None:
+            avg = rho0 * spinsys.free_factors(sys, t, shifts).mean(axis=0)
+        else:
+            while applied < counts[i]:
+                states = spinsys.apply_program(states, plan)
+                applied += 1
+            avg = states.mean(axis=0)
+        try:
+            qmat.assert_density_matrix(avg)
+        except ValueError as exc:
+            raise InvariantError(f"recorded state is not a density matrix: {exc}") from exc
+        yield avg
 
 
 def run_decay(state_id: str, protocol: Protocol, sys: SpinSystem,
@@ -284,23 +273,14 @@ def run_decay(state_id: str, protocol: Protocol, sys: SpinSystem,
     if times is None:
         times = default_time_grid(None if cycle is None else cycle.unit_duration)
     times = tuple(sorted(set(float(t) for t in times)))
-    raw = _evolve_values(rho0, sys, cycle, times, element=element)
+    raw = [complex(avg[element]) for avg in _averaged_states(rho0, sys, cycle, times)]
     ref = complex(rho0[element])
     if protocol.kind == "FreeEv":
         values = tuple(abs(v) / abs(ref) for v in raw)
     else:
         unit = ref / abs(ref)
         values = tuple(max((v * unit.conjugate()).real, 0.0) / abs(ref) for v in raw)
-    return DecayCurve(state_id, protocol, "amplitude", times, values, element=element)
-
-
-def percent_at(curve: DecayCurve, t: float) -> float:
-    """100 * C(t); t must sit on the curve's grid."""
-    hit = np.nonzero(np.abs(np.asarray(curve.times) - t) <= ddseq.REPEAT_ATOL)[0]
-    if not hit.size:
-        shown = ", ".join(f"{x:.6g}" for x in curve.times[:8])
-        raise ValueError(f"time {t} not on the curve grid ({shown}, ...)")
-    return 100.0 * curve.values[int(hit[0])]
+    return DecayCurve(state_id, protocol, "amplitude", times, values)
 
 
 # -- table grid ------------------------------------------------------------
@@ -316,17 +296,22 @@ class GridRun:
     """All decay curves of one table run plus their percents at t_eval."""
 
     curves: tuple[DecayCurve, ...]
-    percents: dict = field(default_factory=dict)
-    t_eval: float = GRID_T_MAX
+    percents: dict
+    t_eval: float
 
 
 def run_grid(sys: SpinSystem, families=None, states=TABLE_STATES,
              t_max: float = GRID_T_MAX, points: int = GRID_POINTS) -> GridRun:
     """FreeEv, the designated protocol, and DD3sp for every table state."""
     families = tuple(families) if families else FAMILIES
+    states = tuple(states)
     unknown = [s for s in states if s not in TABLE_STATES]
     if unknown:
         raise ValueError(f"unknown table state(s) {unknown}, expected some of {TABLE_STATES}")
+    for what, names in (("state", states), ("family", families)):
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        if repeated:
+            raise ValueError(f"repeated {what} {repeated}: name each one once")
     curves, percents = [], {}
     for state_id in states:
         protos = [default_protocol("FreeEv")]
@@ -340,45 +325,23 @@ def run_grid(sys: SpinSystem, families=None, states=TABLE_STATES,
             curve = run_decay(state_id, proto, sys,
                               times=default_time_grid(unit, t_max, points))
             curves.append(curve)
-            key = (state_id, proto.kind, proto.family)
-            percents[key] = percent_at(curve, t_max)
+            # the grid always ends on t_max
+            percents[(state_id, proto.kind, proto.family)] = 100.0 * curve.values[-1]
     return GridRun(tuple(curves), percents, t_max)
 
 
 # -- reference comparison --------------------------------------------------
 
-@dataclass(frozen=True)
-class ReferenceTable:
-    """Published preservation percentages, for ordering checks only."""
-
-    time_s: float
-    blocks: tuple = ()
-
-    def percent(self, state_id: str, row: str) -> float:
-        for states, rows in self.blocks:
-            if state_id in states:
-                if row not in rows:
-                    raise ValueError(f"reference table has no row '{row}' for {state_id}")
-                return rows[row][states.index(state_id)]
-        raise ValueError(f"reference table does not cover state '{state_id}'")
-
-    def has(self, state_id: str, row: str) -> bool:
-        try:
-            self.percent(state_id, row)
-            return True
-        except ValueError:
-            return False
-
-
 @lru_cache(maxsize=1)
-def load_reference() -> ReferenceTable:
+def load_reference() -> MappingProxyType:
+    """Published percentages {(state, row): percent}; read-only, as callers share it."""
     doc = json.loads(
         resources.files("triqdd").joinpath("data/reference_percentages.json").read_text())
-    blocks = []
-    for name in ("zero_and_second_order", "first_and_third_order"):
-        block = doc[name]
-        blocks.append((tuple(block["states"]), block["rows"]))
-    return ReferenceTable(doc["time_s"], tuple(blocks))
+    return MappingProxyType({
+        (state_id, row): pct
+        for block in (doc["zero_and_second_order"], doc["first_and_third_order"])
+        for row, pcts in block["rows"].items()
+        for state_id, pct in zip(block["states"], pcts, strict=True)})
 
 
 def _reference_row(kind: str, family: str | None) -> str:
@@ -398,23 +361,16 @@ class FactCheck:
     lhs_pct: float
     rhs_pct: float
     margin_pp: float
-    verdict: str  # "pass", "fail", "n/a"
-    published_lhs: float | None = None
-    published_rhs: float | None = None
+    verdict: str  # "pass" or "fail"
+    published_lhs: float | None
+    published_rhs: float | None
 
 
-def fact_check(percents: dict, state_id: str, lhs: tuple, rhs: tuple,
-               table: ReferenceTable | None = None) -> FactCheck:
+def fact_check(percents: dict, state_id: str, lhs: tuple, rhs: tuple) -> FactCheck:
     """Does protocol lhs beat protocol rhs for this state by the margin.
 
-    lhs/rhs are (kind, family) with family None for FreeEv. Comparing a
-    protocol against itself is not an ordering claim and returns "n/a".
+    lhs/rhs are (kind, family) with family None for FreeEv.
     """
-    label = f"{lhs[0]}>{rhs[0]}"
-    if lhs == rhs:
-        return FactCheck(state_id, label, lhs, rhs,
-                         percents[(state_id,) + lhs], percents[(state_id,) + rhs],
-                         0.0, "n/a")
     missing = [(state_id,) + side for side in (lhs, rhs)
                if (state_id,) + side not in percents]
     if missing:
@@ -423,31 +379,26 @@ def fact_check(percents: dict, state_id: str, lhs: tuple, rhs: tuple,
     rhs_pct = percents[(state_id,) + rhs]
     margin = lhs_pct - rhs_pct
     verdict = "pass" if margin >= MARGIN_PP else "fail"
-    published = [None, None]
-    if table is not None:
-        for i, side in enumerate((lhs, rhs)):
-            # a family row only speaks for the state's designated protocol
-            if side[0] not in ("FreeEv", DESIGNATED_KIND.get(state_id)):
-                continue
-            row = _reference_row(*side)
-            if table.has(state_id, row):
-                published[i] = table.percent(state_id, row)
-    return FactCheck(state_id, label, lhs, rhs, lhs_pct, rhs_pct,
-                     margin, verdict, published[0], published[1])
+    table = load_reference()
+    # a family row only speaks for the state's designated protocol
+    published = [table.get((state_id, _reference_row(*side)))
+                 if side[0] in ("FreeEv", DESIGNATED_KIND.get(state_id)) else None
+                 for side in (lhs, rhs)]
+    return FactCheck(state_id, f"{lhs[0]}>{rhs[0]}", lhs, rhs, lhs_pct, rhs_pct,
+                     margin, verdict, *published)
 
 
 @dataclass(frozen=True)
 class OrderingReport:
     facts: tuple[FactCheck, ...]
-    margin_pp: float = MARGIN_PP
 
     @property
     def all_pass(self) -> bool:
-        return all(f.verdict == "pass" for f in self.facts if f.verdict != "n/a")
+        return all(f.verdict == "pass" for f in self.facts)
 
     def to_dict(self) -> dict:
         return {
-            "margin_pp": self.margin_pp,
+            "margin_pp": MARGIN_PP,
             "all_pass": self.all_pass,
             "facts": [
                 {"state": f.state, "fact": f.label,
@@ -480,9 +431,8 @@ def ordering_facts(families=FAMILIES):
 def compare_to_reference(percents: dict, families=FAMILIES,
                          states=TABLE_STATES) -> OrderingReport:
     """Check the committed ordering facts on the given states against a results grid."""
-    table = load_reference()
     return OrderingReport(tuple(
-        fact_check(percents, state_id, lhs, rhs, table)
+        fact_check(percents, state_id, lhs, rhs)
         for state_id, lhs, rhs in ordering_facts(families) if state_id in states))
 
 
@@ -499,7 +449,8 @@ def star_protection(sys: SpinSystem, times=None, protected: bool = True,
     free-evolution variant keeps the protected run's time grid so the
     two can be compared point by point. times may be one grid for both
     pairs or a {"AC": ..., "BC": ...} mapping. tomo_sigma, when given,
-    routes every recorded state through the tomography pipeline first.
+    reads each checked state out through the tomography pipeline before
+    the concurrence is taken.
     """
     if prep not in ("ideal", "nmr"):
         raise ValueError(f"unknown preparation '{prep}', expected 'ideal' or 'nmr'")
@@ -513,10 +464,12 @@ def star_protection(sys: SpinSystem, times=None, protected: bool = True,
             grid = default_time_grid(cycle.unit_duration, t_max, points)
         grid = tuple(sorted(set(float(t) for t in grid)))
         run_proto, run_cycle = (proto, cycle) if protected else (Protocol("FreeEv"), None)
-        values = _evolve_values(rho0, sys, run_cycle, grid, keep=list(pair),
-                                tomo_sigma=tomo_sigma, tomo_seed=seed)
-        out[name] = DecayCurve("star", run_proto, "concurrence", grid,
-                               tuple(values), subsystem=name)
+        values = []
+        for i, avg in enumerate(_averaged_states(rho0, sys, run_cycle, grid)):
+            if tomo_sigma is not None:
+                avg = circuits.tomography(avg, sigma=tomo_sigma, seed=seed + i)
+            values.append(qmat.concurrence(qmat.partial_trace(avg, pair)))
+        out[name] = DecayCurve("star", run_proto, "concurrence", grid, tuple(values))
     return out
 
 

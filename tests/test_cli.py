@@ -158,6 +158,11 @@ def test_decay_rejects_broken_config(capsys, tmp_path):
     for state in ("nope", "star"):
         code, _, err = run_cli(capsys, "decay", "--state", state)
         assert code == 2 and f"'{state}'" in err and "psi3" in err
+    # a repeated state or family would run, and be reported, twice
+    code, _, err = run_cli(capsys, *decay_args(tmp_path, "--state", "psi1a"))
+    assert code == 2 and "repeated state ['psi1a']" in err
+    code, _, err = run_cli(capsys, *decay_args(tmp_path, "--families", "XY8,XY8"))
+    assert code == 2 and "repeated family ['XY8']" in err
 
 
 _SECTIONS = sorted({section for section, *_ in spinsys.CONFIG_KEYS})
@@ -288,5 +293,11 @@ def test_broken_state_mid_run_exits_three(capsys, monkeypatch, tmp_path):
 
     monkeypatch.setattr(spinsys, "free_factors", doubled)
     code, _, err = run_cli(capsys, *decay_args(tmp_path))
+    assert code == 3
+    assert "invariant violation" in err and "trace is" in err
+    # the evolved state is checked before the tomography readout, whose output
+    # is a valid state whatever it was given
+    code, _, err = run_cli(capsys, "star", "--tomo-sigma", "0.01", "--points", "3",
+                           "--out-csv", str(tmp_path / "star.csv"))
     assert code == 3
     assert "invariant violation" in err and "trace is" in err

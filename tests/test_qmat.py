@@ -5,6 +5,8 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_ket, random_rho, random_unitary
 from triqdd import qmat
@@ -165,6 +167,20 @@ def test_concurrence_werner_state():
     for p, expected in [(0.9, 0.85), (0.6, 0.4), (0.2, 0.0)]:
         rho = p * bell + (1 - p) * np.eye(4) / 4
         assert qmat.concurrence(rho) == pytest.approx(expected, abs=1e-10)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(rank=st.integers(1, 8), pair=st.sampled_from([(1, 2), (1, 3), (2, 3)]),
+       entries=st.lists(st.floats(-1.0, 1.0), min_size=2 * 8 * 8, max_size=2 * 8 * 8))
+def test_pair_concurrence_of_a_random_three_qubit_state_is_in_unit_interval(
+        rank, pair, entries):
+    g = np.array(entries[:64]).reshape(8, 8) + 1j * np.array(entries[64:]).reshape(8, 8)
+    g = g[:, :rank]
+    rho = g @ g.conj().T
+    assume(np.trace(rho).real > 1e-3)
+    rho /= np.trace(rho).real
+    c = qmat.concurrence(qmat.partial_trace(rho, pair))
+    assert 0.0 <= c <= 1.0 + 1e-9
 
 
 def test_concurrence_needs_two_qubits():

@@ -204,16 +204,18 @@ def test_run_decay_is_deterministic():
     assert a.values == b.values
 
 
-# -- percent_at ------------------------------------------------------------
+# -- grid percents ---------------------------------------------------------
 
-def test_percent_at_grid_interpolation_and_misses():
-    p = runner.default_protocol("FreeEv")
+def test_grid_percent_is_the_curve_value_at_t_max():
     sys = SpinSystem(noise=NoiseModel((1.0, 2.0, 3.0), 0.0))
-    curve = runner.run_decay("psi3", p, sys, times=(0.0, 0.2, 0.4))
-    assert runner.percent_at(curve, 0.0) == pytest.approx(100.0)
-    assert runner.percent_at(curve, 0.2) == pytest.approx(100 * math.exp(-1.2), rel=1e-5)
-    with pytest.raises(ValueError, match="not on the curve grid"):
-        runner.percent_at(curve, 0.3)
+    run = runner.run_grid(sys, ("XY8",), ("psi3",), t_max=0.2, points=3)
+    assert run.t_eval == 0.2 and len(run.curves) == 2
+    for curve in run.curves:
+        assert curve.times[-1] == pytest.approx(0.2, abs=ddseq.REPEAT_ATOL)
+        key = ("psi3", curve.protocol.kind, curve.protocol.family)
+        assert run.percents[key] == 100.0 * curve.values[-1]
+    assert run.percents[("psi3", "FreeEv", None)] == pytest.approx(
+        100 * math.exp(-1.2), rel=1e-5)
 
 
 # -- ordering facts --------------------------------------------------------
@@ -224,14 +226,12 @@ def synthetic_percents():
             ("psi1a", "FreeEv", None): 2.0}
 
 
-def test_fact_check_pass_fail_and_na():
+def test_fact_check_pass_and_fail():
     pcts = synthetic_percents()
     f = runner.fact_check(pcts, "psi1a", ("DD1sp", "XY8"), ("DD3sp", "XY8"))
     assert f.verdict == "pass" and f.margin_pp == pytest.approx(70.0)
     g = runner.fact_check(pcts, "psi1a", ("DD3sp", "XY8"), ("DD1sp", "XY8"))
     assert g.verdict == "fail"
-    h = runner.fact_check(pcts, "psi1a", ("FreeEv", None), ("FreeEv", None))
-    assert h.verdict == "n/a"
 
 
 def test_fact_check_names_missing_cells():
@@ -242,8 +242,7 @@ def test_fact_check_names_missing_cells():
 
 def test_fact_check_attaches_published_context():
     f = runner.fact_check(synthetic_percents(), "psi1a",
-                          ("DD1sp", "XY8"), ("FreeEv", None),
-                          table=runner.load_reference())
+                          ("DD1sp", "XY8"), ("FreeEv", None))
     assert f.published_lhs == pytest.approx(63.94)
     assert f.published_rhs == pytest.approx(0.603)
 
@@ -263,15 +262,12 @@ def test_ordering_facts_cover_the_committed_claims():
 
 def test_reference_transcription_spot_checks():
     table = runner.load_reference()
-    assert table.time_s == pytest.approx(0.7)
-    assert table.percent("psi0a", "mKDD20") == pytest.approx(76.26)
-    assert table.percent("psi2a", "FreeEv") == pytest.approx(0.522)
-    assert table.percent("psi1b", "UR12") == pytest.approx(80.29)
-    assert table.percent("psi3", "XY16") == pytest.approx(16.2)
-    with pytest.raises(ValueError, match="does not cover"):
-        table.percent("psi9", "XY8")
-    with pytest.raises(ValueError, match="no row"):
-        table.percent("psi0a", "XY8")
+    assert table[("psi0a", "mKDD20")] == pytest.approx(76.26)
+    assert table[("psi2a", "FreeEv")] == pytest.approx(0.522)
+    assert table[("psi1b", "UR12")] == pytest.approx(80.29)
+    assert table[("psi3", "XY16")] == pytest.approx(16.2)
+    assert ("psi9", "XY8") not in table
+    assert ("psi0a", "XY8") not in table
 
 
 # -- committed defaults ----------------------------------------------------

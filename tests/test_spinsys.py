@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import random_rho
@@ -89,6 +91,34 @@ def test_free_evolution_semigroup_and_channel_properties():
     assert np.allclose(np.diag(both), np.diag(rho), atol=1e-12)  # pure dephasing
     with pytest.raises(ValueError):
         spinsys.free_propagate(rho, sys, -0.1)
+
+
+_RATES = st.floats(0.0, 50.0)
+_HZ = st.floats(-2000.0, 2000.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(gamma=st.tuples(_RATES, _RATES, _RATES), gamma_corr=_RATES,
+       offsets=st.tuples(_HZ, _HZ, _HZ), couplings=st.tuples(_HZ, _HZ, _HZ),
+       t=st.floats(0.0, 2.0),
+       shifts=st.none() | st.tuples(st.lists(st.tuples(_HZ, _HZ, _HZ), min_size=1,
+                                              max_size=4), _HZ))
+def test_free_channel_is_cptp_under_random_noise(gamma, gamma_corr, offsets,
+                                                  couplings, t, shifts):
+    # rho -> F * rho is CP iff the multiplier F is positive semidefinite (Schur
+    # product theorem), and trace preserving iff its diagonal is one
+    sys = SpinSystem(offsets, couplings, NoiseModel(gamma, gamma_corr))
+    extra = None if shifts is None else spinsys.disorder_phase_rates(*shifts)
+    factors = spinsys.free_factors(sys, t, extra)
+    # float64 rounds a phase angle theta to about eps * theta, which bounds how
+    # far below zero an eigenvalue of the eight-row multiplier can round
+    hz = sum(map(abs, offsets + couplings)) + (0.0 if extra is None else np.abs(extra).max())
+    tol = 1e-12 + 32 * np.finfo(float).eps * 2 * np.pi * hz * t
+    stack = factors.reshape(-1, 8, 8)
+    for f in (*stack, stack.mean(axis=0)):
+        assert np.allclose(f, f.conj().T, rtol=0, atol=1e-12)
+        assert np.linalg.eigvalsh(f).min() >= -tol
+        assert np.allclose(np.diag(f), 1.0, rtol=0, atol=1e-12)
 
 
 def test_decay_rates_by_order():
