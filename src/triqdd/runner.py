@@ -23,13 +23,14 @@ offset shifts once and keeps them for the whole evolution, the complex
 states are averaged across shots, and only then are magnitudes or
 concurrences taken. Shots are batched along the leading axis.
 
-A repeat unit is compiled once per curve by spinsys.compile_program,
-under the pulse-window convention and into the segment forms that the
-spinsys docstring sets out, and walked unit by unit over the shot stack.
-Free evolution alone is one factor stack per recorded time. Every curve
-records from this one walk: each shot-averaged state is checked to be a
-density matrix before anything reads it, and before any tomography
-readout, so a broken evolution fails as an invariant violation.
+A repeat unit is compiled once per curve by spinsys.compile_program: its
+toggling frame is built once for all shots, expanded over the curve's
+offset draw in one exp per fused segment (see the spinsys docstring) and
+walked unit by unit over the shot stack. Free evolution alone is one
+factor stack per recorded time. Every curve records from this one walk:
+each shot-averaged state is checked to be a density matrix before
+anything reads it, and before any tomography readout, so a broken
+evolution fails as an invariant violation.
 
 Reference percentages from the published tables are bundled as data and
 used strictly for qualitative ordering checks (which protocol beats
@@ -226,20 +227,16 @@ def default_time_grid(unit: float | None, t_max: float = GRID_T_MAX,
     return tuple(k * unit for k in counts)
 
 
-def _disorder_shifts(sys: SpinSystem) -> np.ndarray:
-    """Per-shot (8, 8) element frequency shifts; one zero shot without disorder."""
-    if sys.disorder is None:
-        return np.zeros((1, spinsys.DIM, spinsys.DIM))
-    return spinsys.disorder_phase_rates(sys.disorder.draw())
-
-
 def _averaged_states(rho0, sys, cycle, times):
     """Checked shot-averaged state at each of the given times (DD or free)."""
-    shifts = _disorder_shifts(sys)
-    if cycle is not None:
+    # per-shot offset shifts in Hz; one zero shot without disorder
+    deltas = np.zeros((1, spinsys.N_QUBITS)) if sys.disorder is None else sys.disorder.draw()
+    if cycle is None:
+        shifts = spinsys.disorder_phase_rates(deltas)
+    else:
         counts = [ddseq.unit_count(t, cycle.unit_duration, cycle.name) for t in times]
-        plan = spinsys.compile_program(sys, *ddseq.program(cycle, cycle.unit_cycles), shifts)
-        states = np.broadcast_to(rho0, (shifts.shape[0],) + rho0.shape).copy()
+        plan = spinsys.compile_program(sys, *ddseq.program(cycle, cycle.unit_cycles), deltas)
+        states = np.broadcast_to(rho0, (len(deltas),) + rho0.shape).copy()
         applied = 0
     for i, t in enumerate(times):
         if cycle is None:
@@ -300,11 +297,12 @@ class GridRun:
     t_eval: float
 
 
-def run_grid(sys: SpinSystem, families=None, states=TABLE_STATES,
+def run_grid(sys: SpinSystem, families=FAMILIES, states=TABLE_STATES,
              t_max: float = GRID_T_MAX, points: int = GRID_POINTS) -> GridRun:
     """FreeEv, the designated protocol, and DD3sp for every table state."""
-    families = tuple(families) if families else FAMILIES
-    states = tuple(states)
+    families, states = tuple(families), tuple(states)
+    if not families:
+        raise ValueError(f"empty family list, expected some of {FAMILIES}")
     unknown = [s for s in states if s not in TABLE_STATES]
     if unknown:
         raise ValueError(f"unknown table state(s) {unknown}, expected some of {TABLE_STATES}")

@@ -48,14 +48,19 @@ Events at the same instant keep their list order.
 Free evolution is element-wise, and a signed-permutation pulse carries
 an element-wise factor into another element-wise factor: the toggling
 frame of average-Hamiltonian theory. Consecutive gaps and such pulses
-therefore fold into one fused map rho -> C * rho[perm][:, perm], with C
-stacked per disorder shot. A pulse that mixes basis states, one with a
-flip-angle error or one integrated with the internal Hamiltonian in its
-window, stays a dense U rho U^dagger segment between fused ones.
+therefore fold into one fused map rho -> C * rho[perm][:, perm]. A pulse
+that mixes basis states, one with a flip-angle error or one integrated
+with the internal Hamiltonian in its window, stays a dense U rho
+U^dagger segment between fused ones.
 
-Static offset disorder (slow inhomogeneity) is modeled as Gaussian
-per-spin offsets plus a correlated common-mode component, averaged over a
-seeded set of shots by the experiment layer. It is off by default.
+Static offset disorder (slow inhomogeneity, off by default) draws
+Gaussian per-spin offsets plus a correlated common mode once per shot;
+the experiment layer averages over a seeded set of shots. The shifts
+delta_s enter every gap linearly, so compile_program builds the frame
+once for all shots, on (8, 8) arrays: the generator E (phase and decay),
+the disorder times A (per spin, each element's zero-frequency filter
+function) and the pulse phases D. A fused segment is expanded over the
+shots once, C_s = D * exp(E - 2 pi i A . delta_s).
 """
 
 from __future__ import annotations
@@ -316,12 +321,11 @@ def pulse_propagator(ev: PulseEvent, sys: SpinSystem) -> np.ndarray:
     flip, phases = _applied_rotation(ev, sys)
     if ev.duration == 0.0 or not sys.pulse.internal_h_during_pulse:
         return _rotation_product(ev.targets, flip, phases)
-    omega = flip / ev.duration  # rad/s
-    h = np.zeros((DIM, DIM), dtype=complex)
+    # h t_p with the rf part written as its rotation angle: no width divides anything
+    ht = 2.0 * np.pi * ev.duration * np.diag(energies(sys)).astype(complex)
     for q, ph in zip(ev.targets, phases):
-        h += (omega / 2.0) * embed(np.cos(ph) * SIGMA_X + np.sin(ph) * SIGMA_Y, q)
-    h = h + 2.0 * np.pi * np.diag(energies(sys)).astype(complex)
-    return expm(-1j * h * ev.duration)
+        ht += (flip / 2.0) * embed(np.cos(ph) * SIGMA_X + np.sin(ph) * SIGMA_Y, q)
+    return expm(-1j * ht)
 
 
 # cos and sin of a rotation's half angle, indexed by its half turns mod 4
@@ -408,58 +412,48 @@ def program_steps(events, duration: float, windowed: bool) -> list:
     return steps
 
 
-def _pulse_segment(ev: PulseEvent, sys: SpinSystem) -> tuple:
-    """('monomial', perm, d d*) for a signed-permutation pulse, else ('dense', U, U dagger)."""
-    signed = pulse_permutation(ev, sys)
-    if signed is None:
-        u = pulse_propagator(ev, sys)
-        return ("dense", u, u.conj().T)
-    perm, d = signed
-    return ("monomial", perm, np.outer(d, d.conj()))
-
-
 def compile_program(sys: SpinSystem, events, duration: float,
-                    shifts: np.ndarray | None = None) -> list:
+                    deltas=(0.0, 0.0, 0.0)) -> list:
     """Segment list of a timed pulse program, for apply_program.
 
-    shifts, a (shots, 8, 8) stack of disorder frequency shifts, batches
-    the program over shots; without it the program runs one shot free of
-    disorder. ('fused', C, perm) is the map rho -> C * rho[perm][:, perm]
-    with perm None for the identity; ('dense', U, U dagger) is a pulse
-    that mixes basis states. Walking the steps in time order, a free gap
-    multiplies C by its factors, and a signed-permutation pulse
-    U[i, p[i]] = d[i] turns C into d d* * C[p][:, p] and perm into
-    perm[p]; a dense pulse closes the pending fused segment and follows
-    it.
+    deltas, static per-spin offset shifts in Hz, is one (3,) shift or a
+    (shots, 3) draw that batches the program over shots. ('fused', C,
+    perm) is the map rho -> C * rho[perm][:, perm] with perm None for the
+    identity; ('dense', U, U dagger) is a pulse that mixes basis states.
+    A free gap of t adds (-2 pi i phase - decay) t to E and sens t to A; a
+    signed-permutation pulse U[i, p[i]] = d[i] takes each of E, A and D to
+    X[p][:, p], then D to d d* D and perm to perm[p].
     """
-    plan, coef, perm = [], None, None
-    gap_cache: dict[float, np.ndarray] = {}
-    pulse_cache: dict[tuple, tuple] = {}
+    _, phase, decay, sens = _tables(sys.offsets, sys.couplings, sys.noise)
+    plan, pulse_cache, frame = [], {}, None
 
     def close_fused():
-        if coef is not None:
-            identity = perm is None or np.array_equal(perm, np.arange(DIM))
-            plan.append(("fused", coef, None if identity else perm))
+        if frame is not None:
+            gen, times, phases, perm = frame
+            shift = np.einsum("abq,...q->...ab", times, deltas, order="C")
+            plan.append(("fused", phases * np.exp(gen - 2j * np.pi * shift),
+                         None if np.array_equal(perm, np.arange(DIM)) else perm))
 
     for kind, item in program_steps(events, duration, sys.pulse.internal_h_during_pulse):
+        if kind == "pulse":
+            key = (item.targets, item.phases, item.flip, item.duration)
+            if key not in pulse_cache:
+                pulse_cache[key] = pulse_permutation(item, sys) or pulse_propagator(item, sys)
+            seg = pulse_cache[key]
+            if isinstance(seg, np.ndarray):  # a unitary that mixes basis states
+                close_fused()
+                plan.append(("dense", seg, seg.conj().T))
+                frame = None
+                continue
+        gen, times, phases, perm = frame or (
+            np.zeros((DIM, DIM), complex), np.zeros((DIM, DIM, N_QUBITS)),
+            np.ones((DIM, DIM), complex), np.arange(DIM))
         if kind == "free":
-            key = round(item, 15)
-            if key not in gap_cache:
-                gap_cache[key] = free_factors(sys, item, shifts)
-            coef = gap_cache[key] if coef is None else coef * gap_cache[key]
-            continue
-        key = (item.targets, item.phases, item.flip, item.duration)
-        if key not in pulse_cache:
-            pulse_cache[key] = _pulse_segment(item, sys)
-        seg = pulse_cache[key]
-        if seg[0] == "dense":
-            close_fused()
-            coef = perm = None
-            plan.append(seg)
+            frame = (gen + (-2j * np.pi * phase - decay) * item, times + sens * item, phases, perm)
         else:
-            _, p, phase = seg
-            coef = phase if coef is None else phase * coef[..., p[:, None], p]
-            perm = p if perm is None else perm[p]
+            p, d = seg
+            frame = (gen[p[:, None], p], times[p[:, None], p],
+                     np.outer(d, d.conj()) * phases[p[:, None], p], perm[p])
     close_fused()
     return plan
 

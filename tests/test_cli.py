@@ -163,6 +163,12 @@ def test_decay_rejects_broken_config(capsys, tmp_path):
     assert code == 2 and "repeated state ['psi1a']" in err
     code, _, err = run_cli(capsys, *decay_args(tmp_path, "--families", "XY8,XY8"))
     assert code == 2 and "repeated family ['XY8']" in err
+    # an empty family list would check no fact and pass
+    for argv in (decay_args(tmp_path, "--families", ","),
+                 ("decay", "--state", "psi3", "--families", ","),
+                 ("protect", "--families", ","), ("protect", "--families", "")):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and "empty family list" in err
 
 
 _SECTIONS = sorted({section for section, *_ in spinsys.CONFIG_KEYS})
@@ -286,12 +292,14 @@ def test_invariant_violations_exit_three(capsys, monkeypatch):
 
 def test_broken_state_mid_run_exits_three(capsys, monkeypatch, tmp_path):
     from triqdd import spinsys
-    real = spinsys.free_factors
+    real = spinsys._tables
 
-    def doubled(*args, **kwargs):  # breaks the trace of every evolved state
-        return 2.0 * real(*args, **kwargs)
+    def gaining(*args):  # populations grow: breaks the trace of every evolved state
+        energy, phase, decay, sens = real(*args)
+        return energy, phase, decay - np.eye(spinsys.DIM), sens
 
-    monkeypatch.setattr(spinsys, "free_factors", doubled)
+    # free evolution and the compiled pulse programs both read this table
+    monkeypatch.setattr(spinsys, "_tables", gaining)
     code, _, err = run_cli(capsys, *decay_args(tmp_path))
     assert code == 3
     assert "invariant violation" in err and "trace is" in err

@@ -9,6 +9,8 @@ from triqdd import ddseq, runner, spinsys
 from triqdd.runner import Protocol
 from triqdd.spinsys import DisorderModel, NoiseModel, SpinSystem
 
+from conftest import random_rho
+
 QUIET = SpinSystem(noise=NoiseModel())
 
 
@@ -196,6 +198,64 @@ def test_free_evolution_feels_disorder_as_gaussian_decay():
         assert v == pytest.approx(want, abs=0.03)
 
 
+def committed_protocols():
+    """Every distinct DD protocol of the committed table grid."""
+    return sorted({runner.default_protocol(kind, state, family)
+                   for state in runner.TABLE_STATES for family in runner.FAMILIES
+                   for kind in (runner.DESIGNATED_KIND[state], "DD3sp")}, key=repr)
+
+
+def toggling_integrals(program) -> np.ndarray:
+    """Per spin, the time integral of its toggling-frame sign over a hard pi-pulse program."""
+    sign, total = np.ones(3), np.zeros(3)
+    for kind, item in spinsys.program_steps(*program, windowed=False):
+        if kind == "free":
+            total += sign * item
+        else:
+            assert item.flip == np.pi
+            sign[[q - 1 for q in item.targets]] *= -1
+    return total
+
+
+# Monte Carlo shot averages must land within this many of their own standard errors
+ORACLE_SE = 5.0
+
+
+def test_shot_average_matches_the_gaussian_disorder_oracle():
+    # A unit that compiles to one unpermuted fused map C_s = D exp(E - 2 pi i A . delta_s)
+    # averages, after k units and over Gaussian delta with covariance Sigma, to
+    # E_s[C_s^k] = (D exp(E))^k exp(-2 pi^2 k^2 A^T Sigma A) element by element.
+    sys = runner.default_system()
+    d = sys.disorder
+    cov = np.diag(np.square(d.sigma)) + d.sigma_corr ** 2 * np.ones((3, 3))
+    rho0 = random_rho(np.random.default_rng(21), spinsys.DIM)
+    unit_offsets = np.vstack([np.zeros(3), np.eye(3)])  # 1 Hz on each spin in turn
+    sens = spinsys.disorder_phase_rates(np.eye(3))  # per spin, each element's sensitivity
+    separated = 0
+    for proto in committed_protocols():
+        cycle = runner.build_cycle(proto)
+        program = ddseq.program(cycle, cycle.unit_cycles)
+        (kind, coef, perm), = spinsys.compile_program(sys, *program, unit_offsets)
+        assert kind == "fused" and perm is None
+        times_a = -np.angle(coef[1:] / coef[0]) / (2 * np.pi)  # A, one (8, 8) per spin
+        # each element's offset sensitivity times its spin's zero-frequency filter
+        assert np.allclose(times_a, sens * toggling_integrals(program)[:, None, None],
+                           rtol=0, atol=1e-12)
+        spread = np.einsum("qab,qr,rab->ab", times_a, cov, times_a)
+        (_, shot_coef, _), = spinsys.compile_program(sys, *program, d.draw())
+        grid = runner.default_time_grid(cycle.unit_duration)
+        for t, avg in zip(grid, runner._averaged_states(rho0, sys, cycle, grid)):
+            k = ddseq.unit_count(t, cycle.unit_duration, cycle.name)
+            ideal = coef[0] ** k * rho0
+            exact = ideal * np.exp(-2 * np.pi ** 2 * k ** 2 * spread)
+            shots = shot_coef ** k * rho0
+            std_err = shots.std(axis=0) / np.sqrt(d.shots)
+            assert np.all(np.abs(avg - exact) <= ORACLE_SE * std_err + 1e-12)
+            separated += np.sum(np.abs(ideal - exact) > 3 * ORACLE_SE * std_err + 1e-12)
+    # the check has teeth: disorder moves thousands of values by over three tolerances
+    assert separated > 5000
+
+
 def test_run_decay_is_deterministic():
     sys = SpinSystem(disorder=DisorderModel((0.1, 0.1, 0.1), 0.7, shots=32, seed=9))
     p = runner.default_protocol("mDD2sp", "psi2a")
@@ -216,6 +276,11 @@ def test_grid_percent_is_the_curve_value_at_t_max():
         assert run.percents[key] == 100.0 * curve.values[-1]
     assert run.percents[("psi3", "FreeEv", None)] == pytest.approx(
         100 * math.exp(-1.2), rel=1e-5)
+
+
+def test_run_grid_rejects_an_empty_family_list():
+    with pytest.raises(ValueError, match="empty family list"):
+        runner.run_grid(SpinSystem(), (), ("psi3",))
 
 
 # -- ordering facts --------------------------------------------------------

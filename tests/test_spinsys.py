@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import random_rho
-from triqdd import qmat, spinsys
+from triqdd import ddseq, qmat, spinsys
 from triqdd.spinsys import (
     ConfigError,
     DisorderModel,
@@ -119,6 +119,36 @@ def test_free_channel_is_cptp_under_random_noise(gamma, gamma_corr, offsets,
         assert np.allclose(f, f.conj().T, rtol=0, atol=1e-12)
         assert np.linalg.eigvalsh(f).min() >= -tol
         assert np.allclose(np.diag(f), 1.0, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(family=st.sampled_from(("XY8", "UR12", "XY16", "KDD20")),
+       targets=st.sets(st.sampled_from((1, 2, 3)), min_size=1).map(sorted).map(tuple),
+       modified=st.booleans(), tau=st.floats(0.3e-3, 0.7e-3), t_p=st.floats(0.0, 1e-4),
+       pulse_model=st.builds(PulseErrorModel, st.just(0.0) | st.floats(-0.1, 0.1),
+                             st.just(0.0) | st.floats(-0.3, 0.3), st.booleans()),
+       gamma=st.tuples(_RATES, _RATES, _RATES), gamma_corr=_RATES,
+       offsets=st.tuples(_HZ, _HZ, _HZ), couplings=st.tuples(_HZ, _HZ, _HZ),
+       deltas=st.lists(st.tuples(_HZ, _HZ, _HZ), min_size=1, max_size=4),
+       seed=st.integers(0, 2**32 - 1))
+def test_pulsed_unit_keeps_a_random_state_a_density_matrix(
+        family, targets, modified, tau, t_p, pulse_model, gamma, gamma_corr,
+        offsets, couplings, deltas, seed):
+    cycle = ddseq.generate(family, tau, t_p, targets)
+    if modified and len(targets) == 2:
+        cycle = ddseq.modify(cycle)
+    sys = SpinSystem(offsets, couplings, NoiseModel(gamma, gamma_corr), pulse_model)
+    events, duration = ddseq.program(cycle, cycle.unit_cycles)
+    plan = spinsys.compile_program(sys, events, duration, np.array(deltas))
+    rho = random_rho(np.random.default_rng(seed), spinsys.DIM)
+    states = spinsys.apply_program(np.broadcast_to(rho, (len(deltas),) + rho.shape), plan)
+    # the free channel's floor, over the unit's duration and its largest disorder shift
+    hz = sum(map(abs, offsets + couplings)) + np.abs(deltas).sum(axis=1).max()
+    tol = 1e-12 + 32 * np.finfo(float).eps * 2 * np.pi * hz * duration
+    for out in (*states, states.mean(axis=0)):
+        assert np.allclose(out, out.conj().T, rtol=0, atol=1e-12)
+        assert abs(np.trace(out) - 1.0) <= 1e-12
+        assert np.linalg.eigvalsh(out).min() >= -tol
 
 
 def test_decay_rates_by_order():

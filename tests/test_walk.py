@@ -1,7 +1,8 @@
 """The schedule engine against the plain dense walk it replaced.
 
 The reference below is the earlier runner engine, kept verbatim except
-that it takes a program's (events, duration) instead of a cycle: one pair
+that it takes a program's (events, duration) instead of a cycle and the
+(shots, 3) offset draw instead of its frequency shifts: one pair
 of (8 x 8) matmuls per shot per pulse and one free_factors call per shot
 per gap. spinsys.compile_program must reproduce its shot-averaged states
 over random families, targets, modification slots, pulse errors, pulse
@@ -26,9 +27,9 @@ from conftest import random_rho
 
 # -- reference: the dense walk ---------------------------------------------
 
-def _unit_plan(sys: SpinSystem, events, duration: float, shifts: np.ndarray) -> list:
+def _unit_plan(sys: SpinSystem, events, duration: float, deltas: np.ndarray) -> list:
     """Segment list for one program: ('free', stacked factors) and
-    ('pulse', U, U dagger), batched over disorder shots.
+    ('pulse', U, U dagger), batched over the (shots, 3) offset draw.
 
     Hard pulses (internal Hamiltonian off) are rotations at the scheduled
     pulse centers while free evolution, dephasing included, runs through
@@ -37,6 +38,7 @@ def _unit_plan(sys: SpinSystem, events, duration: float, shifts: np.ndarray) -> 
     as a finite segment and free evolution covers the gaps alone.
     """
     hard = not sys.pulse.internal_h_during_pulse
+    shifts = spinsys.disorder_phase_rates(deltas)
     plan = []
     gap_cache: dict[float, np.ndarray] = {}
     pulse_cache: dict[tuple, np.ndarray] = {}
@@ -67,6 +69,11 @@ def _unit_plan(sys: SpinSystem, events, duration: float, shifts: np.ndarray) -> 
     return plan
 
 
+def offset_draw(sys: SpinSystem) -> np.ndarray:
+    """The runner's (shots, 3) offsets: the disorder draw, or one zero shot."""
+    return np.zeros((1, 3)) if sys.disorder is None else sys.disorder.draw()
+
+
 def _apply_unit(states: np.ndarray, plan) -> np.ndarray:
     for seg in plan:
         if seg[0] == "free":
@@ -78,9 +85,9 @@ def _apply_unit(states: np.ndarray, plan) -> np.ndarray:
 
 # -- the property ----------------------------------------------------------
 
-def averaged_states(plan_fn, apply_fn, rho, sys, program, shifts, units):
-    plan = plan_fn(sys, *program, shifts)
-    states = np.broadcast_to(rho, (shifts.shape[0],) + rho.shape).copy()
+def averaged_states(plan_fn, apply_fn, rho, sys, program, deltas, units):
+    plan = plan_fn(sys, *program, deltas)
+    states = np.broadcast_to(rho, (len(deltas),) + rho.shape).copy()
     out = []
     for _ in range(units):
         states = apply_fn(states, plan)
@@ -117,11 +124,11 @@ def walk_cases(draw):
 def test_fused_walk_matches_dense_walk(case):
     cycle, sys, units, seed = case
     rho = random_rho(np.random.default_rng(seed), spinsys.DIM)
-    shifts = runner._disorder_shifts(sys)
+    deltas = offset_draw(sys)
     program = ddseq.program(cycle, cycle.unit_cycles)
-    want, _ = averaged_states(_unit_plan, _apply_unit, rho, sys, program, shifts, units)
+    want, _ = averaged_states(_unit_plan, _apply_unit, rho, sys, program, deltas, units)
     got, plan = averaged_states(spinsys.compile_program, spinsys.apply_program,
-                                rho, sys, program, shifts, units)
+                                rho, sys, program, deltas, units)
     for a, b in zip(got, want):
         assert np.max(np.abs(a - b)) <= 1e-12
 
@@ -151,10 +158,10 @@ def test_star_program_matches_dense_walk(sys):
     program = circuits.star_circuit_nmr(sys)
     assert len({ev.start for ev in program[0]}) < len(program[0])
     rho = random_rho(np.random.default_rng(5), spinsys.DIM)
-    shifts = runner._disorder_shifts(sys)
-    want, _ = averaged_states(_unit_plan, _apply_unit, rho, sys, program, shifts, 1)
+    deltas = offset_draw(sys)
+    want, _ = averaged_states(_unit_plan, _apply_unit, rho, sys, program, deltas, 1)
     got, plan = averaged_states(spinsys.compile_program, spinsys.apply_program,
-                                rho, sys, program, shifts, 1)
+                                rho, sys, program, deltas, 1)
     assert np.max(np.abs(got[0] - want[0])) <= 1e-12
     assert any(seg[0] == "dense" for seg in plan) and any(seg[0] == "fused" for seg in plan)
 
@@ -170,8 +177,8 @@ def test_every_schedule_runner_shares_the_pulse_window_convention(kind, state):
     rho = random_rho(np.random.default_rng(11), spinsys.DIM)
 
     def one_unit(plan_fn, apply_fn, sys):
-        shifts = runner._disorder_shifts(sys)
-        return averaged_states(plan_fn, apply_fn, rho, sys, program, shifts, 1)[0][0]
+        deltas = offset_draw(sys)
+        return averaged_states(plan_fn, apply_fn, rho, sys, program, deltas, 1)[0][0]
 
     dephasing = replace(runner.default_system(), disorder=None)
     coherent = dephasing.without_noise()
