@@ -103,6 +103,8 @@ def _build_events(targets, tau, t_p, phases_deg, modified):
 
 
 def _make_cycle(name, targets, tau, t_p, phases_deg, modified=None) -> DDCycle:
+    if not np.isfinite(tau) or not np.isfinite(t_p):
+        raise ValueError(f"delay and pulse width must be finite, got tau {tau}, t_p {t_p}")
     if tau <= 0:
         raise ValueError(f"interpulse delay must be positive, got {tau}")
     if t_p < 0:
@@ -182,69 +184,38 @@ def unit_count(t: float, unit: float, name: str) -> int:
     return int(k)
 
 
-def cycle_propagator(cycle: DDCycle, sys: SpinSystem) -> np.ndarray:
-    """Coherent propagator of the repeat unit (noise ignored).
-
-    Ordered product of the free-evolution and pulse unitaries of the
-    program's steps, under the pulse model of sys and the pulse-window
-    convention of spinsys.
-    """
-    events, duration = program(cycle, cycle.unit_cycles)
-    energy = spinsys.energies(sys)
-    u = np.eye(spinsys.DIM, dtype=complex)
-    for kind, item in spinsys.program_steps(events, duration, sys.pulse.internal_h_during_pulse):
-        if kind == "free":
-            u = np.exp(-2j * PI * energy * item)[:, None] * u
-        else:
-            u = spinsys.pulse_propagator(item, sys) @ u
-    return u
-
-
-def pulse_product(cycle: DDCycle) -> np.ndarray:
-    """Repeat-unit product of the error-free pulse rotations alone (zero Hamiltonian)."""
-    return cycle_propagator(cycle, SpinSystem((0.0,) * 3, (0.0,) * 3))
-
-
 def single_spin_survival(cycle: DDCycle, offset_hz: float, flip_error: float,
                          n_cycles: int) -> float:
     """Robustness probe: guaranteed coherence survival of one spin.
 
-    Composes the whole train (free precession at the given offset, every
-    pulse scaled by 1 + flip_error, finite windows integrated with the
-    offset on, as on the windowed side of the spinsys pulse-window
-    convention) into a single unitary and returns the smallest singular
-    value of its transverse Bloch block. That is the survival of 2|rho01|
-    for the worst initial coherence phase, which is the honest figure of
-    merit: a constant-phase train keeps the quadrature along its own axis
-    almost perfectly while losing the orthogonal one, and this metric
-    refuses that hiding place. Targets of the cycle are ignored; only
-    slot phases and timing matter here.
+    Runs the train through the spinsys engine on a register whose only
+    term is the given offset on the probed spin, the cycle's last target
+    (the doubled spin of a modified cycle), which every pulse of the
+    cycle hits. Couplings are zero and there is no noise, so the other
+    spins, held in |0><0|, never touch it. Every pulse is scaled by
+    1 + flip_error and finite windows are integrated with the offset on,
+    the windowed side of the spinsys pulse-window convention. Returns the
+    smallest singular value of the probed spin's transverse Bloch block.
+    That is the survival of 2|rho01| for the worst initial coherence
+    phase, which is the honest figure of merit: a constant-phase train
+    keeps the quadrature along its own axis almost perfectly while losing
+    the orthogonal one, and this metric refuses that hiding place.
     """
-    if n_cycles % cycle.unit_cycles:
-        raise ValueError(f"{cycle.name} needs a multiple of {cycle.unit_cycles} cycles")
-
-    def free_u(t):
-        ph = np.exp(-1j * PI * offset_hz * t)
-        return np.array([[ph, 0], [0, np.conj(ph)]])
-
-    def pulse_u(ev):
-        flip = ev.flip * (1.0 + flip_error)
-        phi = ev.phases[0]
-        if ev.duration == 0.0:
-            return spinsys.rotation2(flip, phi)
-        # tilted-axis rotation: rf plus the offset acting through the window
-        nx, ny, nz = flip * np.cos(phi), flip * np.sin(phi), 2 * PI * offset_hz * ev.duration
-        angle = np.sqrt(nx * nx + ny * ny + nz * nz)
-        axis = (nx * spinsys.SIGMA_X + ny * spinsys.SIGMA_Y + nz * spinsys.SIGMA_Z) / angle
-        return np.cos(angle / 2) * spinsys.IDENTITY_2 - 1j * np.sin(angle / 2) * axis
-
-    u = np.eye(2, dtype=complex)
-    for kind, item in spinsys.program_steps(*program(cycle, n_cycles), windowed=True):
-        u = (free_u(item) if kind == "free" else pulse_u(item)) @ u
-    block = np.empty((2, 2))
-    for a, sa in enumerate((spinsys.SIGMA_X, spinsys.SIGMA_Y)):
-        for b, sb in enumerate((spinsys.SIGMA_X, spinsys.SIGMA_Y)):
-            block[a, b] = 0.5 * np.trace(sa @ u @ sb @ u.conj().T).real
+    if n_cycles < 0 or n_cycles % cycle.unit_cycles:
+        raise ValueError(
+            f"{cycle.name} needs a nonnegative multiple of {cycle.unit_cycles} cycles")
+    q = cycle.targets[-1]
+    offsets = tuple(offset_hz if r == q else 0.0 for r in (1, 2, 3))
+    probe = SpinSystem(offsets, (0.0,) * 3, spinsys.NoiseModel(),
+                       spinsys.PulseErrorModel(flip_error, 0.0, internal_h_during_pulse=True))
+    plan = spinsys.compile_program(probe, *program(cycle, cycle.unit_cycles))
+    paulis = np.stack([spinsys.embed(s, q) for s in (spinsys.SIGMA_X, spinsys.SIGMA_Y)])
+    rest = [spinsys.embed(np.diag([1.0, 0.0]), r) for r in (1, 2, 3) if r != q]
+    states = paulis @ rest[0] @ rest[1]  # the other spins in |0><0|
+    for _ in range(n_cycles // cycle.unit_cycles):
+        states = spinsys.apply_program(states, plan)
+    # block[a, b] = tr(sigma_a U sigma_b U^dagger) / 2 on the probed spin
+    block = 0.5 * np.einsum("aij,bji->ab", paulis, states).real
     return float(np.linalg.svd(block, compute_uv=False)[-1])
 
 

@@ -26,11 +26,12 @@ concurrences taken. Shots are batched along the leading axis.
 A repeat unit is compiled once per curve by spinsys.compile_program: its
 toggling frame is built once for all shots, expanded over the curve's
 offset draw in one exp per fused segment (see the spinsys docstring) and
-walked unit by unit over the shot stack. Free evolution alone is one
-factor stack per recorded time. Every curve records from this one walk:
-each shot-averaged state is checked to be a density matrix before
-anything reads it, and before any tomography readout, so a broken
-evolution fails as an invariant violation.
+walked unit by unit over the shot stack. Free evolution walks the gaps
+between recorded times instead, each gap a pulseless program compiled
+the same way and reused while consecutive gaps agree. Every curve
+records from this one walk: each shot-averaged state is checked to be a
+density matrix before anything reads it, and before any tomography
+readout, so a broken evolution fails as an invariant violation.
 
 Reference percentages from the published tables are bundled as data and
 used strictly for qualitative ordering checks (which protocol beats
@@ -218,8 +219,9 @@ def default_time_grid(unit: float | None, t_max: float = GRID_T_MAX,
     Snapping can merge neighbors when the unit is coarse; the endpoints
     always survive. FreeEv (unit None) keeps the plain uniform grid.
     """
-    if t_max < 0 or points < 2:
-        raise ValueError("need t_max >= 0 and at least two grid points")
+    if not 0 <= t_max < np.inf or points < 2:
+        raise ValueError(f"need a finite t_max >= 0 and at least two grid points, "
+                         f"got t_max {t_max}, points {points}")
     if unit is None:
         return tuple(float(t) for t in np.linspace(0.0, t_max, points))
     total = ddseq.unit_count(t_max, unit, "repeat")
@@ -231,21 +233,25 @@ def _averaged_states(rho0, sys, cycle, times):
     """Checked shot-averaged state at each of the given times (DD or free)."""
     # per-shot offset shifts in Hz; one zero shot without disorder
     deltas = np.zeros((1, spinsys.N_QUBITS)) if sys.disorder is None else sys.disorder.draw()
-    if cycle is None:
-        shifts = spinsys.disorder_phase_rates(deltas)
+    states = np.broadcast_to(rho0, (len(deltas),) + rho0.shape).copy()
+    if cycle is None:  # one pulseless program per gap, compiled again when the gap changes
+        plan, gap, now = [], 0.0, 0.0
     else:
         counts = [ddseq.unit_count(t, cycle.unit_duration, cycle.name) for t in times]
         plan = spinsys.compile_program(sys, *ddseq.program(cycle, cycle.unit_cycles), deltas)
-        states = np.broadcast_to(rho0, (len(deltas),) + rho0.shape).copy()
         applied = 0
     for i, t in enumerate(times):
         if cycle is None:
-            avg = rho0 * spinsys.free_factors(sys, t, shifts).mean(axis=0)
+            if not abs(t - now - gap) <= spinsys.TIME_ATOL:  # a NaN gap compiles, and fails
+                gap = t - now
+                plan = spinsys.compile_program(sys, (), gap, deltas)
+            states = spinsys.apply_program(states, plan)
+            now = t
         else:
             while applied < counts[i]:
                 states = spinsys.apply_program(states, plan)
                 applied += 1
-            avg = states.mean(axis=0)
+        avg = states.mean(axis=0)
         try:
             qmat.assert_density_matrix(avg)
         except ValueError as exc:

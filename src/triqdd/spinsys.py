@@ -36,13 +36,17 @@ Timed pulse programs
 --------------------
 Every timed schedule runs through one engine: program_steps orders the
 events into free gaps and pulses, compile_program folds those steps into
-segments and apply_program walks them. The pulse-window convention is
-the same for every caller. A hard pulse (internal_h_during_pulse off) is
-a rotation at the center of its window, and free evolution, dephasing
-and disorder included, runs straight through the window, so the width
-only places the pulse. With internal_h_during_pulse on, a window of
-finite width is integrated as rf plus internal Hamiltonian, without
-dephasing, and free evolution covers only the gaps between windows.
+segments and apply_program walks them. Free evolution alone is the
+pulseless program of its length, so the runner's free and decoupled
+curves and ddseq's robustness probe walk the same segments. A program
+of length zero compiles to no segment at all; a negative or non-finite
+length is an error. The pulse-window convention is the same for every
+caller. A hard pulse (internal_h_during_pulse off) is a rotation at the
+center of its window, and free evolution, dephasing and disorder
+included, runs straight through the window, so the width only places
+the pulse. With internal_h_during_pulse on, a window of finite width
+is integrated as rf plus internal Hamiltonian, without dephasing, and
+free evolution covers only the gaps between windows.
 Events at the same instant keep their list order.
 
 Free evolution is element-wise, and a signed-permutation pulse carries
@@ -202,17 +206,15 @@ def _tables(offsets, couplings, noise):
     return energy, phase, decay, sens
 
 
-def disorder_phase_rates(deltas, corr: float = 0.0) -> np.ndarray:
+def disorder_phase_rates(deltas) -> np.ndarray:
     """Element-wise frequency shift in Hz for static per-spin offset shifts.
 
     deltas is one (3,) shift or a (shots, 3) stack, giving (8, 8) or
-    (shots, 8, 8) respectively.
+    (shots, 8, 8) respectively. A common-mode shift c is c added to every
+    spin: the sensitivities of an element sum to its coherence order.
     """
     sens = _tables((0.0,) * 3, (0.0,) * 3, NoiseModel())[3]
-    shift = np.einsum("abq,...q->...ab", sens, np.asarray(deltas, dtype=float))
-    if corr:
-        shift = shift + corr * coherence_order_matrix(N_QUBITS)
-    return shift
+    return np.einsum("abq,...q->...ab", sens, np.asarray(deltas, dtype=float))
 
 
 def free_factors(sys: SpinSystem, t: float, extra_hz: np.ndarray | None = None) -> np.ndarray:
@@ -366,8 +368,8 @@ def apply_unitary(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
 # -- the schedule engine ---------------------------------------------------
 
 def _validate_schedule(events: tuple[PulseEvent, ...], duration: float) -> None:
-    if duration < 0:
-        raise ValueError("sequence duration must be nonnegative")
+    if not 0 <= duration < np.inf:
+        raise ValueError(f"sequence duration must be finite and nonnegative, got {duration}")
     for ev in events:
         if ev.end > duration + TIME_ATOL:
             raise ValueError(

@@ -1,5 +1,7 @@
 import numpy as np
 
+from triqdd import ddseq, spinsys
+
 
 def random_ket(rng, dim):
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -17,3 +19,18 @@ def random_unitary(rng, dim):
     q, r = np.linalg.qr(g)
     d = np.diag(r)
     return q * (d / np.abs(d))
+
+
+# the 64 matrix units E_ab: a linear map on 8x8 matrices is fixed by their images
+MATRIX_UNITS = np.eye(64, dtype=complex).reshape(64, 8, 8)
+
+
+def unit_channel(sys, cycle):
+    """Images of the matrix units under one compiled repeat unit of cycle."""
+    plan = spinsys.compile_program(sys, *ddseq.program(cycle, cycle.unit_cycles))
+    return spinsys.apply_program(MATRIX_UNITS, plan)
+
+
+def unitary_channel(u):
+    """Images of the matrix units under rho -> U rho U^dagger."""
+    return u @ MATRIX_UNITS @ u.conj().T

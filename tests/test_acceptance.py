@@ -17,7 +17,7 @@ import scipy.linalg
 from triqdd import circuits, ddseq, qmat, runner, spinsys
 from triqdd.spinsys import DIM, NoiseModel, PulseErrorModel, SpinSystem
 
-from conftest import random_rho
+from conftest import MATRIX_UNITS, random_rho, unit_channel, unitary_channel
 
 QUIET = SpinSystem(noise=NoiseModel())
 
@@ -77,8 +77,9 @@ def test_star_state_and_pair_concurrence():
 def test_modified_cycles_compose_to_identity():
     for family in ("XY8", "UR12", "XY16", "KDD20"):
         cycle = ddseq.modify(ddseq.generate(family, 0.5e-3, 0.0, targets=(1, 2)))
-        u = ddseq.pulse_product(cycle)  # repeat unit = two cycles, zero Hamiltonian
-        assert phase_distance(u, np.eye(DIM)) <= 1e-10
+        # repeat unit = two cycles, zero Hamiltonian
+        got = unit_channel(SpinSystem((0.0,) * 3, (0.0,) * 3, NoiseModel()), cycle)
+        assert np.max(np.abs(got - MATRIX_UNITS)) <= 1e-10
 
 
 # -- single-spin refocusing ------------------------------------------------
@@ -90,7 +91,6 @@ def test_single_spin_refocusing_theorem():
     tau, q = 0.5e-3, 2
     sys = QUIET
     cycle = ddseq.generate("XY8", tau, 0.0, targets=(q,))
-    u_sim = ddseq.cycle_propagator(cycle, sys)
 
     def free_u(energies, t):
         return np.diag(np.exp(-2j * np.pi * energies * t))
@@ -106,7 +106,7 @@ def test_single_spin_refocusing_theorem():
     for i, deg in enumerate(XY8_PHASES_DEG):
         u_oracle = pi_pulse(deg, q) @ u_oracle
         u_oracle = free_u(e_full, tau if i < 7 else tau / 2) @ u_oracle
-    assert np.max(np.abs(u_sim - u_oracle)) <= 1e-9
+    assert np.max(np.abs(unit_channel(sys, cycle) - unitary_channel(u_oracle))) <= 1e-9
 
     # pulsing one spin deletes its offset and every coupling it touches
     offsets = list(sys.offsets)
@@ -118,10 +118,10 @@ def test_single_spin_refocusing_theorem():
 
     # the all-spin counterpart refocuses the offsets but not the couplings
     cycle3 = ddseq.generate("XY8", tau, 0.0, targets=(1, 2, 3))
-    u3 = ddseq.cycle_propagator(cycle3, sys)
+    channel3 = unit_channel(sys, cycle3)
     e_j_only = energies_oracle((0.0, 0.0, 0.0), sys.couplings)
-    assert phase_distance(u3, free_u(e_j_only, 8 * tau)) <= 1e-9
-    assert phase_distance(u3, np.eye(DIM)) > 0.01
+    assert np.max(np.abs(channel3 - unitary_channel(free_u(e_j_only, 8 * tau)))) <= 1e-9
+    assert np.max(np.abs(channel3 - MATRIX_UNITS)) > 0.01
 
 
 # -- analytic dephasing against a superoperator exponential ----------------
@@ -249,9 +249,10 @@ def test_channel_properties_and_semigroup():
         spinsys.pulse_propagator(spinsys.pulse(0.0, (1,), np.pi, 0.0), QUIET),
         spinsys.pulse_propagator(
             spinsys.pulse(0.0, (2, 3), np.pi, np.pi / 2, 2e-5), err_sys),
-        ddseq.cycle_propagator(ddseq.generate("XY8", 4e-4, 2e-5, targets=(1, 2, 3)),
-                               err_sys),
     ]
+    plans = [[("dense", u, u.conj().T)] for u in unitaries]
+    plans.append(spinsys.compile_program(
+        err_sys, *ddseq.program(ddseq.generate("XY8", 4e-4, 2e-5, targets=(1, 2, 3)), 1)))
     disorder = spinsys.DisorderModel((1.0, 1.0, 1.0), 2.0, shots=16, seed=5)
     shifts = [spinsys.disorder_phase_rates(tuple(d)) for d in disorder.draw()]
 
@@ -262,8 +263,7 @@ def test_channel_properties_and_semigroup():
         evolved = spinsys.free_factors(sys, t1) * rho
         qmat.assert_density_matrix(evolved)
 
-        u = unitaries[i % len(unitaries)]
-        pulsed = u @ rho @ u.conj().T
+        pulsed = spinsys.apply_program(rho, plans[i % len(plans)])
         qmat.assert_density_matrix(pulsed)
 
         stepped = spinsys.free_factors(sys, t2) * evolved

@@ -76,6 +76,9 @@ def test_sequences_rejects_bad_input(capsys):
     assert code == 2 and "config error" in err
     code, _, err = run_cli(capsys, "sequences", "XY8", "--modified")
     assert code == 2 and "two-qubit" in err
+    for flag, value in (("--tau", "nan"), ("--tau", "inf"), ("--tp", "nan")):
+        code, out, err = run_cli(capsys, "sequences", "XY8", flag, value)
+        assert code == 2 and "must be finite" in err and not out
 
 
 # -- prepare ---------------------------------------------------------------
@@ -169,6 +172,15 @@ def test_decay_rejects_broken_config(capsys, tmp_path):
                  ("protect", "--families", ","), ("protect", "--families", "")):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2 and "empty family list" in err
+    # a non-finite horizon is bad input, not a broken evolution
+    for t_max in ("nan", "inf"):
+        code, _, err = run_cli(capsys, "decay", "--state", "psi3", "--families", "XY8",
+                               "--t-max", t_max, "--out-csv", str(tmp_path / "c.csv"),
+                               "--out-json", str(tmp_path / "s.json"))
+        assert code == 2 and "finite t_max" in err
+    code, _, err = run_cli(capsys, "star", "--t-max", "inf", "--points", "3",
+                           "--out-csv", str(tmp_path / "star.csv"))
+    assert code == 2 and "finite t_max" in err
 
 
 _SECTIONS = sorted({section for section, *_ in spinsys.CONFIG_KEYS})

@@ -7,6 +7,8 @@ from scipy.linalg import expm
 from triqdd import ddseq, spinsys
 from triqdd.spinsys import SpinSystem, NoiseModel
 
+from conftest import MATRIX_UNITS, unit_channel, unitary_channel
+
 
 def plain_system():
     return SpinSystem(noise=NoiseModel())
@@ -79,6 +81,9 @@ def test_generate_rejects_bad_input():
         ddseq.generate("XY8", 1e-3, 0.0, (5,))
     with pytest.raises(ValueError):
         ddseq.generate("XY8", 1e-5, 5e-5)  # pulse wider than the grid allows
+    for tau, t_p in ((np.nan, 0.0), (np.inf, 0.0), (1e-3, np.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            ddseq.generate("XY8", tau, t_p)
 
 
 def test_cpmg_generator():
@@ -137,44 +142,48 @@ def test_modify_rejections():
         ddseq.modify(c, slot=8)
 
 
-def up_to_phase_identity(u, atol):
-    k = np.argmax(np.abs(np.diag(u)))
-    phase = u[k, k] / abs(u[k, k])
-    return np.allclose(u / phase, np.eye(u.shape[0]), atol=atol)
+# zero Hamiltonian, no noise: a repeat unit compiles to its pulses alone
+PULSES_ONLY = SpinSystem((0.0,) * 3, (0.0,) * 3, NoiseModel())
 
 
 def test_modified_pair_is_identity_ideal():
     for fam in FAMILY_SIZES:
         m = ddseq.modify(ddseq.generate(fam, 1e-3, 0.0, (1, 2)))
-        assert up_to_phase_identity(ddseq.pulse_product(m), 1e-10)
+        assert np.abs(unit_channel(PULSES_ONLY, m) - MATRIX_UNITS).max() <= 1e-10
 
 
 def test_standard_cycle_identity_ideal():
     for fam in FAMILY_SIZES:
         c = ddseq.generate(fam, 1e-3, 0.0, (1, 2, 3))
-        assert up_to_phase_identity(ddseq.pulse_product(c), 1e-10)
+        assert np.abs(unit_channel(PULSES_ONLY, c) - MATRIX_UNITS).max() <= 1e-10
 
 
 def test_xy8_pulse_product_is_exactly_identity():
     c = ddseq.generate("XY8", 1e-3, 0.0, (2,))
-    assert np.allclose(ddseq.pulse_product(c), np.eye(8), atol=1e-12)
+    plan = spinsys.compile_program(PULSES_ONLY, *ddseq.program(c, 1))
+    assert len(plan) == 1
+    kind, coef, perm = plan[0]
+    assert kind == "fused" and perm is None
+    assert np.array_equal(coef, np.ones((8, 8)))
 
 
-# -- cycle propagator and refocusing ---------------------------------------
+# -- the compiled unit against the literal product and refocusing ----------
 
 def brute_force_propagator(cycle, sys):
-    """Literal matrix product of diagonal-H exponentials and rotations."""
+    """Literal matrix product of diagonal-H exponentials and rotations over
+    the repeat unit, for instantaneous pulses."""
+    events, duration = ddseq.program(cycle, cycle.unit_cycles)
     h = 2 * np.pi * np.diag(spinsys.energies(sys)).astype(complex)
     u = np.eye(8, dtype=complex)
     cursor = 0.0
-    for ev in cycle.events:
+    for ev in events:
         u = expm(-1j * h * (ev.start - cursor)) @ u
         rot = np.eye(8, dtype=complex)
         for q, ph in zip(ev.targets, ev.phases):
             rot = spinsys.embed(spinsys.rotation2(ev.flip, ph), q) @ rot
         u = rot @ u
         cursor = ev.end
-    return expm(-1j * h * (cycle.cycle_duration - cursor)) @ u
+    return expm(-1j * h * (duration - cursor)) @ u
 
 
 def deleted_h_unitary(sys, removed_qubit, t):
@@ -191,40 +200,41 @@ def deleted_h_unitary(sys, removed_qubit, t):
 def test_single_spin_xy8_deletes_that_spins_terms():
     sys = plain_system()
     c = ddseq.generate("XY8", 1e-3, 0.0, (3,))
-    u = ddseq.cycle_propagator(c, sys)
-    assert np.allclose(u, brute_force_propagator(c, sys), atol=1e-12)
-    assert np.allclose(u, deleted_h_unitary(sys, 3, c.cycle_duration), atol=1e-9)
+    got = unit_channel(sys, c)
+    assert np.abs(got - unitary_channel(brute_force_propagator(c, sys))).max() <= 1e-12
+    want = unitary_channel(deleted_h_unitary(sys, 3, c.cycle_duration))
+    assert np.abs(got - want).max() <= 1e-9
 
 
 def test_refocused_spin_is_fully_decoupled():
     sys = plain_system()
     c = ddseq.generate("XY8", 1e-3, 0.0, (3,))
-    u = ddseq.cycle_propagator(c, sys)
+    plan = spinsys.compile_program(sys, *ddseq.program(c, 1))
     rng = np.random.default_rng(41)
     for _ in range(5):
         g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         a = spinsys.embed(g, 3)
-        assert np.abs(u @ a - a @ u).max() < 1e-9
+        # U commutes with every operator on spin 3 exactly when U a U^dagger = a
+        assert np.abs(spinsys.apply_program(a, plan) - a).max() < 1e-9
 
 
 def test_all_spin_xy8_keeps_couplings():
     sys = plain_system()
     c = ddseq.generate("XY8", 1e-3, 0.0, (1, 2, 3))
-    u = ddseq.cycle_propagator(c, sys)
-    assert np.allclose(u, brute_force_propagator(c, sys), atol=1e-12)
+    got = unit_channel(sys, c)
+    assert np.abs(got - unitary_channel(brute_force_propagator(c, sys))).max() <= 1e-12
     # offsets refocused, J terms survive in full
     j_only = SpinSystem(offsets=(0.0, 0.0, 0.0), couplings=sys.couplings, noise=NoiseModel())
     want = np.diag(np.exp(-2j * np.pi * spinsys.energies(j_only) * c.cycle_duration))
-    assert np.allclose(u, want, atol=1e-9)
-    assert not np.allclose(u, np.eye(8), atol=1e-3)
+    assert np.abs(got - unitary_channel(want)).max() <= 1e-9
+    assert np.abs(got - MATRIX_UNITS).max() > 1e-3
 
 
 def test_cycle_propagator_covers_modified_unit():
     sys = plain_system()
     m = ddseq.modify(ddseq.generate("XY8", 1e-3, 0.0, (1, 2)))
-    u = ddseq.cycle_propagator(m, sys)
-    assert u.shape == (8, 8)
-    assert np.allclose(u @ u.conj().T, np.eye(8), atol=1e-10)
+    got = unit_channel(sys, m)
+    assert np.abs(got - unitary_channel(brute_force_propagator(m, sys))).max() <= 1e-12
 
 
 # -- repetition and serialization ------------------------------------------
@@ -314,3 +324,5 @@ def test_survival_probe_sanity():
     m = ddseq.modify(ddseq.generate("XY8", 1e-3, 0.0, (1, 2)))
     with pytest.raises(ValueError):
         ddseq.single_spin_survival(m, 0.0, 0.0, 3)
+    with pytest.raises(ValueError):
+        ddseq.single_spin_survival(c, 0.0, 0.0, -2)

@@ -108,7 +108,8 @@ def test_free_channel_is_cptp_under_random_noise(gamma, gamma_corr, offsets,
     # rho -> F * rho is CP iff the multiplier F is positive semidefinite (Schur
     # product theorem), and trace preserving iff its diagonal is one
     sys = SpinSystem(offsets, couplings, NoiseModel(gamma, gamma_corr))
-    extra = None if shifts is None else spinsys.disorder_phase_rates(*shifts)
+    # the drawn common-mode shift is the same shift on every spin
+    extra = None if shifts is None else spinsys.disorder_phase_rates(np.add(*shifts))
     factors = spinsys.free_factors(sys, t, extra)
     # float64 rounds a phase angle theta to about eps * theta, which bounds how
     # far below zero an eigenvalue of the eight-row multiplier can round
@@ -171,18 +172,20 @@ def test_decay_rates_by_order():
 
 
 def test_disorder_phase_rates():
-    shift = spinsys.disorder_phase_rates((1.0, 10.0, 100.0), corr=0.0)
+    shift = spinsys.disorder_phase_rates((1.0, 10.0, 100.0))
     assert shift[6, 7] == pytest.approx(100.0)   # only qubit 3 differs
     assert shift[0, 7] == pytest.approx(111.0)   # all three add up
     assert shift[2, 4] == pytest.approx(1.0 - 10.0)
-    corr_only = spinsys.disorder_phase_rates((0.0, 0.0, 0.0), corr=2.0)
-    assert np.array_equal(corr_only, 2.0 * qmat.coherence_order_matrix(3))
+    # a common-mode shift c moves each element by c times its coherence order
+    common = spinsys.disorder_phase_rates((2.0, 2.0, 2.0))
+    assert np.array_equal(common, 2.0 * qmat.coherence_order_matrix(3))
     deltas = np.random.default_rng(3).standard_normal((5, 3))
-    stacked = spinsys.disorder_phase_rates(deltas, corr=0.4)
+    stacked = spinsys.disorder_phase_rates(deltas)
     assert stacked.shape == (5, 8, 8)
     for row, shift in zip(deltas, stacked):
-        assert np.allclose(shift, spinsys.disorder_phase_rates(tuple(row), corr=0.4),
-                           rtol=0, atol=1e-13)
+        assert np.allclose(shift, spinsys.disorder_phase_rates(tuple(row)), rtol=0, atol=1e-13)
+        assert np.allclose(spinsys.disorder_phase_rates(row + 0.4),
+                           shift + 0.4 * qmat.coherence_order_matrix(3), rtol=0, atol=1e-13)
 
 
 def test_disorder_draw_is_seeded_and_sized():
@@ -351,6 +354,10 @@ def test_sequence_rejects_overlap_and_overrun():
     late = pulse(0.0099, 2, np.pi, 0.0, duration=2e-4)
     with pytest.raises(ValueError):
         spinsys.apply_sequence(rho, sys, [late], 0.01)
+    # a pulseless program of NaN length would otherwise compile to no segment at all
+    for duration in (-0.01, np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            spinsys.compile_program(sys, (), duration)
 
 
 # -- configuration ---------------------------------------------------------

@@ -6,9 +6,11 @@ that it takes a program's (events, duration) instead of a cycle and the
 of (8 x 8) matmuls per shot per pulse and one free_factors call per shot
 per gap. spinsys.compile_program must reproduce its shot-averaged states
 over random families, targets, modification slots, pulse errors, pulse
-widths and disorder shots, and on the pulse-level star preparation; every
-other schedule runner (apply_sequence, cycle_propagator) must agree with
-it on the committed protocols.
+widths and disorder shots, and on the pulse-level star preparation; the
+other schedule runner, apply_sequence, must agree with it on the
+committed protocols. The runner's free-evolution curves, which walk one
+pulseless program per gap, must reproduce the per-time factor stacks
+they replaced.
 """
 
 from dataclasses import replace
@@ -139,7 +141,9 @@ def test_fused_walk_matches_dense_walk(case):
     n_dense = sum(seg[0] == "dense" for seg in plan)
     assert n_dense == (n_pulses if mixing else 0)
     if not mixing:  # a whole unit is one fused map, unpermuted when its pulses are
-        keeps_basis = np.allclose(np.abs(np.diag(ddseq.pulse_product(cycle))), 1.0)
+        # ideal pi pulses keep the basis when every spin gets an even number
+        keeps_basis = all(sum(q in ev.targets for ev in program[0]) % 2 == 0
+                          for q in (1, 2, 3))
         assert len(plan) == 1 and (plan[0][2] is None) == keeps_basis
 
 
@@ -186,7 +190,28 @@ def test_every_schedule_runner_shares_the_pulse_window_convention(kind, state):
         reference = one_unit(_unit_plan, _apply_unit, sys)
         runs = [one_unit(spinsys.compile_program, spinsys.apply_program, sys),
                 spinsys.apply_sequence(rho, sys, *program)]
-        if sys is coherent:  # cycle_propagator ignores noise
-            runs.append(spinsys.apply_unitary(rho, ddseq.cycle_propagator(cycle, sys)))
         for got in runs:
             assert np.max(np.abs(got - reference)) <= 1e-12
+
+
+# -- free evolution against its per-time factors ---------------------------
+
+FREE_GRIDS = {
+    "uniform": runner.default_time_grid(None),
+    "star": runner.default_time_grid(
+        runner.build_cycle(runner.star_protocol((1, 3))).unit_duration),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(FREE_GRIDS))
+def test_free_walk_matches_per_time_factors(grid):
+    sys = runner.default_system()  # the committed 512-shot disorder
+    assert sys.disorder is not None and sys.disorder.shots == 512
+    times = FREE_GRIDS[grid]
+    rho0 = random_rho(np.random.default_rng(13), spinsys.DIM)
+    shifts = spinsys.disorder_phase_rates(sys.disorder.draw())
+    walked = list(runner._averaged_states(rho0, sys, None, times))
+    assert len(walked) == len(times)
+    for t, avg in zip(times, walked):
+        want = rho0 * spinsys.free_factors(sys, t, shifts).mean(axis=0)
+        assert np.max(np.abs(avg - want)) <= 1e-12
