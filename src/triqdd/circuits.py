@@ -223,48 +223,76 @@ def single_quantum_amplitude(rho: np.ndarray) -> float:
 
 # -- tomography ------------------------------------------------------------
 
-def _hermitian_basis() -> list[np.ndarray]:
-    """64 Hermitian basis matrices matching the real parameter layout."""
-    basis = []
-    for k in range(DIM):
-        e = np.zeros((DIM, DIM), dtype=complex)
-        e[k, k] = 1.0
-        basis.append(e)
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """Mark a cached array read-only, since every caller shares it."""
+    a.flags.writeable = False
+    return a
+
+
+# The recorded reals of one setting: the eight populations, then the real
+# and imaginary part of each single-bit-flip element (a, b), a < b. Each is
+# a position in the rotated state's flattened float view (re, im per entry).
+_LINE_PAIRS = [(a, b) for a in range(DIM) for b in range(a + 1, DIM)
+               if (a ^ b).bit_count() == 1]
+_RECORD_INDEX = _frozen(np.array(
+    [2 * (k * DIM + k) for k in range(DIM)]
+    + [2 * (a * DIM + b) + part for a, b in _LINE_PAIRS for part in (0, 1)]))
+
+
+@lru_cache(maxsize=1)
+def _readout_stack() -> np.ndarray:
+    """(settings, 8, 8) unitaries of TOMOGRAPHY_SETTINGS, in order."""
+    return _frozen(np.stack([readout_unitary(word) for word in TOMOGRAPHY_SETTINGS]))
+
+
+@lru_cache(maxsize=1)
+def _hermitian_basis() -> np.ndarray:
+    """(64, 8, 8) Hermitian basis matching the real parameter layout:
+    the diagonal units, then per a < b the real and imaginary pair."""
+    basis = np.zeros((64, DIM, DIM), dtype=complex)
+    k = np.arange(DIM)
+    basis[k, k, k] = 1.0
+    m = DIM
     for a in range(DIM):
         for b in range(a + 1, DIM):
-            re = np.zeros((DIM, DIM), dtype=complex)
-            re[a, b] = re[b, a] = 1.0
-            basis.append(re)
-            im = np.zeros((DIM, DIM), dtype=complex)
-            im[a, b] = 1j
-            im[b, a] = -1j
-            basis.append(im)
-    return basis
+            basis[m, a, b] = basis[m, b, a] = 1.0
+            basis[m + 1, a, b], basis[m + 1, b, a] = 1j, -1j
+            m += 2
+    return _frozen(basis)
 
 
 def _observe(rho: np.ndarray) -> np.ndarray:
     """All recorded reals for one state: per setting, populations and
-    the single-bit-flip line elements (real and imaginary parts)."""
-    pairs = [(a, b) for a in range(DIM) for b in range(a + 1, DIM)
-             if (a ^ b).bit_count() == 1]
-    rows = []
-    for word in TOMOGRAPHY_SETTINGS:
-        rotated = readout(rho, word)
-        rows.extend(np.diag(rotated).real)
-        for a, b in pairs:
-            rows.append(rotated[a, b].real)
-            rows.append(rotated[a, b].imag)
-    return np.array(rows)
+    the single-bit-flip line elements (real and imaginary parts).
+
+    Every setting is read at once, `U rho U†` over the cached unitary
+    stack, and the record is gathered through the fixed _RECORD_INDEX;
+    the values are those of rotating by each word in turn and reading the
+    elements one by one."""
+    u = _readout_stack()
+    rotated = u @ np.asarray(rho, dtype=complex) @ u.conj().swapaxes(-1, -2)
+    return rotated.reshape(len(u), DIM * DIM).view(np.float64)[:, _RECORD_INDEX].ravel()
 
 
 @lru_cache(maxsize=1)
-def _design_matrix() -> np.ndarray:
-    cols = [_observe(m) for m in _hermitian_basis()]
-    a = np.column_stack(cols)
+def _tomography_tables() -> tuple[np.ndarray, np.ndarray]:
+    """(design matrix, solve matrix), built once and read-only.
+
+    The solve matrix is the pseudo-inverse of the design matrix with the
+    unit-trace row appended, so one matrix-vector product gives the same
+    least-squares parameters a fresh solve of that system would."""
+    a = np.column_stack([_observe(m) for m in _hermitian_basis()])
     if np.linalg.matrix_rank(a) < 64:
         raise InvariantError("tomography design matrix is rank deficient; "
                              "the setting list does not determine the state")
-    return a
+    trace_row = np.concatenate([np.ones(DIM), np.zeros(64 - DIM)])
+    return _frozen(a), _frozen(np.linalg.pinv(np.vstack([a, trace_row])))
+
+
+def _design_matrix() -> np.ndarray:
+    """The (records, 64) design matrix; the first call fills every
+    tomography cache (unitary stack, basis, solve matrix)."""
+    return _tomography_tables()[0]
 
 
 def tomography(rho_true: np.ndarray, sigma: float = 0.0, seed: int = 0,
@@ -276,6 +304,12 @@ def tomography(rho_true: np.ndarray, sigma: float = 0.0, seed: int = 0,
     usual way a spectrometer beats per-scan noise down. The linear solve
     enforces unit trace as an extra equation; the result is then clipped
     to the positive cone and renormalized.
+
+    The readout is linear in the state and the settings are fixed, so the
+    readout unitaries, the Hermitian basis and the least-squares solve
+    matrix are built once (see _tomography_tables) and each call is one
+    batched readout, one matrix-vector product and one tensordot back to
+    an 8x8 matrix. A noise level whose draws overflow is a ValueError.
     """
     rho_true = np.asarray(rho_true, dtype=complex)
     if rho_true.shape != (DIM, DIM):
@@ -287,15 +321,13 @@ def tomography(rho_true: np.ndarray, sigma: float = 0.0, seed: int = 0,
     y = _observe(rho_true)
     if sigma > 0:
         draws = np.random.default_rng(seed).normal(0.0, sigma, size=(scans, y.size))
-        y = y + draws.mean(axis=0)
-    a = _design_matrix()
-    trace_row = np.concatenate([np.ones(DIM), np.zeros(64 - DIM)])
-    a_full = np.vstack([a, trace_row])
-    y_full = np.concatenate([y, [1.0]])
-    x, *_ = np.linalg.lstsq(a_full, y_full, rcond=None)
-    rho = np.zeros((DIM, DIM), dtype=complex)
-    for coeff, m in zip(x, _hermitian_basis()):
-        rho += coeff * m
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = y + draws.mean(axis=0)
+        if not np.isfinite(y).all():
+            raise ValueError(f"readout noise sigma {sigma:g} overflows the recorded values")
+    _, solve = _tomography_tables()
+    x = solve @ np.append(y, 1.0)
+    rho = np.tensordot(x, _hermitian_basis(), axes=1)
     w, v = np.linalg.eigh(rho)
     w = np.clip(w, 0.0, None)
     rho = (v * w) @ v.conj().T

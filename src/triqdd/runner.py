@@ -28,10 +28,11 @@ toggling frame is built once for all shots, expanded over the curve's
 offset draw in one exp per fused segment (see the spinsys docstring) and
 walked unit by unit over the shot stack. Free evolution walks the gaps
 between recorded times instead, each gap a pulseless program compiled
-the same way and reused while consecutive gaps agree. Every curve
-records from this one walk: each shot-averaged state is checked to be a
-density matrix before anything reads it, and before any tomography
-readout, so a broken evolution fails as an invariant violation.
+the same way, one plan per distinct gap length (a unit-snapped grid has
+two or three; the walk keeps the last few). Every curve records from
+this one walk: each shot-averaged state is checked to be a density
+matrix before anything reads it, and before any tomography readout, so
+a broken evolution fails as an invariant violation.
 
 Reference percentages from the published tables are bundled as data and
 used strictly for qualitative ordering checks (which protocol beats
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -64,6 +66,8 @@ _KIND_TARGET_COUNT = {"DD1sp": 1, "mDD2sp": 2, "DD3sp": 3}
 
 TABLE_STATES = ("psi0a", "psi0b", "psi1a", "psi1b", "psi2a", "psi2b", "psi3")
 STAR_PAIRS = {"AC": (1, 3), "BC": (2, 3)}
+# compiled gap programs a free walk keeps; unit-snapped grids have two or three gaps
+_FREE_PLANS = 4
 
 
 @dataclass(frozen=True)
@@ -234,17 +238,19 @@ def _averaged_states(rho0, sys, cycle, times):
     # per-shot offset shifts in Hz; one zero shot without disorder
     deltas = np.zeros((1, spinsys.N_QUBITS)) if sys.disorder is None else sys.disorder.draw()
     states = np.broadcast_to(rho0, (len(deltas),) + rho0.shape).copy()
-    if cycle is None:  # one pulseless program per gap, compiled again when the gap changes
-        plan, gap, now = [], 0.0, 0.0
+    if cycle is None:  # one pulseless program per distinct gap; a zero gap is the empty plan
+        plans, now = deque([(0.0, [])], maxlen=_FREE_PLANS), 0.0
     else:
         counts = [ddseq.unit_count(t, cycle.unit_duration, cycle.name) for t in times]
         plan = spinsys.compile_program(sys, *ddseq.program(cycle, cycle.unit_cycles), deltas)
         applied = 0
     for i, t in enumerate(times):
         if cycle is None:
-            if not abs(t - now - gap) <= spinsys.TIME_ATOL:  # a NaN gap compiles, and fails
-                gap = t - now
+            gap = t - now
+            plan = next((p for g, p in plans if abs(gap - g) <= spinsys.TIME_ATOL), None)
+            if plan is None:  # a NaN gap matches nothing, compiles, and fails
                 plan = spinsys.compile_program(sys, (), gap, deltas)
+                plans.append((gap, plan))
             states = spinsys.apply_program(states, plan)
             now = t
         else:

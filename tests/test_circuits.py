@@ -1,12 +1,14 @@
 """Preparation circuits, star pulse program, readout words, tomography."""
 
 import json
+from functools import lru_cache
 from importlib import resources
 
 import numpy as np
 import pytest
 
 from triqdd import circuits, qmat, spinsys
+from triqdd.qmat import InvariantError
 
 
 def load_data(name):
@@ -207,3 +209,110 @@ def test_tomography_input_validation():
     for sigma in (-1.0, -1e-12, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="sigma"):
             circuits.tomography(np.eye(8) / 8, sigma=sigma)
+
+
+# -- the cached readout against the literal one ----------------------------
+#
+# The references below are the tomography pipeline as first written: one
+# readout per word, the recorded elements read one by one, and a fresh
+# least-squares solve against a design matrix rebuilt from 64 loose basis
+# matrices. The cached stacks and solve matrix must reproduce them.
+
+LINE_PAIRS = [(a, b) for a in range(8) for b in range(a + 1, 8) if (a ^ b).bit_count() == 1]
+
+
+def literal_observe(rho):
+    rows = []
+    for word in circuits.TOMOGRAPHY_SETTINGS:
+        rotated = circuits.readout(rho, word)
+        rows.extend(np.diag(rotated).real)
+        for a, b in LINE_PAIRS:
+            rows.append(rotated[a, b].real)
+            rows.append(rotated[a, b].imag)
+    return np.array(rows)
+
+
+def literal_basis():
+    basis = []
+    for k in range(8):
+        e = np.zeros((8, 8), dtype=complex)
+        e[k, k] = 1.0
+        basis.append(e)
+    for a in range(8):
+        for b in range(a + 1, 8):
+            re = np.zeros((8, 8), dtype=complex)
+            re[a, b] = re[b, a] = 1.0
+            im = np.zeros((8, 8), dtype=complex)
+            im[a, b], im[b, a] = 1j, -1j
+            basis += [re, im]
+    return basis
+
+
+@lru_cache(maxsize=1)
+def literal_design():
+    return np.column_stack([literal_observe(m) for m in literal_basis()])
+
+
+def literal_tomography(rho, sigma, seed, scans=32):
+    y = literal_observe(rho)
+    if sigma > 0:
+        y = y + np.random.default_rng(seed).normal(0.0, sigma, size=(scans, y.size)).mean(axis=0)
+    a_full = np.vstack([literal_design(), np.concatenate([np.ones(8), np.zeros(56)])])
+    x, *_ = np.linalg.lstsq(a_full, np.concatenate([y, [1.0]]), rcond=None)
+    out = sum(coeff * m for coeff, m in zip(x, literal_basis()))
+    w, v = np.linalg.eigh(out)
+    out = (v * np.clip(w, 0.0, None)) @ v.conj().T
+    return out / np.trace(out).real
+
+
+def random_rank_rho(rng, rank):
+    g = rng.standard_normal((8, rank)) + 1j * rng.standard_normal((8, rank))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("rank", range(1, 9))
+def test_cached_readout_matches_the_literal_one(rank):
+    rng = np.random.default_rng(100 + rank)
+    for _ in range(3):
+        rho = random_rank_rho(rng, rank)
+        assert np.max(np.abs(circuits._observe(rho) - literal_observe(rho))) <= 1e-12
+        for sigma in (0.0, 0.01):
+            for seed in range(3):
+                got = circuits.tomography(rho, sigma=sigma, seed=seed)
+                want = literal_tomography(rho, sigma, seed)
+                assert np.max(np.abs(got - want)) <= 1e-12, (sigma, seed)
+
+
+def test_cached_design_matrix_matches_the_literal_one():
+    assert np.max(np.abs(circuits._design_matrix() - literal_design())) <= 1e-12
+    assert np.array_equal(circuits._hermitian_basis(), np.array(literal_basis()))
+
+
+def test_cached_tomography_arrays_are_read_only():
+    design, solve = circuits._tomography_tables()
+    for cached in (circuits._readout_stack(), circuits._hermitian_basis(),
+                   design, solve, circuits._RECORD_INDEX):
+        with pytest.raises(ValueError):
+            cached[0] = 0
+
+
+@pytest.fixture
+def fresh_tomography_caches():
+    caches = (circuits._readout_stack, circuits._tomography_tables)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def test_rank_deficient_settings_still_raise(monkeypatch, fresh_tomography_caches):
+    monkeypatch.setattr(circuits, "TOMOGRAPHY_SETTINGS", ("III", "IIY", "IYY"))
+    with pytest.raises(InvariantError, match="rank deficient"):
+        circuits.tomography(np.eye(8) / 8)
+
+
+def test_overflowing_readout_noise_is_a_value_error():
+    with pytest.raises(ValueError, match="sigma"):
+        circuits.tomography(circuits.prepare("psi1a"), sigma=1e308)

@@ -1,6 +1,7 @@
 """Exit codes, artifacts, and output of the command-line front end."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -271,6 +272,15 @@ def test_negative_or_non_finite_readout_noise_exits_two(capsys, tmp_path):
     code, _, err = run_cli(capsys, "star", "--tomo-sigma", "-0.5", "--points", "2",
                            "--out-csv", str(tmp_path / "star.csv"))
     assert code == 2 and "sigma" in err
+
+
+def test_overflowing_readout_noise_exits_two(capsys):
+    # the averaged draws overflow to inf and nan: a config error naming sigma,
+    # without numpy overflow warnings on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, "tomo", "psi1a", "--sigma", "1e308")
+    assert code == 2 and "sigma" in err and "fidelity" not in out
 
 
 # -- config-reference ------------------------------------------------------

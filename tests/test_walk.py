@@ -9,8 +9,8 @@ over random families, targets, modification slots, pulse errors, pulse
 widths and disorder shots, and on the pulse-level star preparation; the
 other schedule runner, apply_sequence, must agree with it on the
 committed protocols. The runner's free-evolution curves, which walk one
-pulseless program per gap, must reproduce the per-time factor stacks
-they replaced.
+pulseless program per distinct gap, must reproduce the per-time factor
+stacks they replaced, compiling each gap length once.
 """
 
 from dataclasses import replace
@@ -215,3 +215,27 @@ def test_free_walk_matches_per_time_factors(grid):
     for t, avg in zip(times, walked):
         want = rho0 * spinsys.free_factors(sys, t, shifts).mean(axis=0)
         assert np.max(np.abs(avg - want)) <= 1e-12
+
+
+def test_free_walk_compiles_each_distinct_gap_once(monkeypatch):
+    # a unit-snapped star grid alternates between two gap lengths
+    real = spinsys.compile_program
+    gaps = []
+
+    def counting(sys, events, duration, deltas):
+        gaps.append(duration)
+        return real(sys, events, duration, deltas)
+
+    monkeypatch.setattr(spinsys, "compile_program", counting)
+    sys = runner.default_system()
+    rho0 = circuits.prepare("star")
+    for pair in runner.STAR_PAIRS.values():
+        times = runner.default_time_grid(runner.build_cycle(runner.star_protocol(pair)).unit_duration)
+        distinct = {round(b - a, 12) for a, b in zip(times, times[1:])}
+        assert len(distinct) == 2
+        gaps.clear()
+        assert len(list(runner._averaged_states(rho0, sys, None, times))) == len(times)
+        assert len(gaps) == 2 and {round(g, 12) for g in gaps} == distinct
+    # a NaN gap matches no kept plan: it compiles, and the schedule check rejects it
+    with pytest.raises(ValueError):
+        list(runner._averaged_states(rho0, sys, None, (0.0, 0.1, float("nan"))))
