@@ -85,6 +85,8 @@ def _build_named_cycle(args) -> ddseq.DDCycle:
         cycle = ddseq.generate(args.family, args.tau, args.tp, targets)
     if args.modified:
         cycle = ddseq.modify(cycle, slot=args.slot)
+    elif args.slot is not None:
+        raise spinsys.ConfigError(f"--slot {args.slot} places the modification: add --modified")
     return cycle
 
 
@@ -244,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--targets", default="1,2,3", help="pulsed qubits, e.g. 1,2")
     sub.add_argument("--modified", action="store_true",
                      help="passive/doubled pair variant (needs two targets)")
-    sub.add_argument("--slot", type=int, default=None, help="modification slot index")
+    sub.add_argument("--slot", type=int, default=None,
+                     help="modification slot index, with --modified")
     sub.add_argument("--json", metavar="PATH", help="export the timed-event program")
     sub.set_defaults(func=cmd_sequences)
 

@@ -208,12 +208,12 @@ def single_spin_survival(cycle: DDCycle, offset_hz: float, flip_error: float,
     offsets = tuple(offset_hz if r == q else 0.0 for r in (1, 2, 3))
     probe = SpinSystem(offsets, (0.0,) * 3, spinsys.NoiseModel(),
                        spinsys.PulseErrorModel(flip_error, 0.0, internal_h_during_pulse=True))
-    plan = spinsys.compile_program(probe, *program(cycle, cycle.unit_cycles))
+    unit = spinsys.compile_program(probe, *program(cycle, cycle.unit_cycles))
+    plan = spinsys.repeat_program(unit, n_cycles // cycle.unit_cycles)
     paulis = np.stack([spinsys.embed(s, q) for s in (spinsys.SIGMA_X, spinsys.SIGMA_Y)])
     rest = [spinsys.embed(np.diag([1.0, 0.0]), r) for r in (1, 2, 3) if r != q]
     states = paulis @ rest[0] @ rest[1]  # the other spins in |0><0|
-    for _ in range(n_cycles // cycle.unit_cycles):
-        states = spinsys.apply_program(states, plan)
+    states = spinsys.apply_program(states, plan)
     # block[a, b] = tr(sigma_a U sigma_b U^dagger) / 2 on the probed spin
     block = 0.5 * np.einsum("aij,bji->ab", paulis, states).real
     return float(np.linalg.svd(block, compute_uv=False)[-1])

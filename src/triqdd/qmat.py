@@ -52,23 +52,31 @@ def ket_to_rho(psi: np.ndarray) -> np.ndarray:
 
 
 def assert_density_matrix(rho: np.ndarray, *, atol: float = EIGENVALUE_ATOL) -> None:
-    """Raise ValueError unless rho is a valid density matrix.
+    """Raise ValueError unless rho is a valid density matrix, or a stack of them.
 
-    Checks shape, Hermiticity, unit trace and positive semidefiniteness
-    (eigenvalues above -atol).
+    Checks shape, Hermiticity (max-abs), unit trace and positive
+    semidefiniteness (eigenvalues above -atol). A (..., d, d) stack is
+    checked at once with the same thresholds; the message names the first
+    failing member, counted over the flattened stack.
     """
     rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {rho.shape}")
-    n_qubits(rho.shape[0])
-    if not np.abs(rho - rho.conj().T).max() <= HERMITICITY_ATOL:  # NaN fails too
-        raise ValueError("matrix is not Hermitian")
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > TRACE_ATOL:
-        raise ValueError(f"trace is {tr}, expected 1")
-    evals = np.linalg.eigvalsh(rho)
-    if evals.min() < -atol:
-        raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {evals.min()})")
+    if rho.ndim < 2 or rho.shape[-2] != rho.shape[-1]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {rho.shape}")
+    n_qubits(rho.shape[-1])
+    stack = rho.reshape((-1,) + rho.shape[-2:])
+
+    def fail(bad, message):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(("" if rho.ndim == 2 else f"member {i}: ") + message(i))
+
+    skew = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    fail(~(skew <= HERMITICITY_ATOL), lambda i: "matrix is not Hermitian")  # NaN fails too
+    tr = np.trace(stack, axis1=-2, axis2=-1)
+    fail(np.abs(tr - 1.0) > TRACE_ATOL, lambda i: f"trace is {tr[i]}, expected 1")
+    lowest = np.linalg.eigvalsh(stack).min(axis=-1)
+    fail(lowest < -atol, lambda i: "matrix is not positive semidefinite "
+                                   f"(min eigenvalue {lowest[i]})")
 
 
 def coherence_order(i: int, j: int, n: int = 3) -> int:
@@ -171,7 +179,8 @@ def concurrence(rho: np.ndarray) -> float:
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(m)
-    w = np.clip(w, 0.0, None)
+    # eigenvalues at roundoff level are zero: numpy.linalg.matrix_rank's tolerance
+    w = np.where(w > np.abs(w).max() * len(w) * np.finfo(float).eps, w, 0.0)
     return (v * np.sqrt(w)) @ v.conj().T
 
 

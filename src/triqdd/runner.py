@@ -23,16 +23,19 @@ offset shifts once and keeps them for the whole evolution, the complex
 states are averaged across shots, and only then are magnitudes or
 concurrences taken. Shots are batched along the leading axis.
 
-A repeat unit is compiled once per curve by spinsys.compile_program: its
-toggling frame is built once for all shots, expanded over the curve's
-offset draw in one exp per fused segment (see the spinsys docstring) and
-walked unit by unit over the shot stack. Free evolution walks the gaps
-between recorded times instead, each gap a pulseless program compiled
-the same way, one plan per distinct gap length (a unit-snapped grid has
-two or three; the walk keeps the last few). Every curve records from
-this one walk: each shot-averaged state is checked to be a density
-matrix before anything reads it, and before any tomography readout, so
-a broken evolution fails as an invariant violation.
+Every curve walks its recorded times one step each. A DD step is the
+repeat unit, compiled once by spinsys.compile_program (its toggling
+frame built once for all shots and expanded over the offset draw in
+one exp per fused segment, see the spinsys docstring), raised to the
+step's unit count by spinsys.repeat_program; a free step is the
+pulseless program of the gap, compiled the same way. One plan is kept
+per distinct step (a unit-snapped grid has two or three; the walk keeps
+the last few). The grid builds each distinct protocol's walk once and
+runs every state that uses it (free evolution and each all-spin family
+serve all seven), one protocol at a time. Every curve records from this
+one walk: its shot-averaged states are checked as one stack to be
+density matrices before anything reads them, and before any tomography
+readout, so a broken evolution fails as an invariant violation.
 
 Reference percentages from the published tables are bundled as data and
 used strictly for qualitative ordering checks (which protocol beats
@@ -66,8 +69,8 @@ _KIND_TARGET_COUNT = {"DD1sp": 1, "mDD2sp": 2, "DD3sp": 3}
 
 TABLE_STATES = ("psi0a", "psi0b", "psi1a", "psi1b", "psi2a", "psi2b", "psi3")
 STAR_PAIRS = {"AC": (1, 3), "BC": (2, 3)}
-# compiled gap programs a free walk keeps; unit-snapped grids have two or three gaps
-_FREE_PLANS = 4
+# step plans a walk keeps; unit-snapped grids have two or three distinct steps
+_KEPT_PLANS = 4
 
 
 @dataclass(frozen=True)
@@ -233,36 +236,64 @@ def default_time_grid(unit: float | None, t_max: float = GRID_T_MAX,
     return tuple(k * unit for k in counts)
 
 
-def _averaged_states(rho0, sys, cycle, times):
-    """Checked shot-averaged state at each of the given times (DD or free)."""
-    # per-shot offset shifts in Hz; one zero shot without disorder
-    deltas = np.zeros((1, spinsys.N_QUBITS)) if sys.disorder is None else sys.disorder.draw()
-    states = np.broadcast_to(rho0, (len(deltas),) + rho0.shape).copy()
-    if cycle is None:  # one pulseless program per distinct gap; a zero gap is the empty plan
-        plans, now = deque([(0.0, [])], maxlen=_FREE_PLANS), 0.0
-    else:
-        counts = [ddseq.unit_count(t, cycle.unit_duration, cycle.name) for t in times]
-        plan = spinsys.compile_program(sys, *ddseq.program(cycle, cycle.unit_cycles), deltas)
-        applied = 0
-    for i, t in enumerate(times):
+class _ProtocolWalk:
+    """One protocol's walk over its recorded times, shared by every state it runs.
+
+    Step i takes the shot stack from times[i - 1] (0 for i = 0) to
+    times[i]: the pulseless program of the gap for free evolution, the
+    repeat unit raised to the unit-count increment for DD. The offset
+    draw and the unit are built once, and one plan per distinct step is
+    kept (the last few; a unit-snapped grid has two or three).
+    """
+
+    def __init__(self, sys, cycle, times):
+        self.sys = sys
+        self.times = times = tuple(sorted(set(float(t) for t in times)))
+        # per-shot offset shifts in Hz; one zero shot without disorder
+        self.deltas = (np.zeros((1, spinsys.N_QUBITS)) if sys.disorder is None
+                       else sys.disorder.draw())
         if cycle is None:
-            gap = t - now
-            plan = next((p for g, p in plans if abs(gap - g) <= spinsys.TIME_ATOL), None)
-            if plan is None:  # a NaN gap matches nothing, compiles, and fails
-                plan = spinsys.compile_program(sys, (), gap, deltas)
-                plans.append((gap, plan))
-            states = spinsys.apply_program(states, plan)
-            now = t
+            self.unit, self.steps = None, np.diff(times, prepend=0.0)
         else:
-            while applied < counts[i]:
-                states = spinsys.apply_program(states, plan)
-                applied += 1
-        avg = states.mean(axis=0)
+            counts = [ddseq.unit_count(t, cycle.unit_duration, cycle.name) for t in times]
+            self.unit = spinsys.compile_program(
+                sys, *ddseq.program(cycle, cycle.unit_cycles), self.deltas)
+            self.steps = np.diff(counts, prepend=0)
+        self.kept = deque([(0, [])], maxlen=_KEPT_PLANS)  # a zero step is the empty plan
+
+    def plan(self, step):
+        found = next((p for s, p in self.kept if abs(step - s) <= spinsys.TIME_ATOL), None)
+        if found is None:  # a NaN gap matches nothing, compiles, and fails
+            found = (spinsys.compile_program(self.sys, (), step, self.deltas) if self.unit is None
+                     else spinsys.repeat_program(self.unit, int(step)))
+            self.kept.append((step, found))
+        return found
+
+    def averaged_states(self, rho0) -> np.ndarray:
+        """The shot-averaged state at every recorded time, checked as one stack."""
+        states = np.broadcast_to(rho0, (len(self.deltas),) + rho0.shape).copy()
+        out = np.empty((len(self.steps),) + rho0.shape, dtype=complex)
+        for i, step in enumerate(self.steps):
+            states = spinsys.apply_program(states, self.plan(step))
+            out[i] = states.mean(axis=0)
         try:
-            qmat.assert_density_matrix(avg)
+            qmat.assert_density_matrix(out)
         except ValueError as exc:
             raise InvariantError(f"recorded state is not a density matrix: {exc}") from exc
-        yield avg
+        return out
+
+
+def _decay_curve(state_id: str, protocol: Protocol, walk: _ProtocolWalk) -> DecayCurve:
+    rho0 = circuits.prepare(state_id)
+    element = circuits.tracked_element(state_id)
+    raw = walk.averaged_states(rho0)[(slice(None),) + element].tolist()
+    ref = complex(rho0[element])
+    if protocol.kind == "FreeEv":
+        values = tuple(abs(v) / abs(ref) for v in raw)
+    else:
+        unit = ref / abs(ref)
+        values = tuple(max((v * unit.conjugate()).real, 0.0) / abs(ref) for v in raw)
+    return DecayCurve(state_id, protocol, "amplitude", walk.times, values)
 
 
 def run_decay(state_id: str, protocol: Protocol, sys: SpinSystem,
@@ -276,20 +307,10 @@ def run_decay(state_id: str, protocol: Protocol, sys: SpinSystem,
     residual phase, couplings to pulsed partners included, registers as
     loss, the way an unphased echo line loses absorption amplitude.
     """
-    rho0 = circuits.prepare(state_id)
-    element = circuits.tracked_element(state_id)
     cycle = build_cycle(protocol)
     if times is None:
         times = default_time_grid(None if cycle is None else cycle.unit_duration)
-    times = tuple(sorted(set(float(t) for t in times)))
-    raw = [complex(avg[element]) for avg in _averaged_states(rho0, sys, cycle, times)]
-    ref = complex(rho0[element])
-    if protocol.kind == "FreeEv":
-        values = tuple(abs(v) / abs(ref) for v in raw)
-    else:
-        unit = ref / abs(ref)
-        values = tuple(max((v * unit.conjugate()).real, 0.0) / abs(ref) for v in raw)
-    return DecayCurve(state_id, protocol, "amplitude", times, values)
+    return _decay_curve(state_id, protocol, _ProtocolWalk(sys, cycle, times))
 
 
 # -- table grid ------------------------------------------------------------
@@ -322,22 +343,34 @@ def run_grid(sys: SpinSystem, families=FAMILIES, states=TABLE_STATES,
         repeated = sorted({n for n in names if names.count(n) > 1})
         if repeated:
             raise ValueError(f"repeated {what} {repeated}: name each one once")
-    curves, percents = [], {}
+    cells = []  # (state, protocol), state-major
     for state_id in states:
-        protos = [default_protocol("FreeEv")]
+        kind = DESIGNATED_KIND[state_id]
+        cells.append((state_id, default_protocol("FreeEv")))
         for family in families:
-            protos.append(default_protocol(DESIGNATED_KIND[state_id], state_id, family))
-            if DESIGNATED_KIND[state_id] != "DD3sp":
-                protos.append(default_protocol("DD3sp", state_id, family))
-        for proto in protos:
-            cycle = build_cycle(proto)
-            unit = None if cycle is None else cycle.unit_duration
-            curve = run_decay(state_id, proto, sys,
-                              times=default_time_grid(unit, t_max, points))
-            curves.append(curve)
-            # the grid always ends on t_max
-            percents[(state_id, proto.kind, proto.family)] = 100.0 * curve.values[-1]
-    return GridRun(tuple(curves), percents, t_max)
+            cells.append((state_id, default_protocol(kind, state_id, family)))
+            if kind != "DD3sp":
+                cells.append((state_id, default_protocol("DD3sp", state_id, family)))
+    users: dict[Protocol, list[str]] = {}  # FreeEv and DD3sp serve every state
+    for state_id, proto in cells:
+        users.setdefault(proto, []).append(state_id)
+    done = {}
+    for proto, state_ids in users.items():
+        curves = _protocol_curves(sys, proto, state_ids, t_max, points)
+        done.update(((state_id, proto), c) for state_id, c in zip(state_ids, curves))
+    curves = tuple(done[cell] for cell in cells)
+    # the grid always ends on t_max
+    percents = {(c.state, c.protocol.kind, c.protocol.family): 100.0 * c.values[-1]
+                for c in curves}
+    return GridRun(curves, percents, t_max)
+
+
+def _protocol_curves(sys, proto, state_ids, t_max, points) -> list[DecayCurve]:
+    """One protocol's curve on each state; its walk, and so its plans, die on return."""
+    cycle = build_cycle(proto)
+    times = default_time_grid(None if cycle is None else cycle.unit_duration, t_max, points)
+    walk = _ProtocolWalk(sys, cycle, times)
+    return [_decay_curve(state_id, proto, walk) for state_id in state_ids]
 
 
 # -- reference comparison --------------------------------------------------
@@ -472,14 +505,14 @@ def star_protection(sys: SpinSystem, times=None, protected: bool = True,
         grid = times.get(name) if isinstance(times, dict) else times
         if grid is None:
             grid = default_time_grid(cycle.unit_duration, t_max, points)
-        grid = tuple(sorted(set(float(t) for t in grid)))
         run_proto, run_cycle = (proto, cycle) if protected else (Protocol("FreeEv"), None)
+        walk = _ProtocolWalk(sys, run_cycle, grid)
         values = []
-        for i, avg in enumerate(_averaged_states(rho0, sys, run_cycle, grid)):
+        for i, avg in enumerate(walk.averaged_states(rho0)):
             if tomo_sigma is not None:
                 avg = circuits.tomography(avg, sigma=tomo_sigma, seed=seed + i)
             values.append(qmat.concurrence(qmat.partial_trace(avg, pair)))
-        out[name] = DecayCurve("star", run_proto, "concurrence", grid, tuple(values))
+        out[name] = DecayCurve("star", run_proto, "concurrence", walk.times, tuple(values))
     return out
 
 

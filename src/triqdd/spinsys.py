@@ -57,6 +57,14 @@ that mixes basis states, one with a flip-angle error or one integrated
 with the internal Hamiltonian in its window, stays a dense U rho
 U^dagger segment between fused ones.
 
+repeat_program turns a compiled repeat unit into the plan of k units.
+A unit that is one fused segment, as every unit of ideal pulses is,
+stays one: (C, perm) composes element-wise with itself, by repeated
+squaring, without a new exp, so k units cost one walk step. A unit with
+dense segments repeats as the plain concatenation of its segments;
+folding one unit's fused tail into the next unit's head would save no
+dense step and makes the walk slower.
+
 Static offset disorder (slow inhomogeneity, off by default) draws
 Gaussian per-spin offsets plus a correlated common mode once per shot;
 the experiment layer averages over a seeded set of shots. The shifts
@@ -470,6 +478,38 @@ def apply_program(states: np.ndarray, plan) -> np.ndarray:
         else:
             states = np.matmul(a, states) @ b
     return states
+
+
+def _then(first, second):
+    """(C, perm) of fused map first followed by fused map second."""
+    (c1, p1), (c2, p2) = first, second
+    if p2 is None:
+        return c2 * c1, p1
+    perm = p2 if p1 is None else p1[p2]
+    return c2 * c1[..., p2[:, None], p2], None if np.array_equal(perm, np.arange(DIM)) else perm
+
+
+def repeat_program(plan, k: int) -> list:
+    """Plan of k consecutive walks of a compiled plan.
+
+    A plan that is one fused segment composes in closed form, by
+    products only: C2 * C1[p2][:, p2] with perm p1[p2], squared up to k
+    units. Any other plan is the k-fold concatenation of its own segment
+    objects: nothing is copied or recompiled, and the list holds one
+    reference per segment per unit.
+    """
+    if k < 0:
+        raise ValueError(f"repeat count must be nonnegative, got {k}")
+    if len(plan) != 1 or plan[0][0] != "fused" or k < 2:
+        return list(plan) * k
+    power, base = None, plan[0][1:]
+    while k:
+        if k & 1:
+            power = base if power is None else _then(power, base)
+        k >>= 1
+        if k:
+            base = _then(base, base)
+    return [("fused",) + power]
 
 
 def apply_sequence(rho: np.ndarray, sys: SpinSystem, events, duration: float) -> np.ndarray:

@@ -192,6 +192,17 @@ def test_tomography_noisy_fidelity_floor(seed):
         assert qmat.fidelity(rec, rho) >= 0.98, state_id
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_fidelity_with_a_pure_state_is_its_overlap(seed):
+    # the pure side's square root has rank one: roundoff-sized eigenvalues must count as zero
+    for state_id in circuits.state_ids():
+        pure = circuits.prepare(state_id)
+        rec = circuits.tomography(pure, sigma=0.01, seed=seed)
+        overlap = np.trace(pure @ rec).real
+        assert abs(qmat.fidelity(pure, rec) - overlap) <= 1e-12, state_id
+        assert abs(qmat.fidelity(rec, pure) - overlap) <= 1e-12, state_id
+
+
 def test_tomography_is_deterministic_per_seed():
     rho = circuits.prepare("star")
     a = circuits.tomography(rho, sigma=0.01, seed=7)

@@ -82,6 +82,15 @@ def test_sequences_rejects_bad_input(capsys):
         assert code == 2 and "must be finite" in err and not out
 
 
+def test_sequences_slot_needs_modified(capsys):
+    # a slot is never silently dropped: without --modified it is a config error
+    code, out, err = run_cli(capsys, "sequences", "XY8", "--targets", "1,2", "--slot", "3")
+    assert code == 2 and "--modified" in err and not out
+    code, out, _ = run_cli(capsys, "sequences", "XY8", "--targets", "1,2", "--slot", "3",
+                           "--modified")
+    assert code == 0 and out.startswith("mXY8 ")
+
+
 # -- prepare ---------------------------------------------------------------
 
 def test_prepare_emits_the_state_document(capsys, tmp_path):

@@ -95,6 +95,38 @@ def test_density_matrix_checks():
         qmat.assert_density_matrix(np.diag([1.5, -0.5]))  # negative eigenvalue
 
 
+def _broken_member(how):
+    """A pure basis state with one invariant broken well past its threshold."""
+    rho = np.zeros((8, 8), dtype=complex)
+    rho[0, 0] = 1.0
+    if how == "non-Hermitian":
+        rho[0, 1] = 1e-6
+    elif how == "trace-off":
+        rho[2, 2] = 1e-6
+    elif how == "negative":  # trace kept: eigenvalues 1 + 1e-6 and -1e-6
+        rho[0, 0], rho[1, 1] = 1.0 + 1e-6, -1e-6
+    else:
+        rho[4, 5] = np.nan
+    return rho
+
+
+@pytest.mark.parametrize("how, message", [("non-Hermitian", "not Hermitian"),
+                                          ("trace-off", "trace is"),
+                                          ("negative", "positive semidefinite"),
+                                          ("NaN", "not Hermitian")])
+def test_a_stack_with_one_broken_member_fails(how, message):
+    rng = np.random.default_rng(3)
+    stack = np.stack([random_rho(rng, 8) for _ in range(5)])
+    stack[0] = qmat.ket_to_rho(random_ket(rng, 8))  # zero eigenvalues pass
+    qmat.assert_density_matrix(stack)
+    qmat.assert_density_matrix(stack[:0])  # an empty stack holds nothing to fail
+    stack[3] = _broken_member(how)
+    with pytest.raises(ValueError, match=f"member 3: .*{message}"):
+        qmat.assert_density_matrix(stack)
+    with pytest.raises(ValueError, match=message):
+        qmat.assert_density_matrix(stack[3])
+
+
 def test_random_kets_make_valid_states():
     rng = np.random.default_rng(11)
     for dim in (2, 4, 8):

@@ -244,7 +244,7 @@ def test_shot_average_matches_the_gaussian_disorder_oracle():
         spread = np.einsum("qab,qr,rab->ab", times_a, cov, times_a)
         (_, shot_coef, _), = spinsys.compile_program(sys, *program, d.draw())
         grid = runner.default_time_grid(cycle.unit_duration)
-        for t, avg in zip(grid, runner._averaged_states(rho0, sys, cycle, grid)):
+        for t, avg in zip(grid, runner._ProtocolWalk(sys, cycle, grid).averaged_states(rho0)):
             k = ddseq.unit_count(t, cycle.unit_duration, cycle.name)
             ideal = coef[0] ** k * rho0
             exact = ideal * np.exp(-2 * np.pi ** 2 * k ** 2 * spread)

@@ -10,7 +10,11 @@ widths and disorder shots, and on the pulse-level star preparation; the
 other schedule runner, apply_sequence, must agree with it on the
 committed protocols. The runner's free-evolution curves, which walk one
 pulseless program per distinct gap, must reproduce the per-time factor
-stacks they replaced, compiling each gap length once.
+stacks they replaced, compiling each gap length once. A plan of k units
+(spinsys.repeat_program) must match k walks of its unit, whether it is
+the closed-form power of one fused segment or the concatenation of a
+dense unit's own segments, and the grid, which builds each protocol's
+walk once for all its states, must match one run_decay per curve.
 """
 
 from dataclasses import replace
@@ -210,7 +214,7 @@ def test_free_walk_matches_per_time_factors(grid):
     times = FREE_GRIDS[grid]
     rho0 = random_rho(np.random.default_rng(13), spinsys.DIM)
     shifts = spinsys.disorder_phase_rates(sys.disorder.draw())
-    walked = list(runner._averaged_states(rho0, sys, None, times))
+    walked = runner._ProtocolWalk(sys, None, times).averaged_states(rho0)
     assert len(walked) == len(times)
     for t, avg in zip(times, walked):
         want = rho0 * spinsys.free_factors(sys, t, shifts).mean(axis=0)
@@ -234,8 +238,80 @@ def test_free_walk_compiles_each_distinct_gap_once(monkeypatch):
         distinct = {round(b - a, 12) for a, b in zip(times, times[1:])}
         assert len(distinct) == 2
         gaps.clear()
-        assert len(list(runner._averaged_states(rho0, sys, None, times))) == len(times)
+        walked = runner._ProtocolWalk(sys, None, times).averaged_states(rho0)
+        assert len(walked) == len(times)
         assert len(gaps) == 2 and {round(g, 12) for g in gaps} == distinct
     # a NaN gap matches no kept plan: it compiles, and the schedule check rejects it
     with pytest.raises(ValueError):
-        list(runner._averaged_states(rho0, sys, None, (0.0, 0.1, float("nan"))))
+        runner._ProtocolWalk(sys, None, (0.0, 0.1, float("nan"))).averaged_states(rho0)
+
+
+# -- k units in one plan, and one walk per grid protocol -------------------
+
+REPEAT_CASES = {
+    # three pulses per spin: the fused unit permutes the basis
+    "fused-permuting": (ddseq.generate_cpmg(3, 0.5e-3, 0.0, (1, 2)), PulseErrorModel()),
+    "flip-error": (ddseq.generate("XY8", 0.5e-3, 4e-5, (1, 3)),
+                   PulseErrorModel(flip_fraction_error=0.02)),
+    "internal-h": (ddseq.modify(ddseq.generate("UR12", 0.4e-3, 3e-5, (2, 3))),
+                   PulseErrorModel(internal_h_during_pulse=True)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPEAT_CASES))
+@pytest.mark.parametrize("k", (0, 1, 2, 5))
+def test_repeated_plan_matches_unit_walks(case, k):
+    cycle, pulse_model = REPEAT_CASES[case]
+    sys = SpinSystem(noise=NoiseModel((0.5, 0.8, 1.1), 0.3), pulse=pulse_model,
+                     disorder=DisorderModel((3.0, 4.0, 5.0), 6.0, shots=4, seed=2))
+    plan = spinsys.compile_program(sys, *ddseq.program(cycle, cycle.unit_cycles),
+                                   offset_draw(sys))
+    rho = random_rho(np.random.default_rng(17), spinsys.DIM)
+    want = np.broadcast_to(rho, (4,) + rho.shape)
+    for _ in range(k):
+        want = spinsys.apply_program(want, plan)
+    repeated = spinsys.repeat_program(plan, k)
+    got = spinsys.apply_program(np.broadcast_to(rho, (4,) + rho.shape), repeated)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    if case == "fused-permuting":  # one segment, whatever k: the closed form
+        assert len(plan) == 1 and plan[0][0] == "fused" and plan[0][2] is not None
+        assert len(repeated) == min(k, 1)
+        assert repeated == [] or (repeated[0][2] is None) == (k % 2 == 0)
+    else:  # the plain concatenation, of the unit's own segment objects
+        assert any(seg[0] == "dense" for seg in plan)
+        assert len(repeated) == k * len(plan)
+        assert all(seg is plan[i % len(plan)] for i, seg in enumerate(repeated))
+    with pytest.raises(ValueError):
+        spinsys.repeat_program(plan, -1)
+
+
+GRID_STATES = ("psi0a", "psi1a", "psi3")
+
+
+def test_grid_walks_each_protocol_once_for_all_its_states(monkeypatch):
+    real = spinsys.compile_program
+    units, gaps = [], []
+
+    def counting(sys, events, duration, deltas):
+        (units if events else gaps).append((events, duration))
+        return real(sys, events, duration, deltas)
+
+    monkeypatch.setattr(spinsys, "compile_program", counting)
+    sys = runner.default_system()  # the committed 512-shot disorder
+    run = runner.run_grid(sys, ("XY8",), GRID_STATES)
+    # FreeEv and DD3sp serve all three states, each DD protocol compiles its unit once
+    pulsed = {c.protocol for c in run.curves if c.protocol.kind != "FreeEv"}
+    assert len(run.curves) == 8 and len(pulsed) == 3
+    assert len(units) == len(set(units)) == len(pulsed)
+    # the free gaps too, once for all three states
+    free = runner.default_time_grid(None)
+    assert len(gaps) == len({round(b - a, 12) for a, b in zip(free, free[1:])})
+    monkeypatch.setattr(spinsys, "compile_program", real)
+    # state-major order, and the curves of one run_decay each
+    assert [c.state for c in run.curves] == ["psi0a"] * 3 + ["psi1a"] * 3 + ["psi3"] * 2
+    for curve in run.curves:
+        alone = runner.run_decay(curve.state, curve.protocol, sys)
+        assert curve.times == alone.times
+        assert np.max(np.abs(np.subtract(curve.values, alone.values))) <= 1e-12
+        key = (curve.state, curve.protocol.kind, curve.protocol.family)
+        assert run.percents[key] == 100.0 * curve.values[-1]
