@@ -198,14 +198,11 @@ def readout_unitary(word: str) -> np.ndarray:
     """Unitary of a three-letter readout pulse word over {I, X, Y}."""
     if len(word) != 3:
         raise ValueError(f"readout word must have three letters, got '{word}'")
-    u = np.eye(DIM, dtype=complex)
-    for position, letter in enumerate(word):
-        if letter == "I":
-            continue
-        if letter not in _AXIS_PHASE:
+    for letter in word:
+        if letter != "I" and letter not in _AXIS_PHASE:
             raise ValueError(f"invalid readout letter '{letter}' in '{word}'")
-        u = spinsys.embed(spinsys.rotation2(np.pi / 2, _AXIS_PHASE[letter]), position + 1) @ u
-    return u
+    targets = [q for q, letter in enumerate(word, 1) if letter != "I"]
+    return spinsys.rotation_product(targets, np.pi / 2, [_AXIS_PHASE[word[q - 1]] for q in targets])
 
 
 def readout(rho: np.ndarray, word: str) -> np.ndarray:

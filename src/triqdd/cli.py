@@ -275,10 +275,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("star", help="pair concurrences of the star state under mXY8")
     _add_system_flags(sub)
-    sub.add_argument("--free", action="store_true", help="also emit free-evolution curves")
+    sub.add_argument("--free", action="store_true",
+                     help="also emit free-evolution curves, read exactly (no tomography)")
     sub.add_argument("--prep", default="ideal", choices=("ideal", "nmr"))
     sub.add_argument("--tomo-sigma", type=float, default=None,
-                     help="route readout through tomography at this noise level")
+                     help="route the protected rows' readout through tomography at this "
+                          "noise level; --free rows are read exactly")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--t-max", type=float, default=runner.GRID_T_MAX)
     sub.add_argument("--points", type=int, default=runner.GRID_POINTS)

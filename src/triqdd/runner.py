@@ -493,7 +493,8 @@ def star_protection(sys: SpinSystem, times=None, protected: bool = True,
     two can be compared point by point. times may be one grid for both
     pairs or a {"AC": ..., "BC": ...} mapping. tomo_sigma, when given,
     reads each checked state out through the tomography pipeline before
-    the concurrence is taken.
+    the concurrence is taken. The CLI's `star --free` passes tomo_sigma
+    and seed to the protected run only, so its free rows are read exactly.
     """
     if prep not in ("ideal", "nmr"):
         raise ValueError(f"unknown preparation '{prep}', expected 'ideal' or 'nmr'")

@@ -82,7 +82,6 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 
 from .qmat import coherence_order_matrix
 
@@ -240,11 +239,6 @@ def free_factors(sys: SpinSystem, t: float, extra_hz: np.ndarray | None = None) 
     return np.exp((-2j * np.pi * phase - decay) * t)
 
 
-def free_propagate(rho: np.ndarray, sys: SpinSystem, t: float) -> np.ndarray:
-    """Evolve rho freely for time t under Hamiltonian phases and dephasing."""
-    return np.asarray(rho, dtype=complex) * free_factors(sys, t)
-
-
 @dataclass(frozen=True)
 class PulseEvent:
     """One rf pulse: start time, width, targets and per-target phases.
@@ -306,7 +300,8 @@ def rotation2(theta: float, phi: float) -> np.ndarray:
     return np.cos(theta / 2) * IDENTITY_2 - 1j * np.sin(theta / 2) * axis
 
 
-def _rotation_product(targets, flip: float, phases) -> np.ndarray:
+def rotation_product(targets, flip: float, phases) -> np.ndarray:
+    """Product of flip-angle rotations on 1-based targets, first target first."""
     u = np.eye(DIM, dtype=complex)
     for q, ph in zip(targets, phases):
         u = embed(rotation2(flip, ph), q) @ u
@@ -325,17 +320,18 @@ def pulse_propagator(ev: PulseEvent, sys: SpinSystem) -> np.ndarray:
     """Unitary of one pulse event under the system's pulse model.
 
     Only a finite window with the internal Hamiltonian on needs a matrix
-    exponential; any other pulse is the product of its single-target
-    rotations.
+    exponential, of the Hermitian h t_p by its eigendecomposition; any
+    other pulse is the product of its single-target rotations.
     """
     flip, phases = _applied_rotation(ev, sys)
     if ev.duration == 0.0 or not sys.pulse.internal_h_during_pulse:
-        return _rotation_product(ev.targets, flip, phases)
+        return rotation_product(ev.targets, flip, phases)
     # h t_p with the rf part written as its rotation angle: no width divides anything
     ht = 2.0 * np.pi * ev.duration * np.diag(energies(sys)).astype(complex)
     for q, ph in zip(ev.targets, phases):
         ht += (flip / 2.0) * embed(np.cos(ph) * SIGMA_X + np.sin(ph) * SIGMA_Y, q)
-    return expm(-1j * ht)
+    w, v = np.linalg.eigh(ht)
+    return (v * np.exp(-1j * w)) @ v.conj().T
 
 
 # cos and sin of a rotation's half angle, indexed by its half turns mod 4
@@ -367,10 +363,6 @@ def pulse_permutation(ev: PulseEvent, sys: SpinSystem):
         d = d * rot[row_bit, row_bit ^ (n % 2)]
         perm = perm ^ ((n % 2) << (N_QUBITS - q))
     return perm, d
-
-
-def apply_unitary(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
-    return u @ np.asarray(rho, dtype=complex) @ u.conj().T
 
 
 # -- the schedule engine ---------------------------------------------------

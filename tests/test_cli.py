@@ -1,13 +1,18 @@
 """Exit codes, artifacts, and output of the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import triqdd
 from triqdd import cli, ddseq, qmat, spinsys
 
 
@@ -340,3 +345,33 @@ def test_broken_state_mid_run_exits_three(capsys, monkeypatch, tmp_path):
                            "--out-csv", str(tmp_path / "star.csv"))
     assert code == 3
     assert "invariant violation" in err and "trace is" in err
+
+
+# -- dependencies ----------------------------------------------------------
+
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # every scipy import now raises ModuleNotFoundError
+from triqdd import cli
+for argv in {commands!r}:
+    code = cli.main(argv)
+    if code != 0:
+        sys.exit(f"{{argv}} exited {{code}}")
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # the windowed-pulse exponential, a free star run and the tomography solve
+    commands = [
+        ["decay", "--state", "psi1a", "--families", "XY8", "--points", "3",
+         "--set", "pulse.internal_h_during_pulse=on", "--out-csv", "c.csv", "--out-json", "s.json"],
+        ["star", "--free", "--prep", "nmr", "--tomo-sigma", "0.01", "--points", "3",
+         "--out-csv", "star.csv"],
+        ["tomo", "star", "--sigma", "0.01"],
+    ]
+    src = str(Path(triqdd.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY.format(commands=commands)],
+                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

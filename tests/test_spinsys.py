@@ -45,7 +45,7 @@ def test_single_quantum_element_frequency():
     rho = np.zeros((8, 8), dtype=complex)
     rho[6, 6] = rho[7, 7] = 0.5
     rho[6, 7] = rho[7, 6] = 0.5
-    out = spinsys.free_propagate(rho, sys, t)
+    out = rho * spinsys.free_factors(sys, t)
     freq = nu3 - j13 / 2 - j23 / 2
     assert out[6, 7] == pytest.approx(0.5 * np.exp(-2j * np.pi * freq * t), abs=1e-12)
 
@@ -75,7 +75,7 @@ def test_free_evolution_matches_superoperator_exponential():
         prop = expm(m * t)
         for _ in range(4):
             rho = random_rho(rng, 8)
-            direct = spinsys.free_propagate(rho, sys, t)
+            direct = rho * spinsys.free_factors(sys, t)
             via_super = (prop @ rho.reshape(-1)).reshape(8, 8)
             assert np.allclose(direct, via_super, atol=1e-8)
 
@@ -84,13 +84,13 @@ def test_free_evolution_semigroup_and_channel_properties():
     rng = np.random.default_rng(29)
     sys = SpinSystem()
     rho = random_rho(rng, 8)
-    both = spinsys.free_propagate(rho, sys, 0.013)
-    split = spinsys.free_propagate(spinsys.free_propagate(rho, sys, 0.009), sys, 0.004)
+    both = rho * spinsys.free_factors(sys, 0.013)
+    split = rho * spinsys.free_factors(sys, 0.009) * spinsys.free_factors(sys, 0.004)
     assert np.allclose(both, split, atol=1e-12)
     qmat.assert_density_matrix(both)
     assert np.allclose(np.diag(both), np.diag(rho), atol=1e-12)  # pure dephasing
     with pytest.raises(ValueError):
-        spinsys.free_propagate(rho, sys, -0.1)
+        spinsys.free_factors(sys, -0.1)
 
 
 _RATES = st.floats(0.0, 50.0)
@@ -159,7 +159,7 @@ def test_decay_rates_by_order():
     gc = sys.noise.gamma_corr
     t = 0.21
     rho = np.full((8, 8), 0.125, dtype=complex)
-    out = spinsys.free_propagate(rho, sys, t)
+    out = rho * spinsys.free_factors(sys, t)
     cases = {
         (0, 7): g1 + g2 + g3 + 9 * gc,   # triple quantum
         (6, 7): g3 + gc,                  # single spin flips
@@ -225,20 +225,31 @@ def test_finite_pulse_without_internal_h_equals_instantaneous():
 
 
 def test_hard_pulse_equals_expm_of_rf_hamiltonian():
+    # with the internal Hamiltonian on, a window also integrates 2 pi diag(E),
+    # E written out from the model formula of random offsets and couplings
     rng = np.random.default_rng(41)
-    for _ in range(60):
-        targets = tuple(int(q) for q in rng.permutation((1, 2, 3))[:rng.integers(1, 4)])
-        flip = rng.choice((np.pi, np.pi / 2, rng.uniform(-3 * np.pi, 3 * np.pi)))
-        phases = rng.uniform(-np.pi, np.pi, size=len(targets))
-        eps, phase_err = rng.choice((0.0, 0.02, -0.02)), rng.uniform(-0.1, 0.1)
-        duration = rng.uniform(1e-6, 1e-4)
-        sys = plain_system(pulse=PulseErrorModel(eps, phase_err))
-        got = spinsys.pulse_propagator(pulse(0.0, targets, flip, phases, duration), sys)
-        omega = flip * (1 + eps) / duration
-        h = sum((omega / 2) * spinsys.embed(np.cos(ph + phase_err) * spinsys.SIGMA_X
-                                            + np.sin(ph + phase_err) * spinsys.SIGMA_Y, q)
-                for q, ph in zip(targets, phases))
-        assert np.max(np.abs(got - expm(-1j * h * duration))) <= 1e-13
+    s = 1 - 2 * ((np.arange(8)[:, None] >> np.array([2, 1, 0])) & 1)
+    for internal_h in (False, True):
+        for _ in range(60):
+            targets = tuple(int(q) for q in rng.permutation((1, 2, 3))[:rng.integers(1, 4)])
+            flip = rng.choice((np.pi, np.pi / 2, rng.uniform(-3 * np.pi, 3 * np.pi)))
+            phases = rng.uniform(-np.pi, np.pi, size=len(targets))
+            eps, phase_err = rng.choice((0.0, 0.02, -0.02)), rng.uniform(-0.1, 0.1)
+            duration = rng.uniform(1e-6, 1e-3 if internal_h else 1e-4)
+            offsets, couplings = rng.uniform(-2000, 2000, 3), rng.uniform(-200, 200, 3)
+            sys = SpinSystem(tuple(offsets), tuple(couplings), NoiseModel(),
+                             PulseErrorModel(eps, phase_err, internal_h))
+            got = spinsys.pulse_propagator(pulse(0.0, targets, flip, phases, duration), sys)
+            omega = flip * (1 + eps) / duration
+            h = sum((omega / 2) * spinsys.embed(np.cos(ph + phase_err) * spinsys.SIGMA_X
+                                                + np.sin(ph + phase_err) * spinsys.SIGMA_Y, q)
+                    for q, ph in zip(targets, phases))
+            if internal_h:
+                j12, j13, j23 = couplings
+                energy = s @ offsets / 2 + (j12 * s[:, 0] * s[:, 1] + j13 * s[:, 0] * s[:, 2]
+                                            + j23 * s[:, 1] * s[:, 2]) / 4
+                h = h + 2 * np.pi * np.diag(energy)
+            assert np.max(np.abs(got - expm(-1j * h * duration))) <= 1e-13
 
 
 def test_pulse_permutation_is_the_exact_signed_permutation():
@@ -309,8 +320,8 @@ def test_sequence_free_pulse_free_composition():
     ev = pulse(0.003, (1, 3), np.pi, (0.0, np.pi / 2))
     got = spinsys.apply_sequence(rho, sys, [ev], 0.008)
     u = spinsys.pulse_propagator(ev, sys)
-    want = spinsys.free_propagate(
-        spinsys.apply_unitary(spinsys.free_propagate(rho, sys, 0.003), u), sys, 0.005)
+    first = rho * spinsys.free_factors(sys, 0.003)
+    want = (u @ first @ u.conj().T) * spinsys.free_factors(sys, 0.005)
     assert np.allclose(got, want, atol=1e-12)
 
 
