@@ -99,14 +99,6 @@ def prepare(state_id: str) -> np.ndarray:
     return qmat.ket_to_rho(prepare_ket(state_id))
 
 
-def catalog_ket(state_id: str) -> np.ndarray:
-    """The ket the catalog says the circuit must produce (term list)."""
-    ket = np.zeros(DIM, dtype=complex)
-    for index, amp in _catalog_entry(state_id)["terms"]:
-        ket[index] = amp
-    return ket
-
-
 def tracked_element(state_id: str) -> tuple[int, int]:
     i, j = _catalog_entry(state_id)["tracked_element"]
     return int(i), int(j)

@@ -240,18 +240,3 @@ def cycle_to_json(cycle: DDCycle) -> dict:
             for ev in events
         ],
     }
-
-
-def program_from_json(doc) -> tuple[tuple[PulseEvent, ...], float, str]:
-    """Load an exported timed-event program: (events, duration, name)."""
-    if isinstance(doc, (str, bytes)):
-        doc = json.loads(doc)
-    try:
-        events = tuple(
-            pulse(e["t_s"], e["targets"], np.deg2rad(e["flip_deg"]),
-                  np.deg2rad(e["phase_deg"]), e["dur_s"])
-            for e in doc["events"]
-        )
-        return events, float(doc["duration_s"]), str(doc["name"])
-    except KeyError as exc:
-        raise ValueError(f"timed-event document is missing field {exc}") from None

@@ -14,8 +14,6 @@ coherences.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 SUPPORTED_DIMS = (2, 4, 8)
@@ -210,16 +208,3 @@ def rho_to_json(rho: np.ndarray) -> dict:
     n_qubits(rho.shape[0])
     entries = [[float(z.real), float(z.imag)] for z in rho.reshape(-1)]
     return {"dim": int(rho.shape[0]), "entries": entries}
-
-
-def rho_from_json(doc) -> np.ndarray:
-    """Inverse of rho_to_json; accepts the dict form or its JSON text."""
-    if isinstance(doc, (str, bytes)):
-        doc = json.loads(doc)
-    dim = int(doc["dim"])
-    n_qubits(dim)
-    entries = doc["entries"]
-    if len(entries) != dim * dim:
-        raise ValueError(f"expected {dim * dim} entries, got {len(entries)}")
-    flat = np.array([complex(re, im) for re, im in entries])
-    return flat.reshape(dim, dim)

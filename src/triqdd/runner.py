@@ -30,11 +30,16 @@ one exp per fused segment, see the spinsys docstring), raised to the
 step's unit count by spinsys.repeat_program; a free step is the
 pulseless program of the gap, compiled the same way. One plan is kept
 per distinct step (a unit-snapped grid has two or three; the walk keeps
-the last few). The grid builds each distinct protocol's walk once and
-runs every state that uses it (free evolution and each all-spin family
-serve all seven), one protocol at a time. Every curve records from this
-one walk: its shot-averaged states are checked as one stack to be
-density matrices before anything reads them, and before any tomography
+the last few). The grid prepares each state once, builds each distinct
+protocol's walk once and runs every state that uses it (free evolution
+and each all-spin family serve all seven), one protocol at a time. A
+walk whose segments are all fused, as free evolution and ideal pulses
+always are, steps its shots once per recorded time and shares the
+shot-averaged map with every state; a dense segment (a flip-angle
+error, or the internal Hamiltonian inside a pulse window) makes it step
+a shot stack of each state instead. Every curve records from this one
+walk: its shot-averaged states are checked as one stack to be density
+matrices before anything reads them, and before any tomography
 readout, so a broken evolution fails as an invariant violation.
 
 Reference percentages from the published tables are bundled as data and
@@ -49,7 +54,7 @@ import csv
 import json
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from types import MappingProxyType
 
@@ -244,6 +249,14 @@ class _ProtocolWalk:
     repeat unit raised to the unit-count increment for DD. The offset
     draw and the unit are built once, and one plan per distinct step is
     kept (the last few; a unit-snapped grid has two or three).
+
+    When every segment is fused (free evolution always; DD with ideal
+    pulses), the state of shot s at time t is C_t(s) * rho0[P_t][:, P_t]
+    with a permutation P_t that no shot changes. The walk then runs once,
+    on the all-ones stack, which yields C_t since ones[P][:, P] is ones,
+    and keeps the shot means of C_t with P_t: every state reads its
+    averaged states from that one map. A unit with a dense segment walks
+    a shot stack of each state instead.
     """
 
     def __init__(self, sys, cycle, times):
@@ -259,6 +272,7 @@ class _ProtocolWalk:
             self.unit = spinsys.compile_program(
                 sys, *ddseq.program(cycle, cycle.unit_cycles), self.deltas)
             self.steps = np.diff(counts, prepend=0)
+        self.fused = cycle is None or all(seg[0] == "fused" for seg in self.unit)
         self.kept = deque([(0, [])], maxlen=_KEPT_PLANS)  # a zero step is the empty plan
 
     def plan(self, step):
@@ -269,13 +283,33 @@ class _ProtocolWalk:
             self.kept.append((step, found))
         return found
 
+    @cached_property
+    def averaged_map(self) -> tuple[np.ndarray, np.ndarray]:
+        """Shot means of C_t, (T, 8, 8), and the perms P_t, (T, 8), of a fused walk."""
+        stack = np.ones((len(self.deltas), spinsys.DIM, spinsys.DIM), dtype=complex)
+        means = np.empty((len(self.steps),) + stack.shape[1:], dtype=complex)
+        perms = np.empty((len(self.steps), spinsys.DIM), dtype=int)
+        perm = np.arange(spinsys.DIM)
+        for i, step in enumerate(self.steps):
+            plan = self.plan(step)
+            stack = spinsys.apply_program(stack, plan)
+            for _, _, p in plan:
+                if p is not None:
+                    perm = perm[p]
+            means[i], perms[i] = stack.mean(axis=0), perm
+        return means, perms
+
     def averaged_states(self, rho0) -> np.ndarray:
         """The shot-averaged state at every recorded time, checked as one stack."""
-        states = np.broadcast_to(rho0, (len(self.deltas),) + rho0.shape).copy()
-        out = np.empty((len(self.steps),) + rho0.shape, dtype=complex)
-        for i, step in enumerate(self.steps):
-            states = spinsys.apply_program(states, self.plan(step))
-            out[i] = states.mean(axis=0)
+        if self.fused:
+            means, perms = self.averaged_map
+            out = means * rho0[perms[:, :, None], perms[:, None, :]]
+        else:
+            states = np.broadcast_to(rho0, (len(self.deltas),) + rho0.shape).copy()
+            out = np.empty((len(self.steps),) + rho0.shape, dtype=complex)
+            for i, step in enumerate(self.steps):
+                states = spinsys.apply_program(states, self.plan(step))
+                out[i] = states.mean(axis=0)
         try:
             qmat.assert_density_matrix(out)
         except ValueError as exc:
@@ -283,8 +317,8 @@ class _ProtocolWalk:
         return out
 
 
-def _decay_curve(state_id: str, protocol: Protocol, walk: _ProtocolWalk) -> DecayCurve:
-    rho0 = circuits.prepare(state_id)
+def _decay_curve(state_id: str, rho0: np.ndarray, protocol: Protocol,
+                 walk: _ProtocolWalk) -> DecayCurve:
     element = circuits.tracked_element(state_id)
     raw = walk.averaged_states(rho0)[(slice(None),) + element].tolist()
     ref = complex(rho0[element])
@@ -310,7 +344,8 @@ def run_decay(state_id: str, protocol: Protocol, sys: SpinSystem,
     cycle = build_cycle(protocol)
     if times is None:
         times = default_time_grid(None if cycle is None else cycle.unit_duration)
-    return _decay_curve(state_id, protocol, _ProtocolWalk(sys, cycle, times))
+    return _decay_curve(state_id, circuits.prepare(state_id), protocol,
+                        _ProtocolWalk(sys, cycle, times))
 
 
 # -- table grid ------------------------------------------------------------
@@ -354,9 +389,10 @@ def run_grid(sys: SpinSystem, families=FAMILIES, states=TABLE_STATES,
     users: dict[Protocol, list[str]] = {}  # FreeEv and DD3sp serve every state
     for state_id, proto in cells:
         users.setdefault(proto, []).append(state_id)
+    prepared = {state_id: circuits.prepare(state_id) for state_id in states}
     done = {}
     for proto, state_ids in users.items():
-        curves = _protocol_curves(sys, proto, state_ids, t_max, points)
+        curves = _protocol_curves(sys, proto, state_ids, prepared, t_max, points)
         done.update(((state_id, proto), c) for state_id, c in zip(state_ids, curves))
     curves = tuple(done[cell] for cell in cells)
     # the grid always ends on t_max
@@ -365,12 +401,12 @@ def run_grid(sys: SpinSystem, families=FAMILIES, states=TABLE_STATES,
     return GridRun(curves, percents, t_max)
 
 
-def _protocol_curves(sys, proto, state_ids, t_max, points) -> list[DecayCurve]:
-    """One protocol's curve on each state; its walk, and so its plans, die on return."""
+def _protocol_curves(sys, proto, state_ids, prepared, t_max, points) -> list[DecayCurve]:
+    """One protocol's curve on each state; its walk, and so its map and plans, die on return."""
     cycle = build_cycle(proto)
     times = default_time_grid(None if cycle is None else cycle.unit_duration, t_max, points)
     walk = _ProtocolWalk(sys, cycle, times)
-    return [_decay_curve(state_id, proto, walk) for state_id in state_ids]
+    return [_decay_curve(state_id, prepared[state_id], proto, walk) for state_id in state_ids]
 
 
 # -- reference comparison --------------------------------------------------

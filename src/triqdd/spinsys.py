@@ -213,32 +213,6 @@ def _tables(offsets, couplings, noise):
     return energy, phase, decay, sens
 
 
-def disorder_phase_rates(deltas) -> np.ndarray:
-    """Element-wise frequency shift in Hz for static per-spin offset shifts.
-
-    deltas is one (3,) shift or a (shots, 3) stack, giving (8, 8) or
-    (shots, 8, 8) respectively. A common-mode shift c is c added to every
-    spin: the sensitivities of an element sum to its coherence order.
-    """
-    sens = _tables((0.0,) * 3, (0.0,) * 3, NoiseModel())[3]
-    return np.einsum("abq,...q->...ab", sens, np.asarray(deltas, dtype=float))
-
-
-def free_factors(sys: SpinSystem, t: float, extra_hz: np.ndarray | None = None) -> np.ndarray:
-    """Element-wise factors of free evolution for time t.
-
-    extra_hz, if given, holds additional element frequencies (static
-    disorder shifts) folded into the phase: an (8, 8) matrix, or a
-    (shots, 8, 8) stack that yields one factor matrix per shot.
-    """
-    if t < 0:
-        raise ValueError(f"negative evolution time {t}")
-    _, phase, decay, _ = _tables(sys.offsets, sys.couplings, sys.noise)
-    if extra_hz is not None:
-        phase = phase + extra_hz
-    return np.exp((-2j * np.pi * phase - decay) * t)
-
-
 @dataclass(frozen=True)
 class PulseEvent:
     """One rf pulse: start time, width, targets and per-target phases.

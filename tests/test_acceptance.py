@@ -18,6 +18,7 @@ from triqdd import circuits, ddseq, qmat, runner, spinsys
 from triqdd.spinsys import DIM, NoiseModel, PulseErrorModel, SpinSystem
 
 from conftest import MATRIX_UNITS, random_rho, unit_channel, unitary_channel
+from oracles import disorder_phase_rates, free_factors
 
 QUIET = SpinSystem(noise=NoiseModel())
 
@@ -157,7 +158,7 @@ def test_analytic_dephasing_against_superoperator():
         vec = scipy.linalg.expm(lind * t) @ rho0.reshape(-1)
         oracle = abs(vec.reshape(8, 8)[0, 7]) / abs(rho0[0, 7])
         assert abs(oracle - math.exp(-rate * t)) <= 1e-9
-        sim = abs((spinsys.free_factors(sys, t) * rho0)[0, 7]) / abs(rho0[0, 7])
+        sim = abs((free_factors(sys, t) * rho0)[0, 7]) / abs(rho0[0, 7])
         assert abs(sim - oracle) <= 1e-9
 
     # order-zero elements never feel the correlated channel, bit for bit
@@ -254,24 +255,24 @@ def test_channel_properties_and_semigroup():
     plans.append(spinsys.compile_program(
         err_sys, *ddseq.program(ddseq.generate("XY8", 4e-4, 2e-5, targets=(1, 2, 3)), 1)))
     disorder = spinsys.DisorderModel((1.0, 1.0, 1.0), 2.0, shots=16, seed=5)
-    shifts = [spinsys.disorder_phase_rates(tuple(d)) for d in disorder.draw()]
+    shifts = [disorder_phase_rates(tuple(d)) for d in disorder.draw()]
 
     for i in range(1000):
         rho = random_rho(rng, DIM)
         t1, t2 = rng.uniform(0.01, 0.4, size=2)
 
-        evolved = spinsys.free_factors(sys, t1) * rho
+        evolved = free_factors(sys, t1) * rho
         qmat.assert_density_matrix(evolved)
 
         pulsed = spinsys.apply_program(rho, plans[i % len(plans)])
         qmat.assert_density_matrix(pulsed)
 
-        stepped = spinsys.free_factors(sys, t2) * evolved
-        joint = spinsys.free_factors(sys, t1 + t2) * rho
+        stepped = free_factors(sys, t2) * evolved
+        joint = free_factors(sys, t1 + t2) * rho
         assert np.max(np.abs(stepped - joint)) <= 1e-12
 
         if i % 8 == 0:
             averaged = np.mean(
-                [spinsys.free_factors(sys, t1, extra) * rho for extra in shifts],
+                [free_factors(sys, t1, extra) * rho for extra in shifts],
                 axis=0)
             qmat.assert_density_matrix(averaged)

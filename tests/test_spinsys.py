@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import random_rho
+from oracles import disorder_phase_rates, free_factors
 from triqdd import ddseq, qmat, spinsys
 from triqdd.spinsys import (
     ConfigError,
@@ -45,7 +46,7 @@ def test_single_quantum_element_frequency():
     rho = np.zeros((8, 8), dtype=complex)
     rho[6, 6] = rho[7, 7] = 0.5
     rho[6, 7] = rho[7, 6] = 0.5
-    out = rho * spinsys.free_factors(sys, t)
+    out = rho * free_factors(sys, t)
     freq = nu3 - j13 / 2 - j23 / 2
     assert out[6, 7] == pytest.approx(0.5 * np.exp(-2j * np.pi * freq * t), abs=1e-12)
 
@@ -75,7 +76,7 @@ def test_free_evolution_matches_superoperator_exponential():
         prop = expm(m * t)
         for _ in range(4):
             rho = random_rho(rng, 8)
-            direct = rho * spinsys.free_factors(sys, t)
+            direct = rho * free_factors(sys, t)
             via_super = (prop @ rho.reshape(-1)).reshape(8, 8)
             assert np.allclose(direct, via_super, atol=1e-8)
 
@@ -84,13 +85,13 @@ def test_free_evolution_semigroup_and_channel_properties():
     rng = np.random.default_rng(29)
     sys = SpinSystem()
     rho = random_rho(rng, 8)
-    both = rho * spinsys.free_factors(sys, 0.013)
-    split = rho * spinsys.free_factors(sys, 0.009) * spinsys.free_factors(sys, 0.004)
+    both = rho * free_factors(sys, 0.013)
+    split = rho * free_factors(sys, 0.009) * free_factors(sys, 0.004)
     assert np.allclose(both, split, atol=1e-12)
     qmat.assert_density_matrix(both)
     assert np.allclose(np.diag(both), np.diag(rho), atol=1e-12)  # pure dephasing
     with pytest.raises(ValueError):
-        spinsys.free_factors(sys, -0.1)
+        free_factors(sys, -0.1)
 
 
 _RATES = st.floats(0.0, 50.0)
@@ -109,8 +110,8 @@ def test_free_channel_is_cptp_under_random_noise(gamma, gamma_corr, offsets,
     # product theorem), and trace preserving iff its diagonal is one
     sys = SpinSystem(offsets, couplings, NoiseModel(gamma, gamma_corr))
     # the drawn common-mode shift is the same shift on every spin
-    extra = None if shifts is None else spinsys.disorder_phase_rates(np.add(*shifts))
-    factors = spinsys.free_factors(sys, t, extra)
+    extra = None if shifts is None else disorder_phase_rates(np.add(*shifts))
+    factors = free_factors(sys, t, extra)
     # float64 rounds a phase angle theta to about eps * theta, which bounds how
     # far below zero an eigenvalue of the eight-row multiplier can round
     hz = sum(map(abs, offsets + couplings)) + (0.0 if extra is None else np.abs(extra).max())
@@ -159,7 +160,7 @@ def test_decay_rates_by_order():
     gc = sys.noise.gamma_corr
     t = 0.21
     rho = np.full((8, 8), 0.125, dtype=complex)
-    out = rho * spinsys.free_factors(sys, t)
+    out = rho * free_factors(sys, t)
     cases = {
         (0, 7): g1 + g2 + g3 + 9 * gc,   # triple quantum
         (6, 7): g3 + gc,                  # single spin flips
@@ -172,19 +173,19 @@ def test_decay_rates_by_order():
 
 
 def test_disorder_phase_rates():
-    shift = spinsys.disorder_phase_rates((1.0, 10.0, 100.0))
+    shift = disorder_phase_rates((1.0, 10.0, 100.0))
     assert shift[6, 7] == pytest.approx(100.0)   # only qubit 3 differs
     assert shift[0, 7] == pytest.approx(111.0)   # all three add up
     assert shift[2, 4] == pytest.approx(1.0 - 10.0)
     # a common-mode shift c moves each element by c times its coherence order
-    common = spinsys.disorder_phase_rates((2.0, 2.0, 2.0))
+    common = disorder_phase_rates((2.0, 2.0, 2.0))
     assert np.array_equal(common, 2.0 * qmat.coherence_order_matrix(3))
     deltas = np.random.default_rng(3).standard_normal((5, 3))
-    stacked = spinsys.disorder_phase_rates(deltas)
+    stacked = disorder_phase_rates(deltas)
     assert stacked.shape == (5, 8, 8)
     for row, shift in zip(deltas, stacked):
-        assert np.allclose(shift, spinsys.disorder_phase_rates(tuple(row)), rtol=0, atol=1e-13)
-        assert np.allclose(spinsys.disorder_phase_rates(row + 0.4),
+        assert np.allclose(shift, disorder_phase_rates(tuple(row)), rtol=0, atol=1e-13)
+        assert np.allclose(disorder_phase_rates(row + 0.4),
                            shift + 0.4 * qmat.coherence_order_matrix(3), rtol=0, atol=1e-13)
 
 
@@ -320,8 +321,8 @@ def test_sequence_free_pulse_free_composition():
     ev = pulse(0.003, (1, 3), np.pi, (0.0, np.pi / 2))
     got = spinsys.apply_sequence(rho, sys, [ev], 0.008)
     u = spinsys.pulse_propagator(ev, sys)
-    first = rho * spinsys.free_factors(sys, 0.003)
-    want = (u @ first @ u.conj().T) * spinsys.free_factors(sys, 0.005)
+    first = rho * free_factors(sys, 0.003)
+    want = (u @ first @ u.conj().T) * free_factors(sys, 0.005)
     assert np.allclose(got, want, atol=1e-12)
 
 

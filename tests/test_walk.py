@@ -13,8 +13,10 @@ pulseless program per distinct gap, must reproduce the per-time factor
 stacks they replaced, compiling each gap length once. A plan of k units
 (spinsys.repeat_program) must match k walks of its unit, whether it is
 the closed-form power of one fused segment or the concatenation of a
-dense unit's own segments, and the grid, which builds each protocol's
-walk once for all its states, must match one run_decay per curve.
+dense unit's own segments. A fused walk's shot-averaged map, shared by
+every state, must match each state's own shot-stack walk, and the grid,
+which builds each protocol's walk once for all its states and steps its
+shots once per recorded time, must match one run_decay per curve.
 """
 
 from dataclasses import replace
@@ -29,6 +31,7 @@ from triqdd.qmat import InvariantError
 from triqdd.spinsys import DisorderModel, NoiseModel, PulseErrorModel, SpinSystem
 
 from conftest import random_rho
+from oracles import disorder_phase_rates, free_factors
 
 
 # -- reference: the dense walk ---------------------------------------------
@@ -44,7 +47,7 @@ def _unit_plan(sys: SpinSystem, events, duration: float, deltas: np.ndarray) -> 
     as a finite segment and free evolution covers the gaps alone.
     """
     hard = not sys.pulse.internal_h_during_pulse
-    shifts = spinsys.disorder_phase_rates(deltas)
+    shifts = disorder_phase_rates(deltas)
     plan = []
     gap_cache: dict[float, np.ndarray] = {}
     pulse_cache: dict[tuple, np.ndarray] = {}
@@ -53,7 +56,7 @@ def _unit_plan(sys: SpinSystem, events, duration: float, deltas: np.ndarray) -> 
         key = round(dt, 15)
         if key not in gap_cache:
             gap_cache[key] = np.stack(
-                [spinsys.free_factors(sys, dt, shift) for shift in shifts])
+                [free_factors(sys, dt, shift) for shift in shifts])
         plan.append(("free", gap_cache[key]))
 
     t = 0.0
@@ -213,11 +216,11 @@ def test_free_walk_matches_per_time_factors(grid):
     assert sys.disorder is not None and sys.disorder.shots == 512
     times = FREE_GRIDS[grid]
     rho0 = random_rho(np.random.default_rng(13), spinsys.DIM)
-    shifts = spinsys.disorder_phase_rates(sys.disorder.draw())
+    shifts = disorder_phase_rates(sys.disorder.draw())
     walked = runner._ProtocolWalk(sys, None, times).averaged_states(rho0)
     assert len(walked) == len(times)
     for t, avg in zip(times, walked):
-        want = rho0 * spinsys.free_factors(sys, t, shifts).mean(axis=0)
+        want = rho0 * free_factors(sys, t, shifts).mean(axis=0)
         assert np.max(np.abs(avg - want)) <= 1e-12
 
 
@@ -244,6 +247,63 @@ def test_free_walk_compiles_each_distinct_gap_once(monkeypatch):
     # a NaN gap matches no kept plan: it compiles, and the schedule check rejects it
     with pytest.raises(ValueError):
         runner._ProtocolWalk(sys, None, (0.0, 0.1, float("nan"))).averaged_states(rho0)
+
+
+# -- one shot-averaged map per fused protocol, shared by every state --------
+
+def _state_walk(sys, cycle, times, rho0):
+    """The shot stack of one state walked through every recorded time, then averaged."""
+    deltas = offset_draw(sys)
+    states = np.broadcast_to(rho0, (len(deltas),) + rho0.shape).copy()
+    unit = None if cycle is None else spinsys.compile_program(
+        sys, *ddseq.program(cycle, cycle.unit_cycles), deltas)
+    out, done = [], 0
+    for t in times:
+        if unit is None:
+            plan = spinsys.compile_program(sys, (), t - done, deltas)
+            done = t
+        else:
+            k = ddseq.unit_count(t, cycle.unit_duration, cycle.name)
+            plan = spinsys.repeat_program(unit, k - done)
+            done = k
+        states = spinsys.apply_program(states, plan)
+        out.append(states.mean(0))
+    return np.array(out)
+
+
+_CPMG3 = ddseq.generate_cpmg(3, 0.5e-3, 4e-5, (1, 2))
+MAP_WALKS = {  # (cycle, t_max)
+    "FreeEv": (None, runner.GRID_T_MAX),
+    "DD3sp-XY8": (runner.build_cycle(runner.default_protocol("DD3sp", "psi3", "XY8")),
+                  runner.GRID_T_MAX),
+    # three pulses per spin: the unit permutes the basis, so P_t flips with the unit count
+    "CPMG3-permuting": (_CPMG3, 401 * _CPMG3.unit_duration),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MAP_WALKS))
+def test_map_walk_matches_state_walk(name):
+    sys = runner.default_system()  # the committed 512-shot disorder
+    cycle, t_max = MAP_WALKS[name]
+    times = runner.default_time_grid(None if cycle is None else cycle.unit_duration, t_max)
+    walk = runner._ProtocolWalk(sys, cycle, times)
+    assert walk.fused
+    for state_id in runner.TABLE_STATES + ("star",):
+        rho0 = circuits.prepare(state_id)
+        want = _state_walk(sys, cycle, walk.times, rho0)
+        assert np.max(np.abs(walk.averaged_states(rho0) - want)) <= 1e-12
+    perms = walk.averaged_map[1]
+    identity = np.all(perms == np.arange(spinsys.DIM), axis=1)
+    if cycle is not None and cycle.name.startswith("CPMG"):
+        odd = [ddseq.unit_count(t, cycle.unit_duration, cycle.name) % 2 == 1
+               for t in walk.times]
+        assert any(odd) and not all(odd)
+        assert list(identity) == [not o for o in odd]
+    else:
+        assert identity.all()
+    # a dense segment sends the walk back to one shot stack per state
+    flip = replace(sys, pulse=PulseErrorModel(flip_fraction_error=0.02))
+    assert runner._ProtocolWalk(flip, cycle, times).fused == (cycle is None)
 
 
 # -- k units in one plan, and one walk per grid protocol -------------------
@@ -289,14 +349,28 @@ GRID_STATES = ("psi0a", "psi1a", "psi3")
 
 
 def test_grid_walks_each_protocol_once_for_all_its_states(monkeypatch):
-    real = spinsys.compile_program
-    units, gaps = [], []
+    real, real_apply, real_curves = (spinsys.compile_program, spinsys.apply_program,
+                                     runner._protocol_curves)
+    units, gaps, stack_walks, walked = [], [], [], {}
 
     def counting(sys, events, duration, deltas):
         (units if events else gaps).append((events, duration))
         return real(sys, events, duration, deltas)
 
+    def counting_apply(states, plan):
+        if states.ndim == 3:  # a shot stack, not one state
+            stack_walks.append(plan)
+        return real_apply(states, plan)
+
+    def per_protocol(sys, proto, state_ids, *rest):
+        before = len(stack_walks)
+        curves = real_curves(sys, proto, state_ids, *rest)
+        walked[proto] = (len(stack_walks) - before, len(state_ids), len(curves[0].times))
+        return curves
+
     monkeypatch.setattr(spinsys, "compile_program", counting)
+    monkeypatch.setattr(spinsys, "apply_program", counting_apply)
+    monkeypatch.setattr(runner, "_protocol_curves", per_protocol)
     sys = runner.default_system()  # the committed 512-shot disorder
     run = runner.run_grid(sys, ("XY8",), GRID_STATES)
     # FreeEv and DD3sp serve all three states, each DD protocol compiles its unit once
@@ -306,7 +380,12 @@ def test_grid_walks_each_protocol_once_for_all_its_states(monkeypatch):
     # the free gaps too, once for all three states
     free = runner.default_time_grid(None)
     assert len(gaps) == len({round(b - a, 12) for a, b in zip(free, free[1:])})
+    # every protocol is fused: one shot-stack step per recorded time, whatever its state count
+    assert sorted(n for _, n, _ in walked.values()) == [1, 1, 3, 3]
+    assert all(calls == steps for calls, _, steps in walked.values())
     monkeypatch.setattr(spinsys, "compile_program", real)
+    monkeypatch.setattr(spinsys, "apply_program", real_apply)
+    monkeypatch.setattr(runner, "_protocol_curves", real_curves)
     # state-major order, and the curves of one run_decay each
     assert [c.state for c in run.curves] == ["psi0a"] * 3 + ["psi1a"] * 3 + ["psi3"] * 2
     for curve in run.curves:
