@@ -177,17 +177,11 @@ def cmd_protect(args) -> int:
 
 def cmd_star(args) -> int:
     sys_, _ = resolve_system(args)
-    curves = runner.star_protection(sys_, prep=args.prep, tomo_sigma=args.tomo_sigma,
-                                    seed=args.seed, t_max=args.t_max, points=args.points)
-    rows = [curves["AC"], curves["BC"]]
-    if args.free:
-        free = runner.star_protection(
-            sys_, times={n: c.times for n, c in curves.items()},
-            protected=False, prep=args.prep)
-        rows += [free["AC"], free["BC"]]
+    rows = runner.star_protection(sys_, free=args.free, prep=args.prep,
+                                  tomo_sigma=args.tomo_sigma, seed=args.seed,
+                                  t_max=args.t_max, points=args.points)
     runner.write_curves_csv(rows, args.out_csv)
-    for name in ("AC", "BC"):
-        c = curves[name]
+    for name, c in zip(runner.STAR_PAIRS, rows):
         print(f"pair {name}: concurrence {c.values[0]:.4f} at t=0, "
               f"{c.values[-1]:.4f} at t={c.times[-1]:g} s")
     print(f"wrote {len(rows)} concurrence curves to {args.out_csv}")

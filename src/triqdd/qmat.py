@@ -20,6 +20,7 @@ SUPPORTED_DIMS = (2, 4, 8)
 
 HERMITICITY_ATOL = 1e-10
 TRACE_ATOL = 1e-10
+EIGENVALUE_ATOL = 1e-10
 
 
 class InvariantError(Exception):
@@ -29,7 +30,6 @@ class InvariantError(Exception):
     (a channel breaking trace or positivity, a rank-deficient tomography
     design). Distinct from ValueError, which flags bad caller input.
     """
-EIGENVALUE_ATOL = 1e-10
 
 
 def n_qubits(dim: int) -> int:
@@ -49,13 +49,13 @@ def ket_to_rho(psi: np.ndarray) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def assert_density_matrix(rho: np.ndarray, *, atol: float = EIGENVALUE_ATOL) -> None:
+def assert_density_matrix(rho: np.ndarray) -> None:
     """Raise ValueError unless rho is a valid density matrix, or a stack of them.
 
     Checks shape, Hermiticity (max-abs), unit trace and positive
-    semidefiniteness (eigenvalues above -atol). A (..., d, d) stack is
-    checked at once with the same thresholds; the message names the first
-    failing member, counted over the flattened stack.
+    semidefiniteness (eigenvalues above -EIGENVALUE_ATOL). A (..., d, d)
+    stack is checked at once with the same thresholds; the message names
+    the first failing member, counted over the flattened stack.
     """
     rho = np.asarray(rho)
     if rho.ndim < 2 or rho.shape[-2] != rho.shape[-1]:
@@ -73,8 +73,8 @@ def assert_density_matrix(rho: np.ndarray, *, atol: float = EIGENVALUE_ATOL) -> 
     tr = np.trace(stack, axis1=-2, axis2=-1)
     fail(np.abs(tr - 1.0) > TRACE_ATOL, lambda i: f"trace is {tr[i]}, expected 1")
     lowest = np.linalg.eigvalsh(stack).min(axis=-1)
-    fail(lowest < -atol, lambda i: "matrix is not positive semidefinite "
-                                   f"(min eigenvalue {lowest[i]})")
+    fail(lowest < -EIGENVALUE_ATOL, lambda i: "matrix is not positive semidefinite "
+                                              f"(min eigenvalue {lowest[i]})")
 
 
 def coherence_order(i: int, j: int, n: int = 3) -> int:
@@ -161,24 +161,26 @@ _YY = np.array(
 def concurrence(rho: np.ndarray) -> float:
     """Two-qubit mixed-state concurrence.
 
-    max(0, l1 - l2 - l3 - l4) with l_i the square roots of the
-    eigenvalues of rho (Y x Y) rho* (Y x Y) in decreasing order.
+    max(0, l1 - l2 - l3 - l4) with l_i the eigenvalues, in decreasing order,
+    of the Hermitian sqrt(sqrt(rho) rho~ sqrt(rho)), rho~ = (Y x Y) rho* (Y x Y);
+    roundoff-sized ones count as zero, as in fidelity.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"concurrence is defined for one qubit pair, got shape {rho.shape}")
-    rho_tilde = _YY @ rho.conj() @ _YY
-    evals = np.linalg.eigvals(rho @ rho_tilde)
-    # The product has real nonnegative spectrum up to roundoff.
-    lam = np.sqrt(np.clip(evals.real, 0.0, None))
-    lam[::-1].sort()
+    s = _psd_sqrt(rho)
+    lam = np.sqrt(_psd_eigh(s @ _YY @ rho.conj() @ _YY @ s)[0])[::-1]  # eigh sorts ascending
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
-def _psd_sqrt(m: np.ndarray) -> np.ndarray:
+def _psd_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w, v = np.linalg.eigh(m)
     # eigenvalues at roundoff level are zero: numpy.linalg.matrix_rank's tolerance
-    w = np.where(w > np.abs(w).max() * len(w) * np.finfo(float).eps, w, 0.0)
+    return np.where(w > np.abs(w).max() * len(w) * np.finfo(float).eps, w, 0.0), v
+
+
+def _psd_sqrt(m: np.ndarray) -> np.ndarray:
+    w, v = _psd_eigh(m)
     return (v * np.sqrt(w)) @ v.conj().T
 
 

@@ -5,7 +5,7 @@ family on one spin, on two as the m-modified pair cycle, or on all
 three spins. Decay runs prepare a catalog state, evolve it over a
 commensurate time grid, and record the state's tracked element
 normalized to its starting value; star runs track the concurrence of
-one reduced pair instead.
+each reduced pair instead, from one preparation of the star state.
 
 Free evolution records the element magnitude. Pulsed runs record the
 echo amplitude in phase with the prepared element, floored at zero: a
@@ -32,7 +32,8 @@ pulseless program of the gap, compiled the same way. One plan is kept
 per distinct step (a unit-snapped grid has two or three; the walk keeps
 the last few). The grid prepares each state once, builds each distinct
 protocol's walk once and runs every state that uses it (free evolution
-and each all-spin family serve all seven), one protocol at a time. A
+and each all-spin family serve all seven), one protocol at a time; a
+star run builds one walk per pair and one free walk per distinct grid. A
 walk whose segments are all fused, as free evolution and ideal pulses
 always are, steps its shots once per recorded time and shares the
 shot-averaged map with every state; a dense segment (a flip-angle
@@ -517,40 +518,42 @@ def compare_to_reference(percents: dict, families=FAMILIES,
 
 # -- star pair protection --------------------------------------------------
 
-def star_protection(sys: SpinSystem, times=None, protected: bool = True,
-                    prep: str = "ideal", tomo_sigma: float | None = None,
-                    seed: int = 0, t_max: float = GRID_T_MAX,
-                    points: int = GRID_POINTS) -> dict[str, DecayCurve]:
-    """Concurrence curves of both reduced star pairs, protected or free.
+def star_protection(sys: SpinSystem, free: bool = False, prep: str = "ideal",
+                    tomo_sigma: float | None = None, seed: int = 0, t_max: float = GRID_T_MAX,
+                    points: int = GRID_POINTS) -> tuple[DecayCurve, ...]:
+    """Concurrence curves of both reduced star pairs: AC, BC, then, if free, free AC, BC.
 
-    Each pair is its own experiment: mXY8 (or nothing) runs on
-    that pair while the third spin rides along and is traced out. The
-    free-evolution variant keeps the protected run's time grid so the
-    two can be compared point by point. times may be one grid for both
-    pairs or a {"AC": ..., "BC": ...} mapping. tomo_sigma, when given,
-    reads each checked state out through the tomography pipeline before
-    the concurrence is taken. The CLI's `star --free` passes tomo_sigma
-    and seed to the protected run only, so its free rows are read exactly.
+    Each pair is its own experiment: mXY8 runs on that pair while the third
+    spin rides along and is traced out. The star state is prepared once. The
+    free rows keep the protected grids, and one free walk serves every pair on
+    a grid. tomo_sigma, when given, reads each protected state out through
+    tomography (seed + i at the i-th time); the free rows are read exactly.
     """
     if prep not in ("ideal", "nmr"):
         raise ValueError(f"unknown preparation '{prep}', expected 'ideal' or 'nmr'")
     rho0 = circuits.prepare("star") if prep == "ideal" else circuits.prepare_star_nmr(sys)
-    out = {}
-    for name, pair in STAR_PAIRS.items():
+    rows, pairs_by_grid = [], {}
+    for pair in STAR_PAIRS.values():
         proto = star_protocol(pair)
         cycle = build_cycle(proto)
-        grid = times.get(name) if isinstance(times, dict) else times
-        if grid is None:
-            grid = default_time_grid(cycle.unit_duration, t_max, points)
-        run_proto, run_cycle = (proto, cycle) if protected else (Protocol("FreeEv"), None)
-        walk = _ProtocolWalk(sys, run_cycle, grid)
-        values = []
-        for i, avg in enumerate(walk.averaged_states(rho0)):
-            if tomo_sigma is not None:
-                avg = circuits.tomography(avg, sigma=tomo_sigma, seed=seed + i)
-            values.append(qmat.concurrence(qmat.partial_trace(avg, pair)))
-        out[name] = DecayCurve("star", run_proto, "concurrence", walk.times, tuple(values))
-    return out
+        times = default_time_grid(cycle.unit_duration, t_max, points)
+        pairs_by_grid.setdefault(times, []).append(pair)
+        rows += _star_curves(sys, proto, cycle, times, rho0, [pair], tomo_sigma, seed)
+    if free:
+        for times, pairs in pairs_by_grid.items():
+            rows += _star_curves(sys, Protocol("FreeEv"), None, times, rho0, pairs)
+    return tuple(rows)
+
+
+def _star_curves(sys, proto, cycle, times, rho0, pairs, tomo_sigma=None, seed=0):
+    """One walk's concurrence curve on each pair; the walk, and so its plans, die on return."""
+    states = _ProtocolWalk(sys, cycle, times).averaged_states(rho0)
+    if tomo_sigma is not None:
+        states = [circuits.tomography(avg, sigma=tomo_sigma, seed=seed + i)
+                  for i, avg in enumerate(states)]
+    return [DecayCurve("star", proto, "concurrence", times,
+                       tuple(qmat.concurrence(qmat.partial_trace(avg, pair)) for avg in states))
+            for pair in pairs]
 
 
 # -- emission --------------------------------------------------------------

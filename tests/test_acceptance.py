@@ -220,22 +220,17 @@ def test_seven_setting_tomography_fidelity():
 
 def test_star_pair_protection_beats_free_evolution():
     sys = runner.default_system()
-    protected = runner.star_protection(sys)
-    free = runner.star_protection(
-        sys, times={name: c.times for name, c in protected.items()},
-        protected=False)
-    for name in ("AC", "BC"):
+    rows = runner.star_protection(sys, free=True)
+    for protected, free in zip(rows[:2], rows[2:]):
         checked = 0
-        for t, p, f in zip(protected[name].times, protected[name].values,
-                           free[name].values):
+        for t, p, f in zip(protected.times, protected.values, free.values):
             if t >= 0.1:
                 assert p >= f
                 checked += 1
         assert checked >= 10
 
-    ideal = runner.star_protection(QUIET)
-    for name in ("AC", "BC"):
-        assert max(abs(v - 0.5) for v in ideal[name].values) <= 1e-9
+    for ideal in runner.star_protection(QUIET):
+        assert max(abs(v - 0.5) for v in ideal.values) <= 1e-9
 
 
 # -- channel properties ----------------------------------------------------

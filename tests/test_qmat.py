@@ -216,6 +216,33 @@ def test_pair_concurrence_of_a_random_three_qubit_state_is_in_unit_interval(
     assert 0.0 <= c <= 1.0 + 1e-9
 
 
+def test_pure_state_concurrence_is_the_spin_flip_overlap():
+    # a pure state's concurrence is |<psi| Y x Y |psi*>|; at C >= 0.1 the
+    # eigenvalues of a non-Hermitian rho rho~ carry errors up to ~1e-8
+    yy = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
+    rng = np.random.default_rng(0)
+    checked = 0
+    for _ in range(1000):
+        psi = random_ket(rng, 4)
+        expected = abs(psi.conj() @ yy @ psi.conj())
+        if expected >= 0.1:
+            assert abs(qmat.concurrence(qmat.ket_to_rho(psi)) - expected) < 1e-12
+            checked += 1
+    assert checked > 900
+
+
+@pytest.mark.parametrize("pair", [(1, 3), (2, 3)])
+def test_star_pair_concurrence_ignores_roundoff_perturbations(pair):
+    # the pair states have rank 2; a 1e-15 Hermitian kick must not lift
+    # their zero eigenvalues into ~1e-10 concurrence changes
+    rho = qmat.partial_trace(star_rho(), pair)
+    base = qmat.concurrence(rho)
+    rng = np.random.default_rng(3)
+    for _ in range(100):
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        assert abs(qmat.concurrence(rho + 1e-15 * (g + g.conj().T)) - base) < 1e-12
+
+
 def test_concurrence_needs_two_qubits():
     with pytest.raises(ValueError):
         qmat.concurrence(np.eye(8) / 8)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from triqdd import ddseq, runner, spinsys
+from triqdd import circuits, ddseq, qmat, runner, spinsys
 from triqdd.runner import Protocol
 from triqdd.spinsys import DisorderModel, NoiseModel, SpinSystem
 
@@ -363,35 +363,76 @@ def test_baseline_facts_all_recorded_as_passing():
 
 def test_star_protection_noise_free_holds_half():
     curves = runner.star_protection(QUIET)
-    for name in ("AC", "BC"):
-        c = curves[name]
+    assert len(curves) == 2
+    for c in curves:
         assert c.kind == "concurrence"
         assert max(abs(v - 0.5) for v in c.values) < 1e-9
 
 
 def test_star_free_evolution_loses_pair_entanglement():
     sys = runner.default_system()
-    grid = {"AC": (0.0, 0.1, 0.7), "BC": (0.0, 0.1, 0.7)}
-    prot = runner.star_protection(sys, times=grid)
-    free = runner.star_protection(sys, times=grid, protected=False)
-    for name in ("AC", "BC"):
-        assert free[name].protocol.kind == "FreeEv"
-        assert free[name].values[-1] < 0.1 < prot[name].values[-1]
+    rows = runner.star_protection(sys, free=True, t_max=0.7, points=3)
+    for p, f in zip(rows[:2], rows[2:]):
+        assert f.protocol.kind == "FreeEv"
+        assert f.values[-1] < 0.1 < p.values[-1]
 
 
 def test_star_protection_through_noiseless_tomography():
-    grid = (0.0, 0.01, 0.1)
-    curves = runner.star_protection(QUIET, times=grid, tomo_sigma=0.0)
-    for name in ("AC", "BC"):
-        assert max(abs(v - 0.5) for v in curves[name].values) < 1e-6
+    curves = runner.star_protection(QUIET, tomo_sigma=0.0, t_max=0.1, points=3)
+    for c in curves:
+        assert max(abs(v - 0.5) for v in c.values) < 1e-6
 
 
 def test_star_nmr_preparation_path():
-    curves = runner.star_protection(QUIET, times=(0.0, 0.01), prep="nmr")
-    for name in ("AC", "BC"):
-        assert curves[name].values[0] == pytest.approx(0.5, abs=1e-6)
+    curves = runner.star_protection(QUIET, prep="nmr", t_max=0.01, points=2)
+    for c in curves:
+        assert c.values[0] == pytest.approx(0.5, abs=1e-6)
     with pytest.raises(ValueError, match="unknown preparation"):
         runner.star_protection(QUIET, prep="lab")
+
+
+def _count_star_work(monkeypatch):
+    """Count star preparations and the free-evolution walks built."""
+    counts = {"prep": 0, "free_walks": 0}
+    prepare = circuits.prepare_star_nmr
+
+    def counting_prepare(sys):
+        counts["prep"] += 1
+        return prepare(sys)
+
+    class CountingWalk(runner._ProtocolWalk):
+        def __init__(self, sys, cycle, times):
+            counts["free_walks"] += cycle is None
+            super().__init__(sys, cycle, times)
+
+    monkeypatch.setattr(circuits, "prepare_star_nmr", counting_prepare)
+    monkeypatch.setattr(runner, "_ProtocolWalk", CountingWalk)
+    return counts
+
+
+def test_star_run_prepares_once_and_walks_free_evolution_once(monkeypatch):
+    counts = _count_star_work(monkeypatch)
+    rows = runner.star_protection(runner.default_system(), free=True, prep="nmr")
+    assert [c.protocol.kind for c in rows] == ["mDD2sp"] * 2 + ["FreeEv"] * 2
+    assert counts == {"prep": 1, "free_walks": 1}
+
+
+def test_star_protected_only_builds_no_free_walk(monkeypatch):
+    counts = _count_star_work(monkeypatch)
+    rows = runner.star_protection(runner.default_system(), prep="nmr", t_max=0.1, points=3)
+    assert [c.protocol.targets for c in rows] == list(runner.STAR_PAIRS.values())
+    assert counts == {"prep": 1, "free_walks": 0}
+
+
+def test_star_free_rows_match_an_independent_free_walk():
+    sys = runner.default_system()
+    rows = runner.star_protection(sys, free=True, prep="nmr", tomo_sigma=0.01, seed=7)
+    rho0 = circuits.prepare_star_nmr(sys)
+    for protected, free, pair in zip(rows[:2], rows[2:], runner.STAR_PAIRS.values()):
+        states = runner._ProtocolWalk(sys, None, protected.times).averaged_states(rho0)
+        assert free.times == protected.times
+        assert free.values == tuple(
+            qmat.concurrence(qmat.partial_trace(avg, pair)) for avg in states)
 
 
 # -- emission --------------------------------------------------------------
