@@ -17,7 +17,9 @@ Tomography records, for each of the seven readout words, the populations
 and the real and imaginary parts of every single-bit-flip element of the
 rotated state, averaged over a configurable number of noisy scans, then
 solves the linear model for the 64 real parameters of a Hermitian
-unit-trace matrix and projects onto the physical cone.
+unit-trace matrix and projects onto the physical cone. A stack of states
+(a star curve's recorded times) is reconstructed in one pass, each member
+with its own seeded noise.
 """
 
 from __future__ import annotations
@@ -251,16 +253,19 @@ def _hermitian_basis() -> np.ndarray:
 
 
 def _observe(rho: np.ndarray) -> np.ndarray:
-    """All recorded reals for one state: per setting, populations and
-    the single-bit-flip line elements (real and imaginary parts).
+    """All recorded reals for one state, or per member of a (n, 8, 8) stack:
+    per setting, populations and the single-bit-flip line elements (real
+    and imaginary parts).
 
     Every setting is read at once, `U rho U†` over the cached unitary
     stack, and the record is gathered through the fixed _RECORD_INDEX;
     the values are those of rotating by each word in turn and reading the
     elements one by one."""
     u = _readout_stack()
-    rotated = u @ np.asarray(rho, dtype=complex) @ u.conj().swapaxes(-1, -2)
-    return rotated.reshape(len(u), DIM * DIM).view(np.float64)[:, _RECORD_INDEX].ravel()
+    rho = np.asarray(rho, dtype=complex)[..., None, :, :]
+    rotated = u @ rho @ u.conj().swapaxes(-1, -2)
+    records = rotated.reshape(rotated.shape[:-2] + (DIM * DIM,)).view(np.float64)
+    return records[..., _RECORD_INDEX].reshape(rotated.shape[:-3] + (-1,))
 
 
 @lru_cache(maxsize=1)
@@ -286,38 +291,45 @@ def _design_matrix() -> np.ndarray:
 
 def tomography(rho_true: np.ndarray, sigma: float = 0.0, seed: int = 0,
                scans: int = 32) -> np.ndarray:
-    """Reconstruct a state from the seven-setting readout simulation.
+    """Reconstruct a state, or each member of an (n, 8, 8) stack, from the
+    seven-setting readout simulation.
 
     sigma adds seeded Gaussian noise to every recorded value of every
     scan; scans is the number of averaged acquisitions per setting, the
     usual way a spectrometer beats per-scan noise down. The linear solve
     enforces unit trace as an extra equation; the result is then clipped
-    to the positive cone and renormalized.
+    to the positive cone and renormalized. Member i of a stack draws its
+    noise from seed + i, so a stack reconstructs as n single calls would.
 
     The readout is linear in the state and the settings are fixed, so the
     readout unitaries, the Hermitian basis and the least-squares solve
-    matrix are built once (see _tomography_tables) and each call is one
-    batched readout, one matrix-vector product and one tensordot back to
-    an 8x8 matrix. A noise level whose draws overflow is a ValueError.
+    matrix are built once (see _tomography_tables). A call, single or
+    stacked, is one batched readout, one product with the solve matrix,
+    one tensordot back to 8x8 matrices and one batched eigh; only the
+    noise draws run per member. A noise level whose draws overflow is a
+    ValueError.
     """
     rho_true = np.asarray(rho_true, dtype=complex)
-    if rho_true.shape != (DIM, DIM):
-        raise ValueError(f"expected an 8x8 state, got {rho_true.shape}")
+    if rho_true.ndim not in (2, 3) or rho_true.shape[-2:] != (DIM, DIM):
+        raise ValueError(f"expected an 8x8 state or an (n, 8, 8) stack, got {rho_true.shape}")
     if scans < 1:
         raise ValueError("scans must be positive")
     if not 0.0 <= sigma < np.inf:
         raise ValueError(f"readout noise sigma must be finite and nonnegative, got {sigma}")
-    y = _observe(rho_true)
+    stack = rho_true.reshape(-1, DIM, DIM)
+    y = _observe(stack)
     if sigma > 0:
-        draws = np.random.default_rng(seed).normal(0.0, sigma, size=(scans, y.size))
+        size = (scans, y.shape[-1])
         with np.errstate(over="ignore", invalid="ignore"):
-            y = y + draws.mean(axis=0)
+            y = y + [np.random.default_rng(seed + i).normal(0.0, sigma, size=size).mean(axis=0)
+                     for i in range(len(stack))]
         if not np.isfinite(y).all():
             raise ValueError(f"readout noise sigma {sigma:g} overflows the recorded values")
     _, solve = _tomography_tables()
-    x = solve @ np.append(y, 1.0)
+    x = np.concatenate([y, np.ones((len(y), 1))], axis=1) @ solve.T
     rho = np.tensordot(x, _hermitian_basis(), axes=1)
     w, v = np.linalg.eigh(rho)
     w = np.clip(w, 0.0, None)
-    rho = (v * w) @ v.conj().T
-    return rho / np.trace(rho).real
+    rho = (v * w[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+    return rho.reshape(rho_true.shape)

@@ -123,14 +123,17 @@ def coherence_amplitude(rho: np.ndarray, element: tuple[int, int]) -> float:
 
 
 def partial_trace(rho: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
-    """Reduced density matrix over the kept qubits.
+    """Reduced density matrix over the kept qubits, of one state or a stack.
 
     ``keep`` lists 1-based qubit labels; the output tensor order follows
     the order given. Tracing out everything or keeping a duplicate label
-    is rejected.
+    is rejected. A (..., d, d) stack is reduced member by member in one
+    pass, each member exactly as a single call reduces it.
     """
     rho = np.asarray(rho, dtype=complex)
-    n = n_qubits(rho.shape[0])
+    if rho.ndim < 2 or rho.shape[-2] != rho.shape[-1]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {rho.shape}")
+    n = n_qubits(rho.shape[-1])
     keep = tuple(keep)
     if len(keep) == 0:
         raise ValueError("keep must name at least one qubit")
@@ -139,18 +142,20 @@ def partial_trace(rho: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
     for q in keep:
         if not 1 <= q <= n:
             raise ValueError(f"qubit label {q} out of range 1..{n}")
-    # Reshape to one axis per ket bit then per bra bit; MSB-first indexing
-    # means axis q-1 is exactly qubit q.
-    t = rho.reshape((2,) * (2 * n))
+    # Reshape to one axis per ket bit then per bra bit after the stack axes;
+    # MSB-first indexing means ket axis q-1 is exactly qubit q.
+    lead = rho.shape[:-2]
+    t = rho.reshape(lead + (2,) * (2 * n))
+    m = len(lead)
     traced = [q for q in range(1, n + 1) if q not in keep]
     for q in sorted(traced, reverse=True):
-        t = np.trace(t, axis1=q - 1, axis2=q - 1 + t.ndim // 2)
+        t = np.trace(t, axis1=m + q - 1, axis2=m + q - 1 + (t.ndim - m) // 2)
     # Axes now follow ascending label order of the kept qubits.
     kept_sorted = sorted(keep)
-    perm = [kept_sorted.index(q) for q in keep]
+    perm = [m + kept_sorted.index(q) for q in keep]
     k = len(keep)
-    t = t.transpose(tuple(perm) + tuple(p + k for p in perm))
-    return t.reshape(2 ** k, 2 ** k)
+    t = t.transpose(tuple(range(m)) + tuple(perm) + tuple(p + k for p in perm))
+    return t.reshape(lead + (2 ** k, 2 ** k))
 
 
 _YY = np.array(
@@ -158,30 +163,34 @@ _YY = np.array(
 )
 
 
-def concurrence(rho: np.ndarray) -> float:
-    """Two-qubit mixed-state concurrence.
+def concurrence(rho: np.ndarray) -> float | np.ndarray:
+    """Two-qubit mixed-state concurrence, of one pair or a (..., 4, 4) stack.
 
     max(0, l1 - l2 - l3 - l4) with l_i the eigenvalues, in decreasing order,
     of the Hermitian sqrt(sqrt(rho) rho~ sqrt(rho)), rho~ = (Y x Y) rho* (Y x Y);
-    roundoff-sized ones count as zero, as in fidelity.
+    roundoff-sized ones count as zero, as in fidelity. One pair gives a
+    float; a stack gives an array, each member equal to its single call.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise ValueError(f"concurrence is defined for one qubit pair, got shape {rho.shape}")
     s = _psd_sqrt(rho)
-    lam = np.sqrt(_psd_eigh(s @ _YY @ rho.conj() @ _YY @ s)[0])[::-1]  # eigh sorts ascending
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    lam = np.sqrt(_psd_eigh(s @ _YY @ rho.conj() @ _YY @ s)[0])[..., ::-1]  # eigh sorts ascending
+    c = np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
+    return float(c) if rho.ndim == 2 else c
 
 
 def _psd_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w, v = np.linalg.eigh(m)
-    # eigenvalues at roundoff level are zero: numpy.linalg.matrix_rank's tolerance
-    return np.where(w > np.abs(w).max() * len(w) * np.finfo(float).eps, w, 0.0), v
+    # eigenvalues at roundoff level are zero: numpy.linalg.matrix_rank's tolerance,
+    # taken per member of a stack
+    floor = np.abs(w).max(axis=-1, keepdims=True) * w.shape[-1] * np.finfo(float).eps
+    return np.where(w > floor, w, 0.0), v
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:
     w, v = _psd_eigh(m)
-    return (v * np.sqrt(w)) @ v.conj().T
+    return (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:

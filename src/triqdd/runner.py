@@ -41,7 +41,10 @@ error, or the internal Hamiltonian inside a pulse window) makes it step
 a shot stack of each state instead. Every curve records from this one
 walk: its shot-averaged states are checked as one stack to be density
 matrices before anything reads them, and before any tomography
-readout, so a broken evolution fails as an invariant violation.
+readout, so a broken evolution fails as an invariant violation. A star
+curve is read out from that (times, 8, 8) stack in one call per stage:
+one tomography of the whole stack, then one partial trace and one
+concurrence per pair.
 
 Reference percentages from the published tables are bundled as data and
 used strictly for qualitative ordering checks (which protocol beats
@@ -526,8 +529,10 @@ def star_protection(sys: SpinSystem, free: bool = False, prep: str = "ideal",
     Each pair is its own experiment: mXY8 runs on that pair while the third
     spin rides along and is traced out. The star state is prepared once. The
     free rows keep the protected grids, and one free walk serves every pair on
-    a grid. tomo_sigma, when given, reads each protected state out through
-    tomography (seed + i at the i-th time); the free rows are read exactly.
+    a grid. tomo_sigma, when given, reads each protected curve's states out
+    through one stacked tomography call (seed + i at the i-th time); the free
+    rows are read exactly. Each curve's pair states and concurrences are one
+    stacked partial_trace and concurrence call.
     """
     if prep not in ("ideal", "nmr"):
         raise ValueError(f"unknown preparation '{prep}', expected 'ideal' or 'nmr'")
@@ -549,10 +554,9 @@ def _star_curves(sys, proto, cycle, times, rho0, pairs, tomo_sigma=None, seed=0)
     """One walk's concurrence curve on each pair; the walk, and so its plans, die on return."""
     states = _ProtocolWalk(sys, cycle, times).averaged_states(rho0)
     if tomo_sigma is not None:
-        states = [circuits.tomography(avg, sigma=tomo_sigma, seed=seed + i)
-                  for i, avg in enumerate(states)]
+        states = circuits.tomography(states, sigma=tomo_sigma, seed=seed)
     return [DecayCurve("star", proto, "concurrence", times,
-                       tuple(qmat.concurrence(qmat.partial_trace(avg, pair)) for avg in states))
+                       tuple(qmat.concurrence(qmat.partial_trace(states, pair)).tolist()))
             for pair in pairs]
 
 

@@ -224,6 +224,22 @@ def test_tomography_input_validation():
             circuits.tomography(np.eye(8) / 8, sigma=sigma)
 
 
+@pytest.mark.parametrize("sigma", [0.0, 0.01, 0.3])
+def test_stacked_tomography_equals_single_calls_seeded_per_member(sigma):
+    states = np.stack([circuits.prepare(state_id) for state_id in circuits.state_ids()])
+    stacked = circuits.tomography(states, sigma=sigma, seed=11)
+    assert stacked.shape == states.shape
+    for i, rho in enumerate(states):
+        single = circuits.tomography(rho, sigma=sigma, seed=11 + i)
+        assert np.max(np.abs(stacked[i] - single)) < 1e-14
+
+
+def test_stacked_tomography_rejects_other_shapes():
+    for shape in ((2, 3, 8, 8), (2, 4, 4)):
+        with pytest.raises(ValueError, match="stack"):
+            circuits.tomography(np.broadcast_to(np.eye(shape[-1]) / shape[-1], shape))
+
+
 # -- the cached readout against the literal one ----------------------------
 #
 # The references below are the tomography pipeline as first written: one

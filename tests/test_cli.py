@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import triqdd
-from triqdd import cli, ddseq, qmat, spinsys
+from triqdd import circuits, cli, ddseq, qmat, spinsys
 
 from oracles import program_from_json
 
@@ -343,10 +343,13 @@ def test_broken_state_mid_run_exits_three(capsys, monkeypatch, tmp_path):
     assert "invariant violation" in err and "trace is" in err
     # the evolved state is checked before the tomography readout, whose output
     # is a valid state whatever it was given
+    readouts = []
+    monkeypatch.setattr(circuits, "tomography", lambda *a, **k: readouts.append(a))
     code, _, err = run_cli(capsys, "star", "--tomo-sigma", "0.01", "--points", "3",
                            "--out-csv", str(tmp_path / "star.csv"))
     assert code == 3
     assert "invariant violation" in err and "trace is" in err
+    assert readouts == []
 
 
 # -- dependencies ----------------------------------------------------------

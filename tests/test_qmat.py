@@ -185,6 +185,46 @@ def test_partial_trace_rejects_bad_keep():
         qmat.partial_trace(rho, [4])
 
 
+def stacked_states(seed, n=50):
+    """Random 3-qubit states of every rank, the star state and a rank-2
+    state near |000>.
+
+    The near state's pair spectra in concurrence peak near 1e-7 and reach
+    down to 1e-16: a roundoff floor taken over the whole stack instead of
+    per member would zero eigenvalues that a single call keeps."""
+    rng = np.random.default_rng(seed)
+    g = np.eye(8)[:, :1] + 1e-4 * (rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2)))
+    out = [star_rho(), g @ g.conj().T / np.trace(g @ g.conj().T).real]
+    for i in range(n - 2):
+        g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        g = g[:, :1 + i % 8]
+        out.append(g @ g.conj().T / np.trace(g @ g.conj().T).real)
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("keep", [(1, 3), (2, 3), (3, 1), (1, 2)])
+def test_stacked_partial_trace_and_concurrence_equal_single_calls(keep):
+    states = stacked_states(4)
+    pairs = qmat.partial_trace(states, keep)
+    assert pairs.shape == (len(states), 4, 4)
+    assert np.array_equal(pairs, [qmat.partial_trace(rho, keep) for rho in states])
+    c = qmat.concurrence(pairs)
+    assert isinstance(c, np.ndarray) and c.shape == (len(states),)
+    assert np.array_equal(c, [qmat.concurrence(pair) for pair in pairs])
+    assert isinstance(qmat.concurrence(pairs[0]), float)
+
+
+def test_stacked_kernels_reject_bad_input():
+    states = stacked_states(5, n=3)
+    with pytest.raises(ValueError):
+        qmat.concurrence(states)
+    for keep in ([], [1, 1], [4]):
+        with pytest.raises(ValueError):
+            qmat.partial_trace(states, keep)
+    with pytest.raises(ValueError, match="square"):
+        qmat.partial_trace(states[:, :4], [1])
+
+
 # -- concurrence and fidelity ----------------------------------------------
 
 def test_concurrence_bell_and_product():

@@ -424,6 +424,26 @@ def test_star_protected_only_builds_no_free_walk(monkeypatch):
     assert counts == {"prep": 1, "free_walks": 0}
 
 
+def test_star_readout_is_one_stacked_call_per_curve(monkeypatch):
+    counts = {"tomography": 0, "concurrence": 0}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(circuits, "tomography")
+    counting(qmat, "concurrence")
+    rows = runner.star_protection(runner.default_system(), free=True, prep="nmr",
+                                  tomo_sigma=0.01)
+    assert len(rows) == 4 and len(rows[0].times) == 20
+    # one per protected curve, and one per pair and curve (free rows read exactly)
+    assert counts == {"tomography": 2, "concurrence": 4}
+
+
 def test_star_free_rows_match_an_independent_free_walk():
     sys = runner.default_system()
     rows = runner.star_protection(sys, free=True, prep="nmr", tomo_sigma=0.01, seed=7)
