@@ -24,9 +24,8 @@ states are averaged across shots, and only then are magnitudes or
 concurrences taken. Shots are batched along the leading axis.
 
 Every curve walks its recorded times one step each. A DD step is the
-repeat unit, compiled once by spinsys.compile_program (its toggling
-frame built once for all shots and expanded over the offset draw in
-one exp per fused segment, see the spinsys docstring), raised to the
+repeat unit, compiled once by spinsys.compile_program into toggling
+frames that no draw enters (see the spinsys docstring), raised to the
 step's unit count by spinsys.repeat_program; a free step is the
 pulseless program of the gap, compiled the same way. One plan is kept
 per distinct step (a unit-snapped grid has two or three; the walk keeps
@@ -35,10 +34,12 @@ protocol's walk once and runs every state that uses it (free evolution
 and each all-spin family serve all seven), one protocol at a time; a
 star run builds one walk per pair and one free walk per distinct grid. A
 walk whose segments are all fused, as free evolution and ideal pulses
-always are, steps its shots once per recorded time and shares the
-shot-averaged map with every state; a dense segment (a flip-angle
-error, or the internal Hamiltonian inside a pulse window) makes it step
-a shot stack of each state instead. Every curve records from this one
+always are, builds no shot stack: it steps its (8, 8) frame and eight
+phases per shot, reads the shot-averaged map at each recorded time in
+one GEMM, and shares that map with every state. A dense segment (a
+flip-angle error, or the internal Hamiltonian inside a pulse window)
+makes it expand the unit over the draw once and step a shot stack of
+each state instead. Every curve records from this one
 walk: its shot-averaged states are checked as one stack to be density
 matrices before anything reads them, and before any tomography
 readout, so a broken evolution fails as an invariant violation. A star
@@ -241,6 +242,9 @@ def default_time_grid(unit: float | None, t_max: float = GRID_T_MAX,
     if unit is None:
         return tuple(float(t) for t in np.linspace(0.0, t_max, points))
     total = ddseq.unit_count(t_max, unit, "repeat")
+    if total > np.iinfo(np.int64).max:
+        raise ValueError(f"t_max {t_max:g} s is {float(total):.3g} repeat units of "
+                         f"{unit:.6g} s, more than a time grid can count")
     counts = sorted(set(int(round(k)) for k in np.linspace(0, total, points)))
     return tuple(k * unit for k in counts)
 
@@ -248,19 +252,21 @@ def default_time_grid(unit: float | None, t_max: float = GRID_T_MAX,
 class _ProtocolWalk:
     """One protocol's walk over its recorded times, shared by every state it runs.
 
-    Step i takes the shot stack from times[i - 1] (0 for i = 0) to
-    times[i]: the pulseless program of the gap for free evolution, the
-    repeat unit raised to the unit-count increment for DD. The offset
-    draw and the unit are built once, and one plan per distinct step is
-    kept (the last few; a unit-snapped grid has two or three).
+    Step i takes the walk from times[i - 1] (0 for i = 0) to times[i]: the
+    pulseless program of the gap for free evolution, the repeat unit
+    raised to the unit-count increment for DD. The offset draw and the
+    unit are built once, and one plan per distinct step is kept (the last
+    few; a unit-snapped grid has two or three).
 
     When every segment is fused (free evolution always; DD with ideal
     pulses), the state of shot s at time t is C_t(s) * rho0[P_t][:, P_t]
-    with a permutation P_t that no shot changes. The walk then runs once,
-    on the all-ones stack, which yields C_t since ones[P][:, P] is ones,
-    and keeps the shot means of C_t with P_t: every state reads its
-    averaged states from that one map. A unit with a dense segment walks
-    a shot stack of each state instead.
+    with C_t(s) = K_t * g_t(s) g_t(s)^H and a permutation P_t that no shot
+    changes. The walk then steps the frame's K_t, (8, 8), and the per-shot
+    level phases G_t, (shots, 8), never a shot stack, and reads the shot
+    mean of C_t as K_t * (G_t^T G_t*) / shots, one GEMM per recorded time:
+    every state reads its averaged states from that one map. A unit with a
+    dense segment is expanded over the draw once, and the walk steps a
+    shot stack of each state through it.
     """
 
     def __init__(self, sys, cycle, times):
@@ -273,34 +279,43 @@ class _ProtocolWalk:
             self.unit, self.steps = None, np.diff(times, prepend=0.0)
         else:
             counts = [ddseq.unit_count(t, cycle.unit_duration, cycle.name) for t in times]
-            self.unit = spinsys.compile_program(
-                sys, *ddseq.program(cycle, cycle.unit_cycles), self.deltas)
+            self.unit = spinsys.compile_program(sys, *ddseq.program(cycle, cycle.unit_cycles))
             self.steps = np.diff(counts, prepend=0)
         self.fused = cycle is None or all(seg[0] == "fused" for seg in self.unit)
+        if not self.fused:  # a step repeats the expanded unit by concatenation
+            self.unit = spinsys.expand_program(self.unit, self.deltas)
         self.kept = deque([(0, [])], maxlen=_KEPT_PLANS)  # a zero step is the empty plan
 
     def plan(self, step):
+        """One step, built once per distinct step.
+
+        A fused walk gets (K, G_step, perm) per frame, G_step the frame's
+        level phases over the draw; any other walk gets the expanded plan.
+        """
         found = next((p for s, p in self.kept if abs(step - s) <= spinsys.TIME_ATOL), None)
         if found is None:  # a NaN gap matches nothing, compiles, and fails
-            found = (spinsys.compile_program(self.sys, (), step, self.deltas) if self.unit is None
+            found = (spinsys.compile_program(self.sys, (), step) if self.unit is None
                      else spinsys.repeat_program(self.unit, int(step)))
+            if self.fused:
+                found = [(k, spinsys.level_phases(h, self.deltas), perm)
+                         for _, k, h, perm in found]
             self.kept.append((step, found))
         return found
 
     @cached_property
     def averaged_map(self) -> tuple[np.ndarray, np.ndarray]:
         """Shot means of C_t, (T, 8, 8), and the perms P_t, (T, 8), of a fused walk."""
-        stack = np.ones((len(self.deltas), spinsys.DIM, spinsys.DIM), dtype=complex)
-        means = np.empty((len(self.steps),) + stack.shape[1:], dtype=complex)
-        perms = np.empty((len(self.steps), spinsys.DIM), dtype=int)
-        perm = np.arange(spinsys.DIM)
+        dim = spinsys.DIM
+        k, g = np.ones((dim, dim), dtype=complex), np.ones((len(self.deltas), dim), dtype=complex)
+        means = np.empty((len(self.steps), dim, dim), dtype=complex)
+        perms = np.empty((len(self.steps), dim), dtype=int)
+        perm = np.arange(dim)
         for i, step in enumerate(self.steps):
-            plan = self.plan(step)
-            stack = spinsys.apply_program(stack, plan)
-            for _, _, p in plan:
+            for k_step, g_step, p in self.plan(step):
                 if p is not None:
-                    perm = perm[p]
-            means[i], perms[i] = stack.mean(axis=0), perm
+                    k, g, perm = k[p[:, None], p], g[:, p], perm[p]
+                k, g = k_step * k, g_step * g
+            means[i], perms[i] = k * (g.T @ g.conj()) / len(g), perm
         return means, perms
 
     def averaged_states(self, rho0) -> np.ndarray:

@@ -59,20 +59,25 @@ U^dagger segment between fused ones.
 
 repeat_program turns a compiled repeat unit into the plan of k units.
 A unit that is one fused segment, as every unit of ideal pulses is,
-stays one: (C, perm) composes element-wise with itself, by repeated
-squaring, without a new exp, so k units cost one walk step. A unit with
-dense segments repeats as the plain concatenation of its segments;
-folding one unit's fused tail into the next unit's head would save no
-dense step and makes the walk slower.
+stays one: its frame composes with itself, by repeated squaring, without
+a new exp, so k units cost one walk step. A unit with dense segments
+repeats as the plain concatenation of its segments; folding one unit's
+fused tail into the next unit's head would save no dense step and makes
+the walk slower.
 
 Static offset disorder (slow inhomogeneity, off by default) draws
 Gaussian per-spin offsets plus a correlated common mode once per shot;
 the experiment layer averages over a seeded set of shots. The shifts
-delta_s enter every gap linearly, so compile_program builds the frame
-once for all shots, on (8, 8) arrays: the generator E (phase and decay),
-the disorder times A (per spin, each element's zero-frequency filter
-function) and the pulse phases D. A fused segment is expanded over the
-shots once, C_s = D * exp(E - 2 pi i A . delta_s).
+delta_s are diagonal and enter every gap linearly, and a fused pulse
+only permutes levels, so in the toggling frame a shot's disorder is one
+phase per level: g_s[a] = exp(-2 pi i H[a] . delta_s), where H, (8, 3),
+is each level's zero-frequency filter function (a gap of t adds
+t s_q(a) / 2, a pulse permutes the rows). compile_program therefore
+builds each fused segment's frame (K, H, perm) once, with no draw, on
+small arrays: K = D * exp(E) holds the generator E (phase and decay) and
+the pulse phases D. The shot-s map is C_s = K * g_s g_s^H, a rank-1
+outer product of eight phases; expand_program writes it out over a draw
+for a walk that steps shot stacks through dense segments.
 """
 
 from __future__ import annotations
@@ -153,7 +158,11 @@ class DisorderModel:
         """Per-spin offset shifts in Hz, shape (shots, 3). Deterministic."""
         rng = np.random.default_rng(self.seed)
         z = rng.standard_normal((self.shots, N_QUBITS + 1))
-        return z[:, :N_QUBITS] * np.array(self.sigma) + z[:, N_QUBITS:] * self.sigma_corr
+        with np.errstate(over="ignore", invalid="ignore"):
+            deltas = z[:, :N_QUBITS] * np.array(self.sigma) + z[:, N_QUBITS:] * self.sigma_corr
+        if not np.isfinite(deltas).all():
+            raise ConfigError("the disorder widths overflow the offset draw")
+        return deltas
 
 
 @dataclass(frozen=True)
@@ -208,9 +217,9 @@ def _tables(offsets, couplings, noise):
     phase = energy[:, None] - energy[None, :]
     differs = s[:, None, :] != s[None, :, :]
     decay = differs @ np.array(noise.gamma) + noise.gamma_corr * coherence_order_matrix(N_QUBITS) ** 2
-    # Per-spin offset sensitivity of each element, (s_q(a) - s_q(b)) / 2.
-    sens = (s[:, None, :] - s[None, :, :]) / 2.0
-    return energy, phase, decay, sens
+    # Per-spin offset sensitivity of each level, s_q(a) / 2; an element's is its
+    # row's minus its column's.
+    return energy, phase, decay, s / 2.0
 
 
 @dataclass(frozen=True)
@@ -388,26 +397,31 @@ def program_steps(events, duration: float, windowed: bool) -> list:
     return steps
 
 
-def compile_program(sys: SpinSystem, events, duration: float,
-                    deltas=(0.0, 0.0, 0.0)) -> list:
+@np.errstate(over="ignore", invalid="ignore")  # checked as each segment closes
+def compile_program(sys: SpinSystem, events, duration: float) -> list:
     """Segment list of a timed pulse program, for apply_program.
 
-    deltas, static per-spin offset shifts in Hz, is one (3,) shift or a
-    (shots, 3) draw that batches the program over shots. ('fused', C,
-    perm) is the map rho -> C * rho[perm][:, perm] with perm None for the
-    identity; ('dense', U, U dagger) is a pulse that mixes basis states.
-    A free gap of t adds (-2 pi i phase - decay) t to E and sens t to A; a
-    signed-permutation pulse U[i, p[i]] = d[i] takes each of E, A and D to
-    X[p][:, p], then D to d d* D and perm to perm[p].
+    ('fused', K, H, perm) is a toggling frame, built with no disorder draw:
+    the map rho -> C * rho[perm][:, perm], perm None for the identity, with
+    C = K without disorder and C_s = K * g_s g_s^H under the static shift
+    delta_s, g_s = level_phases(H, delta_s) (expand_program). ('dense', U,
+    U dagger) is a pulse that mixes basis states. A free gap of t adds
+    (-2 pi i phase - decay) t to E and s(a) t / 2 to H; a signed-permutation
+    pulse U[i, p[i]] = d[i] takes E and D to X[p][:, p] and H to H[p], then
+    D to d d* D and perm to perm[p]. A segment closes as K = D * exp(E), 64
+    exps; offsets or couplings that overflow it are a ConfigError.
     """
-    _, phase, decay, sens = _tables(sys.offsets, sys.couplings, sys.noise)
+    _, phase, decay, levels = _tables(sys.offsets, sys.couplings, sys.noise)
     plan, pulse_cache, frame = [], {}, None
 
     def close_fused():
         if frame is not None:
-            gen, times, phases, perm = frame
-            shift = np.einsum("abq,...q->...ab", times, deltas, order="C")
-            plan.append(("fused", phases * np.exp(gen - 2j * np.pi * shift),
+            gen, h, phases, perm = frame
+            k = phases * np.exp(gen)
+            if not np.isfinite(k).all():
+                raise ConfigError(f"the system's offsets or couplings overflow the free "
+                                  f"evolution of a {duration:g} s program")
+            plan.append(("fused", k, h,
                          None if np.array_equal(perm, np.arange(DIM)) else perm))
 
     for kind, item in program_steps(events, duration, sys.pulse.internal_h_during_pulse):
@@ -421,48 +435,94 @@ def compile_program(sys: SpinSystem, events, duration: float,
                 plan.append(("dense", seg, seg.conj().T))
                 frame = None
                 continue
-        gen, times, phases, perm = frame or (
-            np.zeros((DIM, DIM), complex), np.zeros((DIM, DIM, N_QUBITS)),
+        gen, h, phases, perm = frame or (
+            np.zeros((DIM, DIM), complex), np.zeros((DIM, N_QUBITS)),
             np.ones((DIM, DIM), complex), np.arange(DIM))
         if kind == "free":
-            frame = (gen + (-2j * np.pi * phase - decay) * item, times + sens * item, phases, perm)
+            frame = (gen + (-2j * np.pi * phase - decay) * item, h + levels * item, phases, perm)
         else:
             p, d = seg
-            frame = (gen[p[:, None], p], times[p[:, None], p],
+            frame = (gen[p[:, None], p], h[p],
                      np.outer(d, d.conj()) * phases[p[:, None], p], perm[p])
     close_fused()
     return plan
 
 
+def level_phases(h: np.ndarray, deltas) -> np.ndarray:
+    """Per-shot level phases g_s[a] = exp(-2 pi i H[a] . delta_s), (shots, 8).
+
+    h is a fused frame's (8, 3) filter function and deltas a (shots, 3)
+    offset draw; shifts that overflow the phases are a ConfigError.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.exp(-2j * np.pi * (deltas @ h.T))
+    if not np.isfinite(g).all():
+        raise ConfigError("the disorder offsets overflow the phases of the program")
+    return g
+
+
+def expand_program(plan, deltas) -> list:
+    """A compiled plan written out over a (shots, 3) offset draw.
+
+    Each fused frame becomes ('fused', C, None, perm) with the per-shot
+    coefficients C_s = K * g_s g_s^H, (shots, 8, 8): eight exps per shot.
+    Dense segments are kept as they are. The result walks a shot stack.
+    """
+    out = []
+    for seg in plan:
+        if seg[0] == "fused":
+            _, k, h, perm = seg
+            g = level_phases(h, deltas)
+            seg = ("fused", k * (g[:, :, None] * g[:, None, :].conj()), None, perm)
+        out.append(seg)
+    return out
+
+
 def apply_program(states: np.ndarray, plan) -> np.ndarray:
-    """Walk a compiled plan over one (8, 8) state or a (shots, 8, 8) stack."""
-    for kind, a, b in plan:
-        if kind == "fused":
-            if b is not None:
-                states = states[..., b[:, None], b]
-            states = a * states
-        else:
-            states = np.matmul(a, states) @ b
+    """Walk a plan over one (8, 8) state or a stack of them.
+
+    A compiled plan applies its frames without disorder (C = K); a plan
+    from expand_program walks a (shots, 8, 8) stack shot by shot. The walk
+    works on a copy of states and one spare array of its shape, so no
+    segment allocates: a fresh 0.5 MB stack per segment made a flip-error
+    walk a third slower whenever the allocator handed the freed stacks
+    back to the system between segments.
+    """
+    states = np.array(states, dtype=complex)
+    spare = np.empty_like(states)
+    flat = states.shape[:-2] + (DIM * DIM,)
+    for seg in plan:
+        if seg[0] == "dense":
+            np.matmul(seg[1], states, out=spare)
+            np.matmul(spare, seg[2], out=states)
+            continue
+        _, coef, _, perm = seg
+        if perm is not None:
+            np.take(states.reshape(flat), (perm[:, None] * DIM + perm).ravel(), axis=-1,
+                    out=spare.reshape(flat))
+            states, spare = spare, states
+        np.multiply(coef, states, out=states)
     return states
 
 
 def _then(first, second):
-    """(C, perm) of fused map first followed by fused map second."""
-    (c1, p1), (c2, p2) = first, second
+    """(K, H, perm) of fused frame first followed by fused frame second."""
+    (k1, h1, p1), (k2, h2, p2) = first, second
     if p2 is None:
-        return c2 * c1, p1
+        return k2 * k1, h2 + h1, p1
     perm = p2 if p1 is None else p1[p2]
-    return c2 * c1[..., p2[:, None], p2], None if np.array_equal(perm, np.arange(DIM)) else perm
+    return (k2 * k1[p2[:, None], p2], h2 + h1[p2],
+            None if np.array_equal(perm, np.arange(DIM)) else perm)
 
 
 def repeat_program(plan, k: int) -> list:
     """Plan of k consecutive walks of a compiled plan.
 
-    A plan that is one fused segment composes in closed form, by
-    products only: C2 * C1[p2][:, p2] with perm p1[p2], squared up to k
-    units. Any other plan is the k-fold concatenation of its own segment
-    objects: nothing is copied or recompiled, and the list holds one
-    reference per segment per unit.
+    A plan that is one fused frame composes in closed form on its small
+    arrays, by products and sums only: K2 * K1[p2][:, p2], H2 + H1[p2]
+    and perm p1[p2], squared up to k units. Any other plan is the k-fold
+    concatenation of its own segment objects: nothing is copied or
+    recompiled, and the list holds one reference per segment per unit.
     """
     if k < 0:
         raise ValueError(f"repeat count must be nonnegative, got {k}")

@@ -24,7 +24,8 @@ def disorder_phase_rates(deltas) -> np.ndarray:
     (shots, 8, 8) respectively. A common-mode shift c is c added to every
     spin: the sensitivities of an element sum to its coherence order.
     """
-    sens = spinsys._tables((0.0,) * 3, (0.0,) * 3, NoiseModel())[3]
+    levels = spinsys._tables((0.0,) * 3, (0.0,) * 3, NoiseModel())[3]
+    sens = levels[:, None, :] - levels[None, :, :]
     return np.einsum("abq,...q->...ab", sens, np.asarray(deltas, dtype=float))
 
 

@@ -200,6 +200,35 @@ def test_decay_rejects_broken_config(capsys, tmp_path):
     assert code == 2 and "finite t_max" in err
 
 
+def test_uncountable_time_grid_exits_two(capsys, tmp_path):
+    # finite horizons whose unit counts overflow a 64-bit grid, named, not a traceback
+    for argv in (("decay", "--state", "psi3", "--families", "XY8", "--t-max", "1e20",
+                  "--out-csv", str(tmp_path / "c.csv"), "--out-json", str(tmp_path / "s.json")),
+                 ("star", "--points", "3", "--t-max", "1e300",
+                  "--out-csv", str(tmp_path / "star.csv"))):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and "more than a time grid can count" in err
+        assert not (tmp_path / "c.csv").exists() and not (tmp_path / "star.csv").exists()
+
+
+def test_overflowing_system_or_disorder_exits_two(capsys, tmp_path):
+    # an overflowing frame, offset draw or level phase is a config error naming what
+    # overflowed, without numpy warnings on the way, not a broken evolution (exit 3)
+    flip = ("--set", "pulse.flip_fraction_error=0.02")
+    wide = ("--set", "disorder.shots=512")  # draws beyond 1.8 sigma: 1e308 overflows
+    cases = ((("--set", "system.offsets_hz=1e308,0,0"), "offsets or couplings"),
+             (("--set", "system.couplings_hz=0,1e308,0") + flip, "offsets or couplings"),
+             (("--set", "disorder.sigma_corr_hz=1e308") + wide, "disorder widths"),
+             (("--set", "disorder.sigma_hz=1e308,1,1") + wide + flip, "disorder widths"),
+             # 16 finite draws, but one 0.7 s free step overflows their phases
+             (("--set", "disorder.sigma_corr_hz=1e308", "--points", "2"), "disorder offsets"))
+    for extra, named in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _, err = run_cli(capsys, *decay_args(tmp_path, *extra))
+        assert code == 2 and named in err, (extra, err)
+
+
 _SECTIONS = sorted({section for section, *_ in spinsys.CONFIG_KEYS})
 _NAMES = st.text(min_size=1, max_size=10).filter(lambda s: not s.startswith("-"))
 _NUMBERS = st.floats(allow_nan=True, allow_infinity=True).map(repr)

@@ -163,7 +163,7 @@ def test_xy8_pulse_product_is_exactly_identity():
     c = ddseq.generate("XY8", 1e-3, 0.0, (2,))
     plan = spinsys.compile_program(PULSES_ONLY, *ddseq.program(c, 1))
     assert len(plan) == 1
-    kind, coef, perm = plan[0]
+    kind, coef, _, perm = plan[0]
     assert kind == "fused" and perm is None
     assert np.array_equal(coef, np.ones((8, 8)))
 

@@ -223,7 +223,8 @@ ORACLE_SE = 5.0
 
 
 def test_shot_average_matches_the_gaussian_disorder_oracle():
-    # A unit that compiles to one unpermuted fused map C_s = D exp(E - 2 pi i A . delta_s)
+    # A unit that compiles to one unpermuted fused frame, C_s = K g_s g_s^H with
+    # K = D exp(E) and g_s g_s^H = exp(-2 pi i A . delta_s), A[a, b] = H[a] - H[b],
     # averages, after k units and over Gaussian delta with covariance Sigma, to
     # E_s[C_s^k] = (D exp(E))^k exp(-2 pi^2 k^2 A^T Sigma A) element by element.
     sys = runner.default_system()
@@ -236,14 +237,15 @@ def test_shot_average_matches_the_gaussian_disorder_oracle():
     for proto in committed_protocols():
         cycle = runner.build_cycle(proto)
         program = ddseq.program(cycle, cycle.unit_cycles)
-        (kind, coef, perm), = spinsys.compile_program(sys, *program, unit_offsets)
+        frame = spinsys.compile_program(sys, *program)
+        (kind, coef, _, perm), = spinsys.expand_program(frame, unit_offsets)
         assert kind == "fused" and perm is None
         times_a = -np.angle(coef[1:] / coef[0]) / (2 * np.pi)  # A, one (8, 8) per spin
         # each element's offset sensitivity times its spin's zero-frequency filter
         assert np.allclose(times_a, sens * toggling_integrals(program)[:, None, None],
                            rtol=0, atol=1e-12)
         spread = np.einsum("qab,qr,rab->ab", times_a, cov, times_a)
-        (_, shot_coef, _), = spinsys.compile_program(sys, *program, d.draw())
+        (_, shot_coef, _, _), = spinsys.expand_program(frame, d.draw())
         grid = runner.default_time_grid(cycle.unit_duration)
         for t, avg in zip(grid, runner._ProtocolWalk(sys, cycle, grid).averaged_states(rho0)):
             k = ddseq.unit_count(t, cycle.unit_duration, cycle.name)

@@ -141,7 +141,8 @@ def test_pulsed_unit_keeps_a_random_state_a_density_matrix(
         cycle = ddseq.modify(cycle)
     sys = SpinSystem(offsets, couplings, NoiseModel(gamma, gamma_corr), pulse_model)
     events, duration = ddseq.program(cycle, cycle.unit_cycles)
-    plan = spinsys.compile_program(sys, events, duration, np.array(deltas))
+    plan = spinsys.expand_program(spinsys.compile_program(sys, events, duration),
+                                  np.array(deltas))
     rho = random_rho(np.random.default_rng(seed), spinsys.DIM)
     states = spinsys.apply_program(np.broadcast_to(rho, (len(deltas),) + rho.shape), plan)
     # the free channel's floor, over the unit's duration and its largest disorder shift

@@ -4,19 +4,23 @@ The reference below is the earlier runner engine, kept verbatim except
 that it takes a program's (events, duration) instead of a cycle and the
 (shots, 3) offset draw instead of its frequency shifts: one pair
 of (8 x 8) matmuls per shot per pulse and one free_factors call per shot
-per gap. spinsys.compile_program must reproduce its shot-averaged states
-over random families, targets, modification slots, pulse errors, pulse
-widths and disorder shots, and on the pulse-level star preparation; the
-other schedule runner, apply_sequence, must agree with it on the
-committed protocols. The runner's free-evolution curves, which walk one
+per gap. spinsys.compile_program, expanded over the draw, must reproduce
+its shot-averaged states over random families, targets, modification
+slots, pulse errors, pulse widths and disorder shots, and on the
+pulse-level star preparation; the other schedule runner, apply_sequence,
+must agree with it on the committed protocols. A fused frame's per-level
+filter function H must give the element-wise disorder times A it
+replaced, A[a, b] = H[a] - H[b]. The runner's free-evolution curves, which walk one
 pulseless program per distinct gap, must reproduce the per-time factor
 stacks they replaced, compiling each gap length once. A plan of k units
 (spinsys.repeat_program) must match k walks of its unit, whether it is
 the closed-form power of one fused segment or the concatenation of a
-dense unit's own segments. A fused walk's shot-averaged map, shared by
-every state, must match each state's own shot-stack walk, and the grid,
-which builds each protocol's walk once for all its states and steps its
-shots once per recorded time, must match one run_decay per curve.
+dense unit's own segments. A fused walk's shot-averaged map, stepped on
+its (8, 8) frame and per-shot level phases and shared by every state,
+must match the expanded plan walked on a (shots, 8, 8) stack, for every
+protocol of the grid and the star run; and the grid, which builds each
+protocol's walk once for all its states and steps no shot stack when it
+is fused, must match one run_decay per curve.
 """
 
 from dataclasses import replace
@@ -83,6 +87,11 @@ def offset_draw(sys: SpinSystem) -> np.ndarray:
     return np.zeros((1, 3)) if sys.disorder is None else sys.disorder.draw()
 
 
+def expanded_plan(sys: SpinSystem, events, duration: float, deltas: np.ndarray) -> list:
+    """The compiled frames of a program written out over the (shots, 3) draw."""
+    return spinsys.expand_program(spinsys.compile_program(sys, events, duration), deltas)
+
+
 def _apply_unit(states: np.ndarray, plan) -> np.ndarray:
     for seg in plan:
         if seg[0] == "free":
@@ -136,7 +145,7 @@ def test_fused_walk_matches_dense_walk(case):
     deltas = offset_draw(sys)
     program = ddseq.program(cycle, cycle.unit_cycles)
     want, _ = averaged_states(_unit_plan, _apply_unit, rho, sys, program, deltas, units)
-    got, plan = averaged_states(spinsys.compile_program, spinsys.apply_program,
+    got, plan = averaged_states(expanded_plan, spinsys.apply_program,
                                 rho, sys, program, deltas, units)
     for a, b in zip(got, want):
         assert np.max(np.abs(a - b)) <= 1e-12
@@ -151,7 +160,7 @@ def test_fused_walk_matches_dense_walk(case):
         # ideal pi pulses keep the basis when every spin gets an even number
         keeps_basis = all(sum(q in ev.targets for ev in program[0]) % 2 == 0
                           for q in (1, 2, 3))
-        assert len(plan) == 1 and (plan[0][2] is None) == keeps_basis
+        assert len(plan) == 1 and (plan[0][3] is None) == keeps_basis
 
 
 STAR_SYSTEMS = (
@@ -171,7 +180,7 @@ def test_star_program_matches_dense_walk(sys):
     rho = random_rho(np.random.default_rng(5), spinsys.DIM)
     deltas = offset_draw(sys)
     want, _ = averaged_states(_unit_plan, _apply_unit, rho, sys, program, deltas, 1)
-    got, plan = averaged_states(spinsys.compile_program, spinsys.apply_program,
+    got, plan = averaged_states(expanded_plan, spinsys.apply_program,
                                 rho, sys, program, deltas, 1)
     assert np.max(np.abs(got[0] - want[0])) <= 1e-12
     assert any(seg[0] == "dense" for seg in plan) and any(seg[0] == "fused" for seg in plan)
@@ -195,7 +204,7 @@ def test_every_schedule_runner_shares_the_pulse_window_convention(kind, state):
     coherent = dephasing.without_noise()
     for sys in (dephasing, coherent):
         reference = one_unit(_unit_plan, _apply_unit, sys)
-        runs = [one_unit(spinsys.compile_program, spinsys.apply_program, sys),
+        runs = [one_unit(expanded_plan, spinsys.apply_program, sys),
                 spinsys.apply_sequence(rho, sys, *program)]
         for got in runs:
             assert np.max(np.abs(got - reference)) <= 1e-12
@@ -229,9 +238,9 @@ def test_free_walk_compiles_each_distinct_gap_once(monkeypatch):
     real = spinsys.compile_program
     gaps = []
 
-    def counting(sys, events, duration, deltas):
+    def counting(sys, events, duration):
         gaps.append(duration)
-        return real(sys, events, duration, deltas)
+        return real(sys, events, duration)
 
     monkeypatch.setattr(spinsys, "compile_program", counting)
     sys = runner.default_system()
@@ -252,32 +261,41 @@ def test_free_walk_compiles_each_distinct_gap_once(monkeypatch):
 # -- one shot-averaged map per fused protocol, shared by every state --------
 
 def _state_walk(sys, cycle, times, rho0):
-    """The shot stack of one state walked through every recorded time, then averaged."""
+    """The shot stack of one state walked through every recorded time, then averaged.
+
+    Each step is its compiled plan expanded over the draw: C_s = K g_s g_s^H
+    written out on a (shots, 8, 8) stack.
+    """
     deltas = offset_draw(sys)
     states = np.broadcast_to(rho0, (len(deltas),) + rho0.shape).copy()
     unit = None if cycle is None else spinsys.compile_program(
-        sys, *ddseq.program(cycle, cycle.unit_cycles), deltas)
+        sys, *ddseq.program(cycle, cycle.unit_cycles))
     out, done = [], 0
     for t in times:
         if unit is None:
-            plan = spinsys.compile_program(sys, (), t - done, deltas)
+            plan = spinsys.compile_program(sys, (), t - done)
             done = t
         else:
             k = ddseq.unit_count(t, cycle.unit_duration, cycle.name)
             plan = spinsys.repeat_program(unit, k - done)
             done = k
-        states = spinsys.apply_program(states, plan)
+        states = spinsys.apply_program(states, spinsys.expand_program(plan, deltas))
         out.append(states.mean(0))
     return np.array(out)
 
 
 _CPMG3 = ddseq.generate_cpmg(3, 0.5e-3, 4e-5, (1, 2))
+# one pi pulse on spins 1 and 2 at a fifth of the unit: it permutes the basis, and unlike
+# a symmetric train it leaves the pulsed spins a filter function, so H[P] differs from H
+_OFF_CENTER = replace(ddseq.generate_cpmg(1, 1e-3, 0.0, (1, 2)), name="off-center",
+                      events=(spinsys.pulse(0.2e-3, (1, 2), np.pi, 0.3),))
 MAP_WALKS = {  # (cycle, t_max)
     "FreeEv": (None, runner.GRID_T_MAX),
     "DD3sp-XY8": (runner.build_cycle(runner.default_protocol("DD3sp", "psi3", "XY8")),
                   runner.GRID_T_MAX),
-    # three pulses per spin: the unit permutes the basis, so P_t flips with the unit count
+    # an odd pulse count per spin: the unit permutes the basis, so P_t flips with the unit count
     "CPMG3-permuting": (_CPMG3, 401 * _CPMG3.unit_duration),
+    "off-center-permuting": (_OFF_CENTER, 201 * _OFF_CENTER.unit_duration),
 }
 
 
@@ -294,7 +312,7 @@ def test_map_walk_matches_state_walk(name):
         assert np.max(np.abs(walk.averaged_states(rho0) - want)) <= 1e-12
     perms = walk.averaged_map[1]
     identity = np.all(perms == np.arange(spinsys.DIM), axis=1)
-    if cycle is not None and cycle.name.startswith("CPMG"):
+    if name.endswith("-permuting"):
         odd = [ddseq.unit_count(t, cycle.unit_duration, cycle.name) % 2 == 1
                for t in walk.times]
         assert any(odd) and not all(odd)
@@ -306,11 +324,117 @@ def test_map_walk_matches_state_walk(name):
     assert runner._ProtocolWalk(flip, cycle, times).fused == (cycle is None)
 
 
+def _grid_protocols():
+    """The distinct protocols of the committed grid, as run_grid builds them."""
+    protos = {runner.default_protocol("FreeEv")}
+    for state_id in runner.TABLE_STATES:
+        for family in runner.FAMILIES:
+            protos.add(runner.default_protocol(runner.DESIGNATED_KIND[state_id], state_id, family))
+            protos.add(runner.default_protocol("DD3sp", state_id, family))
+    return protos
+
+
+GRID_PROTOCOLS = _grid_protocols()
+FRAME_WALKS = {  # name: cycle, for the grid's 22 protocols and both star pairs
+    f"grid{i:02d}-{p.kind}-{p.sequence_label}": runner.build_cycle(p)
+    for i, p in enumerate(sorted(GRID_PROTOCOLS, key=repr))}
+FRAME_WALKS.update({f"star-{name}": runner.build_cycle(runner.star_protocol(pair))
+                    for name, pair in runner.STAR_PAIRS.items()})
+
+
+def test_frame_walks_cover_the_grid_and_the_star_run():
+    assert len(GRID_PROTOCOLS) == 22 and len(FRAME_WALKS) == 24
+
+
+@pytest.mark.parametrize("name", sorted(FRAME_WALKS))
+def test_frame_walk_matches_the_expanded_shot_walk(name):
+    sys = runner.default_system()  # the committed 512-shot disorder
+    cycle = FRAME_WALKS[name]
+    times = runner.default_time_grid(None if cycle is None else cycle.unit_duration)
+    walk = runner._ProtocolWalk(sys, cycle, times)
+    assert walk.fused
+    # the all-ones stack walks to C_t itself, since ones[P][:, P] is ones
+    ones = np.ones((spinsys.DIM, spinsys.DIM), dtype=complex)
+    assert np.max(np.abs(walk.averaged_map[0] - _state_walk(sys, cycle, walk.times, ones))) <= 1e-12
+    # a state with distinct entries checks the permutations too
+    rho0 = random_rho(np.random.default_rng(19), spinsys.DIM)
+    want = _state_walk(sys, cycle, walk.times, rho0)
+    assert np.max(np.abs(walk.averaged_states(rho0) - want)) <= 1e-12
+
+
+def old_disorder_times(sys, events, duration) -> np.ndarray:
+    """Per spin, the element-wise disorder times A, (3, 8, 8), of a fused program.
+
+    The way the engine accumulated them before its per-level frames: a gap
+    of t adds (s_q(a) - s_q(b)) t / 2, a signed-permutation pulse takes A
+    to A[p][:, p].
+    """
+    s = np.array([[1 - 2 * spinsys.bit(b, q) for b in range(spinsys.DIM)] for q in (1, 2, 3)])
+    sens = (s[:, :, None] - s[:, None, :]) / 2.0
+    times_a = np.zeros((3, spinsys.DIM, spinsys.DIM))
+    for kind, item in spinsys.program_steps(events, duration, sys.pulse.internal_h_during_pulse):
+        if kind == "free":
+            times_a = times_a + sens * item
+        else:
+            p, _ = spinsys.pulse_permutation(item, sys)
+            times_a = times_a[:, p[:, None], p]
+    return times_a
+
+
+_TARGET_SETS = ((1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3))
+
+
+@st.composite
+def fused_cases(draw):
+    """A unit of pi pulses: a DD cycle, or pulses placed at random in their slots."""
+    if draw(st.booleans()):
+        family = draw(st.sampled_from(("XY8", "UR12", "XY16", "KDD20", "CPMG")))
+        targets = draw(st.sampled_from(_TARGET_SETS))
+        tau = draw(st.floats(0.3e-3, 0.7e-3))
+        t_p = draw(st.sampled_from((0.0, 2e-5, 8e-5)))
+        if family == "CPMG":  # an odd pulse count per spin permutes the basis
+            cycle = ddseq.generate_cpmg(draw(st.integers(1, 6)), tau, t_p, targets)
+        else:
+            cycle = ddseq.generate(family, tau, t_p, targets)
+        if len(targets) == 2 and draw(st.booleans()):
+            cycle = ddseq.modify(cycle, slot=draw(st.integers(0, cycle.n_slots - 1)))
+        events, duration = ddseq.program(cycle, cycle.unit_cycles)
+    else:  # off-center pulses leave the pulsed spins a filter function that pulses permute
+        slot, n = 1e-3, draw(st.integers(1, 6))
+        # clear of the slot edges: gaps under TIME_ATOL merge, so units would not concatenate
+        events = tuple(
+            spinsys.pulse(i * slot + draw(st.floats(0.01, 0.75)) * slot,
+                          draw(st.sampled_from(_TARGET_SETS)), np.pi,
+                          draw(st.floats(-np.pi, np.pi)), draw(st.sampled_from((0.0, 1e-4))))
+            for i in range(n))
+        duration = n * slot
+    # any phase error keeps a pi pulse a signed permutation, with complex entries
+    phase_error = draw(st.one_of(st.just(0.0), st.floats(-0.2, 0.2)))
+    sys = SpinSystem(pulse=PulseErrorModel(phase_error=phase_error))
+    return events, duration, sys, draw(st.integers(1, 4))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(fused_cases())
+def test_level_filter_function_gives_the_element_disorder_times(case):
+    events, duration, sys, units = case
+    unit = spinsys.compile_program(sys, events, duration)
+    (kind, _, h, _), = spinsys.repeat_program(unit, units)
+    assert kind == "fused" and h.shape == (spinsys.DIM, 3)
+    repeated = tuple(replace(ev, start=ev.start + j * duration)
+                     for j in range(units) for ev in events)
+    want = old_disorder_times(sys, repeated, units * duration)
+    got = np.moveaxis(h[:, None, :] - h[None, :, :], -1, 0)
+    assert np.max(np.abs(got - want)) <= 1e-15
+
+
 # -- k units in one plan, and one walk per grid protocol -------------------
 
 REPEAT_CASES = {
     # three pulses per spin: the fused unit permutes the basis
     "fused-permuting": (ddseq.generate_cpmg(3, 0.5e-3, 0.0, (1, 2)), PulseErrorModel()),
+    # permuting, with a filter function on the pulsed spins that the permutation moves
+    "fused-off-center": (_OFF_CENTER, PulseErrorModel(phase_error=0.1)),
     "flip-error": (ddseq.generate("XY8", 0.5e-3, 4e-5, (1, 3)),
                    PulseErrorModel(flip_fraction_error=0.02)),
     "internal-h": (ddseq.modify(ddseq.generate("UR12", 0.4e-3, 3e-5, (2, 3))),
@@ -324,23 +448,29 @@ def test_repeated_plan_matches_unit_walks(case, k):
     cycle, pulse_model = REPEAT_CASES[case]
     sys = SpinSystem(noise=NoiseModel((0.5, 0.8, 1.1), 0.3), pulse=pulse_model,
                      disorder=DisorderModel((3.0, 4.0, 5.0), 6.0, shots=4, seed=2))
-    plan = spinsys.compile_program(sys, *ddseq.program(cycle, cycle.unit_cycles),
-                                   offset_draw(sys))
+    plan = spinsys.compile_program(sys, *ddseq.program(cycle, cycle.unit_cycles))
+    deltas = offset_draw(sys)
+    shot_plan = spinsys.expand_program(plan, deltas)
     rho = random_rho(np.random.default_rng(17), spinsys.DIM)
     want = np.broadcast_to(rho, (4,) + rho.shape)
     for _ in range(k):
-        want = spinsys.apply_program(want, plan)
+        want = spinsys.apply_program(want, shot_plan)
     repeated = spinsys.repeat_program(plan, k)
-    got = spinsys.apply_program(np.broadcast_to(rho, (4,) + rho.shape), repeated)
+    got = spinsys.apply_program(np.broadcast_to(rho, (4,) + rho.shape),
+                                spinsys.expand_program(repeated, deltas))
     assert np.max(np.abs(got - want)) <= 1e-12
-    if case == "fused-permuting":  # one segment, whatever k: the closed form
-        assert len(plan) == 1 and plan[0][0] == "fused" and plan[0][2] is not None
+    if case.startswith("fused-"):  # one frame, whatever k: the closed form
+        assert len(plan) == 1 and plan[0][0] == "fused" and plan[0][3] is not None
         assert len(repeated) == min(k, 1)
-        assert repeated == [] or (repeated[0][2] is None) == (k % 2 == 0)
+        assert repeated == [] or (repeated[0][3] is None) == (k % 2 == 0)
     else:  # the plain concatenation, of the unit's own segment objects
         assert any(seg[0] == "dense" for seg in plan)
         assert len(repeated) == k * len(plan)
         assert all(seg is plan[i % len(plan)] for i, seg in enumerate(repeated))
+        # the walk's order: expand the unit once, then concatenate its expanded segments
+        walked = spinsys.apply_program(np.broadcast_to(rho, (4,) + rho.shape),
+                                       spinsys.repeat_program(shot_plan, k))
+        assert np.max(np.abs(walked - want)) <= 1e-12
     with pytest.raises(ValueError):
         spinsys.repeat_program(plan, -1)
 
@@ -353,9 +483,9 @@ def test_grid_walks_each_protocol_once_for_all_its_states(monkeypatch):
                                      runner._protocol_curves)
     units, gaps, stack_walks, walked = [], [], [], {}
 
-    def counting(sys, events, duration, deltas):
+    def counting(sys, events, duration):
         (units if events else gaps).append((events, duration))
-        return real(sys, events, duration, deltas)
+        return real(sys, events, duration)
 
     def counting_apply(states, plan):
         if states.ndim == 3:  # a shot stack, not one state
@@ -380,9 +510,18 @@ def test_grid_walks_each_protocol_once_for_all_its_states(monkeypatch):
     # the free gaps too, once for all three states
     free = runner.default_time_grid(None)
     assert len(gaps) == len({round(b - a, 12) for a, b in zip(free, free[1:])})
-    # every protocol is fused: one shot-stack step per recorded time, whatever its state count
+    # every protocol is fused: its walk steps its frame, never a shot stack
     assert sorted(n for _, n, _ in walked.values()) == [1, 1, 3, 3]
-    assert all(calls == steps for calls, _, steps in walked.values())
+    assert all(calls == 0 for calls, _, _ in walked.values())
+    # a flip error makes the pulsed unit dense: one shot-stack step per recorded time
+    # and state, while free evolution still steps no stack
+    flip = replace(sys, pulse=PulseErrorModel(flip_fraction_error=0.02))
+    walked.clear()
+    runner.run_grid(flip, ("XY8",), ("psi3",), t_max=0.05, points=3)
+    by_kind = {proto.kind: counts for proto, counts in walked.items()}
+    assert by_kind["FreeEv"][0] == 0
+    calls, n_states, steps = by_kind["DD3sp"]
+    assert calls == n_states * steps > 0
     monkeypatch.setattr(spinsys, "compile_program", real)
     monkeypatch.setattr(spinsys, "apply_program", real_apply)
     monkeypatch.setattr(runner, "_protocol_curves", real_curves)
