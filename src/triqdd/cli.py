@@ -176,9 +176,12 @@ def cmd_protect(args) -> int:
 # -- star ------------------------------------------------------------------
 
 def cmd_star(args) -> int:
+    if args.seed is not None and args.tomo_sigma is None:
+        raise spinsys.ConfigError(f"--seed {args.seed} seeds the tomography readout: "
+                                  f"add --tomo-sigma")
     sys_, _ = resolve_system(args)
     rows = runner.star_protection(sys_, free=args.free, prep=args.prep,
-                                  tomo_sigma=args.tomo_sigma, seed=args.seed,
+                                  tomo_sigma=args.tomo_sigma, seed=args.seed or 0,
                                   t_max=args.t_max, points=args.points)
     runner.write_curves_csv(rows, args.out_csv)
     for name, c in zip(runner.STAR_PAIRS, rows):
@@ -275,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--tomo-sigma", type=float, default=None,
                      help="route the protected rows' readout through tomography at this "
                           "noise level; --free rows are read exactly")
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=int, default=None,
+                     help="tomography noise seed, with --tomo-sigma (default 0)")
     sub.add_argument("--t-max", type=float, default=runner.GRID_T_MAX)
     sub.add_argument("--points", type=int, default=runner.GRID_POINTS)
     sub.add_argument("--out-csv", default="star_curves.csv")

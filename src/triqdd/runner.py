@@ -21,7 +21,8 @@ they feel, while the all-spin sequence leaves every coupling running.
 Static disorder is handled by shot averaging: each shot draws per-spin
 offset shifts once and keeps them for the whole evolution, the complex
 states are averaged across shots, and only then are magnitudes or
-concurrences taken. Shots are batched along the leading axis.
+concurrences taken. Shots are batched along the leading axis. A run
+draws once (offset_draw) and every walk of the run shares that draw.
 
 Every curve walks its recorded times one step each. A DD step is the
 repeat unit, compiled once by spinsys.compile_program into toggling
@@ -249,14 +250,20 @@ def default_time_grid(unit: float | None, t_max: float = GRID_T_MAX,
     return tuple(k * unit for k in counts)
 
 
+def offset_draw(sys: SpinSystem) -> np.ndarray:
+    """Per-shot offset shifts in Hz, (shots, 3): the disorder draw, one zero shot without it."""
+    return np.zeros((1, spinsys.N_QUBITS)) if sys.disorder is None else sys.disorder.draw()
+
+
 class _ProtocolWalk:
     """One protocol's walk over its recorded times, shared by every state it runs.
 
     Step i takes the walk from times[i - 1] (0 for i = 0) to times[i]: the
     pulseless program of the gap for free evolution, the repeat unit
-    raised to the unit-count increment for DD. The offset draw and the
-    unit are built once, and one plan per distinct step is kept (the last
-    few; a unit-snapped grid has two or three).
+    raised to the unit-count increment for DD. deltas is the run's offset
+    draw (offset_draw): a run draws once, so its protocols share one draw.
+    The unit is built once, and one plan per distinct step is kept (the
+    last few; a unit-snapped grid has two or three).
 
     When every segment is fused (free evolution always; DD with ideal
     pulses), the state of shot s at time t is C_t(s) * rho0[P_t][:, P_t]
@@ -269,12 +276,9 @@ class _ProtocolWalk:
     shot stack of each state through it.
     """
 
-    def __init__(self, sys, cycle, times):
-        self.sys = sys
+    def __init__(self, sys, cycle, times, deltas):
+        self.sys, self.deltas = sys, deltas
         self.times = times = tuple(sorted(set(float(t) for t in times)))
-        # per-shot offset shifts in Hz; one zero shot without disorder
-        self.deltas = (np.zeros((1, spinsys.N_QUBITS)) if sys.disorder is None
-                       else sys.disorder.draw())
         if cycle is None:
             self.unit, self.steps = None, np.diff(times, prepend=0.0)
         else:
@@ -364,7 +368,7 @@ def run_decay(state_id: str, protocol: Protocol, sys: SpinSystem,
     if times is None:
         times = default_time_grid(None if cycle is None else cycle.unit_duration)
     return _decay_curve(state_id, circuits.prepare(state_id), protocol,
-                        _ProtocolWalk(sys, cycle, times))
+                        _ProtocolWalk(sys, cycle, times, offset_draw(sys)))
 
 
 # -- table grid ------------------------------------------------------------
@@ -409,9 +413,9 @@ def run_grid(sys: SpinSystem, families=FAMILIES, states=TABLE_STATES,
     for state_id, proto in cells:
         users.setdefault(proto, []).append(state_id)
     prepared = {state_id: circuits.prepare(state_id) for state_id in states}
-    done = {}
+    deltas, done = offset_draw(sys), {}
     for proto, state_ids in users.items():
-        curves = _protocol_curves(sys, proto, state_ids, prepared, t_max, points)
+        curves = _protocol_curves(sys, proto, state_ids, prepared, deltas, t_max, points)
         done.update(((state_id, proto), c) for state_id, c in zip(state_ids, curves))
     curves = tuple(done[cell] for cell in cells)
     # the grid always ends on t_max
@@ -420,11 +424,12 @@ def run_grid(sys: SpinSystem, families=FAMILIES, states=TABLE_STATES,
     return GridRun(curves, percents, t_max)
 
 
-def _protocol_curves(sys, proto, state_ids, prepared, t_max, points) -> list[DecayCurve]:
+def _protocol_curves(sys, proto, state_ids, prepared, deltas, t_max,
+                     points) -> list[DecayCurve]:
     """One protocol's curve on each state; its walk, and so its map and plans, die on return."""
     cycle = build_cycle(proto)
     times = default_time_grid(None if cycle is None else cycle.unit_duration, t_max, points)
-    walk = _ProtocolWalk(sys, cycle, times)
+    walk = _ProtocolWalk(sys, cycle, times, deltas)
     return [_decay_curve(state_id, prepared[state_id], proto, walk) for state_id in state_ids]
 
 
@@ -552,22 +557,22 @@ def star_protection(sys: SpinSystem, free: bool = False, prep: str = "ideal",
     if prep not in ("ideal", "nmr"):
         raise ValueError(f"unknown preparation '{prep}', expected 'ideal' or 'nmr'")
     rho0 = circuits.prepare("star") if prep == "ideal" else circuits.prepare_star_nmr(sys)
-    rows, pairs_by_grid = [], {}
+    deltas, rows, pairs_by_grid = offset_draw(sys), [], {}
     for pair in STAR_PAIRS.values():
         proto = star_protocol(pair)
         cycle = build_cycle(proto)
         times = default_time_grid(cycle.unit_duration, t_max, points)
         pairs_by_grid.setdefault(times, []).append(pair)
-        rows += _star_curves(sys, proto, cycle, times, rho0, [pair], tomo_sigma, seed)
+        rows += _star_curves(sys, proto, cycle, times, deltas, rho0, [pair], tomo_sigma, seed)
     if free:
         for times, pairs in pairs_by_grid.items():
-            rows += _star_curves(sys, Protocol("FreeEv"), None, times, rho0, pairs)
+            rows += _star_curves(sys, Protocol("FreeEv"), None, times, deltas, rho0, pairs)
     return tuple(rows)
 
 
-def _star_curves(sys, proto, cycle, times, rho0, pairs, tomo_sigma=None, seed=0):
+def _star_curves(sys, proto, cycle, times, deltas, rho0, pairs, tomo_sigma=None, seed=0):
     """One walk's concurrence curve on each pair; the walk, and so its plans, die on return."""
-    states = _ProtocolWalk(sys, cycle, times).averaged_states(rho0)
+    states = _ProtocolWalk(sys, cycle, times, deltas).averaged_states(rho0)
     if tomo_sigma is not None:
         states = circuits.tomography(states, sigma=tomo_sigma, seed=seed)
     return [DecayCurve("star", proto, "concurrence", times,

@@ -71,13 +71,17 @@ the experiment layer averages over a seeded set of shots. The shifts
 delta_s are diagonal and enter every gap linearly, and a fused pulse
 only permutes levels, so in the toggling frame a shot's disorder is one
 phase per level: g_s[a] = exp(-2 pi i H[a] . delta_s), where H, (8, 3),
-is each level's zero-frequency filter function (a gap of t adds
-t s_q(a) / 2, a pulse permutes the rows). compile_program therefore
-builds each fused segment's frame (K, H, perm) once, with no draw, on
-small arrays: K = D * exp(E) holds the generator E (phase and decay) and
-the pulse phases D. The shot-s map is C_s = K * g_s g_s^H, a rank-1
-outer product of eight phases; expand_program writes it out over a draw
-for a walk that steps shot stacks through dense segments.
+is each level's zero-frequency filter function. compile_program
+therefore builds each fused segment's frame (K, H, perm) once, with no
+draw, on small arrays, in one pass from the end of its run. A gap
+evolves in the frame q of the pulses after it, so the generator E (phase
+and decay) and H are sums over the run's distinct frames (two to eight
+in a DD unit) of each frame's gap time times the free generator, or the
+level table, gathered by q. The pulse phases of a product of signed
+permutations are one phase per level, u, so K = (u u^H) * exp(E).
+The shot-s map is C_s = K * g_s g_s^H, a rank-1 outer product of eight
+phases; expand_program writes it out over a draw for a walk that steps
+shot stacks through dense segments.
 """
 
 from __future__ import annotations
@@ -296,7 +300,11 @@ def _applied_rotation(ev: PulseEvent, sys: SpinSystem) -> tuple[float, list[floa
     if ev.duration > 0.0 and ev.flip == 0.0:
         raise ValueError("finite-duration pulse with zero flip angle has no defined rf amplitude")
     err = sys.pulse
-    return ev.flip * (1.0 + err.flip_fraction_error), [p + err.phase_error for p in ev.phases]
+    flip = ev.flip * (1.0 + err.flip_fraction_error)
+    if not np.isfinite(flip):
+        raise ConfigError(f"pulse.flip_fraction_error {err.flip_fraction_error:g} overflows "
+                          f"the flip angle of a {ev.flip:g} rad pulse")
+    return flip, [p + err.phase_error for p in ev.phases]
 
 
 def pulse_propagator(ev: PulseEvent, sys: SpinSystem) -> np.ndarray:
@@ -326,9 +334,12 @@ def pulse_permutation(ev: PulseEvent, sys: SpinSystem):
 
     A pulse is a signed permutation when it is a plain rotation product
     (no internal Hamiltonian inside a finite window) whose flip angle,
-    errors included, is a whole number of half turns. The entries are
-    then built from exact cosines and sines. Returns None for any other
-    pulse, which needs pulse_propagator's dense unitary.
+    errors included, is a whole number n of half turns. With (c, s) the
+    cosine and sine of n quarter turns, each target q at phase phi then
+    contributes in closed form: for odd n the bit flip 1 << (3 - q) and
+    the entry -i s e^(-i phi) on rows where q's bit is 0, -i s e^(i phi)
+    where it is 1; for even n the sign c on every row. Returns None for
+    any other pulse, which needs pulse_propagator's dense unitary.
     """
     flip, phases = _applied_rotation(ev, sys)
     if ev.duration > 0.0 and sys.pulse.internal_h_during_pulse:
@@ -336,15 +347,17 @@ def pulse_permutation(ev: PulseEvent, sys: SpinSystem):
     half_turns = flip / np.pi
     if half_turns != round(half_turns):
         return None
-    n = int(round(half_turns))
+    n = int(half_turns)
     c, s = _HALF_TURN_COS_SIN[n % 4]
-    index = np.arange(DIM)
-    perm, d = index.copy(), np.ones(DIM, dtype=complex)
+    perm = np.arange(DIM)
+    if n % 2 == 0:
+        return perm, np.full(DIM, complex(c ** len(ev.targets)))
+    d = np.ones(DIM, dtype=complex)
     for q, ph in zip(ev.targets, phases):
-        rot = c * IDENTITY_2 - 1j * s * (np.cos(ph) * SIGMA_X + np.sin(ph) * SIGMA_Y)
-        row_bit = (index >> (N_QUBITS - q)) & 1
-        d = d * rot[row_bit, row_bit ^ (n % 2)]
-        perm = perm ^ ((n % 2) << (N_QUBITS - q))
+        bit_q = 1 << (N_QUBITS - q)
+        sin, cos = s * np.sin(ph), s * np.cos(ph)
+        d = d * np.where(perm & bit_q, complex(sin, -cos), complex(-sin, -cos))
+        perm = perm ^ bit_q
     return perm, d
 
 
@@ -397,7 +410,7 @@ def program_steps(events, duration: float, windowed: bool) -> list:
     return steps
 
 
-@np.errstate(over="ignore", invalid="ignore")  # checked as each segment closes
+@np.errstate(over="ignore", invalid="ignore")  # checked as each run closes
 def compile_program(sys: SpinSystem, events, duration: float) -> list:
     """Segment list of a timed pulse program, for apply_program.
 
@@ -405,46 +418,58 @@ def compile_program(sys: SpinSystem, events, duration: float) -> list:
     the map rho -> C * rho[perm][:, perm], perm None for the identity, with
     C = K without disorder and C_s = K * g_s g_s^H under the static shift
     delta_s, g_s = level_phases(H, delta_s) (expand_program). ('dense', U,
-    U dagger) is a pulse that mixes basis states. A free gap of t adds
-    (-2 pi i phase - decay) t to E and s(a) t / 2 to H; a signed-permutation
-    pulse U[i, p[i]] = d[i] takes E and D to X[p][:, p] and H to H[p], then
-    D to d d* D and perm to perm[p]. A segment closes as K = D * exp(E), 64
-    exps; offsets or couplings that overflow it are a ConfigError.
+    U dagger) is a pulse that mixes basis states and ends the fused run
+    before it. A run collects its gap lengths and the (p, d) of each
+    signed-permutation pulse, U[i, p[i]] = d[i], and closes in one pass
+    from its end: q, every later pulse of the run composed (the identity
+    at the end), becomes p[q] at each pulse, which also multiplies the
+    level phases u by d[q], and each gap adds its length to the total T_f
+    of its frame f = q. Then E = sum_f T_f (-2 pi i phase - decay)[f][:, f],
+    H = sum_f T_f s[f] / 2, K = (u u^H) * exp(E), 64 exps, and perm is the
+    final q. Offsets or couplings that overflow K are a ConfigError.
     """
     _, phase, decay, levels = _tables(sys.offsets, sys.couplings, sys.noise)
-    plan, pulse_cache, frame = [], {}, None
+    generator = -2j * np.pi * phase - decay
+    plan, pulse_cache, run = [], {}, []
 
-    def close_fused():
-        if frame is not None:
-            gen, h, phases, perm = frame
-            k = phases * np.exp(gen)
-            if not np.isfinite(k).all():
-                raise ConfigError(f"the system's offsets or couplings overflow the free "
-                                  f"evolution of a {duration:g} s program")
-            plan.append(("fused", k, h,
-                         None if np.array_equal(perm, np.arange(DIM)) else perm))
+    def close_run():
+        if not run:
+            return
+        q, u, frames = np.arange(DIM), np.ones(DIM, dtype=complex), {}
+        for step in reversed(run):
+            if isinstance(step, tuple):  # a pulse (p, d)
+                p, d = step
+                u = u * d[q]
+                q = p[q]
+            else:  # a gap, in the frame of the pulses after it
+                key = q.tobytes()
+                f, total = frames.get(key, (q, 0.0))
+                frames[key] = (f, total + step)
+        gen, h = np.zeros((DIM, DIM), dtype=complex), np.zeros((DIM, N_QUBITS))
+        for f, total in frames.values():
+            gen += total * generator[f[:, None], f]
+            h += total * levels[f]
+        k = np.outer(u, u.conj()) * np.exp(gen)
+        if not np.isfinite(k).all():
+            raise ConfigError(f"the system's offsets or couplings overflow the free "
+                              f"evolution of a {duration:g} s program")
+        plan.append(("fused", k, h, None if np.array_equal(q, np.arange(DIM)) else q))
+        run.clear()
 
     for kind, item in program_steps(events, duration, sys.pulse.internal_h_during_pulse):
-        if kind == "pulse":
-            key = (item.targets, item.phases, item.flip, item.duration)
-            if key not in pulse_cache:
-                pulse_cache[key] = pulse_permutation(item, sys) or pulse_propagator(item, sys)
-            seg = pulse_cache[key]
-            if isinstance(seg, np.ndarray):  # a unitary that mixes basis states
-                close_fused()
-                plan.append(("dense", seg, seg.conj().T))
-                frame = None
-                continue
-        gen, h, phases, perm = frame or (
-            np.zeros((DIM, DIM), complex), np.zeros((DIM, N_QUBITS)),
-            np.ones((DIM, DIM), complex), np.arange(DIM))
         if kind == "free":
-            frame = (gen + (-2j * np.pi * phase - decay) * item, h + levels * item, phases, perm)
+            run.append(item)
+            continue
+        key = (item.targets, item.phases, item.flip, item.duration)
+        if key not in pulse_cache:
+            pulse_cache[key] = pulse_permutation(item, sys) or pulse_propagator(item, sys)
+        seg = pulse_cache[key]
+        if isinstance(seg, np.ndarray):  # a unitary that mixes basis states
+            close_run()
+            plan.append(("dense", seg, seg.conj().T))
         else:
-            p, d = seg
-            frame = (gen[p[:, None], p], h[p],
-                     np.outer(d, d.conj()) * phases[p[:, None], p], perm[p])
-    close_fused()
+            run.append(seg)
+    close_run()
     return plan
 
 
@@ -455,7 +480,10 @@ def level_phases(h: np.ndarray, deltas) -> np.ndarray:
     offset draw; shifts that overflow the phases are a ConfigError.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        g = np.exp(-2j * np.pi * (deltas @ h.T))
+        angle = -2.0 * np.pi * (deltas @ h.T)
+        g = np.empty(angle.shape, dtype=complex)  # exp of an imaginary argument, without exp
+        np.cos(angle, out=g.real)
+        np.sin(angle, out=g.imag)
     if not np.isfinite(g).all():
         raise ConfigError("the disorder offsets overflow the phases of the program")
     return g

@@ -229,6 +229,20 @@ def test_overflowing_system_or_disorder_exits_two(capsys, tmp_path):
         assert code == 2 and named in err, (extra, err)
 
 
+def test_overflowing_flip_angle_exits_two(capsys, tmp_path):
+    # an infinite flip angle is no half-turn count and no finite window to integrate
+    flip = ("--set", "pulse.flip_fraction_error=1e308")
+    files = ("--out-csv", str(tmp_path / "c.csv"))
+    for argv in (("decay", "--state", "psi3", "--families", "XY8", "--points", "3") + flip,
+                 ("decay", "--state", "psi3", "--families", "XY8", "--points", "3") + flip
+                 + ("--set", "pulse.internal_h_during_pulse=on"),
+                 ("star", "--points", "3") + flip):
+        extra = ("--out-json", str(tmp_path / "s.json")) if argv[0] == "decay" else ()
+        code, _, err = run_cli(capsys, *argv, *files, *extra)
+        assert code == 2 and "pulse.flip_fraction_error" in err, (argv, err)
+        assert not (tmp_path / "c.csv").exists()
+
+
 _SECTIONS = sorted({section for section, *_ in spinsys.CONFIG_KEYS})
 _NAMES = st.text(min_size=1, max_size=10).filter(lambda s: not s.startswith("-"))
 _NUMBERS = st.floats(allow_nan=True, allow_infinity=True).map(repr)
@@ -292,6 +306,18 @@ def test_star_emits_both_pairs_and_free_rows(capsys, tmp_path):
     assert kinds == {"concurrence"}
     protocols = [line.split(",")[1] for line in lines[1:]]
     assert protocols.count("mDD2sp") == 6 and protocols.count("FreeEv") == 6
+
+
+def test_star_seed_needs_tomo_sigma(capsys, tmp_path):
+    # the seed only feeds the tomography noise: without it, it is never silently dropped
+    path = tmp_path / "star.csv"
+    code, out, err = run_cli(capsys, "star", "--seed", "5", "--points", "3",
+                             "--out-csv", str(path))
+    assert code == 2 and "--seed" in err and "--tomo-sigma" in err
+    assert not out and not path.exists()
+    code, _, _ = run_cli(capsys, "star", "--seed", "5", "--tomo-sigma", "0.01",
+                         "--set", "disorder.shots=16", "--points", "3", "--out-csv", str(path))
+    assert code == 0 and path.exists()
 
 
 # -- tomo ------------------------------------------------------------------

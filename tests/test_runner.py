@@ -245,9 +245,11 @@ def test_shot_average_matches_the_gaussian_disorder_oracle():
         assert np.allclose(times_a, sens * toggling_integrals(program)[:, None, None],
                            rtol=0, atol=1e-12)
         spread = np.einsum("qab,qr,rab->ab", times_a, cov, times_a)
-        (_, shot_coef, _, _), = spinsys.expand_program(frame, d.draw())
+        deltas = d.draw()
+        (_, shot_coef, _, _), = spinsys.expand_program(frame, deltas)
         grid = runner.default_time_grid(cycle.unit_duration)
-        for t, avg in zip(grid, runner._ProtocolWalk(sys, cycle, grid).averaged_states(rho0)):
+        walk = runner._ProtocolWalk(sys, cycle, grid, deltas)
+        for t, avg in zip(grid, walk.averaged_states(rho0)):
             k = ddseq.unit_count(t, cycle.unit_duration, cycle.name)
             ideal = coef[0] ** k * rho0
             exact = ideal * np.exp(-2 * np.pi ** 2 * k ** 2 * spread)
@@ -403,9 +405,9 @@ def _count_star_work(monkeypatch):
         return prepare(sys)
 
     class CountingWalk(runner._ProtocolWalk):
-        def __init__(self, sys, cycle, times):
+        def __init__(self, sys, cycle, times, deltas):
             counts["free_walks"] += cycle is None
-            super().__init__(sys, cycle, times)
+            super().__init__(sys, cycle, times, deltas)
 
     monkeypatch.setattr(circuits, "prepare_star_nmr", counting_prepare)
     monkeypatch.setattr(runner, "_ProtocolWalk", CountingWalk)
@@ -424,6 +426,24 @@ def test_star_protected_only_builds_no_free_walk(monkeypatch):
     rows = runner.star_protection(runner.default_system(), prep="nmr", t_max=0.1, points=3)
     assert [c.protocol.targets for c in rows] == list(runner.STAR_PAIRS.values())
     assert counts == {"prep": 1, "free_walks": 0}
+
+
+def test_a_grid_or_star_run_draws_its_offsets_once(monkeypatch):
+    # every walk of a run shares one draw: the grid's 22 protocols, the star run's 3 walks
+    draws = []
+    real = DisorderModel.draw
+
+    def counting(self):
+        draws.append(self.seed)
+        return real(self)
+
+    monkeypatch.setattr(DisorderModel, "draw", counting)
+    sys = runner.default_system()
+    run = runner.run_grid(sys)
+    assert len({c.protocol for c in run.curves}) == 22 and len(draws) == 1
+    draws.clear()
+    rows = runner.star_protection(sys, free=True, prep="nmr")
+    assert len(rows) == 4 and len(draws) == 1
 
 
 def test_star_readout_is_one_stacked_call_per_curve(monkeypatch):
@@ -451,7 +471,8 @@ def test_star_free_rows_match_an_independent_free_walk():
     rows = runner.star_protection(sys, free=True, prep="nmr", tomo_sigma=0.01, seed=7)
     rho0 = circuits.prepare_star_nmr(sys)
     for protected, free, pair in zip(rows[:2], rows[2:], runner.STAR_PAIRS.values()):
-        states = runner._ProtocolWalk(sys, None, protected.times).averaged_states(rho0)
+        walk = runner._ProtocolWalk(sys, None, protected.times, runner.offset_draw(sys))
+        states = walk.averaged_states(rho0)
         assert free.times == protected.times
         assert free.values == tuple(
             qmat.concurrence(qmat.partial_trace(avg, pair)) for avg in states)

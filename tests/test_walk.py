@@ -10,7 +10,9 @@ slots, pulse errors, pulse widths and disorder shots, and on the
 pulse-level star preparation; the other schedule runner, apply_sequence,
 must agree with it on the committed protocols. A fused frame's per-level
 filter function H must give the element-wise disorder times A it
-replaced, A[a, b] = H[a] - H[b]. The runner's free-evolution curves, which walk one
+replaced, A[a, b] = H[a] - H[b], and a fused run must match the dense walk
+also when its pulses are general signed permutations, which, unlike the
+bit flips of real pulses, do not commute. The runner's free-evolution curves, which walk one
 pulseless program per distinct gap, must reproduce the per-time factor
 stacks they replaced, compiling each gap length once. A plan of k units
 (spinsys.repeat_program) must match k walks of its unit, whether it is
@@ -82,11 +84,6 @@ def _unit_plan(sys: SpinSystem, events, duration: float, deltas: np.ndarray) -> 
     return plan
 
 
-def offset_draw(sys: SpinSystem) -> np.ndarray:
-    """The runner's (shots, 3) offsets: the disorder draw, or one zero shot."""
-    return np.zeros((1, 3)) if sys.disorder is None else sys.disorder.draw()
-
-
 def expanded_plan(sys: SpinSystem, events, duration: float, deltas: np.ndarray) -> list:
     """The compiled frames of a program written out over the (shots, 3) draw."""
     return spinsys.expand_program(spinsys.compile_program(sys, events, duration), deltas)
@@ -142,7 +139,7 @@ def walk_cases(draw):
 def test_fused_walk_matches_dense_walk(case):
     cycle, sys, units, seed = case
     rho = random_rho(np.random.default_rng(seed), spinsys.DIM)
-    deltas = offset_draw(sys)
+    deltas = runner.offset_draw(sys)
     program = ddseq.program(cycle, cycle.unit_cycles)
     want, _ = averaged_states(_unit_plan, _apply_unit, rho, sys, program, deltas, units)
     got, plan = averaged_states(expanded_plan, spinsys.apply_program,
@@ -178,7 +175,7 @@ def test_star_program_matches_dense_walk(sys):
     program = circuits.star_circuit_nmr(sys)
     assert len({ev.start for ev in program[0]}) < len(program[0])
     rho = random_rho(np.random.default_rng(5), spinsys.DIM)
-    deltas = offset_draw(sys)
+    deltas = runner.offset_draw(sys)
     want, _ = averaged_states(_unit_plan, _apply_unit, rho, sys, program, deltas, 1)
     got, plan = averaged_states(expanded_plan, spinsys.apply_program,
                                 rho, sys, program, deltas, 1)
@@ -197,7 +194,7 @@ def test_every_schedule_runner_shares_the_pulse_window_convention(kind, state):
     rho = random_rho(np.random.default_rng(11), spinsys.DIM)
 
     def one_unit(plan_fn, apply_fn, sys):
-        deltas = offset_draw(sys)
+        deltas = runner.offset_draw(sys)
         return averaged_states(plan_fn, apply_fn, rho, sys, program, deltas, 1)[0][0]
 
     dephasing = replace(runner.default_system(), disorder=None)
@@ -225,8 +222,9 @@ def test_free_walk_matches_per_time_factors(grid):
     assert sys.disorder is not None and sys.disorder.shots == 512
     times = FREE_GRIDS[grid]
     rho0 = random_rho(np.random.default_rng(13), spinsys.DIM)
-    shifts = disorder_phase_rates(sys.disorder.draw())
-    walked = runner._ProtocolWalk(sys, None, times).averaged_states(rho0)
+    deltas = sys.disorder.draw()
+    shifts = disorder_phase_rates(deltas)
+    walked = runner._ProtocolWalk(sys, None, times, deltas).averaged_states(rho0)
     assert len(walked) == len(times)
     for t, avg in zip(times, walked):
         want = rho0 * free_factors(sys, t, shifts).mean(axis=0)
@@ -250,12 +248,14 @@ def test_free_walk_compiles_each_distinct_gap_once(monkeypatch):
         distinct = {round(b - a, 12) for a, b in zip(times, times[1:])}
         assert len(distinct) == 2
         gaps.clear()
-        walked = runner._ProtocolWalk(sys, None, times).averaged_states(rho0)
+        walk = runner._ProtocolWalk(sys, None, times, runner.offset_draw(sys))
+        walked = walk.averaged_states(rho0)
         assert len(walked) == len(times)
         assert len(gaps) == 2 and {round(g, 12) for g in gaps} == distinct
     # a NaN gap matches no kept plan: it compiles, and the schedule check rejects it
     with pytest.raises(ValueError):
-        runner._ProtocolWalk(sys, None, (0.0, 0.1, float("nan"))).averaged_states(rho0)
+        runner._ProtocolWalk(sys, None, (0.0, 0.1, float("nan")),
+                             runner.offset_draw(sys)).averaged_states(rho0)
 
 
 # -- one shot-averaged map per fused protocol, shared by every state --------
@@ -266,7 +266,7 @@ def _state_walk(sys, cycle, times, rho0):
     Each step is its compiled plan expanded over the draw: C_s = K g_s g_s^H
     written out on a (shots, 8, 8) stack.
     """
-    deltas = offset_draw(sys)
+    deltas = runner.offset_draw(sys)
     states = np.broadcast_to(rho0, (len(deltas),) + rho0.shape).copy()
     unit = None if cycle is None else spinsys.compile_program(
         sys, *ddseq.program(cycle, cycle.unit_cycles))
@@ -304,7 +304,7 @@ def test_map_walk_matches_state_walk(name):
     sys = runner.default_system()  # the committed 512-shot disorder
     cycle, t_max = MAP_WALKS[name]
     times = runner.default_time_grid(None if cycle is None else cycle.unit_duration, t_max)
-    walk = runner._ProtocolWalk(sys, cycle, times)
+    walk = runner._ProtocolWalk(sys, cycle, times, runner.offset_draw(sys))
     assert walk.fused
     for state_id in runner.TABLE_STATES + ("star",):
         rho0 = circuits.prepare(state_id)
@@ -321,7 +321,8 @@ def test_map_walk_matches_state_walk(name):
         assert identity.all()
     # a dense segment sends the walk back to one shot stack per state
     flip = replace(sys, pulse=PulseErrorModel(flip_fraction_error=0.02))
-    assert runner._ProtocolWalk(flip, cycle, times).fused == (cycle is None)
+    flip_walk = runner._ProtocolWalk(flip, cycle, times, runner.offset_draw(flip))
+    assert flip_walk.fused == (cycle is None)
 
 
 def _grid_protocols():
@@ -351,7 +352,7 @@ def test_frame_walk_matches_the_expanded_shot_walk(name):
     sys = runner.default_system()  # the committed 512-shot disorder
     cycle = FRAME_WALKS[name]
     times = runner.default_time_grid(None if cycle is None else cycle.unit_duration)
-    walk = runner._ProtocolWalk(sys, cycle, times)
+    walk = runner._ProtocolWalk(sys, cycle, times, runner.offset_draw(sys))
     assert walk.fused
     # the all-ones stack walks to C_t itself, since ones[P][:, P] is ones
     ones = np.ones((spinsys.DIM, spinsys.DIM), dtype=complex)
@@ -428,6 +429,56 @@ def test_level_filter_function_gives_the_element_disorder_times(case):
     assert np.max(np.abs(got - want)) <= 1e-15
 
 
+@st.composite
+def signed_permutation_programs(draw):
+    """Pulses at random places, each a signed permutation drawn at random.
+
+    Every pulse the program builds flips bits, and bit flips commute, so only
+    general permutations tell the order in which a run composes its pulses.
+    Each pulse's (perm, d) is keyed by its phase, which is distinct per pulse.
+    """
+    slot, n = 1e-3, draw(st.integers(1, 6))
+    angles = st.lists(st.floats(-np.pi, np.pi), min_size=spinsys.DIM, max_size=spinsys.DIM)
+    table = {(float(i),): (np.array(draw(st.permutations(range(spinsys.DIM)))),
+                           np.exp(1j * np.array(draw(angles))))
+             for i in range(n)}
+    events = tuple(spinsys.pulse(i * slot + draw(st.floats(0.01, 0.75)) * slot,
+                                 draw(st.sampled_from(_TARGET_SETS[:3])), np.pi, float(i),
+                                 draw(st.sampled_from((0.0, 1e-4))))
+                   for i in range(n))
+    return (events, n * slot), table, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(signed_permutation_programs())
+def test_fused_run_matches_dense_walk_on_any_signed_permutation(case):
+    program, table, seed = case
+
+    def signed(ev, sys):
+        return table[ev.phases]
+
+    def unitary(ev, sys):
+        perm, d = table[ev.phases]
+        u = np.zeros((spinsys.DIM, spinsys.DIM), dtype=complex)
+        u[np.arange(spinsys.DIM), perm] = d
+        return u
+
+    sys = SpinSystem(noise=NoiseModel((0.5, 0.8, 1.1), 0.3),
+                     disorder=DisorderModel((3.0, 4.0, 5.0), 6.0, shots=3, seed=seed % 100))
+    rho = random_rho(np.random.default_rng(seed), spinsys.DIM)
+    deltas = runner.offset_draw(sys)
+    real = spinsys.pulse_permutation, spinsys.pulse_propagator
+    spinsys.pulse_permutation, spinsys.pulse_propagator = signed, unitary
+    try:
+        want, _ = averaged_states(_unit_plan, _apply_unit, rho, sys, program, deltas, 1)
+        got, plan = averaged_states(expanded_plan, spinsys.apply_program,
+                                    rho, sys, program, deltas, 1)
+    finally:
+        spinsys.pulse_permutation, spinsys.pulse_propagator = real
+    assert len(plan) == 1 and plan[0][0] == "fused"
+    assert np.max(np.abs(got[0] - want[0])) <= 1e-12
+
+
 # -- k units in one plan, and one walk per grid protocol -------------------
 
 REPEAT_CASES = {
@@ -449,7 +500,7 @@ def test_repeated_plan_matches_unit_walks(case, k):
     sys = SpinSystem(noise=NoiseModel((0.5, 0.8, 1.1), 0.3), pulse=pulse_model,
                      disorder=DisorderModel((3.0, 4.0, 5.0), 6.0, shots=4, seed=2))
     plan = spinsys.compile_program(sys, *ddseq.program(cycle, cycle.unit_cycles))
-    deltas = offset_draw(sys)
+    deltas = runner.offset_draw(sys)
     shot_plan = spinsys.expand_program(plan, deltas)
     rho = random_rho(np.random.default_rng(17), spinsys.DIM)
     want = np.broadcast_to(rho, (4,) + rho.shape)
