@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 config problem, 3 physics invariant violation.
 import argparse
 import json
 import sys
-from importlib import resources
 
 from . import circuits, ddseq, qmat, runner, spinsys
 
@@ -35,7 +34,7 @@ def resolve_system(args) -> tuple[spinsys.SpinSystem, dict]:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
     else:
-        text = resources.files("triqdd").joinpath("data/default_run.cfg").read_text()
+        text = runner.default_config_text()
     cfg = _merge_overrides(spinsys.read_ini(text), getattr(args, "set", None) or [])
     return spinsys.system_from_mapping(cfg), cfg
 
@@ -94,9 +93,7 @@ def cmd_sequences(args) -> int:
     cycle = _build_named_cycle(args)
     doc = ddseq.cycle_to_json(cycle)
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        runner.write_json(doc, args.json)
         print(f"wrote {cycle.name} program to {args.json}")
         return 0
     unit = f"{cycle.unit_cycles} cycle" + ("s" if cycle.unit_cycles > 1 else "")
@@ -114,33 +111,35 @@ def cmd_sequences(args) -> int:
 # -- prepare ---------------------------------------------------------------
 
 def cmd_prepare(args) -> int:
-    rho = circuits.prepare(args.state)
-    doc = {"state": args.state, "rho": qmat.rho_to_json(rho)}
-    try:
-        doc["tracked_element"] = list(circuits.tracked_element(args.state))
-        doc["element_label"] = circuits.element_label(args.state)
-    except (KeyError, ValueError):
-        pass  # catalog entries without a tracked element stay bare
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    doc = {"state": args.state, "rho": qmat.rho_to_json(circuits.prepare(args.state)),
+           "tracked_element": list(circuits.tracked_element(args.state)),
+           "element_label": circuits.element_label(args.state)}
     if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(text + "\n")
+        runner.write_json(doc, args.json)
         print(f"wrote {args.state} to {args.json}")
     else:
-        print(text)
+        print(json.dumps(doc, indent=2, sort_keys=True))
     return 0
 
 
 # -- decay and protect -----------------------------------------------------
 
-def cmd_decay(args) -> int:
+def _grid_report(args, states=runner.TABLE_STATES, t_max=runner.GRID_T_MAX,
+                 points=runner.GRID_POINTS):
+    """Run the grid of --families, check its orderings, write the summary to any --out-json."""
     sys_, cfg = resolve_system(args)
-    states = tuple(args.state) if args.state else runner.TABLE_STATES
     families = _parse_families(args.families)
-    run = runner.run_grid(sys_, families, states, args.t_max, args.points)
+    run = runner.run_grid(sys_, families, states, t_max, points)
     report = runner.compare_to_reference(run.percents, families, states)
+    if args.out_json is not None:
+        runner.write_json(runner.grid_summary(run, report, cfg), args.out_json)
+    return run, report
+
+
+def cmd_decay(args) -> int:
+    run, report = _grid_report(args, tuple(args.state or runner.TABLE_STATES),
+                               args.t_max, args.points)
     runner.write_curves_csv(run.curves, args.out_csv)
-    runner.write_summary_json(runner.grid_summary(run, report, cfg), args.out_json)
     print(f"wrote {len(run.curves)} decay curves to {args.out_csv}")
     print(f"wrote summary ({len(report.facts)} ordering facts, "
           f"all_pass={report.all_pass}) to {args.out_json}")
@@ -158,17 +157,13 @@ def _fact_line(f) -> str:
 
 
 def cmd_protect(args) -> int:
-    sys_, cfg = resolve_system(args)
-    families = _parse_families(args.families)
-    run = runner.run_grid(sys_, families)
-    report = runner.compare_to_reference(run.percents, families)
+    run, report = _grid_report(args)
     for f in report.facts:
         print(_fact_line(f))
     passed = sum(f.verdict == "pass" for f in report.facts)
     print(f"ordering: {passed}/{len(report.facts)} pass "
           f"(margin >= {runner.MARGIN_PP:g}pp at t = {run.t_eval:g} s)")
-    if args.out_json:
-        runner.write_summary_json(runner.grid_summary(run, report, cfg), args.out_json)
+    if args.out_json is not None:
         print(f"wrote summary to {args.out_json}")
     return 0
 
@@ -200,11 +195,9 @@ def cmd_tomo(args) -> int:
     print(f"{args.state}: reconstruction fidelity {fid:.6f} "
           f"(sigma={args.sigma:g}, seed={args.seed}, scans={args.scans})")
     if args.json:
-        doc = {"state": args.state, "sigma": args.sigma, "seed": args.seed,
-               "scans": args.scans, "fidelity": fid, "rho": qmat.rho_to_json(rec)}
-        with open(args.json, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        runner.write_json({"state": args.state, "sigma": args.sigma, "seed": args.seed,
+                           "scans": args.scans, "fidelity": fid,
+                           "rho": qmat.rho_to_json(rec)}, args.json)
         print(f"wrote reconstruction to {args.json}")
     return 0
 
@@ -221,7 +214,7 @@ def cmd_config_reference(args) -> int:
         print(f"  {key:<24} = {default:<14} {doc}")
     print("\nFlag overrides: --set section.key=value (repeatable) wins over the file.")
     print("Without --config, experiment commands run the committed configuration:\n")
-    print(resources.files("triqdd").joinpath("data/default_run.cfg").read_text().rstrip())
+    print(runner.default_config_text().rstrip())
     return 0
 
 

@@ -24,29 +24,11 @@ states are averaged across shots, and only then are magnitudes or
 concurrences taken. Shots are batched along the leading axis. A run
 draws once (offset_draw) and every walk of the run shares that draw.
 
-Every curve walks its recorded times one step each. A DD step is the
-repeat unit, compiled once by spinsys.compile_program into toggling
-frames that no draw enters (see the spinsys docstring), raised to the
-step's unit count by spinsys.repeat_program; a free step is the
-pulseless program of the gap, compiled the same way. One plan is kept
-per distinct step (a unit-snapped grid has two or three; the walk keeps
-the last few). The grid prepares each state once, builds each distinct
-protocol's walk once and runs every state that uses it (free evolution
-and each all-spin family serve all seven), one protocol at a time; a
-star run builds one walk per pair and one free walk per distinct grid. A
-walk whose segments are all fused, as free evolution and ideal pulses
-always are, builds no shot stack: it steps its (8, 8) frame and eight
-phases per shot, reads the shot-averaged map at each recorded time in
-one GEMM, and shares that map with every state. A dense segment (a
-flip-angle error, or the internal Hamiltonian inside a pulse window)
-makes it expand the unit over the draw once and step a shot stack of
-each state instead. Every curve records from this one
-walk: its shot-averaged states are checked as one stack to be density
-matrices before anything reads them, and before any tomography
-readout, so a broken evolution fails as an invariant violation. A star
-curve is read out from that (times, 8, 8) stack in one call per stage:
-one tomography of the whole stack, then one partial trace and one
-concurrence per pair.
+Every curve records from one walk of its protocol (_ProtocolWalk). The
+grid prepares each state once, builds each distinct protocol's walk once
+and runs every state that uses it (free evolution and each all-spin
+family serve all seven), one protocol at a time; a star run builds one
+walk per pair and one free walk per distinct grid.
 
 Reference percentages from the published tables are bundled as data and
 used strictly for qualitative ordering checks (which protocol beats
@@ -59,7 +41,7 @@ from __future__ import annotations
 import csv
 import json
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
 from types import MappingProxyType
@@ -113,9 +95,7 @@ class Protocol:
 
     @property
     def sequence_label(self) -> str:
-        if self.kind == "FreeEv":
-            return "-"
-        return ("m" + self.family) if self.kind == "mDD2sp" else self.family
+        return "-" if self.kind == "FreeEv" else _reference_row(self.kind, self.family)
 
 
 def build_cycle(protocol: Protocol) -> ddseq.DDCycle | None:
@@ -131,10 +111,15 @@ def build_cycle(protocol: Protocol) -> ddseq.DDCycle | None:
 # -- committed defaults ----------------------------------------------------
 
 @lru_cache(maxsize=1)
+def default_config_text() -> str:
+    """The committed run configuration bundled with the package, as text."""
+    return resources.files("triqdd").joinpath("data/default_run.cfg").read_text()
+
+
+@lru_cache(maxsize=1)
 def default_system() -> SpinSystem:
     """The committed run configuration bundled with the package."""
-    text = resources.files("triqdd").joinpath("data/default_run.cfg").read_text()
-    return spinsys.system_from_text(text)
+    return spinsys.system_from_text(default_config_text())
 
 
 @lru_cache(maxsize=1)
@@ -188,10 +173,7 @@ def default_protocol(kind: str, state_id: str | None = None, family: str = "XY8"
     else:
         if state_id is None:
             raise ValueError(f"{kind} needs a state to pick its target qubits")
-        targets = differing_qubits(state_id)
-        if len(targets) != _KIND_TARGET_COUNT[kind]:
-            raise ValueError(
-                f"{state_id} exposes qubits {targets}, unusable for {kind}")
+        targets = differing_qubits(state_id)  # Protocol checks their count against kind
     return Protocol(kind, family, tau, t_p, targets)
 
 
@@ -260,7 +242,9 @@ class _ProtocolWalk:
 
     Step i takes the walk from times[i - 1] (0 for i = 0) to times[i]: the
     pulseless program of the gap for free evolution, the repeat unit
-    raised to the unit-count increment for DD. deltas is the run's offset
+    raised to the unit-count increment for DD by spinsys.repeat_program.
+    Both are compiled by spinsys.compile_program into toggling frames that
+    no draw enters (see the spinsys docstring). deltas is the run's offset
     draw (offset_draw): a run draws once, so its protocols share one draw.
     The unit is built once, and one plan per distinct step is kept (the
     last few; a unit-snapped grid has two or three).
@@ -271,9 +255,10 @@ class _ProtocolWalk:
     changes. The walk then steps the frame's K_t, (8, 8), and the per-shot
     level phases G_t, (shots, 8), never a shot stack, and reads the shot
     mean of C_t as K_t * (G_t^T G_t*) / shots, one GEMM per recorded time:
-    every state reads its averaged states from that one map. A unit with a
-    dense segment is expanded over the draw once, and the walk steps a
-    shot stack of each state through it.
+    every state reads its averaged states from that one map. A dense
+    segment (a flip-angle error, or the internal Hamiltonian inside a
+    pulse window) makes the walk expand the unit over the draw once and
+    step a shot stack of each state through it instead.
     """
 
     def __init__(self, sys, cycle, times, deltas):
@@ -323,7 +308,12 @@ class _ProtocolWalk:
         return means, perms
 
     def averaged_states(self, rho0) -> np.ndarray:
-        """The shot-averaged state at every recorded time, checked as one stack."""
+        """The shot-averaged state at every recorded time, (T, 8, 8).
+
+        The stack is checked as one to be density matrices before anything,
+        tomography readout included, reads it, so a broken evolution fails
+        as an invariant violation.
+        """
         if self.fused:
             means, perms = self.averaged_map
             out = means * rho0[perms[:, :, None], perms[:, None, :]]
@@ -373,10 +363,10 @@ def run_decay(state_id: str, protocol: Protocol, sys: SpinSystem,
 
 # -- table grid ------------------------------------------------------------
 
-DESIGNATED_KIND = {"psi0a": "mDD2sp", "psi0b": "mDD2sp",
-                   "psi1a": "DD1sp", "psi1b": "DD1sp",
-                   "psi2a": "mDD2sp", "psi2b": "mDD2sp",
-                   "psi3": "DD3sp"}
+# the paper's rule: pulse exactly the qubits the tracked coherence differs on
+DESIGNATED_KIND = {state_id: kind for state_id in TABLE_STATES
+                   for kind, count in _KIND_TARGET_COUNT.items()
+                   if count == len(differing_qubits(state_id))}
 
 
 @dataclass(frozen=True)
@@ -458,7 +448,7 @@ class FactCheck:
     """One simulated ordering claim with its verdict and published context."""
 
     state: str
-    label: str
+    fact: str
     lhs: tuple
     rhs: tuple
     lhs_pct: float
@@ -500,18 +490,8 @@ class OrderingReport:
         return all(f.verdict == "pass" for f in self.facts)
 
     def to_dict(self) -> dict:
-        return {
-            "margin_pp": MARGIN_PP,
-            "all_pass": self.all_pass,
-            "facts": [
-                {"state": f.state, "fact": f.label,
-                 "lhs": list(f.lhs), "rhs": list(f.rhs),
-                 "lhs_pct": f.lhs_pct, "rhs_pct": f.rhs_pct,
-                 "margin_pp": f.margin_pp, "verdict": f.verdict,
-                 "published_lhs": f.published_lhs, "published_rhs": f.published_rhs}
-                for f in self.facts
-            ],
-        }
+        return {"margin_pp": MARGIN_PP, "all_pass": self.all_pass,
+                "facts": [asdict(f) for f in self.facts]}
 
 
 def ordering_facts(families=FAMILIES):
@@ -614,7 +594,8 @@ def grid_summary(run: GridRun, report: OrderingReport,
     }
 
 
-def write_summary_json(summary: dict, path) -> None:
+def write_json(doc: dict, path) -> None:
+    """Every JSON artifact's format: sorted keys, two-space indent, a final newline."""
     with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

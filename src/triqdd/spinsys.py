@@ -196,9 +196,6 @@ class SpinSystem:
         except KeyError:
             raise ValueError(f"no coupling for qubit pair {pair}") from None
 
-    def without_noise(self) -> "SpinSystem":
-        return replace(self, noise=NoiseModel(), disorder=None)
-
 
 def bit(b: int, q: int) -> int:
     """Bit of basis index b for 1-based qubit q, MSB first."""
@@ -301,9 +298,10 @@ def _applied_rotation(ev: PulseEvent, sys: SpinSystem) -> tuple[float, list[floa
         raise ValueError("finite-duration pulse with zero flip angle has no defined rf amplitude")
     err = sys.pulse
     flip = ev.flip * (1.0 + err.flip_fraction_error)
-    if not np.isfinite(flip):
-        raise ConfigError(f"pulse.flip_fraction_error {err.flip_fraction_error:g} overflows "
-                          f"the flip angle of a {ev.flip:g} rad pulse")
+    # from 2^52 half turns on every float is a whole number: no fraction of a turn is left
+    if not abs(flip) / np.pi < 2.0 ** 52:
+        raise ConfigError(f"pulse.flip_fraction_error {err.flip_fraction_error:g} takes the "
+                          f"flip angle of a {ev.flip:g} rad pulse past 2^52 half turns")
     return flip, [p + err.phase_error for p in ev.phases]
 
 
@@ -390,7 +388,11 @@ def program_steps(events, duration: float, windowed: bool) -> list:
     windowed picks the side of the pulse-window convention (module
     docstring): False puts each pulse at its window center with free
     time through the window, True integrates the window and frees only
-    the gaps between windows.
+    the gaps between windows. Gaps of at most TIME_ATOL are dropped: a
+    unit whose first or last pulse sits that close to its edge loses the
+    edge gap in each of the k units repeat_program(unit, k) strings
+    together, while the k-unit program keeps it, merged with the
+    neighbouring unit's gap.
     """
     events = tuple(sorted(events, key=lambda e: e.start))
     _validate_schedule(events, duration)
@@ -679,9 +681,3 @@ def system_from_mapping(cfg: dict[str, dict[str, str]]) -> SpinSystem:
 def system_from_text(text: str) -> SpinSystem:
     """Build a SpinSystem from config text, rejecting unknown keys."""
     return system_from_mapping(read_ini(text))
-
-
-def load_system_config(path) -> SpinSystem:
-    """Read a SpinSystem from a plain-text key = value config file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return system_from_text(fh.read())

@@ -82,7 +82,7 @@ def test_star_circuit_matches_golden_state():
 # -- pulse-level star program ----------------------------------------------
 
 def test_star_nmr_ideal_fidelity():
-    sys = spinsys.SpinSystem().without_noise()
+    sys = spinsys.SpinSystem(noise=spinsys.NoiseModel())
     rho = circuits.prepare_star_nmr(sys)
     qmat.assert_density_matrix(rho)
     assert qmat.fidelity(rho, star_rho()) == pytest.approx(1.0, abs=1e-9)
@@ -97,7 +97,7 @@ def test_star_nmr_duration_is_two_coupling_echoes_each():
 
 
 def test_star_nmr_dephasing_costs_fidelity_monotonically():
-    quiet = spinsys.SpinSystem().without_noise()
+    quiet = spinsys.SpinSystem(noise=spinsys.NoiseModel())
     default = spinsys.SpinSystem()
     loud = spinsys.SpinSystem(
         noise=spinsys.NoiseModel(gamma=(2.0, 2.4, 4.0), gamma_corr=3.0))

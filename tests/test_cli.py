@@ -116,6 +116,18 @@ def test_prepare_emits_the_state_document(capsys, tmp_path):
     assert doc["element_label"] == "rho18"
 
 
+def test_prepare_json_names_the_tracked_element_of_every_catalog_state(capsys, tmp_path):
+    assert len(circuits.state_ids()) == 8
+    for state_id in circuits.state_ids():
+        path = tmp_path / f"{state_id}.json"
+        code, _, _ = run_cli(capsys, "prepare", state_id, "--json", str(path))
+        assert code == 0
+        doc = json.loads(path.read_text())
+        i, j = doc["tracked_element"]
+        assert (i, j) == circuits.tracked_element(state_id)
+        assert doc["element_label"] == f"rho{i + 1}{j + 1}"
+
+
 def test_prepare_rejects_unknown_state(capsys):
     code, _, err = run_cli(capsys, "prepare", "psi7x")
     assert code == 2 and "unknown state" in err
@@ -230,13 +242,16 @@ def test_overflowing_system_or_disorder_exits_two(capsys, tmp_path):
 
 
 def test_overflowing_flip_angle_exits_two(capsys, tmp_path):
-    # an infinite flip angle is no half-turn count and no finite window to integrate
+    # an infinite flip angle is no half-turn count and no finite window to integrate;
+    # from 2^52 half turns on every float is whole, so a pi pulse would read as exact
     flip = ("--set", "pulse.flip_fraction_error=1e308")
     files = ("--out-csv", str(tmp_path / "c.csv"))
-    for argv in (("decay", "--state", "psi3", "--families", "XY8", "--points", "3") + flip,
-                 ("decay", "--state", "psi3", "--families", "XY8", "--points", "3") + flip
-                 + ("--set", "pulse.internal_h_during_pulse=on"),
-                 ("star", "--points", "3") + flip):
+    decay = ("decay", "--state", "psi3", "--families", "XY8", "--points", "3")
+    for argv in (decay + flip,
+                 decay + flip + ("--set", "pulse.internal_h_during_pulse=on"),
+                 ("star", "--points", "3") + flip,
+                 decay + ("--set", "pulse.flip_fraction_error=1e16"),
+                 decay + ("--set", "pulse.flip_fraction_error=1e17")):
         extra = ("--out-json", str(tmp_path / "s.json")) if argv[0] == "decay" else ()
         code, _, err = run_cli(capsys, *argv, *files, *extra)
         assert code == 2 and "pulse.flip_fraction_error" in err, (argv, err)
@@ -290,6 +305,17 @@ def test_protect_reports_all_facts(capsys):
     # DD1sp vs DD3sp facts must not echo a published pair
     dd3_lines = [l for l in lines if "psi1" in l and "DD3sp" in l]
     assert dd3_lines and all("published" not in l for l in dd3_lines)
+
+
+def test_decay_and_protect_write_the_same_summary(capsys, tmp_path):
+    common = ("--families", "XY8", "--set", "disorder.shots=16")
+    code, _, _ = run_cli(capsys, "decay", *common, "--out-csv", str(tmp_path / "c.csv"),
+                         "--out-json", str(tmp_path / "decay.json"))
+    assert code == 0
+    code, out, _ = run_cli(capsys, "protect", *common,
+                           "--out-json", str(tmp_path / "protect.json"))
+    assert code == 0 and "wrote summary" in out
+    assert (tmp_path / "decay.json").read_bytes() == (tmp_path / "protect.json").read_bytes()
 
 
 # -- star ------------------------------------------------------------------

@@ -296,6 +296,21 @@ def test_flip_error_scales_angle():
     assert np.allclose(ideal, spinsys.embed(spinsys.rotation2(np.pi, 0.0), 3), atol=1e-12)
 
 
+def test_flip_error_past_whole_float_half_turns_is_refused():
+    # from 2^52 half turns on every float is whole, so a pi pulse would read as the identity
+    ev = pulse(0.5e-3, (1, 2, 3), np.pi, 0.0)
+    big = plain_system(pulse=PulseErrorModel(flip_fraction_error=1e15))
+    assert spinsys.pulse_permutation(ev, big) is None  # still resolved: a dense rotation
+    plan = spinsys.compile_program(big, [ev], 1e-3)
+    assert [seg[0] for seg in plan] == ["fused", "dense", "fused"]
+    qmat.assert_density_matrix(spinsys.apply_program(random_rho(np.random.default_rng(5), 8), plan))
+    for eps in (1e16, 1e17):
+        huge = plain_system(pulse=PulseErrorModel(flip_fraction_error=eps))
+        for build in (spinsys.pulse_permutation, spinsys.pulse_propagator):
+            with pytest.raises(ConfigError, match="2\\^52 half turns"):
+                build(ev, huge)
+
+
 def test_zero_flip_finite_pulse_rejected():
     sys = plain_system()
     with pytest.raises(ValueError):
@@ -396,10 +411,8 @@ seed = 1
 """
 
 
-def test_config_round_trip(tmp_path):
-    path = tmp_path / "sys.cfg"
-    path.write_text(GOOD_CONFIG)
-    sys = spinsys.load_system_config(path)
+def test_config_round_trip():
+    sys = spinsys.system_from_text(GOOD_CONFIG)
     assert sys.offsets == (500.0, -300.0, 150.0)
     assert sys.couplings == (48.0, 161.0, -192.0)
     assert sys.noise.gamma == (1.0, 1.2, 2.0)
@@ -410,38 +423,26 @@ def test_config_round_trip(tmp_path):
     assert sys.disorder.sigma_corr == 0.55
 
 
-def test_config_rejects_unknown_key(tmp_path):
-    path = tmp_path / "sys.cfg"
-    path.write_text("[system]\noffsets_hz = 1 2 3\ntypo_key = 5\n")
-    with pytest.raises(ConfigError):
-        spinsys.load_system_config(path)
-    path.write_text("[mystery]\nx = 1\n")
-    with pytest.raises(ConfigError):
-        spinsys.load_system_config(path)
+def test_config_rejects_unknown_key():
+    for text in ("[system]\noffsets_hz = 1 2 3\ntypo_key = 5\n", "[mystery]\nx = 1\n"):
+        with pytest.raises(ConfigError):
+            spinsys.system_from_text(text)
 
 
-def test_config_rejects_malformed_values(tmp_path):
-    path = tmp_path / "sys.cfg"
-    path.write_text("[system]\noffsets_hz = 1 2\n")
-    with pytest.raises(ConfigError):
-        spinsys.load_system_config(path)
-    path.write_text("[noise]\ngamma_corr_s = fast\n")
-    with pytest.raises(ConfigError):
-        spinsys.load_system_config(path)
-    path.write_text("[noise]\ngamma_corr_s = nan\n")
-    with pytest.raises(ConfigError):
-        spinsys.load_system_config(path)
+def test_config_rejects_malformed_values():
+    for text in ("[system]\noffsets_hz = 1 2\n", "[noise]\ngamma_corr_s = fast\n",
+                 "[noise]\ngamma_corr_s = nan\n"):
+        with pytest.raises(ConfigError):
+            spinsys.system_from_text(text)
 
 
-def test_config_parses_disorder_keys_while_disorder_is_off(tmp_path):
-    path = tmp_path / "sys.cfg"
+def test_config_parses_disorder_keys_while_disorder_is_off():
     for bad in ("sigma_hz = abc", "shots = banana", "shots = 0", "seed = -1",
                 "sigma_corr_hz = -2"):
-        path.write_text(f"[disorder]\nenabled = off\n{bad}\n")
         with pytest.raises(ConfigError):
-            spinsys.load_system_config(path)
-    path.write_text("[disorder]\nenabled = off\nshots = 64\nseed = 3\n")
-    assert spinsys.load_system_config(path).disorder is None
+            spinsys.system_from_text(f"[disorder]\nenabled = off\n{bad}\n")
+    quiet = spinsys.system_from_text("[disorder]\nenabled = off\nshots = 64\nseed = 3\n")
+    assert quiet.disorder is None
 
 
 def test_config_table_defaults_are_the_model_defaults():

@@ -198,7 +198,7 @@ def test_every_schedule_runner_shares_the_pulse_window_convention(kind, state):
         return averaged_states(plan_fn, apply_fn, rho, sys, program, deltas, 1)[0][0]
 
     dephasing = replace(runner.default_system(), disorder=None)
-    coherent = dephasing.without_noise()
+    coherent = replace(dephasing, noise=spinsys.NoiseModel())
     for sys in (dephasing, coherent):
         reference = one_unit(_unit_plan, _apply_unit, sys)
         runs = [one_unit(expanded_plan, spinsys.apply_program, sys),
