@@ -11,8 +11,6 @@ __version__ = "0.1.0"
 from .qmat import (
     coherence_order,
     coherence_order_matrix,
-    decompose_by_order,
-    coherence_amplitude,
     partial_trace,
     concurrence,
     fidelity,
@@ -23,8 +21,6 @@ from .spinsys import SpinSystem, NoiseModel, PulseErrorModel, DisorderModel, Con
 __all__ = [
     "coherence_order",
     "coherence_order_matrix",
-    "decompose_by_order",
-    "coherence_amplitude",
     "partial_trace",
     "concurrence",
     "fidelity",

@@ -1,4 +1,4 @@
-"""State preparation, pulse-level star circuit, readout and tomography.
+"""State preparation, pulse-level star circuit and tomography.
 
 Preparation circuits are ideal gate matrices applied to |000>; the gate
 lists live in data/state_catalog.json next to the kets they must produce,
@@ -8,16 +8,14 @@ compile to transverse pulses, z rotations as three-pulse composites, and
 controlled-Z via a coupling echo that refocuses everything except the one
 scalar coupling doing the work, run for 1/(2|J|).
 
-Readout follows the pulse-word convention: a three-letter word over
+Tomography reads out through pulse words: a three-letter word over
 {I, X, Y} applies a pi/2 rotation about the named axis to each non-I
-position (letter position = qubit). The observable proxy for a detected
-signal is the total magnitude in the order-(+1) sector after the word.
-
-Tomography records, for each of the seven readout words, the populations
-and the real and imaginary parts of every single-bit-flip element of the
-rotated state, averaged over a configurable number of noisy scans, then
-solves the linear model for the 64 real parameters of a Hermitian
-unit-trace matrix and projects onto the physical cone. A stack of states
+position (letter position = qubit). It records, for each of the seven
+words, the populations and the real and imaginary parts of every
+single-bit-flip element of the rotated state, averaged over a
+configurable number of noisy scans, then solves the linear model for the
+64 real parameters of a Hermitian unit-trace matrix and projects onto
+the physical cone. A stack of states
 (a star curve's recorded times) is reconstructed in one pass, each member
 with its own seeded noise.
 """
@@ -110,10 +108,6 @@ def element_label(state_id: str) -> str:
     return _catalog_entry(state_id)["element_label"]
 
 
-def readout_word(state_id: str) -> str | None:
-    return _catalog_entry(state_id).get("readout_word")
-
-
 # -- pulse-level star circuit ----------------------------------------------
 
 @lru_cache(maxsize=1)
@@ -197,19 +191,6 @@ def readout_unitary(word: str) -> np.ndarray:
             raise ValueError(f"invalid readout letter '{letter}' in '{word}'")
     targets = [q for q, letter in enumerate(word, 1) if letter != "I"]
     return spinsys.rotation_product(targets, np.pi / 2, [_AXIS_PHASE[word[q - 1]] for q in targets])
-
-
-def readout(rho: np.ndarray, word: str) -> np.ndarray:
-    """Apply the readout word to a state."""
-    u = readout_unitary(word)
-    return u @ np.asarray(rho, dtype=complex) @ u.conj().T
-
-
-def single_quantum_amplitude(rho: np.ndarray) -> float:
-    """Total magnitude in the order-(+1) sector, the detectable-signal proxy."""
-    rho = np.asarray(rho)
-    orders = qmat.coherence_order_matrix(3)
-    return float(np.abs(rho[orders == 1]).sum())
 
 
 # -- tomography ------------------------------------------------------------

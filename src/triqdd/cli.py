@@ -5,7 +5,8 @@ committed run configuration unless --config points at a file, then any
 --set section.key=value overrides on top. Artifacts (CSV, JSON) are
 deterministic for a fixed config and seed.
 
-Exit codes: 0 success, 2 config problem, 3 physics invariant violation.
+Exit codes: 0 success, 2 config problem (a value too large to allocate
+among them), 3 physics invariant violation.
 """
 
 import argparse
@@ -299,7 +300,7 @@ def main(argv=None) -> int:
     except qmat.InvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
-    except (spinsys.ConfigError, ValueError, OSError) as exc:
+    except (spinsys.ConfigError, ValueError, OSError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

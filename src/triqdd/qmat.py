@@ -94,34 +94,6 @@ def coherence_order_matrix(n: int = 3) -> np.ndarray:
     return pop[None, :] - pop[:, None]
 
 
-def decompose_by_order(rho: np.ndarray) -> dict[int, np.ndarray]:
-    """Split rho into its coherence-order components.
-
-    Returns a map from order to a full-size matrix that is zero outside
-    the elements of that order. Only orders with a nonzero component are
-    included, and the components sum back to rho exactly.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    n = n_qubits(rho.shape[0])
-    orders = coherence_order_matrix(n)
-    out: dict[int, np.ndarray] = {}
-    for k in range(-n, n + 1):
-        comp = np.where(orders == k, rho, 0.0)
-        if comp.any():
-            out[k] = comp
-    return out
-
-
-def coherence_amplitude(rho: np.ndarray, element: tuple[int, int]) -> float:
-    """Magnitude of a single off-diagonal element, the tracked coherence signal."""
-    rho = np.asarray(rho)
-    i, j = element
-    coherence_order(i, j, n_qubits(rho.shape[0]))
-    if i == j:
-        raise ValueError("element must be off-diagonal")
-    return float(abs(rho[i, j]))
-
-
 def partial_trace(rho: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
     """Reduced density matrix over the kept qubits, of one state or a stack.
 

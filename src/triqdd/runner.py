@@ -22,7 +22,8 @@ Static disorder is handled by shot averaging: each shot draws per-spin
 offset shifts once and keeps them for the whole evolution, the complex
 states are averaged across shots, and only then are magnitudes or
 concurrences taken. Shots are batched along the leading axis. A run
-draws once (offset_draw) and every walk of the run shares that draw.
+draws once (DisorderModel.draw, one zero shot at zero widths) and every
+walk of the run shares that draw.
 
 Every curve records from one walk of its protocol (_ProtocolWalk). The
 grid prepares each state once, builds each distinct protocol's walk once
@@ -232,11 +233,6 @@ def default_time_grid(unit: float | None, t_max: float = GRID_T_MAX,
     return tuple(k * unit for k in counts)
 
 
-def offset_draw(sys: SpinSystem) -> np.ndarray:
-    """Per-shot offset shifts in Hz, (shots, 3): the disorder draw, one zero shot without it."""
-    return np.zeros((1, spinsys.N_QUBITS)) if sys.disorder is None else sys.disorder.draw()
-
-
 class _ProtocolWalk:
     """One protocol's walk over its recorded times, shared by every state it runs.
 
@@ -245,7 +241,7 @@ class _ProtocolWalk:
     raised to the unit-count increment for DD by spinsys.repeat_program.
     Both are compiled by spinsys.compile_program into toggling frames that
     no draw enters (see the spinsys docstring). deltas is the run's offset
-    draw (offset_draw): a run draws once, so its protocols share one draw.
+    draw (sys.disorder.draw()): a run draws once, so its protocols share it.
     The unit is built once, and one plan per distinct step is kept (the
     last few; a unit-snapped grid has two or three).
 
@@ -358,7 +354,7 @@ def run_decay(state_id: str, protocol: Protocol, sys: SpinSystem,
     if times is None:
         times = default_time_grid(None if cycle is None else cycle.unit_duration)
     return _decay_curve(state_id, circuits.prepare(state_id), protocol,
-                        _ProtocolWalk(sys, cycle, times, offset_draw(sys)))
+                        _ProtocolWalk(sys, cycle, times, sys.disorder.draw()))
 
 
 # -- table grid ------------------------------------------------------------
@@ -403,7 +399,7 @@ def run_grid(sys: SpinSystem, families=FAMILIES, states=TABLE_STATES,
     for state_id, proto in cells:
         users.setdefault(proto, []).append(state_id)
     prepared = {state_id: circuits.prepare(state_id) for state_id in states}
-    deltas, done = offset_draw(sys), {}
+    deltas, done = sys.disorder.draw(), {}
     for proto, state_ids in users.items():
         curves = _protocol_curves(sys, proto, state_ids, prepared, deltas, t_max, points)
         done.update(((state_id, proto), c) for state_id, c in zip(state_ids, curves))
@@ -537,7 +533,7 @@ def star_protection(sys: SpinSystem, free: bool = False, prep: str = "ideal",
     if prep not in ("ideal", "nmr"):
         raise ValueError(f"unknown preparation '{prep}', expected 'ideal' or 'nmr'")
     rho0 = circuits.prepare("star") if prep == "ideal" else circuits.prepare_star_nmr(sys)
-    deltas, rows, pairs_by_grid = offset_draw(sys), [], {}
+    deltas, rows, pairs_by_grid = sys.disorder.draw(), [], {}
     for pair in STAR_PAIRS.values():
         proto = star_protocol(pair)
         cycle = build_cycle(proto)

@@ -65,23 +65,23 @@ repeats as the plain concatenation of its segments; folding one unit's
 fused tail into the next unit's head would save no dense step and makes
 the walk slower.
 
-Static offset disorder (slow inhomogeneity, off by default) draws
-Gaussian per-spin offsets plus a correlated common mode once per shot;
-the experiment layer averages over a seeded set of shots. The shifts
-delta_s are diagonal and enter every gap linearly, and a fused pulse
-only permutes levels, so in the toggling frame a shot's disorder is one
-phase per level: g_s[a] = exp(-2 pi i H[a] . delta_s), where H, (8, 3),
-is each level's zero-frequency filter function. compile_program
-therefore builds each fused segment's frame (K, H, perm) once, with no
-draw, on small arrays, in one pass from the end of its run. A gap
-evolves in the frame q of the pulses after it, so the generator E (phase
-and decay) and H are sums over the run's distinct frames (two to eight
-in a DD unit) of each frame's gap time times the free generator, or the
-level table, gathered by q. The pulse phases of a product of signed
-permutations are one phase per level, u, so K = (u u^H) * exp(E).
-The shot-s map is C_s = K * g_s g_s^H, a rank-1 outer product of eight
-phases; expand_program writes it out over a draw for a walk that steps
-shot stacks through dense segments.
+Static offset disorder (slow inhomogeneity, off at the zero default
+widths) draws Gaussian per-spin offsets plus a correlated common mode
+once per shot; the experiment layer averages over a seeded set of shots.
+The shifts delta_s are diagonal and enter every gap linearly, and a
+fused pulse only permutes levels, so in the toggling frame a shot's
+disorder is one phase per level: g_s[a] = exp(-2 pi i H[a] . delta_s),
+where H, (8, 3), is each level's zero-frequency filter function.
+compile_program therefore builds each fused segment's frame (K, H, perm)
+once, with no draw, on small arrays, in one pass from the end of its
+run. A gap evolves in the frame q of the pulses after it, so the
+generator E (phase and decay) and H are sums over the run's distinct
+frames (two to eight in a DD unit) of each frame's gap time times the
+free generator, or the level table, gathered by q. The pulse phases of a
+product of signed permutations are one phase per level, u, so
+K = (u u^H) * exp(E). The shot-s map is C_s = K * g_s g_s^H, a rank-1
+outer product of eight phases; expand_program writes it out over a draw
+for a walk that steps shot stacks through dense segments.
 """
 
 from __future__ import annotations
@@ -141,7 +141,12 @@ class PulseErrorModel:
 
 @dataclass(frozen=True)
 class DisorderModel:
-    """Seeded static-offset disorder, Gaussian per spin plus common mode."""
+    """Seeded static-offset disorder, Gaussian per spin plus common mode.
+
+    The widths alone decide whether disorder acts: at the zero defaults
+    every shot would be the same zero shift, so the draw is that one shot,
+    whatever shots and seed say.
+    """
 
     sigma: tuple[float, float, float] = (0.0, 0.0, 0.0)
     sigma_corr: float = 0.0
@@ -159,7 +164,9 @@ class DisorderModel:
             raise ValueError("seed must be nonnegative")
 
     def draw(self) -> np.ndarray:
-        """Per-spin offset shifts in Hz, shape (shots, 3). Deterministic."""
+        """Per-spin offset shifts in Hz, (shots, 3), or (1, 3) zeros at zero widths."""
+        if not any(self.sigma) and not self.sigma_corr:
+            return np.zeros((1, N_QUBITS))
         rng = np.random.default_rng(self.seed)
         z = rng.standard_normal((self.shots, N_QUBITS + 1))
         with np.errstate(over="ignore", invalid="ignore"):
@@ -182,7 +189,7 @@ class SpinSystem:
     couplings: tuple[float, float, float] = (48.0, 161.0, -192.0)
     noise: NoiseModel = field(default_factory=lambda: NoiseModel((1.0, 1.2, 2.0), 1.5))
     pulse: PulseErrorModel = field(default_factory=PulseErrorModel)
-    disorder: DisorderModel | None = None
+    disorder: DisorderModel = field(default_factory=DisorderModel)
 
     def __post_init__(self):
         if len(self.offsets) != N_QUBITS or len(self.couplings) != N_QUBITS:
@@ -641,8 +648,8 @@ CONFIG_KEYS = (
      "phase offset added to every pulse, rad"),
     ("pulse", "internal_h_during_pulse", "internal_h_during_pulse", _flag, "off",
      "integrate offsets and couplings through pulse windows instead of around them"),
-    ("disorder", "enabled", None, _flag, "off", "average runs over static offset disorder"),
-    ("disorder", "sigma_hz", "sigma", _triple, "0 0 0", "per-spin disorder spread, Hz"),
+    ("disorder", "sigma_hz", "sigma", _triple, "0 0 0",
+     "per-spin disorder spread, Hz; any nonzero width turns disorder on"),
     ("disorder", "sigma_corr_hz", "sigma_corr", _number, "0", "common-mode disorder spread, Hz"),
     ("disorder", "shots", "shots", _whole, "128", "disorder samples per run"),
     ("disorder", "seed", "seed", _whole, "0", "disorder rng seed"),
@@ -652,8 +659,8 @@ CONFIG_KEYS = (
 def system_from_mapping(cfg: dict[str, dict[str, str]]) -> SpinSystem:
     """Build a SpinSystem from parsed config sections.
 
-    Every given key is parsed and validated, [disorder] ones included
-    when disorder is off; an unknown section or key is an error.
+    Every given key is parsed and validated; an unknown section or key
+    is an error.
     """
     table = {(section, key): (name, parse) for section, key, name, parse, _, _ in CONFIG_KEYS}
     fields: dict[str, dict] = {section: {} for section, *_ in CONFIG_KEYS}
@@ -667,13 +674,9 @@ def system_from_mapping(cfg: dict[str, dict[str, str]]) -> SpinSystem:
             fields[section][name] = parse(raw, f"[{section}] {key}")
     base = SpinSystem()
     try:
-        enabled = fields["disorder"].pop(None, False)
-        disorder = DisorderModel(**fields["disorder"])
-        return replace(
-            base, **fields["system"],
-            noise=replace(base.noise, **fields["noise"]),
-            pulse=replace(base.pulse, **fields["pulse"]),
-            disorder=disorder if enabled else None)
+        return replace(base, **fields.pop("system"), **{
+            section: replace(getattr(base, section), **given)
+            for section, given in fields.items()})
     except ValueError as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
 

@@ -181,6 +181,10 @@ def test_decay_rejects_broken_config(capsys, tmp_path):
     # the pulse section sets no width: widths come from the delay table
     code, _, err = run_cli(capsys, *decay_args(tmp_path, "--set", "pulse.duration_s=2e-5"))
     assert code == 2 and "unknown key 'duration_s'" in err
+    # nor is there a disorder switch: the widths alone turn disorder on
+    for value in ("on", "off"):
+        code, _, err = run_cli(capsys, *decay_args(tmp_path, "--set", f"disorder.enabled={value}"))
+        assert code == 2 and "unknown key 'enabled' in section [disorder]" in err
     # counts and seeds are whole numbers, never truncated
     code, _, err = run_cli(capsys, *decay_args(tmp_path, "--set", "disorder.shots=2.7"))
     assert code == 2 and "[disorder] shots" in err and "whole number" in err
@@ -233,12 +237,31 @@ def test_overflowing_system_or_disorder_exits_two(capsys, tmp_path):
              (("--set", "disorder.sigma_corr_hz=1e308") + wide, "disorder widths"),
              (("--set", "disorder.sigma_hz=1e308,1,1") + wide + flip, "disorder widths"),
              # 16 finite draws, but one 0.7 s free step overflows their phases
-             (("--set", "disorder.sigma_corr_hz=1e308", "--points", "2"), "disorder offsets"))
+             (("--set", "disorder.sigma_corr_hz=1e308", "--points", "2"), "disorder offsets"),
+             # 10^13 shots of four offsets is 291 TiB, past a 2^47-byte address space,
+             # so the draw's allocation fails at once on any host
+             (("--set", "disorder.shots=10000000000000"), "allocate"))
     for extra, named in cases:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             code, _, err = run_cli(capsys, *decay_args(tmp_path, *extra))
         assert code == 2 and named in err, (extra, err)
+
+
+def test_disorder_widths_alone_turn_disorder_on(capsys, tmp_path):
+    # over an empty config, with no switch to set, nonzero widths change the run
+    empty = tmp_path / "empty.cfg"
+    empty.write_text("")
+    csvs = []
+    for name, widths in (("zero", "0,0,0"), ("wide", "50,50,50")):
+        path = tmp_path / f"{name}.csv"
+        code, _, _ = run_cli(capsys, "decay", "--config", str(empty), "--state", "psi3",
+                             "--families", "XY8", "--points", "3",
+                             "--set", f"disorder.sigma_hz={widths}", "--out-csv", str(path),
+                             "--out-json", str(tmp_path / f"{name}.json"))
+        assert code == 0
+        csvs.append(path.read_text())
+    assert csvs[0] != csvs[1]
 
 
 def test_overflowing_flip_angle_exits_two(capsys, tmp_path):
@@ -387,9 +410,10 @@ def test_config_reference_documents_every_key(capsys):
     assert code == 0
     for key in ("offsets_hz", "couplings_hz", "gamma_s", "gamma_corr_s",
                 "flip_fraction_error", "phase_error_rad",
-                "internal_h_during_pulse", "enabled", "sigma_hz",
+                "internal_h_during_pulse", "sigma_hz",
                 "sigma_corr_hz", "shots", "seed"):
         assert key in out
+    assert "enabled" not in out  # the widths alone turn disorder on
     assert "duration_s" not in out  # pulse widths come from the delay table
     # the committed run config is echoed verbatim at the end
     assert "sigma_corr_hz = 0.72" in out

@@ -53,26 +53,6 @@ def test_order_index_range_checks():
         qmat.coherence_order(5, 0, n=2)
 
 
-def test_decompose_by_order_reassembles():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        rho = random_rho(rng, 8)
-        parts = qmat.decompose_by_order(rho)
-        assert set(parts) <= set(range(-3, 4))
-        total = sum(parts.values())
-        assert np.allclose(total, rho, atol=0)
-        m = qmat.coherence_order_matrix(3)
-        for order, comp in parts.items():
-            assert np.all(comp[m != order] == 0)
-
-
-def test_coherence_amplitude_reads_one_element():
-    rho = star_rho()
-    assert qmat.coherence_amplitude(rho, (0, 7)) == pytest.approx(0.25)
-    with pytest.raises(ValueError):
-        qmat.coherence_amplitude(rho, (3, 3))
-
-
 # -- state construction and checks ----------------------------------------
 
 def test_ket_to_rho_plus_state():

@@ -348,7 +348,6 @@ def test_default_system_matches_bundled_config():
     assert sys.noise.gamma_corr == pytest.approx(0.13)
     assert sys.pulse.flip_fraction_error == 0.0
     assert not sys.pulse.internal_h_during_pulse
-    assert sys.disorder is not None
     assert sys.disorder.sigma_corr == pytest.approx(0.72)
     assert sys.disorder.shots == 512
 
@@ -471,7 +470,7 @@ def test_star_free_rows_match_an_independent_free_walk():
     rows = runner.star_protection(sys, free=True, prep="nmr", tomo_sigma=0.01, seed=7)
     rho0 = circuits.prepare_star_nmr(sys)
     for protected, free, pair in zip(rows[:2], rows[2:], runner.STAR_PAIRS.values()):
-        walk = runner._ProtocolWalk(sys, None, protected.times, runner.offset_draw(sys))
+        walk = runner._ProtocolWalk(sys, None, protected.times, sys.disorder.draw())
         states = walk.averaged_states(rho0)
         assert free.times == protected.times
         assert free.values == tuple(

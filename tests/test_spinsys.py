@@ -198,6 +198,8 @@ def test_disorder_draw_is_seeded_and_sized():
     # common mode correlates all three columns
     big = DisorderModel(sigma=(0.0, 0.0, 0.0), sigma_corr=1.0, shots=30, seed=2).draw()
     assert np.allclose(big[:, 0], big[:, 1], atol=0) and np.allclose(big[:, 0], big[:, 2], atol=0)
+    # at zero widths every shot would be the same zero shift: shots and seed change nothing
+    assert np.array_equal(DisorderModel(shots=64, seed=3).draw(), np.zeros((1, 3)))
 
 
 # -- pulses ----------------------------------------------------------------
@@ -403,7 +405,6 @@ gamma_corr_s = 1.5
 internal_h_during_pulse = on
 
 [disorder]
-enabled = on
 sigma_hz = 0.06 0.06 0.05
 sigma_corr_hz = 0.55
 shots = 64
@@ -418,7 +419,7 @@ def test_config_round_trip():
     assert sys.noise.gamma == (1.0, 1.2, 2.0)
     assert sys.noise.gamma_corr == 1.5
     assert sys.pulse.internal_h_during_pulse
-    assert sys.disorder is not None
+    assert sys.disorder.sigma == (0.06, 0.06, 0.05)
     assert sys.disorder.shots == 64
     assert sys.disorder.sigma_corr == 0.55
 
@@ -437,12 +438,19 @@ def test_config_rejects_malformed_values():
 
 
 def test_config_parses_disorder_keys_while_disorder_is_off():
-    for bad in ("sigma_hz = abc", "shots = banana", "shots = 0", "seed = -1",
-                "sigma_corr_hz = -2"):
+    # at zero widths disorder is off, yet every [disorder] key is parsed and validated
+    for bad in ("sigma_hz = abc", "sigma_hz = 1 2", "sigma_hz = 0 -1 0", "sigma_corr_hz = -2",
+                "sigma_corr_hz = nan", "shots = banana", "shots = 0", "shots = 2.5",
+                "seed = -1", "seed = 1.5"):
         with pytest.raises(ConfigError):
-            spinsys.system_from_text(f"[disorder]\nenabled = off\n{bad}\n")
-    quiet = spinsys.system_from_text("[disorder]\nenabled = off\nshots = 64\nseed = 3\n")
-    assert quiet.disorder is None
+            spinsys.system_from_text(f"[disorder]\nsigma_hz = 0 0 0\nsigma_corr_hz = 0\n{bad}\n")
+    quiet = spinsys.system_from_text(
+        "[disorder]\nsigma_hz = 0 0 0\nsigma_corr_hz = 0\nshots = 64\nseed = 3\n")
+    assert quiet.disorder == DisorderModel(shots=64, seed=3)
+    assert np.array_equal(quiet.disorder.draw(), np.zeros((1, 3)))
+    # any nonzero width turns it on, with no further switch
+    on = spinsys.system_from_text("[disorder]\nsigma_corr_hz = 0.5\nshots = 64\nseed = 3\n")
+    assert on.disorder.draw().shape == (64, 3)
 
 
 def test_config_table_defaults_are_the_model_defaults():
@@ -450,8 +458,6 @@ def test_config_table_defaults_are_the_model_defaults():
     for section, key, _, _, default, _ in spinsys.CONFIG_KEYS:
         every_default.setdefault(section, {})[key] = default
     assert spinsys.system_from_mapping(every_default) == SpinSystem()
-    every_default["disorder"]["enabled"] = "on"
-    assert spinsys.system_from_mapping(every_default).disorder == DisorderModel()
 
 
 def test_coupling_lookup():

@@ -139,7 +139,7 @@ def walk_cases(draw):
 def test_fused_walk_matches_dense_walk(case):
     cycle, sys, units, seed = case
     rho = random_rho(np.random.default_rng(seed), spinsys.DIM)
-    deltas = runner.offset_draw(sys)
+    deltas = sys.disorder.draw()
     program = ddseq.program(cycle, cycle.unit_cycles)
     want, _ = averaged_states(_unit_plan, _apply_unit, rho, sys, program, deltas, units)
     got, plan = averaged_states(expanded_plan, spinsys.apply_program,
@@ -175,7 +175,7 @@ def test_star_program_matches_dense_walk(sys):
     program = circuits.star_circuit_nmr(sys)
     assert len({ev.start for ev in program[0]}) < len(program[0])
     rho = random_rho(np.random.default_rng(5), spinsys.DIM)
-    deltas = runner.offset_draw(sys)
+    deltas = sys.disorder.draw()
     want, _ = averaged_states(_unit_plan, _apply_unit, rho, sys, program, deltas, 1)
     got, plan = averaged_states(expanded_plan, spinsys.apply_program,
                                 rho, sys, program, deltas, 1)
@@ -194,10 +194,10 @@ def test_every_schedule_runner_shares_the_pulse_window_convention(kind, state):
     rho = random_rho(np.random.default_rng(11), spinsys.DIM)
 
     def one_unit(plan_fn, apply_fn, sys):
-        deltas = runner.offset_draw(sys)
+        deltas = sys.disorder.draw()
         return averaged_states(plan_fn, apply_fn, rho, sys, program, deltas, 1)[0][0]
 
-    dephasing = replace(runner.default_system(), disorder=None)
+    dephasing = replace(runner.default_system(), disorder=DisorderModel())
     coherent = replace(dephasing, noise=spinsys.NoiseModel())
     for sys in (dephasing, coherent):
         reference = one_unit(_unit_plan, _apply_unit, sys)
@@ -219,7 +219,7 @@ FREE_GRIDS = {
 @pytest.mark.parametrize("grid", sorted(FREE_GRIDS))
 def test_free_walk_matches_per_time_factors(grid):
     sys = runner.default_system()  # the committed 512-shot disorder
-    assert sys.disorder is not None and sys.disorder.shots == 512
+    assert sys.disorder.shots == 512
     times = FREE_GRIDS[grid]
     rho0 = random_rho(np.random.default_rng(13), spinsys.DIM)
     deltas = sys.disorder.draw()
@@ -248,14 +248,14 @@ def test_free_walk_compiles_each_distinct_gap_once(monkeypatch):
         distinct = {round(b - a, 12) for a, b in zip(times, times[1:])}
         assert len(distinct) == 2
         gaps.clear()
-        walk = runner._ProtocolWalk(sys, None, times, runner.offset_draw(sys))
+        walk = runner._ProtocolWalk(sys, None, times, sys.disorder.draw())
         walked = walk.averaged_states(rho0)
         assert len(walked) == len(times)
         assert len(gaps) == 2 and {round(g, 12) for g in gaps} == distinct
     # a NaN gap matches no kept plan: it compiles, and the schedule check rejects it
     with pytest.raises(ValueError):
         runner._ProtocolWalk(sys, None, (0.0, 0.1, float("nan")),
-                             runner.offset_draw(sys)).averaged_states(rho0)
+                             sys.disorder.draw()).averaged_states(rho0)
 
 
 # -- one shot-averaged map per fused protocol, shared by every state --------
@@ -266,7 +266,7 @@ def _state_walk(sys, cycle, times, rho0):
     Each step is its compiled plan expanded over the draw: C_s = K g_s g_s^H
     written out on a (shots, 8, 8) stack.
     """
-    deltas = runner.offset_draw(sys)
+    deltas = sys.disorder.draw()
     states = np.broadcast_to(rho0, (len(deltas),) + rho0.shape).copy()
     unit = None if cycle is None else spinsys.compile_program(
         sys, *ddseq.program(cycle, cycle.unit_cycles))
@@ -304,7 +304,7 @@ def test_map_walk_matches_state_walk(name):
     sys = runner.default_system()  # the committed 512-shot disorder
     cycle, t_max = MAP_WALKS[name]
     times = runner.default_time_grid(None if cycle is None else cycle.unit_duration, t_max)
-    walk = runner._ProtocolWalk(sys, cycle, times, runner.offset_draw(sys))
+    walk = runner._ProtocolWalk(sys, cycle, times, sys.disorder.draw())
     assert walk.fused
     for state_id in runner.TABLE_STATES + ("star",):
         rho0 = circuits.prepare(state_id)
@@ -321,7 +321,7 @@ def test_map_walk_matches_state_walk(name):
         assert identity.all()
     # a dense segment sends the walk back to one shot stack per state
     flip = replace(sys, pulse=PulseErrorModel(flip_fraction_error=0.02))
-    flip_walk = runner._ProtocolWalk(flip, cycle, times, runner.offset_draw(flip))
+    flip_walk = runner._ProtocolWalk(flip, cycle, times, flip.disorder.draw())
     assert flip_walk.fused == (cycle is None)
 
 
@@ -352,7 +352,7 @@ def test_frame_walk_matches_the_expanded_shot_walk(name):
     sys = runner.default_system()  # the committed 512-shot disorder
     cycle = FRAME_WALKS[name]
     times = runner.default_time_grid(None if cycle is None else cycle.unit_duration)
-    walk = runner._ProtocolWalk(sys, cycle, times, runner.offset_draw(sys))
+    walk = runner._ProtocolWalk(sys, cycle, times, sys.disorder.draw())
     assert walk.fused
     # the all-ones stack walks to C_t itself, since ones[P][:, P] is ones
     ones = np.ones((spinsys.DIM, spinsys.DIM), dtype=complex)
@@ -466,7 +466,7 @@ def test_fused_run_matches_dense_walk_on_any_signed_permutation(case):
     sys = SpinSystem(noise=NoiseModel((0.5, 0.8, 1.1), 0.3),
                      disorder=DisorderModel((3.0, 4.0, 5.0), 6.0, shots=3, seed=seed % 100))
     rho = random_rho(np.random.default_rng(seed), spinsys.DIM)
-    deltas = runner.offset_draw(sys)
+    deltas = sys.disorder.draw()
     real = spinsys.pulse_permutation, spinsys.pulse_propagator
     spinsys.pulse_permutation, spinsys.pulse_propagator = signed, unitary
     try:
@@ -500,7 +500,7 @@ def test_repeated_plan_matches_unit_walks(case, k):
     sys = SpinSystem(noise=NoiseModel((0.5, 0.8, 1.1), 0.3), pulse=pulse_model,
                      disorder=DisorderModel((3.0, 4.0, 5.0), 6.0, shots=4, seed=2))
     plan = spinsys.compile_program(sys, *ddseq.program(cycle, cycle.unit_cycles))
-    deltas = runner.offset_draw(sys)
+    deltas = sys.disorder.draw()
     shot_plan = spinsys.expand_program(plan, deltas)
     rho = random_rho(np.random.default_rng(17), spinsys.DIM)
     want = np.broadcast_to(rho, (4,) + rho.shape)
