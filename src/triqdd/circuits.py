@@ -12,12 +12,11 @@ Tomography reads out through pulse words: a three-letter word over
 {I, X, Y} applies a pi/2 rotation about the named axis to each non-I
 position (letter position = qubit). It records, for each of the seven
 words, the populations and the real and imaginary parts of every
-single-bit-flip element of the rotated state, averaged over a
-configurable number of noisy scans, then solves the linear model for the
-64 real parameters of a Hermitian unit-trace matrix and projects onto
-the physical cone. A stack of states
-(a star curve's recorded times) is reconstructed in one pass, each member
-with its own seeded noise.
+single-bit-flip element of the rotated state, averaged over SCANS noisy
+scans, then solves the linear model for the 64 real parameters of a
+Hermitian unit-trace matrix and projects onto the physical cone. A stack
+of states (a star curve's recorded times) is reconstructed in one pass,
+each member with its own seeded noise.
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ DIM = spinsys.DIM
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 TOMOGRAPHY_SETTINGS = ("III", "IIY", "IYY", "YII", "XYX", "XXY", "XXX")
+SCANS = 32  # averaged acquisitions per setting
 
 
 @lru_cache(maxsize=1)
@@ -270,14 +270,13 @@ def _design_matrix() -> np.ndarray:
     return _tomography_tables()[0]
 
 
-def tomography(rho_true: np.ndarray, sigma: float = 0.0, seed: int = 0,
-               scans: int = 32) -> np.ndarray:
+def tomography(rho_true: np.ndarray, sigma: float = 0.0, seed: int = 0) -> np.ndarray:
     """Reconstruct a state, or each member of an (n, 8, 8) stack, from the
     seven-setting readout simulation.
 
     sigma adds seeded Gaussian noise to every recorded value of every
-    scan; scans is the number of averaged acquisitions per setting, the
-    usual way a spectrometer beats per-scan noise down. The linear solve
+    scan, and each setting averages SCANS acquisitions, the usual way a
+    spectrometer beats per-scan noise down. The linear solve
     enforces unit trace as an extra equation; the result is then clipped
     to the positive cone and renormalized. Member i of a stack draws its
     noise from seed + i, so a stack reconstructs as n single calls would.
@@ -293,14 +292,12 @@ def tomography(rho_true: np.ndarray, sigma: float = 0.0, seed: int = 0,
     rho_true = np.asarray(rho_true, dtype=complex)
     if rho_true.ndim not in (2, 3) or rho_true.shape[-2:] != (DIM, DIM):
         raise ValueError(f"expected an 8x8 state or an (n, 8, 8) stack, got {rho_true.shape}")
-    if scans < 1:
-        raise ValueError("scans must be positive")
     if not 0.0 <= sigma < np.inf:
         raise ValueError(f"readout noise sigma must be finite and nonnegative, got {sigma}")
     stack = rho_true.reshape(-1, DIM, DIM)
     y = _observe(stack)
     if sigma > 0:
-        size = (scans, y.shape[-1])
+        size = (SCANS, y.shape[-1])
         with np.errstate(over="ignore", invalid="ignore"):
             y = y + [np.random.default_rng(seed + i).normal(0.0, sigma, size=size).mean(axis=0)
                      for i in range(len(stack))]

@@ -191,13 +191,13 @@ def cmd_star(args) -> int:
 
 def cmd_tomo(args) -> int:
     rho = circuits.prepare(args.state)
-    rec = circuits.tomography(rho, sigma=args.sigma, seed=args.seed, scans=args.scans)
+    rec = circuits.tomography(rho, sigma=args.sigma, seed=args.seed)
     fid = qmat.fidelity(rec, rho)
     print(f"{args.state}: reconstruction fidelity {fid:.6f} "
-          f"(sigma={args.sigma:g}, seed={args.seed}, scans={args.scans})")
+          f"(sigma={args.sigma:g}, seed={args.seed}, scans={circuits.SCANS})")
     if args.json:
         runner.write_json({"state": args.state, "sigma": args.sigma, "seed": args.seed,
-                           "scans": args.scans, "fidelity": fid,
+                           "scans": circuits.SCANS, "fidelity": fid,
                            "rho": qmat.rho_to_json(rec)}, args.json)
         print(f"wrote reconstruction to {args.json}")
     return 0
@@ -283,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("state", help="catalog id, e.g. psi1a or star")
     sub.add_argument("--sigma", type=float, default=0.0, help="readout noise level")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--scans", type=int, default=32)
     sub.add_argument("--json", metavar="PATH", help="write the reconstruction here")
     sub.set_defaults(func=cmd_tomo)
 

@@ -25,11 +25,11 @@ concurrences taken. Shots are batched along the leading axis. A run
 draws once (DisorderModel.draw, one zero shot at zero widths) and every
 walk of the run shares that draw.
 
-Every curve records from one walk of its protocol (_ProtocolWalk). The
-grid prepares each state once, builds each distinct protocol's walk once
-and runs every state that uses it (free evolution and each all-spin
-family serve all seven), one protocol at a time; a star run builds one
-walk per pair and one free walk per distinct grid.
+Every curve records from one walk of its protocol (_walk), which steps
+all the states the protocol serves as one stack. The grid prepares each
+state once and walks each protocol once, one at a time (free evolution
+and each all-spin family serve all seven states); a star run walks once
+per pair and once per distinct grid for free evolution.
 
 Reference percentages from the published tables are bundled as data and
 used strictly for qualitative ordering checks (which protocol beats
@@ -41,9 +41,8 @@ from __future__ import annotations
 
 import csv
 import json
-from collections import deque
 from dataclasses import asdict, dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from importlib import resources
 from types import MappingProxyType
 
@@ -63,8 +62,6 @@ _KIND_TARGET_COUNT = {"DD1sp": 1, "mDD2sp": 2, "DD3sp": 3}
 
 TABLE_STATES = ("psi0a", "psi0b", "psi1a", "psi1b", "psi2a", "psi2b", "psi3")
 STAR_PAIRS = {"AC": (1, 3), "BC": (2, 3)}
-# step plans a walk keeps; unit-snapped grids have two or three distinct steps
-_KEPT_PLANS = 4
 
 
 @dataclass(frozen=True)
@@ -233,110 +230,97 @@ def default_time_grid(unit: float | None, t_max: float = GRID_T_MAX,
     return tuple(k * unit for k in counts)
 
 
-class _ProtocolWalk:
-    """One protocol's walk over its recorded times, shared by every state it runs.
+def _walk(sys, cycle, times, deltas, rho0s) -> np.ndarray:
+    """The shot-averaged states of n states at T sorted, distinct times, (n, T, 8, 8).
 
     Step i takes the walk from times[i - 1] (0 for i = 0) to times[i]: the
     pulseless program of the gap for free evolution, the repeat unit
     raised to the unit-count increment for DD by spinsys.repeat_program.
     Both are compiled by spinsys.compile_program into toggling frames that
     no draw enters (see the spinsys docstring). deltas is the run's offset
-    draw (sys.disorder.draw()): a run draws once, so its protocols share it.
-    The unit is built once, and one plan per distinct step is kept (the
-    last few; a unit-snapped grid has two or three).
+    draw (sys.disorder.draw()): a run draws once, so its walks share it.
+    The unit is built once, and one plan per distinct step, up front: steps
+    within spinsys.TIME_ATOL share one, as a uniform grid's gaps differ by
+    roundoff, and a zero step is the empty plan.
 
     When every segment is fused (free evolution always; DD with ideal
     pulses), the state of shot s at time t is C_t(s) * rho0[P_t][:, P_t]
     with C_t(s) = K_t * g_t(s) g_t(s)^H and a permutation P_t that no shot
     changes. The walk then steps the frame's K_t, (8, 8), and the per-shot
     level phases G_t, (shots, 8), never a shot stack, and reads the shot
-    mean of C_t as K_t * (G_t^T G_t*) / shots, one GEMM per recorded time:
-    every state reads its averaged states from that one map. A dense
-    segment (a flip-angle error, or the internal Hamiltonian inside a
-    pulse window) makes the walk expand the unit over the draw once and
-    step a shot stack of each state through it instead.
+    mean of C_t as K_t * (G_t^T G_t*) / shots, one GEMM per recorded time;
+    every state reads every time's map in one gather. A dense segment (a
+    flip-angle error, or the internal Hamiltonian inside a pulse window)
+    makes the walk expand the unit over the draw once and step one
+    (n, shots, 8, 8) stack of every state through it instead.
+
+    The result is checked as one stack to be density matrices before
+    anything, tomography readout included, reads it, so a broken
+    evolution fails as an invariant violation.
     """
-
-    def __init__(self, sys, cycle, times, deltas):
-        self.sys, self.deltas = sys, deltas
-        self.times = times = tuple(sorted(set(float(t) for t in times)))
-        if cycle is None:
-            self.unit, self.steps = None, np.diff(times, prepend=0.0)
-        else:
-            counts = [ddseq.unit_count(t, cycle.unit_duration, cycle.name) for t in times]
-            self.unit = spinsys.compile_program(sys, *ddseq.program(cycle, cycle.unit_cycles))
-            self.steps = np.diff(counts, prepend=0)
-        self.fused = cycle is None or all(seg[0] == "fused" for seg in self.unit)
-        if not self.fused:  # a step repeats the expanded unit by concatenation
-            self.unit = spinsys.expand_program(self.unit, self.deltas)
-        self.kept = deque([(0, [])], maxlen=_KEPT_PLANS)  # a zero step is the empty plan
-
-    def plan(self, step):
-        """One step, built once per distinct step.
-
-        A fused walk gets (K, G_step, perm) per frame, G_step the frame's
-        level phases over the draw; any other walk gets the expanded plan.
-        """
-        found = next((p for s, p in self.kept if abs(step - s) <= spinsys.TIME_ATOL), None)
-        if found is None:  # a NaN gap matches nothing, compiles, and fails
-            found = (spinsys.compile_program(self.sys, (), step) if self.unit is None
-                     else spinsys.repeat_program(self.unit, int(step)))
-            if self.fused:
-                found = [(k, spinsys.level_phases(h, self.deltas), perm)
-                         for _, k, h, perm in found]
-            self.kept.append((step, found))
-        return found
-
-    @cached_property
-    def averaged_map(self) -> tuple[np.ndarray, np.ndarray]:
-        """Shot means of C_t, (T, 8, 8), and the perms P_t, (T, 8), of a fused walk."""
-        dim = spinsys.DIM
-        k, g = np.ones((dim, dim), dtype=complex), np.ones((len(self.deltas), dim), dtype=complex)
-        means = np.empty((len(self.steps), dim, dim), dtype=complex)
-        perms = np.empty((len(self.steps), dim), dtype=int)
+    rho0s = np.asarray(rho0s, dtype=complex)
+    if cycle is None:
+        unit, steps = None, np.diff(times, prepend=0.0)
+    else:
+        counts = [ddseq.unit_count(t, cycle.unit_duration, cycle.name) for t in times]
+        unit = spinsys.compile_program(sys, *ddseq.program(cycle, cycle.unit_cycles))
+        steps = np.diff(counts, prepend=0)
+    fused = unit is None or all(seg[0] == "fused" for seg in unit)
+    if not fused:  # a step repeats the expanded unit by concatenation
+        unit = spinsys.expand_program(unit, deltas)
+    plans, which = {}, []  # step i walks plans[which[i]]
+    for i, step in enumerate(steps):
+        which.append(next((j for j in plans if abs(step - steps[j]) <= spinsys.TIME_ATOL), i))
+        if which[-1] == i:  # a NaN gap matches nothing, compiles, and fails
+            plans[i] = ([] if step == 0 else spinsys.compile_program(sys, (), step)
+                        if unit is None else spinsys.repeat_program(unit, int(step)))
+    dim = spinsys.DIM
+    if fused:  # each frame as (K, G_step, perm), G_step its level phases over the draw
+        plans = {i: [(k, spinsys.level_phases(h, deltas), perm) for _, k, h, perm in plan]
+                 for i, plan in plans.items()}
+        k, g = np.ones((dim, dim), dtype=complex), np.ones((len(deltas), dim), dtype=complex)
+        means, perms = np.empty((len(steps), dim, dim), complex), np.empty((len(steps), dim), int)
         perm = np.arange(dim)
-        for i, step in enumerate(self.steps):
-            for k_step, g_step, p in self.plan(step):
+        for i, j in enumerate(which):
+            for k_step, g_step, p in plans[j]:
                 if p is not None:
                     k, g, perm = k[p[:, None], p], g[:, p], perm[p]
                 k, g = k_step * k, g_step * g
             means[i], perms[i] = k * (g.T @ g.conj()) / len(g), perm
-        return means, perms
-
-    def averaged_states(self, rho0) -> np.ndarray:
-        """The shot-averaged state at every recorded time, (T, 8, 8).
-
-        The stack is checked as one to be density matrices before anything,
-        tomography readout included, reads it, so a broken evolution fails
-        as an invariant violation.
-        """
-        if self.fused:
-            means, perms = self.averaged_map
-            out = means * rho0[perms[:, :, None], perms[:, None, :]]
-        else:
-            states = np.broadcast_to(rho0, (len(self.deltas),) + rho0.shape).copy()
-            out = np.empty((len(self.steps),) + rho0.shape, dtype=complex)
-            for i, step in enumerate(self.steps):
-                states = spinsys.apply_program(states, self.plan(step))
-                out[i] = states.mean(axis=0)
-        try:
-            qmat.assert_density_matrix(out)
-        except ValueError as exc:
-            raise InvariantError(f"recorded state is not a density matrix: {exc}") from exc
-        return out
-
-
-def _decay_curve(state_id: str, rho0: np.ndarray, protocol: Protocol,
-                 walk: _ProtocolWalk) -> DecayCurve:
-    element = circuits.tracked_element(state_id)
-    raw = walk.averaged_states(rho0)[(slice(None),) + element].tolist()
-    ref = complex(rho0[element])
-    if protocol.kind == "FreeEv":
-        values = tuple(abs(v) / abs(ref) for v in raw)
+        out = means * rho0s[:, perms[:, :, None], perms[:, None, :]]  # every state, one gather
     else:
-        unit = ref / abs(ref)
-        values = tuple(max((v * unit.conjugate()).real, 0.0) / abs(ref) for v in raw)
-    return DecayCurve(state_id, protocol, "amplitude", walk.times, values)
+        out = np.empty((len(rho0s), len(steps), dim, dim), dtype=complex)
+        states = np.repeat(rho0s[:, None], len(deltas), axis=1)
+        for i, j in enumerate(which):
+            states = spinsys.apply_program(states, plans[j])
+            out[:, i] = states.mean(axis=1)
+    try:
+        qmat.assert_density_matrix(out)
+    except ValueError as exc:
+        raise InvariantError(f"recorded state is not a density matrix: {exc}") from exc
+    return out
+
+
+def _protocol_curves(sys, proto, state_ids, rho0s, deltas, t_max=GRID_T_MAX,
+                     points=GRID_POINTS, times=None) -> list[DecayCurve]:
+    """One protocol's curve on each state from one walk; times default to its grid."""
+    cycle = build_cycle(proto)
+    if times is None:
+        times = default_time_grid(None if cycle is None else cycle.unit_duration, t_max, points)
+    times = tuple(sorted(set(float(t) for t in times)))
+    curves = []
+    for state_id, rho0, states in zip(state_ids, rho0s,
+                                      _walk(sys, cycle, times, deltas, rho0s)):
+        element = circuits.tracked_element(state_id)
+        raw = states[(slice(None),) + element].tolist()
+        ref = complex(rho0[element])
+        if proto.kind == "FreeEv":
+            values = tuple(abs(v) / abs(ref) for v in raw)
+        else:
+            unit = ref / abs(ref)
+            values = tuple(max((v * unit.conjugate()).real, 0.0) / abs(ref) for v in raw)
+        curves.append(DecayCurve(state_id, proto, "amplitude", times, values))
+    return curves
 
 
 def run_decay(state_id: str, protocol: Protocol, sys: SpinSystem,
@@ -350,11 +334,8 @@ def run_decay(state_id: str, protocol: Protocol, sys: SpinSystem,
     residual phase, couplings to pulsed partners included, registers as
     loss, the way an unphased echo line loses absorption amplitude.
     """
-    cycle = build_cycle(protocol)
-    if times is None:
-        times = default_time_grid(None if cycle is None else cycle.unit_duration)
-    return _decay_curve(state_id, circuits.prepare(state_id), protocol,
-                        _ProtocolWalk(sys, cycle, times, sys.disorder.draw()))
+    return _protocol_curves(sys, protocol, [state_id], [circuits.prepare(state_id)],
+                            sys.disorder.draw(), times=times)[0]
 
 
 # -- table grid ------------------------------------------------------------
@@ -401,22 +382,14 @@ def run_grid(sys: SpinSystem, families=FAMILIES, states=TABLE_STATES,
     prepared = {state_id: circuits.prepare(state_id) for state_id in states}
     deltas, done = sys.disorder.draw(), {}
     for proto, state_ids in users.items():
-        curves = _protocol_curves(sys, proto, state_ids, prepared, deltas, t_max, points)
+        curves = _protocol_curves(sys, proto, state_ids, [prepared[s] for s in state_ids],
+                                  deltas, t_max, points)
         done.update(((state_id, proto), c) for state_id, c in zip(state_ids, curves))
     curves = tuple(done[cell] for cell in cells)
     # the grid always ends on t_max
     percents = {(c.state, c.protocol.kind, c.protocol.family): 100.0 * c.values[-1]
                 for c in curves}
     return GridRun(curves, percents, t_max)
-
-
-def _protocol_curves(sys, proto, state_ids, prepared, deltas, t_max,
-                     points) -> list[DecayCurve]:
-    """One protocol's curve on each state; its walk, and so its map and plans, die on return."""
-    cycle = build_cycle(proto)
-    times = default_time_grid(None if cycle is None else cycle.unit_duration, t_max, points)
-    walk = _ProtocolWalk(sys, cycle, times, deltas)
-    return [_decay_curve(state_id, prepared[state_id], proto, walk) for state_id in state_ids]
 
 
 # -- reference comparison --------------------------------------------------
@@ -547,8 +520,8 @@ def star_protection(sys: SpinSystem, free: bool = False, prep: str = "ideal",
 
 
 def _star_curves(sys, proto, cycle, times, deltas, rho0, pairs, tomo_sigma=None, seed=0):
-    """One walk's concurrence curve on each pair; the walk, and so its plans, die on return."""
-    states = _ProtocolWalk(sys, cycle, times, deltas).averaged_states(rho0)
+    """One walk's concurrence curve on each pair."""
+    states = _walk(sys, cycle, times, deltas, [rho0])[0]
     if tomo_sigma is not None:
         states = circuits.tomography(states, sigma=tomo_sigma, seed=seed)
     return [DecayCurve("star", proto, "concurrence", times,

@@ -248,8 +248,7 @@ def test_shot_average_matches_the_gaussian_disorder_oracle():
         deltas = d.draw()
         (_, shot_coef, _, _), = spinsys.expand_program(frame, deltas)
         grid = runner.default_time_grid(cycle.unit_duration)
-        walk = runner._ProtocolWalk(sys, cycle, grid, deltas)
-        for t, avg in zip(grid, walk.averaged_states(rho0)):
+        for t, avg in zip(grid, runner._walk(sys, cycle, grid, deltas, [rho0])[0]):
             k = ddseq.unit_count(t, cycle.unit_duration, cycle.name)
             ideal = coef[0] ** k * rho0
             exact = ideal * np.exp(-2 * np.pi ** 2 * k ** 2 * spread)
@@ -403,13 +402,14 @@ def _count_star_work(monkeypatch):
         counts["prep"] += 1
         return prepare(sys)
 
-    class CountingWalk(runner._ProtocolWalk):
-        def __init__(self, sys, cycle, times, deltas):
-            counts["free_walks"] += cycle is None
-            super().__init__(sys, cycle, times, deltas)
+    walk = runner._walk
+
+    def counting_walk(sys, cycle, times, deltas, rho0s):
+        counts["free_walks"] += cycle is None
+        return walk(sys, cycle, times, deltas, rho0s)
 
     monkeypatch.setattr(circuits, "prepare_star_nmr", counting_prepare)
-    monkeypatch.setattr(runner, "_ProtocolWalk", CountingWalk)
+    monkeypatch.setattr(runner, "_walk", counting_walk)
     return counts
 
 
@@ -445,6 +445,26 @@ def test_a_grid_or_star_run_draws_its_offsets_once(monkeypatch):
     assert len(rows) == 4 and len(draws) == 1
 
 
+def test_each_walk_checks_its_states_once_as_one_stack(monkeypatch):
+    # one check per walk: the grid's 22 protocols, the star run's 2 pairs and 1 free grid
+    checks = []
+    real = qmat.assert_density_matrix
+
+    def counting(rho):
+        checks.append(np.shape(rho))
+        return real(rho)
+
+    monkeypatch.setattr(qmat, "assert_density_matrix", counting)
+    sys = runner.default_system()
+    runner.run_grid(sys)
+    assert len(checks) == 22
+    # free evolution and DD3sp walk all seven states, (7, 20, 8, 8), in one check each
+    assert sum(shape[0] == 7 for shape in checks) == 1 + len(runner.FAMILIES)
+    checks.clear()
+    runner.star_protection(sys, free=True, prep="nmr")
+    assert len(checks) == 3
+
+
 def test_star_readout_is_one_stacked_call_per_curve(monkeypatch):
     counts = {"tomography": 0, "concurrence": 0}
 
@@ -470,8 +490,7 @@ def test_star_free_rows_match_an_independent_free_walk():
     rows = runner.star_protection(sys, free=True, prep="nmr", tomo_sigma=0.01, seed=7)
     rho0 = circuits.prepare_star_nmr(sys)
     for protected, free, pair in zip(rows[:2], rows[2:], runner.STAR_PAIRS.values()):
-        walk = runner._ProtocolWalk(sys, None, protected.times, sys.disorder.draw())
-        states = walk.averaged_states(rho0)
+        states = runner._walk(sys, None, protected.times, sys.disorder.draw(), [rho0])[0]
         assert free.times == protected.times
         assert free.values == tuple(
             qmat.concurrence(qmat.partial_trace(avg, pair)) for avg in states)

@@ -18,11 +18,12 @@ stacks they replaced, compiling each gap length once. A plan of k units
 (spinsys.repeat_program) must match k walks of its unit, whether it is
 the closed-form power of one fused segment or the concatenation of a
 dense unit's own segments. A fused walk's shot-averaged map, stepped on
-its (8, 8) frame and per-shot level phases and shared by every state,
-must match the expanded plan walked on a (shots, 8, 8) stack, for every
-protocol of the grid and the star run; and the grid, which builds each
-protocol's walk once for all its states and steps no shot stack when it
-is fused, must match one run_decay per curve.
+its (8, 8) frame and per-shot level phases and read by every state in one
+gather, must match the expanded plan walked on a (shots, 8, 8) stack, for
+every protocol of the grid and the star run; a dense walk, which steps the
+shot stacks of all its states as one, must equal each state walked alone;
+and the grid, which walks each protocol once for all its states and steps
+no shot stack when it is fused, must match one run_decay per curve.
 """
 
 from dataclasses import replace
@@ -224,7 +225,7 @@ def test_free_walk_matches_per_time_factors(grid):
     rho0 = random_rho(np.random.default_rng(13), spinsys.DIM)
     deltas = sys.disorder.draw()
     shifts = disorder_phase_rates(deltas)
-    walked = runner._ProtocolWalk(sys, None, times, deltas).averaged_states(rho0)
+    walked = runner._walk(sys, None, times, deltas, [rho0])[0]
     assert len(walked) == len(times)
     for t, avg in zip(times, walked):
         want = rho0 * free_factors(sys, t, shifts).mean(axis=0)
@@ -248,14 +249,18 @@ def test_free_walk_compiles_each_distinct_gap_once(monkeypatch):
         distinct = {round(b - a, 12) for a, b in zip(times, times[1:])}
         assert len(distinct) == 2
         gaps.clear()
-        walk = runner._ProtocolWalk(sys, None, times, sys.disorder.draw())
-        walked = walk.averaged_states(rho0)
+        walked = runner._walk(sys, None, times, sys.disorder.draw(), [rho0])[0]
         assert len(walked) == len(times)
         assert len(gaps) == 2 and {round(g, 12) for g in gaps} == distinct
-    # a NaN gap matches no kept plan: it compiles, and the schedule check rejects it
+    # the gaps of a uniform grid differ by roundoff: they are one gap, compiled once
+    free = runner.default_time_grid(None)
+    assert len(set(np.diff(free))) > 1
+    gaps.clear()
+    runner._walk(sys, None, free, sys.disorder.draw(), [rho0])
+    assert len(gaps) == 1
+    # a NaN gap matches no other step: it compiles, and the schedule check rejects it
     with pytest.raises(ValueError):
-        runner._ProtocolWalk(sys, None, (0.0, 0.1, float("nan")),
-                             sys.disorder.draw()).averaged_states(rho0)
+        runner._walk(sys, None, (0.0, 0.1, float("nan")), sys.disorder.draw(), [rho0])
 
 
 # -- one shot-averaged map per fused protocol, shared by every state --------
@@ -299,30 +304,53 @@ MAP_WALKS = {  # (cycle, t_max)
 }
 
 
+def _count_stack_steps(monkeypatch) -> list:
+    """Record the apply_program calls on a shot stack, not on one state."""
+    stack_steps, real = [], spinsys.apply_program
+
+    def counting(states, plan):
+        if np.ndim(states) > 2:
+            stack_steps.append(plan)
+        return real(states, plan)
+
+    monkeypatch.setattr(spinsys, "apply_program", counting)
+    return stack_steps
+
+
 @pytest.mark.parametrize("name", sorted(MAP_WALKS))
-def test_map_walk_matches_state_walk(name):
+def test_map_walk_matches_state_walk(name, monkeypatch):
     sys = runner.default_system()  # the committed 512-shot disorder
     cycle, t_max = MAP_WALKS[name]
     times = runner.default_time_grid(None if cycle is None else cycle.unit_duration, t_max)
-    walk = runner._ProtocolWalk(sys, cycle, times, sys.disorder.draw())
-    assert walk.fused
-    for state_id in runner.TABLE_STATES + ("star",):
-        rho0 = circuits.prepare(state_id)
-        want = _state_walk(sys, cycle, walk.times, rho0)
-        assert np.max(np.abs(walk.averaged_states(rho0) - want)) <= 1e-12
-    perms = walk.averaged_map[1]
-    identity = np.all(perms == np.arange(spinsys.DIM), axis=1)
+    state_ids = runner.TABLE_STATES + ("star",)
+    stack_steps = _count_stack_steps(monkeypatch)
+    walked = runner._walk(sys, cycle, times, sys.disorder.draw(),
+                          [circuits.prepare(state_id) for state_id in state_ids])
+    # a fused walk steps its frame, never a shot stack
+    assert not stack_steps
+    for state_id, got in zip(state_ids, walked):
+        want = _state_walk(sys, cycle, times, circuits.prepare(state_id))
+        assert np.max(np.abs(got - want)) <= 1e-12
+    # |000><000| lands on |a><a| with P_t[a] = 0; the pulses flip bits, so P_t is
+    # an XOR with a mask, and it is the identity exactly when it fixes |000>
+    ground = np.zeros((spinsys.DIM, spinsys.DIM), dtype=complex)
+    ground[0, 0] = 1.0
+    landed = runner._walk(sys, cycle, times, sys.disorder.draw(), [ground])[0]
+    lands = np.argmax(landed.diagonal(axis1=1, axis2=2).real, axis=1)
+    assert np.max(np.abs(landed - np.eye(spinsys.DIM)[lands][:, :, None]
+                         * np.eye(spinsys.DIM)[lands][:, None, :])) <= 1e-12
+    identity = lands == 0
     if name.endswith("-permuting"):
-        odd = [ddseq.unit_count(t, cycle.unit_duration, cycle.name) % 2 == 1
-               for t in walk.times]
+        odd = [ddseq.unit_count(t, cycle.unit_duration, cycle.name) % 2 == 1 for t in times]
         assert any(odd) and not all(odd)
         assert list(identity) == [not o for o in odd]
     else:
         assert identity.all()
-    # a dense segment sends the walk back to one shot stack per state
+    # a dense segment sends the walk back to one shot stack of its states
     flip = replace(sys, pulse=PulseErrorModel(flip_fraction_error=0.02))
-    flip_walk = runner._ProtocolWalk(flip, cycle, times, flip.disorder.draw())
-    assert flip_walk.fused == (cycle is None)
+    stack_steps.clear()  # _state_walk steps shot stacks too
+    runner._walk(flip, cycle, times[:2], flip.disorder.draw(), [ground])
+    assert bool(stack_steps) == (cycle is not None)
 
 
 def _grid_protocols():
@@ -348,19 +376,18 @@ def test_frame_walks_cover_the_grid_and_the_star_run():
 
 
 @pytest.mark.parametrize("name", sorted(FRAME_WALKS))
-def test_frame_walk_matches_the_expanded_shot_walk(name):
+def test_frame_walk_matches_the_expanded_shot_walk(name, monkeypatch):
     sys = runner.default_system()  # the committed 512-shot disorder
     cycle = FRAME_WALKS[name]
     times = runner.default_time_grid(None if cycle is None else cycle.unit_duration)
-    walk = runner._ProtocolWalk(sys, cycle, times, sys.disorder.draw())
-    assert walk.fused
-    # the all-ones stack walks to C_t itself, since ones[P][:, P] is ones
-    ones = np.ones((spinsys.DIM, spinsys.DIM), dtype=complex)
-    assert np.max(np.abs(walk.averaged_map[0] - _state_walk(sys, cycle, walk.times, ones))) <= 1e-12
-    # a state with distinct entries checks the permutations too
-    rho0 = random_rho(np.random.default_rng(19), spinsys.DIM)
-    want = _state_walk(sys, cycle, walk.times, rho0)
-    assert np.max(np.abs(walk.averaged_states(rho0) - want)) <= 1e-12
+    # states with distinct entries check C_t and the permutations together
+    rho0s = [random_rho(np.random.default_rng(seed), spinsys.DIM) for seed in (19, 23)]
+    stack_steps = _count_stack_steps(monkeypatch)
+    walked = runner._walk(sys, cycle, times, sys.disorder.draw(), rho0s)
+    assert not stack_steps
+    for rho0, got in zip(rho0s, walked):
+        want = _state_walk(sys, cycle, times, rho0)
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def old_disorder_times(sys, events, duration) -> np.ndarray:
@@ -539,7 +566,7 @@ def test_grid_walks_each_protocol_once_for_all_its_states(monkeypatch):
         return real(sys, events, duration)
 
     def counting_apply(states, plan):
-        if states.ndim == 3:  # a shot stack, not one state
+        if states.ndim > 2:  # a shot stack, not one state
             stack_walks.append(plan)
         return real_apply(states, plan)
 
@@ -565,14 +592,14 @@ def test_grid_walks_each_protocol_once_for_all_its_states(monkeypatch):
     assert sorted(n for _, n, _ in walked.values()) == [1, 1, 3, 3]
     assert all(calls == 0 for calls, _, _ in walked.values())
     # a flip error makes the pulsed unit dense: one shot-stack step per recorded time
-    # and state, while free evolution still steps no stack
+    # for all the protocol's states together, while free evolution still steps no stack
     flip = replace(sys, pulse=PulseErrorModel(flip_fraction_error=0.02))
     walked.clear()
-    runner.run_grid(flip, ("XY8",), ("psi3",), t_max=0.05, points=3)
+    runner.run_grid(flip, ("XY8",), ("psi0a", "psi3"), t_max=0.05, points=3)
     by_kind = {proto.kind: counts for proto, counts in walked.items()}
     assert by_kind["FreeEv"][0] == 0
     calls, n_states, steps = by_kind["DD3sp"]
-    assert calls == n_states * steps > 0
+    assert n_states == 2 and calls == steps > 0
     monkeypatch.setattr(spinsys, "compile_program", real)
     monkeypatch.setattr(spinsys, "apply_program", real_apply)
     monkeypatch.setattr(runner, "_protocol_curves", real_curves)
@@ -584,3 +611,16 @@ def test_grid_walks_each_protocol_once_for_all_its_states(monkeypatch):
         assert np.max(np.abs(np.subtract(curve.values, alone.values))) <= 1e-12
         key = (curve.state, curve.protocol.kind, curve.protocol.family)
         assert run.percents[key] == 100.0 * curve.values[-1]
+
+
+def test_dense_walk_of_several_states_equals_each_walked_alone():
+    # a flip error makes DD3sp/XY8 dense: its states share one (n, shots, 8, 8) stack
+    sys = replace(runner.default_system(), pulse=PulseErrorModel(flip_fraction_error=0.02))
+    cycle = runner.build_cycle(runner.default_protocol("DD3sp", "psi3", "XY8"))
+    times = runner.default_time_grid(cycle.unit_duration, 0.1, 4)
+    rho0s = [circuits.prepare(state_id) for state_id in GRID_STATES]
+    together = runner._walk(sys, cycle, times, sys.disorder.draw(), rho0s)
+    assert together.shape == (3, len(times), spinsys.DIM, spinsys.DIM)
+    for rho0, got in zip(rho0s, together):
+        alone = runner._walk(sys, cycle, times, sys.disorder.draw(), [rho0])[0]
+        assert np.array_equal(got, alone)
