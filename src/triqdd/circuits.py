@@ -166,15 +166,15 @@ def star_circuit_nmr(sys: SpinSystem) -> tuple[tuple[PulseEvent, ...], float]:
 
 
 def prepare_star_nmr(sys: SpinSystem) -> np.ndarray:
-    """Run the pulse-level star program from |000> on the given system.
+    """Walk the pulse-level star program once from |000> on the given system.
 
     The system's offsets, couplings and dephasing act; its pulses are
-    taken as error-free.
+    taken as error-free, and no disorder is drawn.
     """
     rho0 = np.zeros((DIM, DIM), dtype=complex)
     rho0[0, 0] = 1.0
-    events, duration = star_circuit_nmr(sys)
-    return spinsys.apply_sequence(rho0, replace(sys, pulse=PulseErrorModel()), events, duration)
+    return spinsys.walk(replace(sys, pulse=PulseErrorModel()), star_circuit_nmr(sys), [1],
+                        np.zeros((1, spinsys.N_QUBITS)), [rho0])[0, 0]  # one zero shot
 
 
 # -- readout ---------------------------------------------------------------

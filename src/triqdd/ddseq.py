@@ -188,7 +188,7 @@ def single_spin_survival(cycle: DDCycle, offset_hz: float, flip_error: float,
                          n_cycles: int) -> float:
     """Robustness probe: guaranteed coherence survival of one spin.
 
-    Runs the train through the spinsys engine on a register whose only
+    Walks the train through spinsys.walk on a register whose only
     term is the given offset on the probed spin, the cycle's last target
     (the doubled spin of a modified cycle), which every pulse of the
     cycle hits. Couplings are zero and there is no noise, so the other
@@ -208,14 +208,13 @@ def single_spin_survival(cycle: DDCycle, offset_hz: float, flip_error: float,
     offsets = tuple(offset_hz if r == q else 0.0 for r in (1, 2, 3))
     probe = SpinSystem(offsets, (0.0,) * 3, spinsys.NoiseModel(),
                        spinsys.PulseErrorModel(flip_error, 0.0, internal_h_during_pulse=True))
-    unit = spinsys.compile_program(probe, *program(cycle, cycle.unit_cycles))
-    plan = spinsys.repeat_program(unit, n_cycles // cycle.unit_cycles)
     paulis = np.stack([spinsys.embed(s, q) for s in (spinsys.SIGMA_X, spinsys.SIGMA_Y)])
     rest = [spinsys.embed(np.diag([1.0, 0.0]), r) for r in (1, 2, 3) if r != q]
-    states = paulis @ rest[0] @ rest[1]  # the other spins in |0><0|
-    states = spinsys.apply_program(states, plan)
-    # block[a, b] = tr(sigma_a U sigma_b U^dagger) / 2 on the probed spin
-    block = 0.5 * np.einsum("aij,bji->ab", paulis, states).real
+    rho0s = (np.eye(spinsys.DIM) + paulis) / 2 @ rest[0] @ rest[1]  # the others in |0><0|
+    states = spinsys.walk(probe, program(cycle, cycle.unit_cycles),
+                          [n_cycles // cycle.unit_cycles], probe.disorder.draw(), rho0s)[:, 0]
+    # block[a, b] = tr(sigma_a rho_b): the identity part has no transverse component
+    block = np.einsum("aij,bji->ab", paulis, states).real
     return float(np.linalg.svd(block, compute_uv=False)[-1])
 
 

@@ -18,18 +18,16 @@ lower orders are coupling-sensitive, and survive only under sequences
 that delete (single spin) or refocus (m-modified pair) the couplings
 they feel, while the all-spin sequence leaves every coupling running.
 
-Static disorder is handled by shot averaging: each shot draws per-spin
-offset shifts once and keeps them for the whole evolution, the complex
-states are averaged across shots, and only then are magnitudes or
-concurrences taken. Shots are batched along the leading axis. A run
-draws once (DisorderModel.draw, one zero shot at zero widths) and every
-walk of the run shares that draw.
+Static disorder is averaged over shots: each shot keeps its offset
+shifts for the whole evolution, and magnitudes or concurrences are taken
+from the shot-averaged states. A run draws once (DisorderModel.draw, one
+zero shot at zero widths) and every walk of the run shares that draw.
 
-Every curve records from one walk of its protocol (_walk), which steps
+Every curve records from one spinsys.walk of its protocol, which steps
 all the states the protocol serves as one stack. The grid prepares each
-state once and walks each protocol once, one at a time (free evolution
-and each all-spin family serve all seven states); a star run walks once
-per pair and once per distinct grid for free evolution.
+state once and walks each protocol once (free evolution and each
+all-spin family serve all seven states); a star run walks once per pair
+and once per distinct grid for free evolution.
 
 Reference percentages from the published tables are bundled as data and
 used strictly for qualitative ordering checks (which protocol beats
@@ -231,74 +229,16 @@ def default_time_grid(unit: float | None, t_max: float = GRID_T_MAX,
 
 
 def _walk(sys, cycle, times, deltas, rho0s) -> np.ndarray:
-    """The shot-averaged states of n states at T sorted, distinct times, (n, T, 8, 8).
+    """spinsys.walk of n states to T sorted, distinct times, (n, T, 8, 8).
 
-    Step i takes the walk from times[i - 1] (0 for i = 0) to times[i]: the
-    pulseless program of the gap for free evolution, the repeat unit
-    raised to the unit-count increment for DD by spinsys.repeat_program.
-    Both are compiled by spinsys.compile_program into toggling frames that
-    no draw enters (see the spinsys docstring). deltas is the run's offset
-    draw (sys.disorder.draw()): a run draws once, so its walks share it.
-    The unit is built once, and one plan per distinct step, up front: steps
-    within spinsys.TIME_ATOL share one, as a uniform grid's gaps differ by
-    roundoff, and a zero step is the empty plan.
-
-    When every segment is fused (free evolution always; DD with ideal
-    pulses), the state of shot s at time t is C_t(s) * rho0[P_t][:, P_t]
-    with C_t(s) = K_t * g_t(s) g_t(s)^H and a permutation P_t that no shot
-    changes. The walk then steps the frame's K_t, (8, 8), and the per-shot
-    level phases G_t, (shots, 8), never a shot stack, and reads the shot
-    mean of C_t as K_t * (G_t^T G_t*) / shots, one GEMM per recorded time;
-    every state reads every time's map in one gather. A dense segment (a
-    flip-angle error, or the internal Hamiltonian inside a pulse window)
-    makes the walk expand the unit over the draw once and step one
-    (n, shots, 8, 8) stack of every state through it instead.
-
-    The result is checked as one stack to be density matrices before
-    anything, tomography readout included, reads it, so a broken
-    evolution fails as an invariant violation.
+    Free evolution (cycle None) steps the gaps between the times; DD steps
+    the repeat unit by the unit-count increments.
     """
-    rho0s = np.asarray(rho0s, dtype=complex)
     if cycle is None:
-        unit, steps = None, np.diff(times, prepend=0.0)
-    else:
-        counts = [ddseq.unit_count(t, cycle.unit_duration, cycle.name) for t in times]
-        unit = spinsys.compile_program(sys, *ddseq.program(cycle, cycle.unit_cycles))
-        steps = np.diff(counts, prepend=0)
-    fused = unit is None or all(seg[0] == "fused" for seg in unit)
-    if not fused:  # a step repeats the expanded unit by concatenation
-        unit = spinsys.expand_program(unit, deltas)
-    plans, which = {}, []  # step i walks plans[which[i]]
-    for i, step in enumerate(steps):
-        which.append(next((j for j in plans if abs(step - steps[j]) <= spinsys.TIME_ATOL), i))
-        if which[-1] == i:  # a NaN gap matches nothing, compiles, and fails
-            plans[i] = ([] if step == 0 else spinsys.compile_program(sys, (), step)
-                        if unit is None else spinsys.repeat_program(unit, int(step)))
-    dim = spinsys.DIM
-    if fused:  # each frame as (K, G_step, perm), G_step its level phases over the draw
-        plans = {i: [(k, spinsys.level_phases(h, deltas), perm) for _, k, h, perm in plan]
-                 for i, plan in plans.items()}
-        k, g = np.ones((dim, dim), dtype=complex), np.ones((len(deltas), dim), dtype=complex)
-        means, perms = np.empty((len(steps), dim, dim), complex), np.empty((len(steps), dim), int)
-        perm = np.arange(dim)
-        for i, j in enumerate(which):
-            for k_step, g_step, p in plans[j]:
-                if p is not None:
-                    k, g, perm = k[p[:, None], p], g[:, p], perm[p]
-                k, g = k_step * k, g_step * g
-            means[i], perms[i] = k * (g.T @ g.conj()) / len(g), perm
-        out = means * rho0s[:, perms[:, :, None], perms[:, None, :]]  # every state, one gather
-    else:
-        out = np.empty((len(rho0s), len(steps), dim, dim), dtype=complex)
-        states = np.repeat(rho0s[:, None], len(deltas), axis=1)
-        for i, j in enumerate(which):
-            states = spinsys.apply_program(states, plans[j])
-            out[:, i] = states.mean(axis=1)
-    try:
-        qmat.assert_density_matrix(out)
-    except ValueError as exc:
-        raise InvariantError(f"recorded state is not a density matrix: {exc}") from exc
-    return out
+        return spinsys.walk(sys, None, np.diff(times, prepend=0.0), deltas, rho0s)
+    counts = [ddseq.unit_count(t, cycle.unit_duration, cycle.name) for t in times]
+    return spinsys.walk(sys, ddseq.program(cycle, cycle.unit_cycles),
+                        np.diff(counts, prepend=0), deltas, rho0s)
 
 
 def _protocol_curves(sys, proto, state_ids, rho0s, deltas, t_max=GRID_T_MAX,

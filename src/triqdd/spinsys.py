@@ -34,11 +34,12 @@ permutation, which pulse_permutation returns exactly.
 
 Timed pulse programs
 --------------------
-Every timed schedule runs through one engine: program_steps orders the
-events into free gaps and pulses, compile_program folds those steps into
-segments and apply_program walks them. Free evolution alone is the
-pulseless program of its length, so the runner's free and decoupled
-curves and ddseq's robustness probe walk the same segments. A program
+Every timed evolution enters the engine through walk: program_steps
+orders the events into free gaps and pulses, compile_program folds them
+into segments, repeat_program strings units together and apply_program
+steps states through them. Free evolution is the pulseless program of
+its length, so the runner's free and decoupled curves, the pulse-level
+star preparation and ddseq's robustness probe are all walks. A program
 of length zero compiles to no segment at all; a negative or non-finite
 length is an error. The pulse-window convention is the same for every
 caller. A hard pulse (internal_h_during_pulse off) is a rotation at the
@@ -92,6 +93,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import qmat
 from .qmat import coherence_order_matrix
 
 N_QUBITS = 3
@@ -525,7 +527,7 @@ def apply_program(states: np.ndarray, plan) -> np.ndarray:
     walk a third slower whenever the allocator handed the freed stacks
     back to the system between segments.
     """
-    states = np.array(states, dtype=complex)
+    states = np.array(states, dtype=complex, order="C")
     spare = np.empty_like(states)
     flat = states.shape[:-2] + (DIM * DIM,)
     for seg in plan:
@@ -575,9 +577,68 @@ def repeat_program(plan, k: int) -> list:
     return [("fused",) + power]
 
 
-def apply_sequence(rho: np.ndarray, sys: SpinSystem, events, duration: float) -> np.ndarray:
-    """Run a timed pulse program on one state, free of disorder."""
-    return apply_program(np.asarray(rho, dtype=complex), compile_program(sys, events, duration))
+def walk(sys: SpinSystem, unit, steps, deltas, rho0s) -> np.ndarray:
+    """The shot-averaged states of n states after each of T steps, (n, T, 8, 8).
+
+    unit is the (events, duration) of a repeat unit and steps[i] counts
+    the whole units from the (i - 1)-th recorded state to the i-th (the
+    start for i = 0); with unit None, steps[i] is a free gap in seconds,
+    the pulseless program of that length. deltas is the (shots, 3) offset
+    draw: a run draws once (DisorderModel.draw), so its walks share it.
+    The unit is compiled once, and one plan per distinct step, up front:
+    steps within TIME_ATOL share one, as a uniform grid's gaps differ by
+    roundoff, and a zero step is the empty plan.
+
+    When every segment is fused (free evolution always; DD with ideal
+    pulses), the state of shot s after step i is C_i(s) * rho0[P_i][:, P_i]
+    with C_i(s) = K_i * g_i(s) g_i(s)^H and a permutation P_i that no shot
+    changes. The walk then steps the frame's K_i, (8, 8), and the per-shot
+    level phases G_i, (shots, 8), never a shot stack, and reads the shot
+    mean of C_i as K_i * (G_i^T G_i*) / shots, one GEMM per recorded step;
+    every state reads every step's map in one gather. A dense segment makes
+    the walk expand the unit over the draw once and step one
+    (n, shots, 8, 8) stack of every state through it instead.
+
+    The result is checked as one stack to be density matrices before
+    anything, tomography readout included, reads it, so a broken
+    evolution fails as an InvariantError.
+    """
+    rho0s = np.asarray(rho0s, dtype=complex)
+    if unit is not None:
+        unit = compile_program(sys, *unit)
+    fused = unit is None or all(seg[0] == "fused" for seg in unit)
+    if not fused:  # a step repeats the expanded unit by concatenation
+        unit = expand_program(unit, deltas)
+    plans, which = {}, []  # step i walks plans[which[i]]
+    for i, step in enumerate(steps):
+        which.append(next((j for j in plans if abs(step - steps[j]) <= TIME_ATOL), i))
+        if which[-1] == i:  # a NaN gap matches nothing, compiles, and fails
+            plans[i] = ([] if step == 0 else compile_program(sys, (), step)
+                        if unit is None else repeat_program(unit, int(step)))
+    if fused:  # each frame as (K, G_step, perm), G_step its level phases over the draw
+        plans = {i: [(k, level_phases(h, deltas), perm) for _, k, h, perm in plan]
+                 for i, plan in plans.items()}
+        k, g = np.ones((DIM, DIM), dtype=complex), np.ones((len(deltas), DIM), dtype=complex)
+        means, perms = np.empty((len(steps), DIM, DIM), complex), np.empty((len(steps), DIM), int)
+        perm = np.arange(DIM)
+        for i, j in enumerate(which):
+            for k_step, g_step, p in plans[j]:
+                if p is not None:
+                    k, g, perm = k[p[:, None], p], g[:, p], perm[p]
+                k, g = k_step * k, g_step * g
+            means[i], perms[i] = k * (g.T @ g.conj()) / len(g), perm
+        out = means * rho0s[:, perms[:, :, None], perms[:, None, :]]  # every state, one gather
+    else:
+        out = np.empty((len(rho0s), len(steps), DIM, DIM), dtype=complex)
+        states = np.repeat(rho0s[:, None], len(deltas), axis=1)
+        for i, j in enumerate(which):
+            states = apply_program(states, plans[j])
+            out[:, i] = states.mean(axis=1)
+    try:
+        qmat.assert_density_matrix(out)
+    except ValueError as exc:
+        raise qmat.InvariantError(f"recorded state is not a density matrix: {exc}") from exc
+    return out
 
 
 # -- configuration ---------------------------------------------------------

@@ -88,6 +88,19 @@ def test_star_nmr_ideal_fidelity():
     assert qmat.fidelity(rho, star_rho()) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_star_nmr_preparation_is_a_checked_walk(monkeypatch):
+    # fused frames scaled by 1.01 inflate the trace: the walk's check refuses the state
+    real = spinsys.compile_program
+
+    def inflated(sys, events, duration):
+        return [("fused", 1.01 * seg[1]) + seg[2:] if seg[0] == "fused" else seg
+                for seg in real(sys, events, duration)]
+
+    monkeypatch.setattr(spinsys, "compile_program", inflated)
+    with pytest.raises(InvariantError, match="not a density matrix"):
+        circuits.prepare_star_nmr(spinsys.SpinSystem())
+
+
 def test_star_nmr_duration_is_two_coupling_echoes_each():
     sys = spinsys.SpinSystem()
     events, duration = circuits.star_circuit_nmr(sys)

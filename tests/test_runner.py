@@ -446,7 +446,8 @@ def test_a_grid_or_star_run_draws_its_offsets_once(monkeypatch):
 
 
 def test_each_walk_checks_its_states_once_as_one_stack(monkeypatch):
-    # one check per walk: the grid's 22 protocols, the star run's 2 pairs and 1 free grid
+    # one check per walk: the grid's 22 protocols; the star run's preparation, 2 pairs
+    # and 1 free grid
     checks = []
     real = qmat.assert_density_matrix
 
@@ -462,7 +463,7 @@ def test_each_walk_checks_its_states_once_as_one_stack(monkeypatch):
     assert sum(shape[0] == 7 for shape in checks) == 1 + len(runner.FAMILIES)
     checks.clear()
     runner.star_protection(sys, free=True, prep="nmr")
-    assert len(checks) == 3
+    assert len(checks) == 4
 
 
 def test_star_readout_is_one_stacked_call_per_curve(monkeypatch):

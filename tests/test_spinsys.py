@@ -332,12 +332,17 @@ def test_pulse_event_validation():
 
 # -- timed sequences -------------------------------------------------------
 
+def walk_once(rho, sys, events, duration):
+    """One state walked through one run of a timed program, free of disorder."""
+    return spinsys.walk(sys, (events, duration), [1], DisorderModel().draw(), [rho])[0, 0]
+
+
 def test_sequence_free_pulse_free_composition():
     rng = np.random.default_rng(31)
     sys = SpinSystem()
     rho = random_rho(rng, 8)
     ev = pulse(0.003, (1, 3), np.pi, (0.0, np.pi / 2))
-    got = spinsys.apply_sequence(rho, sys, [ev], 0.008)
+    got = walk_once(rho, sys, [ev], 0.008)
     u = spinsys.pulse_propagator(ev, sys)
     first = rho * free_factors(sys, 0.003)
     want = (u @ first @ u.conj().T) * free_factors(sys, 0.005)
@@ -352,10 +357,10 @@ def test_single_spin_echo_refocuses_offset_and_couplings():
     rho[6, 7] = 0.3 + 0.1j
     rho[7, 6] = np.conj(rho[6, 7])
     tau = 0.004
-    out = spinsys.apply_sequence(rho, sys, [pulse(tau, 3, np.pi, 0.0)], 2 * tau)
+    out = walk_once(rho, sys, [pulse(tau, 3, np.pi, 0.0)], 2 * tau)
     # the pulse swaps the element to (7,6); phases cancel
     assert out[7, 6] == pytest.approx(rho[6, 7], abs=1e-12)
-    with_noise = spinsys.apply_sequence(rho, SpinSystem(), [pulse(tau, 3, np.pi, 0.0)], 2 * tau)
+    with_noise = walk_once(rho, SpinSystem(), [pulse(tau, 3, np.pi, 0.0)], 2 * tau)
     g3 = SpinSystem().noise.gamma[2]
     gc = SpinSystem().noise.gamma_corr
     assert abs(with_noise[7, 6]) == pytest.approx(0.3162277660168379 * np.exp(-(g3 + gc) * 2 * tau), rel=1e-9)
@@ -367,7 +372,7 @@ def test_collective_echo_does_not_refocus_couplings():
     rho = np.full((8, 8), 0.125, dtype=complex)
     tau = 0.004
     ev = pulse(tau, (1, 2, 3), np.pi, 0.0)
-    out = spinsys.apply_sequence(rho, sys, [ev], 2 * tau)
+    out = walk_once(rho, sys, [ev], 2 * tau)
     j12, j13, j23 = sys.couplings
     # (6,7) -> (1,0): offsets cancel, couplings accumulate with the same sign
     residual = np.exp(1j * 2 * np.pi * (j13 + j23) * tau)
@@ -380,10 +385,10 @@ def test_sequence_rejects_overlap_and_overrun():
     a = pulse(0.001, 1, np.pi, 0.0, duration=1e-4)
     b = pulse(0.00105, 1, np.pi, 0.0, duration=1e-4)
     with pytest.raises(ValueError):
-        spinsys.apply_sequence(rho, sys, [a, b], 0.01)
+        walk_once(rho, sys, [a, b], 0.01)
     late = pulse(0.0099, 2, np.pi, 0.0, duration=2e-4)
     with pytest.raises(ValueError):
-        spinsys.apply_sequence(rho, sys, [late], 0.01)
+        walk_once(rho, sys, [late], 0.01)
     # a pulseless program of NaN length would otherwise compile to no segment at all
     for duration in (-0.01, np.nan, np.inf):
         with pytest.raises(ValueError, match="finite and nonnegative"):

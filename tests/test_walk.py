@@ -7,8 +7,8 @@ of (8 x 8) matmuls per shot per pulse and one free_factors call per shot
 per gap. spinsys.compile_program, expanded over the draw, must reproduce
 its shot-averaged states over random families, targets, modification
 slots, pulse errors, pulse widths and disorder shots, and on the
-pulse-level star preparation; the other schedule runner, apply_sequence,
-must agree with it on the committed protocols. A fused frame's per-level
+pulse-level star preparation; spinsys.walk, which every timed evolution
+runs through, must agree with it on the committed protocols. A fused frame's per-level
 filter function H must give the element-wise disorder times A it
 replaced, A[a, b] = H[a] - H[b], and a fused run must match the dense walk
 also when its pulses are general signed permutations, which, unlike the
@@ -203,7 +203,7 @@ def test_every_schedule_runner_shares_the_pulse_window_convention(kind, state):
     for sys in (dephasing, coherent):
         reference = one_unit(_unit_plan, _apply_unit, sys)
         runs = [one_unit(expanded_plan, spinsys.apply_program, sys),
-                spinsys.apply_sequence(rho, sys, *program)]
+                spinsys.walk(sys, program, [1], sys.disorder.draw(), [rho])[0, 0]]
         for got in runs:
             assert np.max(np.abs(got - reference)) <= 1e-12
 
@@ -624,3 +624,22 @@ def test_dense_walk_of_several_states_equals_each_walked_alone():
     for rho0, got in zip(rho0s, together):
         alone = runner._walk(sys, cycle, times, sys.disorder.draw(), [rho0])[0]
         assert np.array_equal(got, alone)
+
+
+def test_a_broadcast_stack_walks_as_its_contiguous_copy():
+    # a copy of a broadcast view keeps the shot axis innermost in memory, which
+    # changes the summation order of the shot mean; apply_program pins C order
+    sys = replace(runner.default_system(), pulse=PulseErrorModel(flip_fraction_error=0.02))
+    cycle = runner.build_cycle(runner.default_protocol("mDD2sp", "psi0a", "XY8"))
+    unit = spinsys.compile_program(sys, *ddseq.program(cycle, cycle.unit_cycles))
+    plan = spinsys.repeat_program(spinsys.expand_program(unit, sys.disorder.draw()), 3)
+    rho0s = np.array([circuits.prepare("psi0a")])
+    broadcast = np.broadcast_to(rho0s[:, None], (1, 512, spinsys.DIM, spinsys.DIM))
+    walks = []
+    for states in (broadcast, np.ascontiguousarray(broadcast)):
+        means = []
+        for _ in range(20):
+            states = spinsys.apply_program(states, plan)
+            means.append(states.mean(axis=1))  # what spinsys.walk records
+        walks.append(np.array(means))
+    assert np.array_equal(*walks)
