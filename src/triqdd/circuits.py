@@ -30,7 +30,7 @@ import numpy as np
 
 from . import qmat, spinsys
 from .qmat import InvariantError
-from .spinsys import PulseErrorModel, PulseEvent, SpinSystem, pulse
+from .spinsys import DisorderModel, PulseErrorModel, PulseEvent, SpinSystem, pulse
 
 DIM = spinsys.DIM
 
@@ -169,12 +169,12 @@ def prepare_star_nmr(sys: SpinSystem) -> np.ndarray:
     """Walk the pulse-level star program once from |000> on the given system.
 
     The system's offsets, couplings and dephasing act; its pulses are
-    taken as error-free, and no disorder is drawn.
+    taken as error-free and its disorder widths as zero: one zero shot.
     """
     rho0 = np.zeros((DIM, DIM), dtype=complex)
     rho0[0, 0] = 1.0
-    return spinsys.walk(replace(sys, pulse=PulseErrorModel()), star_circuit_nmr(sys), [1],
-                        np.zeros((1, spinsys.N_QUBITS)), [rho0])[0, 0]  # one zero shot
+    return spinsys.walk(replace(sys, pulse=PulseErrorModel(), disorder=DisorderModel()),
+                        star_circuit_nmr(sys), [1], [rho0])[0, 0]
 
 
 # -- readout ---------------------------------------------------------------

@@ -129,9 +129,8 @@ def _grid_report(args, states=runner.TABLE_STATES, t_max=runner.GRID_T_MAX,
                  points=runner.GRID_POINTS):
     """Run the grid of --families, check its orderings, write the summary to any --out-json."""
     sys_, cfg = resolve_system(args)
-    families = _parse_families(args.families)
-    run = runner.run_grid(sys_, families, states, t_max, points)
-    report = runner.compare_to_reference(run.percents, families, states)
+    run = runner.run_grid(sys_, _parse_families(args.families), states, t_max, points)
+    report = runner.compare_to_reference(run.percents)
     if args.out_json is not None:
         runner.write_json(runner.grid_summary(run, report, cfg), args.out_json)
     return run, report

@@ -48,10 +48,6 @@ def phase_tables() -> dict[str, tuple[float, ...]]:
     return {name: tuple(entry["phases_deg"]) for name, entry in doc["families"].items()}
 
 
-def known_families() -> tuple[str, ...]:
-    return tuple(phase_tables())
-
-
 @dataclass(frozen=True)
 class DDCycle:
     """One decoupling cycle: named slot phases bound to targets and timing.
@@ -212,7 +208,7 @@ def single_spin_survival(cycle: DDCycle, offset_hz: float, flip_error: float,
     rest = [spinsys.embed(np.diag([1.0, 0.0]), r) for r in (1, 2, 3) if r != q]
     rho0s = (np.eye(spinsys.DIM) + paulis) / 2 @ rest[0] @ rest[1]  # the others in |0><0|
     states = spinsys.walk(probe, program(cycle, cycle.unit_cycles),
-                          [n_cycles // cycle.unit_cycles], probe.disorder.draw(), rho0s)[:, 0]
+                          [n_cycles // cycle.unit_cycles], rho0s)[:, 0]
     # block[a, b] = tr(sigma_a rho_b): the identity part has no transverse component
     block = np.einsum("aij,bji->ab", paulis, states).real
     return float(np.linalg.svd(block, compute_uv=False)[-1])

@@ -20,8 +20,8 @@ they feel, while the all-spin sequence leaves every coupling running.
 
 Static disorder is averaged over shots: each shot keeps its offset
 shifts for the whole evolution, and magnitudes or concurrences are taken
-from the shot-averaged states. A run draws once (DisorderModel.draw, one
-zero shot at zero widths) and every walk of the run shares that draw.
+from the shot-averaged states. Every walk takes the system's shots, drawn
+once per model (DisorderModel.draw), so the protocols of a run share them.
 
 Every curve records from one spinsys.walk of its protocol, which steps
 all the states the protocol serves as one stack. The grid prepares each
@@ -79,7 +79,7 @@ class Protocol:
             if self.family is not None or self.targets:
                 raise ValueError("FreeEv takes no family and no targets")
             return
-        if self.family not in ddseq.known_families():
+        if self.family not in ddseq.phase_tables():
             raise ValueError(f"unknown family '{self.family}' for {self.kind}")
         if self.tau is None or self.tau <= 0:
             raise ValueError(f"{self.kind} needs a positive interpulse delay")
@@ -228,20 +228,20 @@ def default_time_grid(unit: float | None, t_max: float = GRID_T_MAX,
     return tuple(k * unit for k in counts)
 
 
-def _walk(sys, cycle, times, deltas, rho0s) -> np.ndarray:
+def _walk(sys, cycle, times, rho0s) -> np.ndarray:
     """spinsys.walk of n states to T sorted, distinct times, (n, T, 8, 8).
 
     Free evolution (cycle None) steps the gaps between the times; DD steps
     the repeat unit by the unit-count increments.
     """
     if cycle is None:
-        return spinsys.walk(sys, None, np.diff(times, prepend=0.0), deltas, rho0s)
+        return spinsys.walk(sys, None, np.diff(times, prepend=0.0), rho0s)
     counts = [ddseq.unit_count(t, cycle.unit_duration, cycle.name) for t in times]
     return spinsys.walk(sys, ddseq.program(cycle, cycle.unit_cycles),
-                        np.diff(counts, prepend=0), deltas, rho0s)
+                        np.diff(counts, prepend=0), rho0s)
 
 
-def _protocol_curves(sys, proto, state_ids, rho0s, deltas, t_max=GRID_T_MAX,
+def _protocol_curves(sys, proto, state_ids, rho0s, t_max=GRID_T_MAX,
                      points=GRID_POINTS, times=None) -> list[DecayCurve]:
     """One protocol's curve on each state from one walk; times default to its grid."""
     cycle = build_cycle(proto)
@@ -250,7 +250,7 @@ def _protocol_curves(sys, proto, state_ids, rho0s, deltas, t_max=GRID_T_MAX,
     times = tuple(sorted(set(float(t) for t in times)))
     curves = []
     for state_id, rho0, states in zip(state_ids, rho0s,
-                                      _walk(sys, cycle, times, deltas, rho0s)):
+                                      _walk(sys, cycle, times, rho0s)):
         element = circuits.tracked_element(state_id)
         raw = states[(slice(None),) + element].tolist()
         ref = complex(rho0[element])
@@ -275,7 +275,7 @@ def run_decay(state_id: str, protocol: Protocol, sys: SpinSystem,
     loss, the way an unphased echo line loses absorption amplitude.
     """
     return _protocol_curves(sys, protocol, [state_id], [circuits.prepare(state_id)],
-                            sys.disorder.draw(), times=times)[0]
+                            times=times)[0]
 
 
 # -- table grid ------------------------------------------------------------
@@ -320,10 +320,10 @@ def run_grid(sys: SpinSystem, families=FAMILIES, states=TABLE_STATES,
     for state_id, proto in cells:
         users.setdefault(proto, []).append(state_id)
     prepared = {state_id: circuits.prepare(state_id) for state_id in states}
-    deltas, done = sys.disorder.draw(), {}
+    done = {}
     for proto, state_ids in users.items():
         curves = _protocol_curves(sys, proto, state_ids, [prepared[s] for s in state_ids],
-                                  deltas, t_max, points)
+                                  t_max, points)
         done.update(((state_id, proto), c) for state_id, c in zip(state_ids, curves))
     curves = tuple(done[cell] for cell in cells)
     # the grid always ends on t_max
@@ -420,9 +420,10 @@ def ordering_facts(families=FAMILIES):
     return tuple(out)
 
 
-def compare_to_reference(percents: dict, families=FAMILIES,
-                         states=TABLE_STATES) -> OrderingReport:
-    """Check the committed ordering facts on the given states against a results grid."""
+def compare_to_reference(percents: dict) -> OrderingReport:
+    """Check the committed ordering facts on the states and families of a results grid."""
+    families = dict.fromkeys(family for _, _, family in percents if family is not None)
+    states = {state_id for state_id, _, _ in percents}
     return OrderingReport(tuple(
         fact_check(percents, state_id, lhs, rhs)
         for state_id, lhs, rhs in ordering_facts(families) if state_id in states))
@@ -446,22 +447,22 @@ def star_protection(sys: SpinSystem, free: bool = False, prep: str = "ideal",
     if prep not in ("ideal", "nmr"):
         raise ValueError(f"unknown preparation '{prep}', expected 'ideal' or 'nmr'")
     rho0 = circuits.prepare("star") if prep == "ideal" else circuits.prepare_star_nmr(sys)
-    deltas, rows, pairs_by_grid = sys.disorder.draw(), [], {}
+    rows, pairs_by_grid = [], {}
     for pair in STAR_PAIRS.values():
         proto = star_protocol(pair)
         cycle = build_cycle(proto)
         times = default_time_grid(cycle.unit_duration, t_max, points)
         pairs_by_grid.setdefault(times, []).append(pair)
-        rows += _star_curves(sys, proto, cycle, times, deltas, rho0, [pair], tomo_sigma, seed)
+        rows += _star_curves(sys, proto, cycle, times, rho0, [pair], tomo_sigma, seed)
     if free:
         for times, pairs in pairs_by_grid.items():
-            rows += _star_curves(sys, Protocol("FreeEv"), None, times, deltas, rho0, pairs)
+            rows += _star_curves(sys, Protocol("FreeEv"), None, times, rho0, pairs)
     return tuple(rows)
 
 
-def _star_curves(sys, proto, cycle, times, deltas, rho0, pairs, tomo_sigma=None, seed=0):
+def _star_curves(sys, proto, cycle, times, rho0, pairs, tomo_sigma=None, seed=0):
     """One walk's concurrence curve on each pair."""
-    states = _walk(sys, cycle, times, deltas, [rho0])[0]
+    states = _walk(sys, cycle, times, [rho0])[0]
     if tomo_sigma is not None:
         states = circuits.tomography(states, sigma=tomo_sigma, seed=seed)
     return [DecayCurve("star", proto, "concurrence", times,

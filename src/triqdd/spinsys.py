@@ -68,7 +68,7 @@ the walk slower.
 
 Static offset disorder (slow inhomogeneity, off at the zero default
 widths) draws Gaussian per-spin offsets plus a correlated common mode
-once per shot; the experiment layer averages over a seeded set of shots.
+once per shot; walk averages over the model's one seeded set of shots.
 The shifts delta_s are diagonal and enter every gap linearly, and a
 fused pulse only permutes levels, so in the toggling frame a shot's
 disorder is one phase per level: g_s[a] = exp(-2 pi i H[a] . delta_s),
@@ -165,16 +165,18 @@ class DisorderModel:
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
+    @lru_cache(maxsize=1)
     def draw(self) -> np.ndarray:
-        """Per-spin offset shifts in Hz, (shots, 3), or (1, 3) zeros at zero widths."""
-        if not any(self.sigma) and not self.sigma_corr:
-            return np.zeros((1, N_QUBITS))
-        rng = np.random.default_rng(self.seed)
-        z = rng.standard_normal((self.shots, N_QUBITS + 1))
-        with np.errstate(over="ignore", invalid="ignore"):
-            deltas = z[:, :N_QUBITS] * np.array(self.sigma) + z[:, N_QUBITS:] * self.sigma_corr
-        if not np.isfinite(deltas).all():
-            raise ConfigError("the disorder widths overflow the offset draw")
+        """Per-spin offsets in Hz, (shots, 3) or (1, 3) zeros: drawn once per model, read-only."""
+        deltas = np.zeros((1, N_QUBITS))
+        if any(self.sigma) or self.sigma_corr:
+            rng = np.random.default_rng(self.seed)
+            z = rng.standard_normal((self.shots, N_QUBITS + 1))
+            with np.errstate(over="ignore", invalid="ignore"):
+                deltas = z[:, :N_QUBITS] * np.array(self.sigma) + z[:, N_QUBITS:] * self.sigma_corr
+            if not np.isfinite(deltas).all():
+                raise ConfigError("the disorder widths overflow the offset draw")
+        deltas.flags.writeable = False
         return deltas
 
 
@@ -577,14 +579,14 @@ def repeat_program(plan, k: int) -> list:
     return [("fused",) + power]
 
 
-def walk(sys: SpinSystem, unit, steps, deltas, rho0s) -> np.ndarray:
+def walk(sys: SpinSystem, unit, steps, rho0s) -> np.ndarray:
     """The shot-averaged states of n states after each of T steps, (n, T, 8, 8).
 
     unit is the (events, duration) of a repeat unit and steps[i] counts
     the whole units from the (i - 1)-th recorded state to the i-th (the
     start for i = 0); with unit None, steps[i] is a free gap in seconds,
-    the pulseless program of that length. deltas is the (shots, 3) offset
-    draw: a run draws once (DisorderModel.draw), so its walks share it.
+    the pulseless program of that length. The shots come from
+    sys.disorder.draw(), which every walk of a run shares.
     The unit is compiled once, and one plan per distinct step, up front:
     steps within TIME_ATOL share one, as a uniform grid's gaps differ by
     roundoff, and a zero step is the empty plan.
@@ -603,7 +605,7 @@ def walk(sys: SpinSystem, unit, steps, deltas, rho0s) -> np.ndarray:
     anything, tomography readout included, reads it, so a broken
     evolution fails as an InvariantError.
     """
-    rho0s = np.asarray(rho0s, dtype=complex)
+    rho0s, deltas = np.asarray(rho0s, dtype=complex), sys.disorder.draw()
     if unit is not None:
         unit = compile_program(sys, *unit)
     fused = unit is None or all(seg[0] == "fused" for seg in unit)

@@ -1,5 +1,6 @@
 """Preparation circuits, star pulse program, readout words, tomography."""
 
+import itertools
 import json
 from functools import lru_cache
 from importlib import resources
@@ -99,6 +100,16 @@ def test_star_nmr_preparation_is_a_checked_walk(monkeypatch):
     monkeypatch.setattr(spinsys, "compile_program", inflated)
     with pytest.raises(InvariantError, match="not a density matrix"):
         circuits.prepare_star_nmr(spinsys.SpinSystem())
+
+
+def test_star_nmr_preparation_ignores_disorder_and_pulse_errors():
+    # the preparation walks ideal pulses at zero disorder widths: one zero shot
+    want = circuits.prepare_star_nmr(spinsys.SpinSystem())
+    for sigma_corr, seed, flip in itertools.product((0.0, 0.72), (0, 7), (0.0, 0.02)):
+        sys = spinsys.SpinSystem(
+            pulse=spinsys.PulseErrorModel(flip_fraction_error=flip),
+            disorder=spinsys.DisorderModel((0.08, 0.08, 0.08), sigma_corr, shots=64, seed=seed))
+        assert np.array_equal(circuits.prepare_star_nmr(sys), want)
 
 
 def test_star_nmr_duration_is_two_coupling_echoes_each():

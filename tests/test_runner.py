@@ -1,5 +1,6 @@
 """Protocols, decay recording, ordering facts, and star protection."""
 
+import inspect
 import math
 
 import numpy as np
@@ -248,7 +249,7 @@ def test_shot_average_matches_the_gaussian_disorder_oracle():
         deltas = d.draw()
         (_, shot_coef, _, _), = spinsys.expand_program(frame, deltas)
         grid = runner.default_time_grid(cycle.unit_duration)
-        for t, avg in zip(grid, runner._walk(sys, cycle, grid, deltas, [rho0])[0]):
+        for t, avg in zip(grid, runner._walk(sys, cycle, grid, [rho0])[0]):
             k = ddseq.unit_count(t, cycle.unit_duration, cycle.name)
             ideal = coef[0] ** k * rho0
             exact = ideal * np.exp(-2 * np.pi ** 2 * k ** 2 * spread)
@@ -351,6 +352,19 @@ def test_default_system_matches_bundled_config():
     assert sys.disorder.shots == 512
 
 
+def test_ordering_report_reads_its_families_and_states_from_the_grid():
+    run = runner.run_grid(runner.default_system(), ("XY8",), ("psi3", "psi1a"))
+    facts = runner.compare_to_reference(run.percents).facts
+    assert [(f.state, f.lhs, f.rhs) for f in facts] == [
+        ("psi3", ("DD3sp", "XY8"), ("FreeEv", None)),
+        ("psi1a", ("DD1sp", "XY8"), ("FreeEv", None)),
+        ("psi1a", ("DD1sp", "XY8"), ("DD3sp", "XY8"))]
+    # the facts follow the grid's family order, as the CLI names them
+    run = runner.run_grid(runner.default_system(), ("XY16", "UR12"), ("psi3",))
+    facts = runner.compare_to_reference(run.percents).facts
+    assert [f.lhs for f in facts] == [("DD3sp", "XY16"), ("DD3sp", "UR12")]
+
+
 def test_baseline_facts_all_recorded_as_passing():
     doc = runner.load_baseline()
     assert doc["margin_pp"] == pytest.approx(5.0)
@@ -404,9 +418,9 @@ def _count_star_work(monkeypatch):
 
     walk = runner._walk
 
-    def counting_walk(sys, cycle, times, deltas, rho0s):
+    def counting_walk(sys, cycle, times, rho0s):
         counts["free_walks"] += cycle is None
-        return walk(sys, cycle, times, deltas, rho0s)
+        return walk(sys, cycle, times, rho0s)
 
     monkeypatch.setattr(circuits, "prepare_star_nmr", counting_prepare)
     monkeypatch.setattr(runner, "_walk", counting_walk)
@@ -428,21 +442,46 @@ def test_star_protected_only_builds_no_free_walk(monkeypatch):
 
 
 def test_a_grid_or_star_run_draws_its_offsets_once(monkeypatch):
-    # every walk of a run shares one draw: the grid's 22 protocols, the star run's 3 walks
-    draws = []
-    real = DisorderModel.draw
+    # the grid's 22 protocols and the star run's 3 walks besides its preparation each
+    # receive one and the same array, and the seeded RNG runs once per run
+    walks, drawn, rngs = [], [], []
+    real_walk, real_draw, real_rng = spinsys.walk, DisorderModel.draw, np.random.default_rng
 
-    def counting(self):
-        draws.append(self.seed)
-        return real(self)
+    def counting_walk(sys, *args):
+        walks.append(sys)
+        return real_walk(sys, *args)
 
-    monkeypatch.setattr(DisorderModel, "draw", counting)
+    def recording_draw(self):
+        drawn.append(real_draw(self))
+        return drawn[-1]
+
+    def counting_rng(*args):
+        rngs.append(inspect.currentframe().f_back.f_globals["__name__"])
+        return real_rng(*args)
+
+    monkeypatch.setattr(spinsys, "walk", counting_walk)
+    monkeypatch.setattr(DisorderModel, "draw", recording_draw)
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
     sys = runner.default_system()
+    real_draw.cache_clear()
     run = runner.run_grid(sys)
-    assert len({c.protocol for c in run.curves}) == 22 and len(draws) == 1
-    draws.clear()
+    assert len({c.protocol for c in run.curves}) == 22 and len(walks) == len(drawn) == 22
+    assert all(d is drawn[0] for d in drawn) and drawn[0].shape == (512, 3)
+    assert rngs == ["triqdd.spinsys"]
+    with pytest.raises(ValueError):
+        drawn[0][0, 0] = 1.0
+    for seen in (walks, drawn, rngs):
+        seen.clear()
+    real_draw.cache_clear()
     rows = runner.star_protection(sys, free=True, prep="nmr")
-    assert len(rows) == 4 and len(draws) == 1
+    assert len(rows) == 4 and len(walks) == len(drawn) == 4
+    # the preparation walks zero widths: one zero shot, and no RNG
+    assert walks[0].disorder == DisorderModel() and np.array_equal(drawn[0], np.zeros((1, 3)))
+    assert all(d is drawn[1] for d in drawn[1:]) and drawn[1].shape == (512, 3)
+    assert rngs == ["triqdd.spinsys"]
+    for d in drawn[:2]:
+        with pytest.raises(ValueError):
+            d[0, 0] = 1.0
 
 
 def test_each_walk_checks_its_states_once_as_one_stack(monkeypatch):
@@ -491,7 +530,7 @@ def test_star_free_rows_match_an_independent_free_walk():
     rows = runner.star_protection(sys, free=True, prep="nmr", tomo_sigma=0.01, seed=7)
     rho0 = circuits.prepare_star_nmr(sys)
     for protected, free, pair in zip(rows[:2], rows[2:], runner.STAR_PAIRS.values()):
-        states = runner._walk(sys, None, protected.times, sys.disorder.draw(), [rho0])[0]
+        states = runner._walk(sys, None, protected.times, [rho0])[0]
         assert free.times == protected.times
         assert free.values == tuple(
             qmat.concurrence(qmat.partial_trace(avg, pair)) for avg in states)

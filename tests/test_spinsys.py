@@ -333,8 +333,8 @@ def test_pulse_event_validation():
 # -- timed sequences -------------------------------------------------------
 
 def walk_once(rho, sys, events, duration):
-    """One state walked through one run of a timed program, free of disorder."""
-    return spinsys.walk(sys, (events, duration), [1], DisorderModel().draw(), [rho])[0, 0]
+    """One state walked through one run of a timed program on a system free of disorder."""
+    return spinsys.walk(sys, (events, duration), [1], [rho])[0, 0]
 
 
 def test_sequence_free_pulse_free_composition():

@@ -203,7 +203,7 @@ def test_every_schedule_runner_shares_the_pulse_window_convention(kind, state):
     for sys in (dephasing, coherent):
         reference = one_unit(_unit_plan, _apply_unit, sys)
         runs = [one_unit(expanded_plan, spinsys.apply_program, sys),
-                spinsys.walk(sys, program, [1], sys.disorder.draw(), [rho])[0, 0]]
+                spinsys.walk(sys, program, [1], [rho])[0, 0]]
         for got in runs:
             assert np.max(np.abs(got - reference)) <= 1e-12
 
@@ -225,7 +225,7 @@ def test_free_walk_matches_per_time_factors(grid):
     rho0 = random_rho(np.random.default_rng(13), spinsys.DIM)
     deltas = sys.disorder.draw()
     shifts = disorder_phase_rates(deltas)
-    walked = runner._walk(sys, None, times, deltas, [rho0])[0]
+    walked = runner._walk(sys, None, times, [rho0])[0]
     assert len(walked) == len(times)
     for t, avg in zip(times, walked):
         want = rho0 * free_factors(sys, t, shifts).mean(axis=0)
@@ -249,18 +249,18 @@ def test_free_walk_compiles_each_distinct_gap_once(monkeypatch):
         distinct = {round(b - a, 12) for a, b in zip(times, times[1:])}
         assert len(distinct) == 2
         gaps.clear()
-        walked = runner._walk(sys, None, times, sys.disorder.draw(), [rho0])[0]
+        walked = runner._walk(sys, None, times, [rho0])[0]
         assert len(walked) == len(times)
         assert len(gaps) == 2 and {round(g, 12) for g in gaps} == distinct
     # the gaps of a uniform grid differ by roundoff: they are one gap, compiled once
     free = runner.default_time_grid(None)
     assert len(set(np.diff(free))) > 1
     gaps.clear()
-    runner._walk(sys, None, free, sys.disorder.draw(), [rho0])
+    runner._walk(sys, None, free, [rho0])
     assert len(gaps) == 1
     # a NaN gap matches no other step: it compiles, and the schedule check rejects it
     with pytest.raises(ValueError):
-        runner._walk(sys, None, (0.0, 0.1, float("nan")), sys.disorder.draw(), [rho0])
+        runner._walk(sys, None, (0.0, 0.1, float("nan")), [rho0])
 
 
 # -- one shot-averaged map per fused protocol, shared by every state --------
@@ -324,8 +324,7 @@ def test_map_walk_matches_state_walk(name, monkeypatch):
     times = runner.default_time_grid(None if cycle is None else cycle.unit_duration, t_max)
     state_ids = runner.TABLE_STATES + ("star",)
     stack_steps = _count_stack_steps(monkeypatch)
-    walked = runner._walk(sys, cycle, times, sys.disorder.draw(),
-                          [circuits.prepare(state_id) for state_id in state_ids])
+    walked = runner._walk(sys, cycle, times, [circuits.prepare(state_id) for state_id in state_ids])
     # a fused walk steps its frame, never a shot stack
     assert not stack_steps
     for state_id, got in zip(state_ids, walked):
@@ -335,7 +334,7 @@ def test_map_walk_matches_state_walk(name, monkeypatch):
     # an XOR with a mask, and it is the identity exactly when it fixes |000>
     ground = np.zeros((spinsys.DIM, spinsys.DIM), dtype=complex)
     ground[0, 0] = 1.0
-    landed = runner._walk(sys, cycle, times, sys.disorder.draw(), [ground])[0]
+    landed = runner._walk(sys, cycle, times, [ground])[0]
     lands = np.argmax(landed.diagonal(axis1=1, axis2=2).real, axis=1)
     assert np.max(np.abs(landed - np.eye(spinsys.DIM)[lands][:, :, None]
                          * np.eye(spinsys.DIM)[lands][:, None, :])) <= 1e-12
@@ -349,7 +348,7 @@ def test_map_walk_matches_state_walk(name, monkeypatch):
     # a dense segment sends the walk back to one shot stack of its states
     flip = replace(sys, pulse=PulseErrorModel(flip_fraction_error=0.02))
     stack_steps.clear()  # _state_walk steps shot stacks too
-    runner._walk(flip, cycle, times[:2], flip.disorder.draw(), [ground])
+    runner._walk(flip, cycle, times[:2], [ground])
     assert bool(stack_steps) == (cycle is not None)
 
 
@@ -383,7 +382,7 @@ def test_frame_walk_matches_the_expanded_shot_walk(name, monkeypatch):
     # states with distinct entries check C_t and the permutations together
     rho0s = [random_rho(np.random.default_rng(seed), spinsys.DIM) for seed in (19, 23)]
     stack_steps = _count_stack_steps(monkeypatch)
-    walked = runner._walk(sys, cycle, times, sys.disorder.draw(), rho0s)
+    walked = runner._walk(sys, cycle, times, rho0s)
     assert not stack_steps
     for rho0, got in zip(rho0s, walked):
         want = _state_walk(sys, cycle, times, rho0)
@@ -619,10 +618,10 @@ def test_dense_walk_of_several_states_equals_each_walked_alone():
     cycle = runner.build_cycle(runner.default_protocol("DD3sp", "psi3", "XY8"))
     times = runner.default_time_grid(cycle.unit_duration, 0.1, 4)
     rho0s = [circuits.prepare(state_id) for state_id in GRID_STATES]
-    together = runner._walk(sys, cycle, times, sys.disorder.draw(), rho0s)
+    together = runner._walk(sys, cycle, times, rho0s)
     assert together.shape == (3, len(times), spinsys.DIM, spinsys.DIM)
     for rho0, got in zip(rho0s, together):
-        alone = runner._walk(sys, cycle, times, sys.disorder.draw(), [rho0])[0]
+        alone = runner._walk(sys, cycle, times, [rho0])[0]
         assert np.array_equal(got, alone)
 
 
