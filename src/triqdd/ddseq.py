@@ -26,7 +26,7 @@ miscalibrated pulses has to beat a same-length constant-phase train.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from importlib import resources
 
@@ -144,12 +144,12 @@ def modify(cycle: DDCycle, slot: int | None = None) -> DDCycle:
     if len(cycle.targets) != 2:
         raise ValueError(f"modification needs a two-qubit cycle, {cycle.name} targets {cycle.targets}")
     slot = cycle.n_slots // 2 if slot is None else slot
-    if not 0 <= slot < cycle.n_slots:
-        raise ValueError(f"slot {slot} out of range 0..{cycle.n_slots - 1}")
+    if not float(slot).is_integer() or not 0 <= slot < cycle.n_slots:
+        raise ValueError(f"slot {slot} is not a whole number in 0..{cycle.n_slots - 1}")
     if cycle.t_p > 0 and cycle.tau <= cycle.t_p / 2:
         raise ValueError("delay too short to host the doubled pulse window")
     return _make_cycle("m" + cycle.name, cycle.targets, cycle.tau, cycle.t_p,
-                       cycle.phases_deg, (slot,) + cycle.targets)
+                       cycle.phases_deg, (int(slot),) + cycle.targets)
 
 
 def program(cycle: DDCycle, n_cycles: int) -> tuple[tuple[PulseEvent, ...], float]:
@@ -163,7 +163,7 @@ def program(cycle: DDCycle, n_cycles: int) -> tuple[tuple[PulseEvent, ...], floa
     for rep in range(n_cycles):
         t0 = rep * cycle.cycle_duration
         for ev in cycle.events:
-            events.append(PulseEvent(ev.start + t0, ev.duration, ev.targets, ev.phases, ev.flip))
+            events.append(replace(ev, start=ev.start + t0))
     return tuple(events), n_cycles * cycle.cycle_duration
 
 
@@ -217,7 +217,7 @@ def single_spin_survival(cycle: DDCycle, offset_hz: float, flip_error: float,
 # -- serialization ---------------------------------------------------------
 
 def cycle_to_json(cycle: DDCycle) -> dict:
-    """Timed-event export of the repeat unit (two cycles when modified)."""
+    """Timed-event export of the repeat unit (two cycles when modified), one phase per event."""
     events, duration = program(cycle, cycle.unit_cycles)
     return {
         "name": cycle.name,
@@ -229,7 +229,7 @@ def cycle_to_json(cycle: DDCycle) -> dict:
                 "t_s": ev.start,
                 "dur_s": ev.duration,
                 "targets": list(ev.targets),
-                "phase_deg": float(np.rad2deg(ev.phases[0])),
+                "phase_deg": float(np.rad2deg(ev.phase)),
                 "flip_deg": float(np.rad2deg(ev.flip)),
             }
             for ev in events

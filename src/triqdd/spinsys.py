@@ -236,17 +236,17 @@ def _tables(offsets, couplings, noise):
 
 @dataclass(frozen=True)
 class PulseEvent:
-    """One rf pulse: start time, width, targets and per-target phases.
+    """One rf pulse: start time, width, targets and the phase they share.
 
-    targets are 1-based qubit labels; phases in radians set the rotation
-    axis per target; flip is the nominal rotation angle in radians shared
-    by all targets. Zero duration means an instantaneous rotation.
+    targets are 1-based qubit labels, each rotated by the nominal flip
+    angle about the transverse axis at phase, both in radians. Zero
+    duration means an instantaneous rotation.
     """
 
     start: float
     duration: float
     targets: tuple[int, ...]
-    phases: tuple[float, ...]
+    phase: float
     flip: float
 
     def __post_init__(self):
@@ -261,22 +261,16 @@ class PulseEvent:
         for q in self.targets:
             if not 1 <= q <= N_QUBITS:
                 raise ValueError(f"target {q} out of range 1..{N_QUBITS}")
-        if len(self.phases) != len(self.targets):
-            raise ValueError("need one phase per target")
 
     @property
     def end(self) -> float:
         return self.start + self.duration
 
 
-def pulse(start: float, targets, flip: float, phase, duration: float = 0.0) -> PulseEvent:
-    """Convenience constructor; a scalar phase is broadcast to all targets."""
+def pulse(start: float, targets, flip: float, phase: float, duration: float = 0.0) -> PulseEvent:
+    """Convenience constructor; a single target may be given bare."""
     targets = tuple(targets) if np.iterable(targets) else (int(targets),)
-    if np.iterable(phase):
-        phases = tuple(float(p) for p in phase)
-    else:
-        phases = (float(phase),) * len(targets)
-    return PulseEvent(float(start), float(duration), targets, phases, float(flip))
+    return PulseEvent(float(start), float(duration), targets, float(phase), float(flip))
 
 
 def embed(op: np.ndarray, q: int) -> np.ndarray:
@@ -303,8 +297,8 @@ def rotation_product(targets, flip: float, phases) -> np.ndarray:
     return u
 
 
-def _applied_rotation(ev: PulseEvent, sys: SpinSystem) -> tuple[float, list[float]]:
-    """Flip angle and per-target phases after the system's pulse errors."""
+def _applied_rotation(ev: PulseEvent, sys: SpinSystem) -> tuple[float, float]:
+    """Flip angle and phase after the system's pulse errors."""
     if ev.duration > 0.0 and ev.flip == 0.0:
         raise ValueError("finite-duration pulse with zero flip angle has no defined rf amplitude")
     err = sys.pulse
@@ -313,7 +307,7 @@ def _applied_rotation(ev: PulseEvent, sys: SpinSystem) -> tuple[float, list[floa
     if not abs(flip) / np.pi < 2.0 ** 52:
         raise ConfigError(f"pulse.flip_fraction_error {err.flip_fraction_error:g} takes the "
                           f"flip angle of a {ev.flip:g} rad pulse past 2^52 half turns")
-    return flip, [p + err.phase_error for p in ev.phases]
+    return flip, ev.phase + err.phase_error
 
 
 def pulse_propagator(ev: PulseEvent, sys: SpinSystem) -> np.ndarray:
@@ -323,13 +317,13 @@ def pulse_propagator(ev: PulseEvent, sys: SpinSystem) -> np.ndarray:
     exponential, of the Hermitian h t_p by its eigendecomposition; any
     other pulse is the product of its single-target rotations.
     """
-    flip, phases = _applied_rotation(ev, sys)
+    flip, phase = _applied_rotation(ev, sys)
     if ev.duration == 0.0 or not sys.pulse.internal_h_during_pulse:
-        return rotation_product(ev.targets, flip, phases)
+        return rotation_product(ev.targets, flip, [phase] * len(ev.targets))
     # h t_p with the rf part written as its rotation angle: no width divides anything
     ht = 2.0 * np.pi * ev.duration * np.diag(energies(sys)).astype(complex)
-    for q, ph in zip(ev.targets, phases):
-        ht += (flip / 2.0) * embed(np.cos(ph) * SIGMA_X + np.sin(ph) * SIGMA_Y, q)
+    for q in ev.targets:
+        ht += (flip / 2.0) * embed(np.cos(phase) * SIGMA_X + np.sin(phase) * SIGMA_Y, q)
     w, v = np.linalg.eigh(ht)
     return (v * np.exp(-1j * w)) @ v.conj().T
 
@@ -350,7 +344,7 @@ def pulse_permutation(ev: PulseEvent, sys: SpinSystem):
     where it is 1; for even n the sign c on every row. Returns None for
     any other pulse, which needs pulse_propagator's dense unitary.
     """
-    flip, phases = _applied_rotation(ev, sys)
+    flip, phase = _applied_rotation(ev, sys)
     if ev.duration > 0.0 and sys.pulse.internal_h_during_pulse:
         return None
     half_turns = flip / np.pi
@@ -361,10 +355,9 @@ def pulse_permutation(ev: PulseEvent, sys: SpinSystem):
     perm = np.arange(DIM)
     if n % 2 == 0:
         return perm, np.full(DIM, complex(c ** len(ev.targets)))
-    d = np.ones(DIM, dtype=complex)
-    for q, ph in zip(ev.targets, phases):
+    d, sin, cos = np.ones(DIM, dtype=complex), s * np.sin(phase), s * np.cos(phase)
+    for q in ev.targets:
         bit_q = 1 << (N_QUBITS - q)
-        sin, cos = s * np.sin(ph), s * np.cos(ph)
         d = d * np.where(perm & bit_q, complex(sin, -cos), complex(-sin, -cos))
         perm = perm ^ bit_q
     return perm, d
@@ -473,7 +466,7 @@ def compile_program(sys: SpinSystem, events, duration: float) -> list:
         if kind == "free":
             run.append(item)
             continue
-        key = (item.targets, item.phases, item.flip, item.duration)
+        key = (item.targets, item.phase, item.flip, item.duration)
         if key not in pulse_cache:
             pulse_cache[key] = pulse_permutation(item, sys) or pulse_propagator(item, sys)
         seg = pulse_cache[key]
@@ -613,6 +606,8 @@ def walk(sys: SpinSystem, unit, steps, rho0s) -> np.ndarray:
         unit = expand_program(unit, deltas)
     plans, which = {}, []  # step i walks plans[which[i]]
     for i, step in enumerate(steps):
+        if unit is not None and not float(step).is_integer():
+            raise ValueError(f"step {step} is not a whole number of units")
         which.append(next((j for j in plans if abs(step - steps[j]) <= TIME_ATOL), i))
         if which[-1] == i:  # a NaN gap matches nothing, compiles, and fails
             plans[i] = ([] if step == 0 else compile_program(sys, (), step)

@@ -66,7 +66,7 @@ def test_sequences_json_round_trips_the_schedule(capsys, tmp_path):
         assert got.start == pytest.approx(want.start)
         assert got.duration == pytest.approx(want.duration)
         assert got.targets == want.targets
-        assert got.phases == pytest.approx(want.phases)
+        assert got.phase == pytest.approx(want.phase)
 
 
 def test_sequences_cpmg_and_modified_variants(capsys):

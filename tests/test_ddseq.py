@@ -114,7 +114,7 @@ def test_modify_counts_and_window():
     assert first.start == pytest.approx(center - tp, abs=1e-15)
     assert first.end == pytest.approx(second.start, abs=1e-15)
     assert second.end == pytest.approx(center + tp, abs=1e-15)
-    assert first.phases == second.phases
+    assert first.phase == second.phase
     # slots after the modified one shift by tp
     late_std = [ev for ev in m.events if len(ev.targets) == 2 and ev.start > center]
     for i, ev in zip(range(5, 8), late_std):
@@ -141,6 +141,10 @@ def test_modify_rejections():
         ddseq.modify(ddseq.generate("XY8", 1e-3, 0.0, (1,)))
     with pytest.raises(ValueError):
         ddseq.modify(c, slot=8)
+    # a fractional slot would modify no slot at all; a numpy integer is a slot
+    with pytest.raises(ValueError, match="slot 1.5 is not a whole number"):
+        ddseq.modify(ddseq.generate("XY8", 5e-4, 2e-5, (1, 2)), slot=1.5)
+    assert ddseq.modify(c, slot=np.int64(1)) == ddseq.modify(c, slot=1)
 
 
 # zero Hamiltonian, no noise: a repeat unit compiles to its pulses alone
@@ -180,8 +184,8 @@ def brute_force_propagator(cycle, sys):
     for ev in events:
         u = expm(-1j * h * (ev.start - cursor)) @ u
         rot = np.eye(8, dtype=complex)
-        for q, ph in zip(ev.targets, ev.phases):
-            rot = spinsys.embed(spinsys.rotation2(ev.flip, ph), q) @ rot
+        for q in ev.targets:
+            rot = spinsys.embed(spinsys.rotation2(ev.flip, ev.phase), q) @ rot
         u = rot @ u
         cursor = ev.end
     return expm(-1j * h * (duration - cursor)) @ u
@@ -276,7 +280,7 @@ def test_program_unit_enforcement():
     half = len(events) // 2
     for a, b in zip(events[:half], events[half:]):
         assert b.start - a.start == pytest.approx(2 * m.cycle_duration)
-        assert (a.targets, a.phases, a.flip) == (b.targets, b.phases, b.flip)
+        assert (a.targets, a.phase, a.flip) == (b.targets, b.phase, b.flip)
 
 
 def test_json_round_trip():
@@ -293,7 +297,7 @@ def test_json_round_trip():
         assert got.duration == pytest.approx(want.duration, abs=1e-15)
         assert got.targets == want.targets
         assert got.flip == pytest.approx(want.flip)
-        assert got.phases[0] == pytest.approx(want.phases[0])
+        assert got.phase == pytest.approx(want.phase)
     with pytest.raises(ValueError):
         program_from_json({"name": "x", "events": [{"t_s": 0.0}]})
 

@@ -31,8 +31,13 @@ def test_protocol_rejections():
         Protocol("FreeEv", family="XY8")
     with pytest.raises(ValueError, match="unknown family"):
         Protocol("DD1sp", family="XY9", tau=1e-3, targets=(1,))
-    with pytest.raises(ValueError, match="positive interpulse delay"):
+    # the cycle rules are ddseq's, and a protocol meets them as it is made
+    with pytest.raises(ValueError, match="interpulse delay must be positive"):
         Protocol("DD1sp", family="XY8", tau=0.0, targets=(1,))
+    with pytest.raises(ValueError, match="does not fit the delay grid"):
+        Protocol("DD1sp", family="XY8", tau=1e-3, t_p=2e-3, targets=(1,))
+    with pytest.raises(ValueError, match="must be finite"):
+        Protocol("DD1sp", family="XY8", tau=math.nan, targets=(1,))
     with pytest.raises(ValueError, match="targets exactly 3"):
         Protocol("DD3sp", family="XY8", tau=1e-3, targets=(1, 2))
 
@@ -267,6 +272,79 @@ def test_run_decay_is_deterministic():
     a = runner.run_decay("psi2a", p, sys, times=(0.0, 0.1, 0.7))
     b = runner.run_decay("psi2a", p, sys, times=(0.0, 0.1, 0.7))
     assert a.values == b.values
+
+
+# -- the placement map ----------------------------------------------------
+
+# noise-free systems with random offsets (+-400 Hz) and couplings (+-200 Hz):
+# every unit is a phase map, so an element is returned exactly or not at all
+_rng = np.random.default_rng(2024)
+PLACEMENT_SYSTEMS = [SpinSystem(tuple(_rng.uniform(-400, 400, 3)),
+                                tuple(_rng.uniform(-200, 200, 3)), NoiseModel()) for _ in range(3)]
+OFF_DIAGONAL = [(a, b) for a in range(8) for b in range(8) if a != b]
+
+
+def differs_on(a, b):
+    return {q for q in (1, 2, 3) if spinsys.bit(a, q) != spinsys.bit(b, q)}
+
+
+def unit_frame(sys, cycle):
+    """K of a cycle's repeat unit, which must compile to one fused frame that permutes nothing."""
+    plan = spinsys.compile_program(sys, *ddseq.program(cycle, cycle.unit_cycles))
+    assert [seg[0] for seg in plan] == ["fused"] and plan[0][3] is None
+    return plan[0][1]
+
+
+def returned(k):
+    return {(a, b) for a, b in OFF_DIAGONAL if abs(k[a, b] - 1) <= 1e-9}
+
+
+def test_each_placement_returns_exactly_the_elements_that_differ_on_its_spins():
+    # every family x {each spin, all three, the modified cycle on each ordered
+    # pair at each slot}: ideal pulses return an element exactly when the
+    # spins it differs on are the pulsed spins, whatever the family and slot
+    tau, t_p = 0.5e-3, 20e-6
+    by_spins = {}
+    for family in ddseq.phase_tables():
+        cycles = [ddseq.generate(family, tau, t_p, targets)
+                  for targets in ((1,), (2,), (3,), (1, 2, 3))]
+        for pair in ((1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)):
+            plain = ddseq.generate(family, tau, t_p, pair)
+            cycles += [ddseq.modify(plain, slot) for slot in range(plain.n_slots)]
+        for cycle in cycles:
+            spins = frozenset(cycle.targets)
+            want = {(a, b) for a, b in OFF_DIAGONAL if differs_on(a, b) == spins}
+            for sys in PLACEMENT_SYSTEMS:
+                assert returned(unit_frame(sys, cycle)) == want, (cycle.name, cycle.modified, sys)
+            by_spins[spins] = want
+    # the seven spin sets cover the 56 elements, each exactly once
+    assert len(by_spins) == 7 and sum(len(e) for e in by_spins.values()) == 56
+    assert set().union(*by_spins.values()) == set(OFF_DIAGONAL)
+    orders = qmat.coherence_order_matrix(3)
+    pair_orders = sorted(abs(orders[e]) for e in by_spins[frozenset((1, 2))])
+    assert pair_orders == [0] * 4 + [2] * 4
+    all_orders = sorted(abs(orders[e]) for e in by_spins[frozenset((1, 2, 3))])
+    assert all_orders == [1] * 6 + [3] * 2
+
+
+def test_the_committed_protocols_return_the_elements_the_placement_map_says():
+    # the designated protocol returns each table state's element; DD3sp returns
+    # psi3's and no lower order's, and its 6 first-order elements are not psi1a/b's
+    orders = qmat.coherence_order_matrix(3)
+    first_order = {circuits.tracked_element(s) for s in ("psi1a", "psi1b")}
+    first_order |= {(b, a) for a, b in first_order}
+    for sys in PLACEMENT_SYSTEMS:
+        for family in runner.FAMILIES:
+            for state_id in runner.TABLE_STATES:
+                element = circuits.tracked_element(state_id)
+                kind = runner.DESIGNATED_KIND[state_id]
+                designated = runner.build_cycle(runner.default_protocol(kind, state_id, family))
+                assert element in returned(unit_frame(sys, designated)), (state_id, family)
+                all_spin = runner.build_cycle(runner.default_protocol("DD3sp", state_id, family))
+                kept = returned(unit_frame(sys, all_spin))
+                assert (element in kept) == (state_id == "psi3"), (state_id, family)
+                kept_first = {e for e in kept if abs(orders[e]) == 1}
+                assert len(kept_first) == 6 and not kept_first & first_order
 
 
 # -- grid percents ---------------------------------------------------------

@@ -74,7 +74,7 @@ def _unit_plan(sys: SpinSystem, events, duration: float, deltas: np.ndarray) -> 
             raise InvariantError("overlapping events in the program")
         if gap > spinsys.TIME_ATOL:
             free_segment(gap)
-        key = (ev.targets, ev.phases, ev.flip, ev.duration)
+        key = (ev.targets, ev.phase, ev.flip, ev.duration)
         if key not in pulse_cache:
             pulse_cache[key] = spinsys.pulse_propagator(ev, sys)
         u = pulse_cache[key]
@@ -465,7 +465,7 @@ def signed_permutation_programs(draw):
     """
     slot, n = 1e-3, draw(st.integers(1, 6))
     angles = st.lists(st.floats(-np.pi, np.pi), min_size=spinsys.DIM, max_size=spinsys.DIM)
-    table = {(float(i),): (np.array(draw(st.permutations(range(spinsys.DIM)))),
+    table = {float(i): (np.array(draw(st.permutations(range(spinsys.DIM)))),
                            np.exp(1j * np.array(draw(angles))))
              for i in range(n)}
     events = tuple(spinsys.pulse(i * slot + draw(st.floats(0.01, 0.75)) * slot,
@@ -481,10 +481,10 @@ def test_fused_run_matches_dense_walk_on_any_signed_permutation(case):
     program, table, seed = case
 
     def signed(ev, sys):
-        return table[ev.phases]
+        return table[ev.phase]
 
     def unitary(ev, sys):
-        perm, d = table[ev.phases]
+        perm, d = table[ev.phase]
         u = np.zeros((spinsys.DIM, spinsys.DIM), dtype=complex)
         u[np.arange(spinsys.DIM), perm] = d
         return u
@@ -642,3 +642,17 @@ def test_a_broadcast_stack_walks_as_its_contiguous_copy():
             means.append(states.mean(axis=1))  # what spinsys.walk records
         walks.append(np.array(means))
     assert np.array_equal(*walks)
+
+
+def test_a_unit_walk_takes_whole_unit_counts_only():
+    # a fractional unit count is refused, not truncated to its whole part
+    sys = runner.default_system()
+    unit = ddseq.program(ddseq.generate("XY8", 5e-4, 2e-5), 1)
+    rho0s = [circuits.prepare("psi3")]
+    with pytest.raises(ValueError, match="step 2.5 is not a whole number"):
+        spinsys.walk(sys, unit, [2.5], rho0s)
+    assert np.array_equal(spinsys.walk(sys, unit, [2.0], rho0s), spinsys.walk(sys, unit, [2], rho0s))
+    # free gaps are seconds: a fraction is any other gap
+    free = spinsys.walk(sys, None, [2.5e-3], rho0s)
+    halves = spinsys.walk(sys, None, [1.25e-3, 1.25e-3], rho0s)[:, 1:]
+    assert np.allclose(free, halves, rtol=0, atol=1e-12)
