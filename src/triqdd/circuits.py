@@ -1,10 +1,10 @@
 """State preparation, pulse-level star circuit and tomography.
 
-Preparation circuits are ideal gate matrices applied to |000>; the gate
-lists live in data/state_catalog.json next to the kets they must produce,
-so the catalog is checkable against itself. Only the star-state circuit
-also exists at pulse level (data/star_program.json): controlled rotations
-compile to transverse pulses, z rotations as three-pulse composites, and
+Each catalog state is stated once, by its ket: data/state_catalog.json
+lists its nonzero amplitudes, and the ideal preparation is that ket's
+density matrix. Only the star state also has a physical preparation, a
+pulse program (data/star_program.json): controlled rotations compile to
+transverse pulses, z rotations as three-pulse composites, and
 controlled-Z via a coupling echo that refocuses everything except the one
 scalar coupling doing the work, run for 1/(2|J|).
 
@@ -34,8 +34,6 @@ from .spinsys import DisorderModel, PulseErrorModel, PulseEvent, SpinSystem, pul
 
 DIM = spinsys.DIM
 
-HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-
 TOMOGRAPHY_SETTINGS = ("III", "IIY", "IYY", "YII", "XYX", "XXY", "XXX")
 SCANS = 32  # averaged acquisitions per setting
 
@@ -50,31 +48,6 @@ def state_ids() -> tuple[str, ...]:
     return tuple(state_catalog())
 
 
-def _ry(theta: float) -> np.ndarray:
-    return spinsys.rotation2(theta, np.pi / 2)
-
-
-def _controlled(control: int, target: int, op: np.ndarray) -> np.ndarray:
-    p0 = np.array([[1, 0], [0, 0]], dtype=complex)
-    p1 = np.array([[0, 0], [0, 1]], dtype=complex)
-    return spinsys.embed(p0, control) + spinsys.embed(p1, control) @ spinsys.embed(op, target)
-
-
-def gate_unitary(name: str, qubits, angle: float | None = None) -> np.ndarray:
-    """8x8 unitary of one catalog gate; qubits are 1-based, control first."""
-    if name == "h":
-        return spinsys.embed(HADAMARD, qubits[0])
-    if name == "x":
-        return spinsys.embed(spinsys.SIGMA_X, qubits[0])
-    if name == "ry":
-        return spinsys.embed(_ry(angle), qubits[0])
-    if name == "cnot":
-        return _controlled(qubits[0], qubits[1], spinsys.SIGMA_X)
-    if name == "cry":
-        return _controlled(qubits[0], qubits[1], _ry(angle))
-    raise ValueError(f"unknown gate '{name}'")
-
-
 def _catalog_entry(state_id: str) -> dict:
     cat = state_catalog()
     if state_id not in cat:
@@ -82,21 +55,12 @@ def _catalog_entry(state_id: str) -> dict:
     return cat[state_id]
 
 
-def prepare_ket(state_id: str) -> np.ndarray:
-    """Ideal preparation circuit applied to |000>."""
-    entry = _catalog_entry(state_id)
-    ket = np.zeros(DIM, dtype=complex)
-    ket[0] = 1.0
-    for gate in entry["gates"]:
-        name, qubits = gate[0], gate[1]
-        angle = gate[2] if len(gate) > 2 else None
-        ket = gate_unitary(name, qubits, angle) @ ket
-    return ket
-
-
 def prepare(state_id: str) -> np.ndarray:
-    """Density matrix of the ideally prepared state."""
-    return qmat.ket_to_rho(prepare_ket(state_id))
+    """Density matrix of the catalog state: its ket, one amplitude per term."""
+    ket = np.zeros(DIM, dtype=complex)
+    for index, amp in _catalog_entry(state_id)["terms"]:
+        ket[index] = amp
+    return qmat.ket_to_rho(ket)
 
 
 def tracked_element(state_id: str) -> tuple[int, int]:
@@ -105,7 +69,9 @@ def tracked_element(state_id: str) -> tuple[int, int]:
 
 
 def element_label(state_id: str) -> str:
-    return _catalog_entry(state_id)["element_label"]
+    """The tracked element with 1-based row and column, e.g. rho18."""
+    i, j = tracked_element(state_id)
+    return f"rho{i + 1}{j + 1}"
 
 
 # -- pulse-level star circuit ----------------------------------------------

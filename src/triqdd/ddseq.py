@@ -146,8 +146,6 @@ def modify(cycle: DDCycle, slot: int | None = None) -> DDCycle:
     slot = cycle.n_slots // 2 if slot is None else slot
     if not float(slot).is_integer() or not 0 <= slot < cycle.n_slots:
         raise ValueError(f"slot {slot} is not a whole number in 0..{cycle.n_slots - 1}")
-    if cycle.t_p > 0 and cycle.tau <= cycle.t_p / 2:
-        raise ValueError("delay too short to host the doubled pulse window")
     return _make_cycle("m" + cycle.name, cycle.targets, cycle.tau, cycle.t_p,
                        cycle.phases_deg, (int(slot),) + cycle.targets)
 

@@ -1,19 +1,19 @@
 """Oracles the tests check the program against, which the program never calls.
 
 Each is a plain formula or a plain reader: per-time free-evolution
-factors, the element-wise frequency shift of a static offset draw, the
-catalog's target kets, and loaders for exported density matrices and
-timed-event programs. The two formulas read the model's energy, decay
-and sensitivity tables (spinsys._tables), the tables the engine
-compiles from, so the tests that check them against the superoperator
-exponential still check the program's model.
+factors, the element-wise frequency shift of a static offset draw, and
+loaders for exported density matrices and timed-event programs. The two
+formulas read the model's energy, decay and sensitivity tables
+(spinsys._tables), the tables the engine compiles from, so the tests
+that check them against the superoperator exponential still check the
+program's model.
 """
 
 import json
 
 import numpy as np
 
-from triqdd import circuits, qmat, spinsys
+from triqdd import qmat, spinsys
 from triqdd.spinsys import NoiseModel, SpinSystem
 
 
@@ -42,14 +42,6 @@ def free_factors(sys: SpinSystem, t: float, extra_hz: np.ndarray | None = None) 
     if extra_hz is not None:
         phase = phase + extra_hz
     return np.exp((-2j * np.pi * phase - decay) * t)
-
-
-def catalog_ket(state_id: str) -> np.ndarray:
-    """The ket the catalog says the circuit must produce (term list)."""
-    ket = np.zeros(spinsys.DIM, dtype=complex)
-    for index, amp in circuits.state_catalog()[state_id]["terms"]:
-        ket[index] = amp
-    return ket
 
 
 def rho_from_json(doc) -> np.ndarray:

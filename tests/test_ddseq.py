@@ -145,6 +145,13 @@ def test_modify_rejections():
     with pytest.raises(ValueError, match="slot 1.5 is not a whole number"):
         ddseq.modify(ddseq.generate("XY8", 5e-4, 2e-5, (1, 2)), slot=1.5)
     assert ddseq.modify(c, slot=np.int64(1)) == ddseq.modify(c, slot=1)
+    # at an inner slot the doubled window's gaps are tau - t_p / 2: the cycle's
+    # own width rule is the whole bound, so the widest width it takes modifies
+    tau = 1e-3
+    widest = np.nextafter(2 * tau, 0)
+    assert ddseq.modify(ddseq.generate("XY8", tau, widest, (1, 2))).t_p == widest
+    with pytest.raises(ValueError, match="does not fit the delay grid"):
+        ddseq.generate("XY8", tau, 2 * tau, (1, 2))
 
 
 # zero Hamiltonian, no noise: a repeat unit compiles to its pulses alone
