@@ -8,14 +8,17 @@ starts and ends with a half gap and its duration is n (tau + t_p). All
 targets of the cycle are pulsed simultaneously at every slot with the
 slot phase from the family's table.
 
-The modified variant of a two-qubit cycle changes exactly one slot: the
-passive qubit's pulse there is removed and the doubled qubit gets two
-back-to-back pi pulses of the slot phase, together a 2 pi rotation
-filling [center - t_p, center + t_p]. The grid is kept, later centers
-shift by t_p and the cycle lengthens by t_p (nothing changes when pulses
-are instantaneous). One modified cycle leaves both qubits with an odd
-pulse count, so it is not a net identity; the execution unit is two
-cycles, which compose to the identity for ideal pulses.
+The modified variant of a two-qubit cycle changes exactly one slot. Its
+roles are its target order: the first target is passive, and its pulse
+there is removed; the second is doubled, and gets two back-to-back pi
+pulses of the slot phase, together a 2 pi rotation filling
+[center - t_p, center + t_p]. The grid is kept, later centers shift by
+t_p and the cycle lengthens by t_p (nothing changes when pulses are
+instantaneous). Slot 0's window starts at (tau - t_p) / 2, so it needs
+t_p <= tau; inner slots take every width the cycle does. One modified
+cycle leaves both qubits with an odd pulse count, so it is not a net
+identity; the execution unit is two cycles, which compose to the
+identity for ideal pulses.
 
 Phase tables live in data/phase_tables.json and are loaded, not hardcoded.
 Any table edit must keep the flip-angle robustness property checked in the
@@ -52,9 +55,10 @@ def phase_tables() -> dict[str, tuple[float, ...]]:
 class DDCycle:
     """One decoupling cycle: named slot phases bound to targets and timing.
 
-    phases_deg holds the per-slot table; modified is None for a plain
-    cycle, else (slot, passive, doubled). events and cycle_duration are
-    derived in the factories and carried so a cycle is self-describing.
+    phases_deg holds the per-slot table; slot is None for a plain cycle,
+    else the modified slot, where targets[0] is passive and targets[1]
+    doubled. events and cycle_duration are derived in the factories and
+    carried so a cycle is self-describing. The pulses check the targets.
     """
 
     name: str
@@ -62,7 +66,7 @@ class DDCycle:
     tau: float
     t_p: float
     phases_deg: tuple[float, ...]
-    modified: tuple[int, int, int] | None
+    slot: int | None
     events: tuple[PulseEvent, ...]
     cycle_duration: float
 
@@ -73,24 +77,23 @@ class DDCycle:
     @property
     def unit_cycles(self) -> int:
         """Smallest number of consecutive cycles forming the repeat unit."""
-        return 2 if self.modified else 1
+        return 1 if self.slot is None else 2
 
     @property
     def unit_duration(self) -> float:
         return self.unit_cycles * self.cycle_duration
 
 
-def _build_events(targets, tau, t_p, phases_deg, modified):
+def _build_events(targets, tau, t_p, phases_deg, slot):
     pitch = tau + t_p
     events = []
     shift = 0.0
     for i, deg in enumerate(phases_deg):
         phi = np.deg2rad(deg)
         center = (i + 0.5) * pitch + shift
-        if modified is not None and i == modified[0]:
-            _, _, doubled = modified
-            events.append(pulse(center - t_p, (doubled,), PI, phi, t_p))
-            events.append(pulse(center, (doubled,), PI, phi, t_p))
+        if i == slot:
+            events.append(pulse(center - t_p, targets[1:], PI, phi, t_p))
+            events.append(pulse(center, targets[1:], PI, phi, t_p))
             shift = t_p
         else:
             events.append(pulse(center - t_p / 2, targets, PI, phi, t_p))
@@ -98,7 +101,7 @@ def _build_events(targets, tau, t_p, phases_deg, modified):
     return tuple(events), duration
 
 
-def _make_cycle(name, targets, tau, t_p, phases_deg, modified=None) -> DDCycle:
+def _make_cycle(name, targets, tau, t_p, phases_deg, slot=None) -> DDCycle:
     if not np.isfinite(tau) or not np.isfinite(t_p):
         raise ValueError(f"delay and pulse width must be finite, got tau {tau}, t_p {t_p}")
     if tau <= 0:
@@ -108,14 +111,9 @@ def _make_cycle(name, targets, tau, t_p, phases_deg, modified=None) -> DDCycle:
     if t_p >= 2 * tau:
         raise ValueError(f"pulse width {t_p} does not fit the delay grid (tau = {tau})")
     targets = tuple(targets)
-    if not targets or len(set(targets)) != len(targets):
-        raise ValueError(f"bad target set {targets}")
-    for q in targets:
-        if not 1 <= q <= spinsys.N_QUBITS:
-            raise ValueError(f"target {q} out of range")
-    events, duration = _build_events(targets, tau, t_p, phases_deg, modified)
+    events, duration = _build_events(targets, tau, t_p, phases_deg, slot)
     return DDCycle(name, targets, float(tau), float(t_p), tuple(float(p) for p in phases_deg),
-                   modified, events, duration)
+                   slot, events, duration)
 
 
 def generate(family: str, tau: float, t_p: float = 0.0, targets=(1, 2, 3)) -> DDCycle:
@@ -136,18 +134,22 @@ def generate_cpmg(n_pulses: int, tau: float, t_p: float = 0.0, targets=(1, 2, 3)
 def modify(cycle: DDCycle, slot: int | None = None) -> DDCycle:
     """Passive/doubled variant of a two-qubit cycle at one slot (default n/2).
 
-    The first listed target is passive, the second doubled. The result
-    must be run an even number of cycles; program enforces that.
+    The first listed target is passive, the second doubled. Slot 0 needs
+    t_p <= tau, or its doubled window would start before the cycle. The
+    result must be run an even number of cycles; program enforces that.
     """
-    if cycle.modified is not None:
-        raise ValueError(f"{cycle.name} is already modified at slot {cycle.modified[0]}")
+    if cycle.slot is not None:
+        raise ValueError(f"{cycle.name} is already modified at slot {cycle.slot}")
     if len(cycle.targets) != 2:
         raise ValueError(f"modification needs a two-qubit cycle, {cycle.name} targets {cycle.targets}")
     slot = cycle.n_slots // 2 if slot is None else slot
     if not float(slot).is_integer() or not 0 <= slot < cycle.n_slots:
         raise ValueError(f"slot {slot} is not a whole number in 0..{cycle.n_slots - 1}")
+    if slot == 0 and cycle.t_p > cycle.tau:
+        raise ValueError(f"slot 0 needs pulse width <= tau, got t_p {cycle.t_p} > tau {cycle.tau}: "
+                         "its doubled window would start before the cycle")
     return _make_cycle("m" + cycle.name, cycle.targets, cycle.tau, cycle.t_p,
-                       cycle.phases_deg, (int(slot),) + cycle.targets)
+                       cycle.phases_deg, int(slot))
 
 
 def program(cycle: DDCycle, n_cycles: int) -> tuple[tuple[PulseEvent, ...], float]:
@@ -194,10 +196,9 @@ def single_spin_survival(cycle: DDCycle, offset_hz: float, flip_error: float,
     phase, which is the honest figure of merit: a constant-phase train
     keeps the quadrature along its own axis almost perfectly while losing
     the orthogonal one, and this metric refuses that hiding place.
+    n_cycles must make a nonnegative whole number of repeat units: the
+    walk refuses a fraction of a unit, and repeat_program a negative count.
     """
-    if n_cycles < 0 or n_cycles % cycle.unit_cycles:
-        raise ValueError(
-            f"{cycle.name} needs a nonnegative multiple of {cycle.unit_cycles} cycles")
     q = cycle.targets[-1]
     offsets = tuple(offset_hz if r == q else 0.0 for r in (1, 2, 3))
     probe = SpinSystem(offsets, (0.0,) * 3, spinsys.NoiseModel(),
@@ -206,7 +207,7 @@ def single_spin_survival(cycle: DDCycle, offset_hz: float, flip_error: float,
     rest = [spinsys.embed(np.diag([1.0, 0.0]), r) for r in (1, 2, 3) if r != q]
     rho0s = (np.eye(spinsys.DIM) + paulis) / 2 @ rest[0] @ rest[1]  # the others in |0><0|
     states = spinsys.walk(probe, program(cycle, cycle.unit_cycles),
-                          [n_cycles // cycle.unit_cycles], rho0s)[:, 0]
+                          [n_cycles / cycle.unit_cycles], rho0s)[:, 0]
     # block[a, b] = tr(sigma_a rho_b): the identity part has no transverse component
     block = np.einsum("aij,bji->ab", paulis, states).real
     return float(np.linalg.svd(block, compute_uv=False)[-1])

@@ -89,9 +89,7 @@ def coherence_order(i: int, j: int, n: int = 3) -> int:
 
 def coherence_order_matrix(n: int = 3) -> np.ndarray:
     """Matrix of coherence orders for every element, dtype int."""
-    dim = 2 ** n
-    pop = np.array([int(b).bit_count() for b in range(dim)])
-    return pop[None, :] - pop[:, None]
+    return np.array([[coherence_order(i, j, n) for j in range(2 ** n)] for i in range(2 ** n)])
 
 
 def partial_trace(rho: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:

@@ -144,10 +144,7 @@ def _delay_row(block: dict, state_id: str | None, family: str):
 def _pulse_width(family: str, tau: float, cycle_s: float, modified: bool) -> float:
     n = len(ddseq.phase_tables()[family])
     slack = cycle_s - n * tau
-    t_p = slack / (n + 1) if modified else slack / n
-    if t_p < 0:
-        raise ValueError(f"delay table row for {family} leaves negative pulse width")
-    return t_p
+    return slack / (n + 1) if modified else slack / n  # the cycle refuses a negative width
 
 
 def differing_qubits(state_id: str) -> tuple[int, ...]:
@@ -492,8 +489,7 @@ def grid_summary(run: GridRun, report: OrderingReport,
                  config_echo: dict | None = None) -> dict:
     """JSON-ready summary: per-state percents plus the ordering report."""
     percents: dict[str, dict] = {}
-    for (state_id, kind, family), pct in sorted(run.percents.items(),
-                                                key=lambda kv: repr(kv[0])):
+    for (state_id, kind, family), pct in run.percents.items():  # write_json sorts the keys
         label = kind if family is None else f"{kind}/{family}"
         percents.setdefault(state_id, {})[label] = pct
     return {

@@ -87,6 +87,12 @@ def test_sequences_rejects_bad_input(capsys):
     for flag, value in (("--tau", "nan"), ("--tau", "inf"), ("--tp", "nan")):
         code, out, err = run_cli(capsys, "sequences", "XY8", flag, value)
         assert code == 2 and "must be finite" in err and not out
+    code, out, err = run_cli(capsys, "sequences", "XY8", "--targets", "1,1")
+    assert code == 2 and "duplicate target in (1, 1)" in err and not out
+    # slot 0's doubled window would start before the cycle when t_p > tau
+    code, out, err = run_cli(capsys, "sequences", "XY8", "--targets", "1,2", "--modified",
+                             "--slot", "0", "--tau", "1e-3", "--tp", "1.5e-3")
+    assert code == 2 and "slot 0" in err and not out
 
 
 def test_sequences_slot_needs_modified(capsys):
@@ -204,7 +210,7 @@ def test_decay_rejects_broken_config(capsys, tmp_path):
                  ("decay", "--state", "psi3", "--families", ","),
                  ("protect", "--families", ","), ("protect", "--families", "")):
         code, _, err = run_cli(capsys, *argv)
-        assert code == 2 and "empty family list" in err
+        assert code == 2 and "empty family list, expected some of" in err
     # a non-finite horizon is bad input, not a broken evolution
     for t_max in ("nan", "inf"):
         code, _, err = run_cli(capsys, "decay", "--state", "psi3", "--families", "XY8",

@@ -76,10 +76,13 @@ def test_generate_rejects_bad_input():
         ddseq.generate("XY8", 0.0)
     with pytest.raises(ValueError):
         ddseq.generate("XY8", 1e-3, -1e-6)
-    with pytest.raises(ValueError):
+    # the targets are checked by the pulses that carry them
+    with pytest.raises(ValueError, match=r"duplicate target in \(1, 1\)"):
         ddseq.generate("XY8", 1e-3, 0.0, (1, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"target 5 out of range 1\.\.3"):
         ddseq.generate("XY8", 1e-3, 0.0, (5,))
+    with pytest.raises(ValueError, match="pulse needs at least one target"):
+        ddseq.generate("XY8", 1e-3, 0.0, ())
     with pytest.raises(ValueError):
         ddseq.generate("XY8", 1e-5, 5e-5)  # pulse wider than the grid allows
     for tau, t_p in ((np.nan, 0.0), (np.inf, 0.0), (1e-3, np.nan)):
@@ -102,9 +105,10 @@ def test_modify_counts_and_window():
     c = ddseq.generate("XY8", tau, tp, (1, 2))
     m = ddseq.modify(c)
     assert m.name == "mXY8"
-    assert m.modified == (4, 1, 2)
-    on_passive = [ev for ev in m.events if 1 in ev.targets]
-    on_doubled = [ev for ev in m.events if 2 in ev.targets]
+    assert m.slot == 4 and m.targets == (1, 2)
+    passive, doubled = m.targets
+    on_passive = [ev for ev in m.events if passive in ev.targets]
+    on_doubled = [ev for ev in m.events if doubled in ev.targets]
     assert len(on_passive) == 7
     assert len(on_doubled) == 9
     assert m.cycle_duration == pytest.approx(c.cycle_duration + tp)
@@ -124,9 +128,11 @@ def test_modify_counts_and_window():
 def test_modify_defaults_and_overrides():
     c = ddseq.generate("UR12", 1e-3, 0.0, (2, 3))
     m = ddseq.modify(c)
-    assert m.modified == (6, 2, 3)
+    assert m.slot == 6 and m.targets == (2, 3)
     m2 = ddseq.modify(c, slot=1)
-    assert m2.modified == (1, 2, 3)
+    assert m2.slot == 1 and m2.targets == (2, 3)
+    # the second target is the doubled one: only it is pulsed alone, twice, at the slot
+    assert [ev.targets for ev in m2.events if len(ev.targets) == 1] == [(3,), (3,)]
     assert m2.unit_cycles == 2
     assert c.unit_cycles == 1
 
@@ -152,6 +158,11 @@ def test_modify_rejections():
     assert ddseq.modify(ddseq.generate("XY8", tau, widest, (1, 2))).t_p == widest
     with pytest.raises(ValueError, match="does not fit the delay grid"):
         ddseq.generate("XY8", tau, 2 * tau, (1, 2))
+    # slot 0's doubled window starts at (tau - t_p) / 2: t_p = tau starts it at 0
+    m0 = ddseq.modify(ddseq.generate("XY8", tau, tau, (1, 2)), slot=0)
+    assert m0.slot == 0 and m0.events[0].start == 0.0 and m0.events[0].targets == (2,)
+    with pytest.raises(ValueError, match="slot 0"):
+        ddseq.modify(ddseq.generate("XY8", tau, np.nextafter(tau, 1), (1, 2)), slot=0)
 
 
 # zero Hamiltonian, no noise: a repeat unit compiles to its pulses alone
@@ -334,7 +345,8 @@ def test_survival_probe_sanity():
     assert ddseq.single_spin_survival(c, 0.0, 0.0, 2) == pytest.approx(1.0, abs=1e-10)
     assert ddseq.single_spin_survival(c, 137.0, 0.0, 2) == pytest.approx(1.0, abs=1e-9)
     m = ddseq.modify(ddseq.generate("XY8", 1e-3, 0.0, (1, 2)))
-    with pytest.raises(ValueError):
+    # the walk counts whole units, and the repeat a nonnegative number of them
+    with pytest.raises(ValueError, match="step 1.5 is not a whole number of units"):
         ddseq.single_spin_survival(m, 0.0, 0.0, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="repeat count must be nonnegative, got -2"):
         ddseq.single_spin_survival(c, 0.0, 0.0, -2)

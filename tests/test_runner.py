@@ -315,7 +315,7 @@ def test_each_placement_returns_exactly_the_elements_that_differ_on_its_spins():
             spins = frozenset(cycle.targets)
             want = {(a, b) for a, b in OFF_DIAGONAL if differs_on(a, b) == spins}
             for sys in PLACEMENT_SYSTEMS:
-                assert returned(unit_frame(sys, cycle)) == want, (cycle.name, cycle.modified, sys)
+                assert returned(unit_frame(sys, cycle)) == want, (cycle.name, cycle.slot, sys)
             by_spins[spins] = want
     # the seven spin sets cover the 56 elements, each exactly once
     assert len(by_spins) == 7 and sum(len(e) for e in by_spins.values()) == 56
