@@ -75,11 +75,7 @@ def cmd_orders(args) -> int:
 # -- sequences -------------------------------------------------------------
 
 def _build_named_cycle(args) -> ddseq.DDCycle:
-    targets = _parse_targets(args.targets)
-    if args.family.startswith("CPMG"):
-        cycle = ddseq.generate_cpmg(int(args.family[4:] or 1), args.tau, args.tp, targets)
-    else:
-        cycle = ddseq.generate(args.family, args.tau, args.tp, targets)
+    cycle = ddseq.generate(args.family, args.tau, args.tp, _parse_targets(args.targets))
     if args.modified:
         cycle = ddseq.modify(cycle, slot=args.slot)
     elif args.slot is not None:
@@ -227,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_orders)
 
     sub = subs.add_parser("sequences", help="print or export one decoupling cycle")
-    sub.add_argument("family", help="XY4/XY8/XY16/UR12/KDD20, or CPMGn")
+    sub.add_argument("family", help=f"{'/'.join(sorted(ddseq.phase_tables()))}, "
+                                    f"{ddseq.FAMILY_PATTERNS}")
     sub.add_argument("--tau", type=float, default=0.5e-3, help="interpulse delay, s")
     sub.add_argument("--tp", type=float, default=0.0, help="pulse width, s")
     sub.add_argument("--targets", default="1,2,3", help="pulsed qubits, e.g. 1,2")

@@ -20,18 +20,17 @@ cycle leaves both qubits with an odd pulse count, so it is not a net
 identity; the execution unit is two cycles, which compose to the
 identity for ideal pulses.
 
-Phase tables live in data/phase_tables.json and are loaded, not hardcoded.
-Any table edit must keep the flip-angle robustness property checked in the
+Each phase table is built from its family's rule, in phase_tables and _ur.
+Every table must keep the flip-angle robustness property checked in the
 test suite: the survival of a single-spin coherence under deliberately
 miscalibrated pulses has to beat a same-length constant-phase train.
 """
 
 from __future__ import annotations
 
-import json
+import re
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from importlib import resources
 
 import numpy as np
 
@@ -42,13 +41,25 @@ PI = np.pi
 
 # whole-unit time commensurability slack, seconds
 REPEAT_ATOL = 1e-9
+FAMILY_PATTERNS = "CPMGn or URn (even n >= 4)"
+
+
+def _ur(n: int) -> tuple[float, ...]:
+    """UR phases k(k - 1)/2 Phi(n) mod 360 for k < n, in degrees, with Phi(4m) = 180/m and
+    Phi(4m + 2) = 360 m/(2m + 1) (Genov et al., PRL 118, 133202 (2017), phi_2 = 0)."""
+    m, r = divmod(n, 4)
+    p, q = (1, 2 * m) if r == 0 else (m, 2 * m + 1)  # Phi = 360 p/q, reduced in whole numbers
+    return tuple(360.0 * (k * (k - 1) // 2 * p % q) / q for k in range(n))
 
 
 @lru_cache(maxsize=1)
 def phase_tables() -> dict[str, tuple[float, ...]]:
-    """Family name to phase table in degrees, from the bundled data file."""
-    doc = json.loads(resources.files("triqdd").joinpath("data/phase_tables.json").read_text())
-    return {name: tuple(entry["phases_deg"]) for name, entry in doc["families"].items()}
+    """Family name to phase table in degrees, each built from its rule."""
+    xy4 = (0.0, 90.0, 0.0, 90.0)
+    xy8 = xy4 + xy4[::-1]
+    return {"XY4": xy4, "XY8": xy8, "XY16": xy8 + tuple(p + 180.0 for p in xy8), "UR12": _ur(12),
+            # the composite (30, 0, 90, 0, 30) + phi in place of each XY4 pulse of phase phi
+            "KDD20": tuple(p + phi for phi in xy4 for p in (30.0, 0.0, 90.0, 0.0, 30.0))}
 
 
 @dataclass(frozen=True)
@@ -117,18 +128,15 @@ def _make_cycle(name, targets, tau, t_p, phases_deg, slot=None) -> DDCycle:
 
 
 def generate(family: str, tau: float, t_p: float = 0.0, targets=(1, 2, 3)) -> DDCycle:
-    """Build a named cycle from its phase table."""
-    tables = phase_tables()
-    if family not in tables:
-        raise ValueError(f"unknown family '{family}', expected one of {sorted(tables)}")
-    return _make_cycle(family, targets, tau, t_p, tables[family])
-
-
-def generate_cpmg(n_pulses: int, tau: float, t_p: float = 0.0, targets=(1, 2, 3)) -> DDCycle:
-    """Constant-phase train of n pi pulses, the robustness baseline."""
-    if n_pulses < 1:
-        raise ValueError("need at least one pulse")
-    return _make_cycle(f"CPMG{n_pulses}", targets, tau, t_p, (0.0,) * n_pulses)
+    """Build a cycle by name: a named table, CPMGn (n >= 1 pulses of phase 0) or URn (_ur)."""
+    tables, counted = phase_tables(), re.fullmatch(r"(CPMG|UR)([1-9][0-9]*)", family)
+    kind, n = (counted[1], int(counted[2])) if counted else ("", 0)
+    phases = (tables[family] if family in tables else (0.0,) * n if kind == "CPMG"
+              else _ur(n) if kind == "UR" and n >= 4 and n % 2 == 0 else None)
+    if phases is None:
+        raise ValueError(f"unknown family '{family}', expected one of {sorted(tables)}, "
+                         f"{FAMILY_PATTERNS}")
+    return _make_cycle(family, targets, tau, t_p, phases)
 
 
 def modify(cycle: DDCycle, slot: int | None = None) -> DDCycle:

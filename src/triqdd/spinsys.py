@@ -557,11 +557,14 @@ def repeat_program(plan, k: int) -> list:
     and perm p1[p2], squared up to k units. Any other plan is the k-fold
     concatenation of its own segment objects: nothing is copied or
     recompiled, and the list holds one reference per segment per unit.
+    Repeat first, then expand: an expanded frame has no H to compose.
     """
     if k < 0:
         raise ValueError(f"repeat count must be nonnegative, got {k}")
     if len(plan) != 1 or plan[0][0] != "fused" or k < 2:
         return list(plan) * k
+    if plan[0][2] is None:
+        raise ValueError("cannot repeat an expanded fused frame: repeat the plan, then expand")
     power, base = None, plan[0][1:]
     while k:
         if k & 1:

@@ -200,7 +200,7 @@ def test_robust_families_beat_cpmg_under_flip_error():
     tau, flip_error, offset_hz, n_cycles = 0.5e-3, 0.05, 120.0, 50
     for family in ("XY8", "XY16", "KDD20", "UR12"):
         cycle = ddseq.generate(family, tau, 0.0, targets=(1,))
-        cpmg = ddseq.generate_cpmg(cycle.n_slots, tau, 0.0, targets=(1,))
+        cpmg = ddseq.generate(f"CPMG{cycle.n_slots}", tau, 0.0, targets=(1,))
         s = ddseq.single_spin_survival(cycle, offset_hz, flip_error, n_cycles)
         s_cpmg = ddseq.single_spin_survival(cpmg, offset_hz, flip_error, n_cycles)
         assert s > s_cpmg

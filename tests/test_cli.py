@@ -69,9 +69,17 @@ def test_sequences_json_round_trips_the_schedule(capsys, tmp_path):
         assert got.phase == pytest.approx(want.phase)
 
 
-def test_sequences_cpmg_and_modified_variants(capsys):
+def test_sequences_cpmg_and_modified_variants(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "sequences", "CPMG4", "--targets", "1")
     assert code == 0 and out.startswith("CPMG4 ")
+    # URn is built by the UR rule for any even n >= 4
+    code, out, _ = run_cli(capsys, "sequences", "UR8", "--targets", "1")
+    assert code == 0 and out.startswith("UR8 on qubits 1: 8 pulses")
+    path = tmp_path / "ur8.json"
+    code, _, _ = run_cli(capsys, "sequences", "UR8", "--targets", "1", "--json", str(path))
+    assert code == 0
+    assert [ev["phase_deg"] for ev in json.loads(path.read_text())["events"]] == [
+        0, 0, 90, 270, 180, 180, 270, 90]
     code, out, _ = run_cli(capsys, "sequences", "XY8", "--targets", "1,3", "--modified")
     assert code == 0
     assert out.startswith("mXY8 ")
@@ -82,6 +90,9 @@ def test_sequences_cpmg_and_modified_variants(capsys):
 def test_sequences_rejects_bad_input(capsys):
     code, _, err = run_cli(capsys, "sequences", "XY9")
     assert code == 2 and "config error" in err
+    for family in ("CPMG", "CPMGx", "UR2", "UR5", "CPMG0"):
+        code, out, err = run_cli(capsys, "sequences", family)
+        assert code == 2 and f"unknown family '{family}'" in err and not out, family
     code, _, err = run_cli(capsys, "sequences", "XY8", "--modified")
     assert code == 2 and "two-qubit" in err
     for flag, value in (("--tau", "nan"), ("--tau", "inf"), ("--tp", "nan")):
@@ -93,6 +104,13 @@ def test_sequences_rejects_bad_input(capsys):
     code, out, err = run_cli(capsys, "sequences", "XY8", "--targets", "1,2", "--modified",
                              "--slot", "0", "--tau", "1e-3", "--tp", "1.5e-3")
     assert code == 2 and "slot 0" in err and not out
+
+
+def test_sequences_help_names_every_family(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["sequences", "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    assert f"{'/'.join(sorted(ddseq.phase_tables()))}, CPMGn or URn (even n >= 4)" in out
 
 
 def test_sequences_slot_needs_modified(capsys):

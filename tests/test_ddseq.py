@@ -70,8 +70,11 @@ def test_xy16_is_xy8_plus_shifted_copy():
 
 
 def test_generate_rejects_bad_input():
-    with pytest.raises(ValueError):
-        ddseq.generate("XY7", 1e-3)
+    # a name is a named table, CPMGn with n >= 1 or URn with even n >= 4, in ASCII digits
+    for family in ("XY7", "CPMG", "CPMGx", "CPMG0", "CPMG03", "UR2", "UR5", "UR", "UR012",
+                   "cpmg4", " CPMG4", "CPMG4 ", "UR١٢"):
+        with pytest.raises(ValueError, match=r"unknown family .*\], CPMGn or URn \(even n >= 4\)"):
+            ddseq.generate(family, 1e-3)
     with pytest.raises(ValueError):
         ddseq.generate("XY8", 0.0)
     with pytest.raises(ValueError):
@@ -91,11 +94,35 @@ def test_generate_rejects_bad_input():
 
 
 def test_cpmg_generator():
-    c = ddseq.generate_cpmg(8, 1e-3, 0.0, (2,))
+    c = ddseq.generate("CPMG8", 1e-3, 0.0, (2,))
     assert c.name == "CPMG8"
     assert all(p == 0.0 for p in c.phases_deg)
-    with pytest.raises(ValueError):
-        ddseq.generate_cpmg(0, 1e-3)
+    with pytest.raises(ValueError, match="unknown family 'CPMG0'"):
+        ddseq.generate("CPMG0", 1e-3)
+
+
+def test_generated_tables_match_the_published_lists():
+    # the lists each family's rule was once stored as, value for value
+    assert ddseq.phase_tables() == {
+        "XY4": (0, 90, 0, 90),
+        "XY8": (0, 90, 0, 90, 90, 0, 90, 0),
+        "XY16": (0, 90, 0, 90, 90, 0, 90, 0, 180, 270, 180, 270, 270, 180, 270, 180),
+        "UR12": (0, 0, 60, 180, 0, 240, 180, 180, 240, 0, 180, 60),
+        "KDD20": (30, 0, 90, 0, 30, 120, 90, 180, 90, 120,
+                  30, 0, 90, 0, 30, 120, 90, 180, 90, 120),
+    }
+    assert all(type(p) is float for table in ddseq.phase_tables().values() for p in table)
+
+
+def test_ur_rule_for_both_residues_mod_4():
+    assert ddseq._ur(12) == ddseq.phase_tables()["UR12"]
+    for n in range(4, 41, 2):
+        phases = ddseq._ur(n)
+        assert len(phases) == n and phases[:2] == (0.0, 0.0)
+        assert all(0.0 <= p < 360.0 for p in phases)
+    assert ddseq._ur(8) == (0, 0, 90, 270, 180, 180, 270, 90)  # n = 4m: Phi = 180/m
+    assert ddseq._ur(10) == tuple(k * (k - 1) // 2 * 144 % 360 for k in range(10))  # 4m + 2
+    assert ddseq.generate("UR8", 1e-3).phases_deg == ddseq._ur(8)
 
 
 # -- modification ----------------------------------------------------------
@@ -333,9 +360,9 @@ def band_survival(cycle):
 
 
 def test_phase_tables_beat_cpmg_under_flip_error():
-    baseline = band_survival(ddseq.generate_cpmg(2, ROBUSTNESS_TAU, ROBUSTNESS_TP, (1,)))
+    baseline = band_survival(ddseq.generate("CPMG2", ROBUSTNESS_TAU, ROBUSTNESS_TP, (1,)))
     assert baseline < 0.9  # the probe has to bite, or the gate is vacuous
-    for fam in ("XY8", "XY16", "UR12", "KDD20"):
+    for fam in ("XY8", "XY16", "UR12", "KDD20", "UR4", "UR6", "UR8", "UR16", "UR24"):
         c = ddseq.generate(fam, ROBUSTNESS_TAU, ROBUSTNESS_TP, (1,))
         assert band_survival(c) > baseline + 0.1, fam
 

@@ -119,9 +119,8 @@ def walk_cases(draw):
     tau = draw(st.floats(0.3e-3, 0.7e-3))
     t_p = draw(st.sampled_from((0.0, 2e-5, 8e-5)))
     if family == "CPMG":
-        cycle = ddseq.generate_cpmg(draw(st.integers(1, 6)), tau, t_p, targets)
-    else:
-        cycle = ddseq.generate(family, tau, t_p, targets)
+        family += str(draw(st.integers(1, 6)))
+    cycle = ddseq.generate(family, tau, t_p, targets)
     if n_targets == 2 and draw(st.booleans()):
         cycle = ddseq.modify(cycle, slot=draw(st.integers(0, cycle.n_slots - 1)))
     pulse_model = PulseErrorModel(
@@ -289,10 +288,10 @@ def _state_walk(sys, cycle, times, rho0):
     return np.array(out)
 
 
-_CPMG3 = ddseq.generate_cpmg(3, 0.5e-3, 4e-5, (1, 2))
+_CPMG3 = ddseq.generate("CPMG3", 0.5e-3, 4e-5, (1, 2))
 # one pi pulse on spins 1 and 2 at a fifth of the unit: it permutes the basis, and unlike
 # a symmetric train it leaves the pulsed spins a filter function, so H[P] differs from H
-_OFF_CENTER = replace(ddseq.generate_cpmg(1, 1e-3, 0.0, (1, 2)), name="off-center",
+_OFF_CENTER = replace(ddseq.generate("CPMG1", 1e-3, 0.0, (1, 2)), name="off-center",
                       events=(spinsys.pulse(0.2e-3, (1, 2), np.pi, 0.3),))
 MAP_WALKS = {  # (cycle, t_max)
     "FreeEv": (None, runner.GRID_T_MAX),
@@ -420,9 +419,8 @@ def fused_cases(draw):
         tau = draw(st.floats(0.3e-3, 0.7e-3))
         t_p = draw(st.sampled_from((0.0, 2e-5, 8e-5)))
         if family == "CPMG":  # an odd pulse count per spin permutes the basis
-            cycle = ddseq.generate_cpmg(draw(st.integers(1, 6)), tau, t_p, targets)
-        else:
-            cycle = ddseq.generate(family, tau, t_p, targets)
+            family += str(draw(st.integers(1, 6)))
+        cycle = ddseq.generate(family, tau, t_p, targets)
         if len(targets) == 2 and draw(st.booleans()):
             cycle = ddseq.modify(cycle, slot=draw(st.integers(0, cycle.n_slots - 1)))
         events, duration = ddseq.program(cycle, cycle.unit_cycles)
@@ -509,7 +507,7 @@ def test_fused_run_matches_dense_walk_on_any_signed_permutation(case):
 
 REPEAT_CASES = {
     # three pulses per spin: the fused unit permutes the basis
-    "fused-permuting": (ddseq.generate_cpmg(3, 0.5e-3, 0.0, (1, 2)), PulseErrorModel()),
+    "fused-permuting": (ddseq.generate("CPMG3", 0.5e-3, 0.0, (1, 2)), PulseErrorModel()),
     # permuting, with a filter function on the pulsed spins that the permutation moves
     "fused-off-center": (_OFF_CENTER, PulseErrorModel(phase_error=0.1)),
     "flip-error": (ddseq.generate("XY8", 0.5e-3, 4e-5, (1, 3)),
@@ -550,6 +548,16 @@ def test_repeated_plan_matches_unit_walks(case, k):
         assert np.max(np.abs(walked - want)) <= 1e-12
     with pytest.raises(ValueError):
         spinsys.repeat_program(plan, -1)
+
+
+def test_repeat_refuses_an_expanded_fused_frame():
+    # the closed form composes the frame's H, which expanding drops: repeat first, then expand
+    sys = SpinSystem(disorder=DisorderModel((3.0, 4.0, 5.0), 6.0, shots=4, seed=2))
+    cycle = ddseq.generate("CPMG3", 0.5e-3, 0.0, (1, 2))
+    plan = spinsys.compile_program(sys, *ddseq.program(cycle, cycle.unit_cycles))
+    assert len(plan) == 1 and plan[0][0] == "fused"
+    with pytest.raises(ValueError, match="repeat the plan, then expand"):
+        spinsys.repeat_program(spinsys.expand_program(plan, sys.disorder.draw()), 3)
 
 
 GRID_STATES = ("psi0a", "psi1a", "psi3")
