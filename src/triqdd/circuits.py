@@ -245,7 +245,8 @@ def tomography(rho_true: np.ndarray, sigma: float = 0.0, seed: int = 0) -> np.nd
     spectrometer beats per-scan noise down. The linear solve
     enforces unit trace as an extra equation; the result is then clipped
     to the positive cone and renormalized. Member i of a stack draws its
-    noise from seed + i, so a stack reconstructs as n single calls would.
+    noise from seed + i, so a stack reconstructs as n single calls would;
+    a negative seed is refused at every sigma, noiseless included.
 
     The readout is linear in the state and the settings are fixed, so the
     readout unitaries, the Hermitian basis and the least-squares solve
@@ -260,6 +261,8 @@ def tomography(rho_true: np.ndarray, sigma: float = 0.0, seed: int = 0) -> np.nd
         raise ValueError(f"expected an 8x8 state or an (n, 8, 8) stack, got {rho_true.shape}")
     if not 0.0 <= sigma < np.inf:
         raise ValueError(f"readout noise sigma must be finite and nonnegative, got {sigma}")
+    if seed < 0:
+        raise ValueError(f"tomography seed must be nonnegative, got {seed}")
     stack = rho_true.reshape(-1, DIM, DIM)
     y = _observe(stack)
     if sigma > 0:

@@ -202,6 +202,10 @@ def test_tomography_input_validation():
     for sigma in (-1.0, -1e-12, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="sigma"):
             circuits.tomography(np.eye(8) / 8, sigma=sigma)
+    # member i draws from seed + i: a negative seed is refused by name, noiseless too
+    for sigma in (0.0, 0.01):
+        with pytest.raises(ValueError, match="^tomography seed must be nonnegative, got -1$"):
+            circuits.tomography(np.eye(8) / 8, sigma=sigma, seed=-1)
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.01, 0.3])

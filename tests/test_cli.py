@@ -418,6 +418,17 @@ def test_negative_or_non_finite_readout_noise_exits_two(capsys, tmp_path):
     assert code == 2 and "sigma" in err
 
 
+def test_negative_tomography_seed_exits_two_by_name(capsys, tmp_path):
+    seed_error = "tomography seed must be nonnegative, got -1"
+    for sigma in ("0", "0.01"):
+        code, out, err = run_cli(capsys, "tomo", "psi1a", "--sigma", sigma, "--seed", "-1")
+        assert code == 2 and seed_error in err and not out
+    path = tmp_path / "star.csv"
+    code, out, err = run_cli(capsys, "star", "--tomo-sigma", "0.01", "--seed", "-1",
+                             "--set", "disorder.shots=16", "--points", "2", "--out-csv", str(path))
+    assert code == 2 and seed_error in err and not out and not path.exists()
+
+
 def test_overflowing_readout_noise_exits_two(capsys):
     # the averaged draws overflow to inf and nan: a config error naming sigma,
     # without numpy overflow warnings on the way
@@ -479,6 +490,51 @@ def test_broken_state_mid_run_exits_three(capsys, monkeypatch, tmp_path):
     assert code == 3
     assert "invariant violation" in err and "trace is" in err
     assert readouts == []
+
+
+# -- parser ----------------------------------------------------------------
+
+# appends (--set, --state) are followed by the same command without them
+_ARGVS = [
+    ["decay", "--set", "disorder.shots=16", "--set", "disorder.seed=3",
+     "--state", "psi1a", "--state", "psi3", "--families", "XY8", "--points", "3"],
+    ["decay"],
+    ["decay", "--state", "psi0a"],
+    ["protect", "--set", "disorder.shots=16", "--families", "XY8", "--out-json", "s.json"],
+    ["protect"],
+    ["star", "--free", "--prep", "nmr", "--tomo-sigma", "0.01", "--seed", "3",
+     "--set", "pulse.flip_fraction_error=0.02"],
+    ["star"],
+    ["tomo", "star", "--sigma", "0.01", "--seed", "3", "--json", "rec.json"],
+    ["tomo", "psi1a"],
+    ["sequences", "XY8", "--targets", "1,2", "--modified", "--slot", "3", "--tp", "1e-5"],
+    ["sequences", "UR8"],
+    ["prepare", "star"],
+    ["orders"],
+    ["config-reference"],
+]
+
+
+def test_the_parser_is_built_once_and_keeps_no_state_between_calls():
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    for argv in _ARGVS + _ARGVS[::-1]:
+        assert parser.parse_args(argv) == cli.build_parser.__wrapped__().parse_args(argv), argv
+    assert parser.parse_args(["decay"]).set is None
+    assert parser.parse_args(["decay"]).state is None
+
+
+def test_a_refused_argv_leaves_the_parser_working(capsys):
+    cli.main(["orders"])
+    built = cli.build_parser.cache_info().misses
+    for bad in (["tomo", "psi1a", "--bogus"], ["decay", "--set"], ["tomo"], ["nope"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(bad)
+        assert exc.value.code == 2
+        assert "usage: triqdd" in capsys.readouterr().err
+        code, out, err = run_cli(capsys, "tomo", "psi1a", "--sigma", "0.01", "--seed", "3")
+        assert code == 0 and "fidelity" in out and not err
+    assert cli.build_parser.cache_info().misses == built  # main parsed with the one parser
 
 
 # -- dependencies ----------------------------------------------------------

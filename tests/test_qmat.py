@@ -108,6 +108,33 @@ def test_a_stack_with_one_broken_member_fails(how, message):
         qmat.assert_density_matrix(stack[3])
 
 
+def _rotated_spectrum(rng, lowest):
+    """A unit-trace 8x8 state, not diagonal, whose smallest eigenvalue is `lowest`."""
+    w = np.array([1.0 - lowest, 0, 0, 0, 0, 0, 0, lowest])
+    u = random_unitary(rng, 8)
+    return (u * w) @ u.conj().T
+
+
+def test_the_psd_threshold_holds_at_its_edge():
+    # the factorization accepts -5e-11; below -1e-10 the eigenvalues decide and name the member
+    rng = np.random.default_rng(5)
+    stack = np.stack([random_rho(rng, 8) for _ in range(4)])
+    stack[1] = _rotated_spectrum(rng, -5e-11)
+    qmat.assert_density_matrix(stack)
+    qmat.assert_density_matrix(stack[1])
+    stack[2] = _rotated_spectrum(rng, -2e-10)
+    with pytest.raises(ValueError, match=r"^member 2: matrix is not positive semidefinite "
+                                         r"\(min eigenvalue \S+\)$") as exc:
+        qmat.assert_density_matrix(stack)
+    lowest = float(str(exc.value).rpartition(" ")[2].rstrip(")"))
+    assert lowest == pytest.approx(-2e-10, rel=1e-4)
+    with pytest.raises(ValueError, match=r"^matrix is not positive semidefinite"):
+        qmat.assert_density_matrix(stack[2])
+    stack[0, 4, 5] = np.nan  # NaN is refused before positivity is asked
+    with pytest.raises(ValueError, match="^member 0: matrix is not Hermitian$"):
+        qmat.assert_density_matrix(stack)
+
+
 def test_random_kets_make_valid_states():
     rng = np.random.default_rng(11)
     for dim in (2, 4, 8):
