@@ -14,9 +14,14 @@ position (letter position = qubit). It records, for each of the seven
 words, the populations and the real and imaginary parts of every
 single-bit-flip element of the rotated state, averaged over SCANS noisy
 scans, then solves the linear model for the 64 real parameters of a
-Hermitian unit-trace matrix and projects onto the physical cone. A stack
-of states (a star curve's recorded times) is reconstructed in one pass,
-each member with its own seeded noise.
+Hermitian unit-trace matrix and projects onto the physical cone. The
+readout is linear, so a state's records are one product of its 64 real
+parameters with the cached design matrix; the rotation readout
+(_observe) is the definition that matrix is built from. A call reads one
+state, an (n, 8, 8) stack of recorded times, or an (m, n, 8, 8) stack of
+m experiments read at the same n times (a star run's protected pairs):
+time i draws its scan-averaged noise once, from seed + i, and every
+experiment read at that time adds the same draw.
 """
 
 from __future__ import annotations
@@ -175,6 +180,13 @@ _LINE_PAIRS = [(a, b) for a in range(DIM) for b in range(a + 1, DIM)
 _RECORD_INDEX = _frozen(np.array(
     [2 * (k * DIM + k) for k in range(DIM)]
     + [2 * (a * DIM + b) + part for a, b in _LINE_PAIRS for part in (0, 1)]))
+# The 64 real parameters of a Hermitian matrix in _hermitian_basis order:
+# the diagonal, then the real and imaginary part of each (a, b), a < b, as
+# positions in its flattened float view.
+_PARAM_INDEX = _frozen(np.array(
+    [2 * (k * DIM + k) for k in range(DIM)]
+    + [2 * (a * DIM + b) + part for a in range(DIM) for b in range(a + 1, DIM)
+       for part in (0, 1)]))
 
 
 @lru_cache(maxsize=1)
@@ -207,7 +219,9 @@ def _observe(rho: np.ndarray) -> np.ndarray:
     Every setting is read at once, `U rho U†` over the cached unitary
     stack, and the record is gathered through the fixed _RECORD_INDEX;
     the values are those of rotating by each word in turn and reading the
-    elements one by one."""
+    elements one by one. This is the readout's definition: the design
+    matrix is built from it, and tomography reads through that matrix
+    (_records)."""
     u = _readout_stack()
     rho = np.asarray(rho, dtype=complex)[..., None, :, :]
     rotated = u @ rho @ u.conj().swapaxes(-1, -2)
@@ -236,47 +250,67 @@ def _design_matrix() -> np.ndarray:
     return _tomography_tables()[0]
 
 
+def _records(rho: np.ndarray) -> np.ndarray:
+    """_observe of each member of a contiguous (..., 8, 8) Hermitian stack,
+    read as its 64 real parameters times the design matrix's transpose."""
+    params = rho.reshape(rho.shape[:-2] + (DIM * DIM,)).view(np.float64)[..., _PARAM_INDEX]
+    return params @ _design_matrix().T
+
+
 def tomography(rho_true: np.ndarray, sigma: float = 0.0, seed: int = 0) -> np.ndarray:
-    """Reconstruct a state, or each member of an (n, 8, 8) stack, from the
-    seven-setting readout simulation.
+    """Reconstruct a state, each member of an (n, 8, 8) stack, or each
+    member of an (m, n, 8, 8) stack of m experiments read at the same n
+    times, from the seven-setting readout simulation.
 
     sigma adds seeded Gaussian noise to every recorded value of every
     scan, and each setting averages SCANS acquisitions, the usual way a
-    spectrometer beats per-scan noise down. The linear solve
-    enforces unit trace as an extra equation; the result is then clipped
-    to the positive cone and renormalized. Member i of a stack draws its
-    noise from seed + i, so a stack reconstructs as n single calls would;
-    a negative seed is refused at every sigma, noiseless included.
+    spectrometer beats per-scan noise down. Time i of the stack draws its
+    scan-averaged noise once, from seed + i, and every experiment read at
+    that time adds that one draw: an (n, 8, 8) stack reconstructs as n
+    single calls would, and an (m, n, 8, 8) stack as m stacked calls with
+    the same seed. A negative seed is refused at every sigma, noiseless
+    included; a noise level whose draws overflow is a ValueError. The draws
+    live for one call; nothing is kept between calls.
 
     The readout is linear in the state and the settings are fixed, so the
-    readout unitaries, the Hermitian basis and the least-squares solve
-    matrix are built once (see _tomography_tables). A call, single or
-    stacked, is one batched readout, one product with the solve matrix,
-    one tensordot back to 8x8 matrices and one batched eigh; only the
-    noise draws run per member. A noise level whose draws overflow is a
-    ValueError.
+    design matrix and the least-squares solve matrix are built once (see
+    _tomography_tables). A state's records are its 64 real parameters
+    (the diagonal, then Re and Im of each a < b) times the design matrix's
+    transpose. That equals the rotation readout (_observe) for Hermitian
+    input only, which every caller passes: a checked density matrix. The
+    linear solve enforces unit trace as an extra equation; the result is
+    then clipped to the positive cone and renormalized. Each experiment is
+    reconstructed as one stack (one product with the solve matrix, one
+    tensordot back to 8x8 matrices, one batched eigh), one experiment at a
+    time, so the solve's temporaries stay at one experiment's size.
     """
-    rho_true = np.asarray(rho_true, dtype=complex)
-    if rho_true.ndim not in (2, 3) or rho_true.shape[-2:] != (DIM, DIM):
-        raise ValueError(f"expected an 8x8 state or an (n, 8, 8) stack, got {rho_true.shape}")
+    rho_true = np.ascontiguousarray(rho_true, dtype=complex)
+    if rho_true.ndim not in (2, 3, 4) or rho_true.shape[-2:] != (DIM, DIM):
+        raise ValueError("expected an 8x8 state, an (n, 8, 8) stack or an (m, n, 8, 8) stack, "
+                         f"got {rho_true.shape}")
     if not 0.0 <= sigma < np.inf:
         raise ValueError(f"readout noise sigma must be finite and nonnegative, got {sigma}")
     if seed < 0:
         raise ValueError(f"tomography seed must be nonnegative, got {seed}")
-    stack = rho_true.reshape(-1, DIM, DIM)
-    y = _observe(stack)
+    n = rho_true.shape[-3] if rho_true.ndim > 2 else 1
+    m = rho_true.shape[0] if rho_true.ndim == 4 else 1
+    experiments = rho_true.reshape(m, n, DIM, DIM)
+    noise = 0.0
     if sigma > 0:
-        size = (SCANS, y.shape[-1])
+        size = (SCANS, _design_matrix().shape[0])
         with np.errstate(over="ignore", invalid="ignore"):
-            y = y + [np.random.default_rng(seed + i).normal(0.0, sigma, size=size).mean(axis=0)
-                     for i in range(len(stack))]
-        if not np.isfinite(y).all():
+            noise = np.array([np.random.default_rng(seed + i).normal(0.0, sigma, size=size)
+                              .mean(axis=0) for i in range(n)])
+        if not np.isfinite(noise).all():
             raise ValueError(f"readout noise sigma {sigma:g} overflows the recorded values")
     _, solve = _tomography_tables()
-    x = np.concatenate([y, np.ones((len(y), 1))], axis=1) @ solve.T
-    rho = np.tensordot(x, _hermitian_basis(), axes=1)
-    w, v = np.linalg.eigh(rho)
-    w = np.clip(w, 0.0, None)
-    rho = (v * w[:, None, :]) @ v.conj().swapaxes(-1, -2)
-    rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
-    return rho.reshape(rho_true.shape)
+    out = np.empty_like(experiments)
+    for e, stack in enumerate(experiments):
+        y = _records(stack) + noise
+        x = np.concatenate([y, np.ones((n, 1))], axis=1) @ solve.T
+        rho = np.tensordot(x, _hermitian_basis(), axes=1)
+        w, v = np.linalg.eigh(rho)
+        w = np.clip(w, 0.0, None)
+        rho = (v * w[:, None, :]) @ v.conj().swapaxes(-1, -2)
+        out[e] = rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+    return out.reshape(rho_true.shape)

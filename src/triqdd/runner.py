@@ -435,36 +435,44 @@ def star_protection(sys: SpinSystem, free: bool = False, prep: str = "ideal",
     """Concurrence curves of both reduced star pairs: AC, BC, then, if free, free AC, BC.
 
     Each pair is its own experiment: mXY8 runs on that pair while the third
-    spin rides along and is traced out. The star state is prepared once. The
-    free rows keep the protected grids, and one free walk serves every pair on
-    a grid. tomo_sigma, when given, reads each protected curve's states out
-    through one stacked tomography call (seed + i at the i-th time); the free
-    rows are read exactly. Each curve's pair states and concurrences are one
-    stacked partial_trace and concurrence call.
+    spin rides along and is traced out. The star state is prepared once and
+    every protected pair is walked first. tomo_sigma, when given, then reads
+    the protected states out through one tomography call per time grid, on
+    the (pairs, T, 8, 8) stack of the pairs walked on it: the i-th time draws
+    its noise once, from seed + i, and every pair read at that time shares it,
+    as separate calls with the same seed would. The free rows keep the
+    protected grids, one free walk serves every pair on a grid, and they are
+    read exactly. Each curve's pair states and concurrences are one stacked
+    partial_trace and concurrence call.
     """
     if prep not in ("ideal", "nmr"):
         raise ValueError(f"unknown preparation '{prep}', expected 'ideal' or 'nmr'")
     rho0 = circuits.prepare("star") if prep == "ideal" else circuits.prepare_star_nmr(sys)
-    rows, pairs_by_grid = [], {}
+    walks, states, pairs_by_grid = {}, {}, {}
     for pair in STAR_PAIRS.values():
         proto = star_protocol(pair)
         times = default_time_grid(build_cycle(proto).unit_duration, t_max, points)
         pairs_by_grid.setdefault(times, []).append(pair)
-        rows += _star_curves(sys, proto, times, rho0, [pair], tomo_sigma, seed)
+        walks[pair] = proto, times
+        states[pair] = _walk(sys, build_cycle(proto), times, [rho0])[0]
+    if tomo_sigma is not None:
+        for pairs in pairs_by_grid.values():
+            read = circuits.tomography(np.stack([states[pair] for pair in pairs]),
+                                       sigma=tomo_sigma, seed=seed)
+            states.update(zip(pairs, read))
+    rows = [_star_curve(proto, times, states[pair], pair)
+            for pair, (proto, times) in walks.items()]
     if free:
         for times, pairs in pairs_by_grid.items():
-            rows += _star_curves(sys, Protocol("FreeEv"), times, rho0, pairs)
+            states = _walk(sys, None, times, [rho0])[0]
+            rows += [_star_curve(Protocol("FreeEv"), times, states, pair) for pair in pairs]
     return tuple(rows)
 
 
-def _star_curves(sys, proto, times, rho0, pairs, tomo_sigma=None, seed=0):
-    """One walk's concurrence curve on each pair."""
-    states = _walk(sys, build_cycle(proto), times, [rho0])[0]
-    if tomo_sigma is not None:
-        states = circuits.tomography(states, sigma=tomo_sigma, seed=seed)
-    return [DecayCurve("star", proto, "concurrence", times,
-                       tuple(qmat.concurrence(qmat.partial_trace(states, pair)).tolist()))
-            for pair in pairs]
+def _star_curve(proto, times, states, pair) -> DecayCurve:
+    """One pair's concurrence curve, read from a walk's (T, 8, 8) states."""
+    return DecayCurve("star", proto, "concurrence", times,
+                      tuple(qmat.concurrence(qmat.partial_trace(states, pair)).tolist()))
 
 
 # -- emission --------------------------------------------------------------

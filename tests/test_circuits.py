@@ -216,10 +216,32 @@ def test_stacked_tomography_equals_single_calls_seeded_per_member(sigma):
     for i, rho in enumerate(states):
         single = circuits.tomography(rho, sigma=sigma, seed=11 + i)
         assert np.max(np.abs(stacked[i] - single)) < 1e-14
+    # m experiments at the same n times: time i shares one draw from seed + i
+    experiments = np.stack([states, states[::-1], np.roll(states, 3, axis=0)])
+    read = circuits.tomography(experiments, sigma=sigma, seed=11)
+    assert read.shape == experiments.shape
+    for e, stack in enumerate(experiments):
+        for i, rho in enumerate(stack):
+            single = circuits.tomography(rho, sigma=sigma, seed=11 + i)
+            assert np.max(np.abs(read[e, i] - single)) < 1e-14, (e, i)
+
+
+def test_views_read_as_their_contiguous_copies():
+    states = np.stack([circuits.prepare(state_id) for state_id in circuits.state_ids()])
+    views = (np.broadcast_to(states[2], (4, 8, 8)),
+             np.broadcast_to(states, (2,) + states.shape),
+             states[::2],
+             states[:, ::-1, ::-1],
+             states.swapaxes(-1, -2).conj())
+    for view in views:
+        assert not view.flags.c_contiguous
+        for sigma in (0.0, 0.01):
+            got = circuits.tomography(view, sigma=sigma, seed=5)
+            assert np.array_equal(got, circuits.tomography(view.copy(), sigma=sigma, seed=5))
 
 
 def test_stacked_tomography_rejects_other_shapes():
-    for shape in ((2, 3, 8, 8), (2, 4, 4)):
+    for shape in ((2, 4, 4), (2, 2, 3, 8, 8)):
         with pytest.raises(ValueError, match="stack"):
             circuits.tomography(np.broadcast_to(np.eye(shape[-1]) / shape[-1], shape))
 
@@ -291,6 +313,7 @@ def test_cached_readout_matches_the_literal_one(rank):
     for _ in range(3):
         rho = random_rank_rho(rng, rank)
         assert np.max(np.abs(circuits._observe(rho) - literal_observe(rho))) <= 1e-12
+        assert np.max(np.abs(circuits._records(rho) - literal_observe(rho))) <= 1e-12
         for sigma in (0.0, 0.01):
             for seed in range(3):
                 got = circuits.tomography(rho, sigma=sigma, seed=seed)

@@ -1,5 +1,6 @@
 """Protocols, decay recording, ordering facts, and star protection."""
 
+import dataclasses
 import inspect
 import math
 
@@ -583,7 +584,7 @@ def test_each_walk_checks_its_states_once_as_one_stack(monkeypatch):
     assert len(checks) == 4
 
 
-def test_star_readout_is_one_stacked_call_per_curve(monkeypatch):
+def test_star_readout_is_one_stacked_call_per_grid(monkeypatch):
     counts = {"tomography": 0, "concurrence": 0}
 
     def counting(module, name):
@@ -599,8 +600,39 @@ def test_star_readout_is_one_stacked_call_per_curve(monkeypatch):
     rows = runner.star_protection(runner.default_system(), free=True, prep="nmr",
                                   tomo_sigma=0.01)
     assert len(rows) == 4 and len(rows[0].times) == 20
-    # one per protected curve, and one per pair and curve (free rows read exactly)
-    assert counts == {"tomography": 2, "concurrence": 4}
+    # both protected pairs share one 20-point grid, so one (2, 20, 8, 8) read;
+    # one concurrence call per pair and curve (free rows read exactly)
+    assert counts == {"tomography": 1, "concurrence": 4}
+
+
+def test_star_draws_each_times_readout_noise_once(monkeypatch):
+    # no disorder widths, so the walks draw nothing and every generator is the readout's
+    sys = dataclasses.replace(runner.default_system(), disorder=DisorderModel())
+    seeds = []
+    real = np.random.default_rng
+
+    def recording(seed=None):
+        seeds.append(seed)
+        return real(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    rows = runner.star_protection(sys, free=True, prep="nmr", tomo_sigma=0.01, seed=7)
+    # one generator per recorded time, shared by both pairs read at that time
+    assert seeds == list(range(7, 7 + len(rows[0].times))) and len(seeds) == 20
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_star_protected_rows_equal_per_pair_tomography_reads(seed):
+    sys = runner.default_system()
+    rows = runner.star_protection(sys, prep="nmr", tomo_sigma=0.01, seed=seed)
+    rho0 = circuits.prepare_star_nmr(sys)
+    assert len(rows) == len(runner.STAR_PAIRS)
+    for row, pair in zip(rows, runner.STAR_PAIRS.values()):
+        states = runner._walk(sys, runner.build_cycle(row.protocol), row.times, [rho0])[0]
+        read = circuits.tomography(states, sigma=0.01, seed=seed)
+        want = qmat.concurrence(qmat.partial_trace(read, pair))
+        assert row.protocol.targets == pair
+        assert np.max(np.abs(np.array(row.values) - want)) <= 1e-12
 
 
 def test_star_free_rows_match_an_independent_free_walk():
