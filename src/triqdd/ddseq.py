@@ -29,7 +29,7 @@ miscalibrated pulses has to beat a same-length constant-phase train.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -161,18 +161,20 @@ def modify(cycle: DDCycle, slot: int | None = None) -> DDCycle:
 
 
 def program(cycle: DDCycle, n_cycles: int) -> tuple[tuple[PulseEvent, ...], float]:
-    """Concatenated event schedule for n_cycles repetitions."""
+    """Concatenated event schedule for n_cycles repetitions.
+
+    The first cycle is the cycle's own events, at t0 = 0; each later one
+    is a new PulseEvent per event, shifted by rep * cycle_duration.
+    """
     if n_cycles < 0:
         raise ValueError("cycle count must be nonnegative")
     if n_cycles % cycle.unit_cycles:
         raise ValueError(
             f"{cycle.name} runs in units of {cycle.unit_cycles} cycles, got {n_cycles}")
-    events = []
-    for rep in range(n_cycles):
-        t0 = rep * cycle.cycle_duration
-        for ev in cycle.events:
-            events.append(replace(ev, start=ev.start + t0))
-    return tuple(events), n_cycles * cycle.cycle_duration
+    later = tuple(PulseEvent(ev.start + rep * cycle.cycle_duration, ev.duration, ev.targets,
+                             ev.phase, ev.flip)
+                  for rep in range(1, n_cycles) for ev in cycle.events)
+    return (cycle.events if n_cycles else ()) + later, n_cycles * cycle.cycle_duration
 
 
 def unit_count(t: float, unit: float, name: str) -> int:

@@ -37,9 +37,8 @@ because the hardware noise behind them is not parameterized anywhere.
 
 from __future__ import annotations
 
-import csv
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from types import MappingProxyType
@@ -217,12 +216,12 @@ def default_time_grid(unit: float | None, t_max: float = GRID_T_MAX,
         raise ValueError(f"need a finite t_max >= 0 and at least two grid points, "
                          f"got t_max {t_max}, points {points}")
     if unit is None:
-        return tuple(float(t) for t in np.linspace(0.0, t_max, points))
+        return tuple(np.linspace(0.0, t_max, points).tolist())
     total = ddseq.unit_count(t_max, unit, "repeat")
     if total > np.iinfo(np.int64).max:
         raise ValueError(f"t_max {t_max:g} s is {float(total):.3g} repeat units of "
                          f"{unit:.6g} s, more than a time grid can count")
-    counts = sorted(set(int(round(k)) for k in np.linspace(0, total, points)))
+    counts = sorted({round(k) for k in np.linspace(0, total, points).tolist()})
     return tuple(k * unit for k in counts)
 
 
@@ -398,7 +397,7 @@ class OrderingReport:
 
     def to_dict(self) -> dict:
         return {"margin_pp": MARGIN_PP, "all_pass": self.all_pass,
-                "facts": [asdict(f) for f in self.facts]}
+                "facts": [dict(vars(f)) for f in self.facts]}
 
 
 def ordering_facts(families=FAMILIES):
@@ -477,20 +476,20 @@ def _star_curve(proto, times, states, pair) -> DecayCurve:
 
 # -- emission --------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
-
-
 def write_curves_csv(curves, path) -> None:
-    """Plot-ready rows: state,protocol,sequence,time_s,value,kind."""
+    """Plot-ready rows: state,protocol,sequence,time_s,value,kind.
+
+    The text is what csv.writer writes for these fields, none of which
+    needs quoting: numbers as .12g, CRLF line ends. It is built whole and
+    written once.
+    """
+    lines = ["state,protocol,sequence,time_s,value,kind"]
+    for curve in curves:
+        head = f"{curve.state},{curve.protocol.kind},{curve.protocol.sequence_label},"
+        lines += [f"{head}{t:.12g},{v:.12g},{curve.kind}"
+                  for t, v in zip(curve.times, curve.values)]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["state", "protocol", "sequence", "time_s", "value", "kind"])
-        for curve in curves:
-            seq = curve.protocol.sequence_label
-            for t, v in zip(curve.times, curve.values):
-                w.writerow([curve.state, curve.protocol.kind, seq,
-                            _fmt(t), _fmt(v), curve.kind])
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def grid_summary(run: GridRun, report: OrderingReport,
@@ -509,7 +508,9 @@ def grid_summary(run: GridRun, report: OrderingReport,
 
 
 def write_json(doc: dict, path) -> None:
-    """Every JSON artifact's format: sorted keys, two-space indent, a final newline."""
+    """Every JSON artifact's format: sorted keys, two-space indent, a final newline.
+
+    The text is what json.dump writes, encoded whole and written once.
+    """
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")

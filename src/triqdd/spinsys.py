@@ -83,6 +83,14 @@ product of signed permutations are one phase per level, u, so
 K = (u u^H) * exp(E). The shot-s map is C_s = K * g_s g_s^H, a rank-1
 outer product of eight phases; expand_program writes it out over a draw
 for a walk that steps shot stacks through dense segments.
+
+A fused map acts element by element, rho_ab -> C_ab rho_{P a, P b}, so
+an element that no input state occupies stays exactly zero. walk
+therefore steps a fused walk's K and level phases only on the levels its
+states occupy (a catalog state occupies two of the eight), and writes
+zeros elsewhere: the values are those of the full map, which would
+multiply a finite coefficient by zero, and the whole (n, T, 8, 8) result
+is still checked as one stack.
 """
 
 from __future__ import annotations
@@ -165,19 +173,28 @@ class DisorderModel:
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
-    @lru_cache(maxsize=1)
     def draw(self) -> np.ndarray:
-        """Per-spin offsets in Hz, (shots, 3) or (1, 3) zeros: drawn once per model, read-only."""
-        deltas = np.zeros((1, N_QUBITS))
-        if any(self.sigma) or self.sigma_corr:
-            rng = np.random.default_rng(self.seed)
-            z = rng.standard_normal((self.shots, N_QUBITS + 1))
-            with np.errstate(over="ignore", invalid="ignore"):
-                deltas = z[:, :N_QUBITS] * np.array(self.sigma) + z[:, N_QUBITS:] * self.sigma_corr
-            if not np.isfinite(deltas).all():
-                raise ConfigError("the disorder widths overflow the offset draw")
+        """Per-spin offsets in Hz, (shots, 3) or (1, 3) zeros: drawn once per model, read-only.
+
+        A zero-width model hands out the one shared zero shot, so walking
+        one (the nmr star preparation does) leaves the last draw cached.
+        """
+        return self._random_draw() if any(self.sigma) or self.sigma_corr else _NO_OFFSETS
+
+    @lru_cache(maxsize=1)
+    def _random_draw(self) -> np.ndarray:
+        rng = np.random.default_rng(self.seed)
+        z = rng.standard_normal((self.shots, N_QUBITS + 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            deltas = z[:, :N_QUBITS] * np.array(self.sigma) + z[:, N_QUBITS:] * self.sigma_corr
+        if not np.isfinite(deltas).all():
+            raise ConfigError("the disorder widths overflow the offset draw")
         deltas.flags.writeable = False
         return deltas
+
+
+_NO_OFFSETS = np.zeros((1, N_QUBITS))
+_NO_OFFSETS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -480,10 +497,11 @@ def compile_program(sys: SpinSystem, events, duration: float) -> list:
 
 
 def level_phases(h: np.ndarray, deltas) -> np.ndarray:
-    """Per-shot level phases g_s[a] = exp(-2 pi i H[a] . delta_s), (shots, 8).
+    """Per-shot level phases g_s[a] = exp(-2 pi i H[a] . delta_s), (shots, L).
 
-    h is a fused frame's (8, 3) filter function and deltas a (shots, 3)
-    offset draw; shifts that overflow the phases are a ConfigError.
+    h is a fused frame's filter function on L of its levels, (L, 3), all
+    eight or the rows a walk occupies, and deltas a (shots, 3) offset
+    draw; shifts that overflow the phases are a ConfigError.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         angle = -2.0 * np.pi * (deltas @ h.T)
@@ -590,18 +608,28 @@ def walk(sys: SpinSystem, unit, steps, rho0s) -> np.ndarray:
     When every segment is fused (free evolution always; DD with ideal
     pulses), the state of shot s after step i is C_i(s) * rho0[P_i][:, P_i]
     with C_i(s) = K_i * g_i(s) g_i(s)^H and a permutation P_i that no shot
-    changes. The walk then steps the frame's K_i, (8, 8), and the per-shot
-    level phases G_i, (shots, 8), never a shot stack, and reads the shot
-    mean of C_i as K_i * (G_i^T G_i*) / shots, one GEMM per recorded step;
-    every state reads every step's map in one gather. A dense segment makes
-    the walk expand the unit over the draw once and step one
+    changes. Entry (a, b) reads only rho0[P_i a, P_i b], so the walk keeps
+    the L occupied levels, those whose row or column is nonzero (NaN and
+    inf included) in any input state, and the rows R_i = P_i^-1(occupied)
+    they have moved to. It steps K_i on R_i x R_i, (L, L), and the per-shot
+    level phases G_i on R_i, (shots, L), never a shot stack; a permuting
+    segment only moves the rows, R <- argsort(p)[R]. Each step's frame is
+    built once per (plan, rows) pair, and the shot mean of C_i is
+    K_i * (G_i^T G_i*) / shots, one (L x shots)(shots x L) GEMM per
+    recorded step. Every other entry is exactly zero, the value the full
+    map gives it: a coefficient of modulus at most 1 (compile_program
+    refuses a K that overflows) times a zero of every state. level_phases
+    refuses overflow in the phases it computes, the occupied levels'. A
+    single catalog state occupies L = 2 of the 8 levels. A dense
+    segment makes the walk expand the unit over the draw once and step one
     (n, shots, 8, 8) stack of every state through it instead.
 
-    The result is checked as one stack to be density matrices before
-    anything, tomography readout included, reads it, so a broken
-    evolution fails as an InvariantError.
+    The result, all (n, T, 8, 8) of it, is checked as one stack to be
+    density matrices before anything, tomography readout included, reads
+    it, so a broken evolution fails as an InvariantError.
     """
     rho0s, deltas = np.asarray(rho0s, dtype=complex), sys.disorder.draw()
+    steps = np.asarray(steps).tolist()  # Python numbers: the dedupe compares them pairwise
     if unit is not None:
         unit = compile_program(sys, *unit)
     fused = unit is None or all(seg[0] == "fused" for seg in unit)
@@ -615,19 +643,42 @@ def walk(sys: SpinSystem, unit, steps, rho0s) -> np.ndarray:
         if which[-1] == i:  # a NaN gap matches nothing, compiles, and fails
             plans[i] = ([] if step == 0 else compile_program(sys, (), step)
                         if unit is None else repeat_program(unit, int(step)))
-    if fused:  # each frame as (K, G_step, perm), G_step its level phases over the draw
-        plans = {i: [(k, level_phases(h, deltas), perm) for _, k, h, perm in plan]
-                 for i, plan in plans.items()}
-        k, g = np.ones((DIM, DIM), dtype=complex), np.ones((len(deltas), DIM), dtype=complex)
-        means, perms = np.empty((len(steps), DIM, DIM), complex), np.empty((len(steps), DIM), int)
-        perm = np.arange(DIM)
+    if fused:
+        union = (rho0s != 0).any(axis=0)  # NaN and inf are nonzero
+        occ = np.flatnonzero(union.any(axis=0) | union.any(axis=1))
+        full, frames = len(occ) == DIM, {}
+
+        def frame(j, rows, key):
+            """Plan j entered on rows: per segment, the rows after it, their key (None
+            for occ itself), and the segment's K and level phases on those rows."""
+            out = []
+            for _, k_step, h, p in plans[j]:
+                if p is not None:  # the map reads rho[p][:, p]: row a moves to argsort(p)[a]
+                    rows = np.argsort(p)[rows]
+                    key = None if np.array_equal(rows, occ) else rows.tobytes()
+                if key is not None or not full:
+                    k_step, h = k_step[rows[:, None], rows], h[rows]
+                out.append((rows, key, k_step, level_phases(h, deltas)))
+            return out
+
+        k, g = np.ones((len(occ),) * 2, dtype=complex), np.ones((len(deltas), len(occ)), complex)
+        means = np.empty((len(steps), len(occ), len(occ)), complex)
+        rows_at, rows, key, moved = [], occ, None, False
         for i, j in enumerate(which):
-            for k_step, g_step, p in plans[j]:
-                if p is not None:
-                    k, g, perm = k[p[:, None], p], g[:, p], perm[p]
+            if (j, key) not in frames:
+                frames[j, key] = frame(j, rows, key)
+            for rows, key, k_step, g_step in frames[j, key]:
                 k, g = k_step * k, g_step * g
-            means[i], perms[i] = k * (g.T @ g.conj()) / len(g), perm
-        out = means * rho0s[:, perms[:, :, None], perms[:, None, :]]  # every state, one gather
+            means[i] = k * (g.T @ g.conj())
+            rows_at.append(rows)
+            moved = moved or key is not None
+        means /= len(deltas)
+        out = means * (rho0s if full else rho0s[:, occ[:, None], occ])[:, None]
+        if moved or not full:  # every other entry reads a zero of every state: it stays zero
+            t = np.arange(len(steps))[:, None, None]
+            rows_at = np.array(rows_at, dtype=int).reshape(len(steps), len(occ))
+            out, occupied = np.zeros(out.shape[:2] + (DIM, DIM), complex), out
+            out[:, t, rows_at[:, :, None], rows_at[:, None, :]] = occupied
     else:
         out = np.empty((len(rho0s), len(steps), DIM, DIM), dtype=complex)
         states = np.repeat(rho0s[:, None], len(deltas), axis=1)

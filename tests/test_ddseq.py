@@ -1,5 +1,7 @@
 """Sequence generation, modification, timing, and the robustness gate."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -326,6 +328,19 @@ def test_program_unit_enforcement():
     for a, b in zip(events[:half], events[half:]):
         assert b.start - a.start == pytest.approx(2 * m.cycle_duration)
         assert (a.targets, a.phase, a.flip) == (b.targets, b.phase, b.flip)
+    # every cycle equals the old re-stamp of each event, and the first is the cycle's own
+    for family in ddseq.phase_tables():
+        plain = ddseq.generate(family, 0.538e-3, 3e-5, (1, 2))
+        for cycle in (plain, ddseq.modify(plain)):
+            for n in (0, 1, 2, 4):
+                if n % cycle.unit_cycles:
+                    continue
+                events, duration = ddseq.program(cycle, n)
+                assert events == tuple(replace(ev, start=ev.start + rep * cycle.cycle_duration)
+                                       for rep in range(n) for ev in cycle.events)
+                assert duration == n * cycle.cycle_duration
+                assert all(a is b for a, b in zip(events, cycle.events))
+                assert len(events) == n * len(cycle.events)
 
 
 def test_json_round_trip():

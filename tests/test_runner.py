@@ -1,7 +1,10 @@
 """Protocols, decay recording, ordering facts, and star protection."""
 
+import csv
 import dataclasses
 import inspect
+import io
+import json
 import math
 
 import numpy as np
@@ -542,7 +545,7 @@ def test_a_grid_or_star_run_draws_its_offsets_once(monkeypatch):
     monkeypatch.setattr(DisorderModel, "draw", recording_draw)
     monkeypatch.setattr(np.random, "default_rng", counting_rng)
     sys = runner.default_system()
-    real_draw.cache_clear()
+    DisorderModel._random_draw.cache_clear()
     run = runner.run_grid(sys)
     assert len({c.protocol for c in run.curves}) == 22 and len(walks) == len(drawn) == 22
     assert all(d is drawn[0] for d in drawn) and drawn[0].shape == (512, 3)
@@ -551,7 +554,7 @@ def test_a_grid_or_star_run_draws_its_offsets_once(monkeypatch):
         drawn[0][0, 0] = 1.0
     for seen in (walks, drawn, rngs):
         seen.clear()
-    real_draw.cache_clear()
+    DisorderModel._random_draw.cache_clear()
     rows = runner.star_protection(sys, free=True, prep="nmr")
     assert len(rows) == 4 and len(walks) == len(drawn) == 4
     # the preparation walks zero widths: one zero shot, and no RNG
@@ -561,6 +564,13 @@ def test_a_grid_or_star_run_draws_its_offsets_once(monkeypatch):
     for d in drawn[:2]:
         with pytest.raises(ValueError):
             d[0, 0] = 1.0
+    # the preparation's zero shot is no cached draw, so it does not evict the system's:
+    # a second nmr run hands every walk the first run's array and constructs no RNG
+    first = drawn[1]
+    for seen in (walks, drawn, rngs):
+        seen.clear()
+    runner.star_protection(sys, free=True, prep="nmr")
+    assert len(drawn) == 4 and all(d is first for d in drawn[1:]) and rngs == []
 
 
 def test_each_walk_checks_its_states_once_as_one_stack(monkeypatch):
@@ -662,9 +672,22 @@ def test_csv_round_trip(tmp_path):
     assert float(v) == pytest.approx(c.values[1])
     runner.write_curves_csv([c], tmp_path / "again.csv")
     assert (tmp_path / "again.csv").read_text() == path.read_text()
+    # the one-pass text is exactly csv.writer's, CRLF line ends included
+    sys = runner.default_system()
+    for curves in (runner.run_grid(sys).curves,
+                   runner.star_protection(sys, free=True, prep="nmr", tomo_sigma=0.01, seed=3)):
+        want = io.StringIO(newline="")
+        w = csv.writer(want)
+        w.writerow(["state", "protocol", "sequence", "time_s", "value", "kind"])
+        for curve in curves:
+            w.writerows([curve.state, curve.protocol.kind, curve.protocol.sequence_label,
+                         format(float(t), ".12g"), format(float(v), ".12g"), curve.kind]
+                        for t, v in zip(curve.times, curve.values))
+        runner.write_curves_csv(curves, path)
+        assert path.read_bytes() == want.getvalue().encode()
 
 
-def test_grid_summary_shape():
+def test_grid_summary_shape(tmp_path):
     pcts = synthetic_percents()
     run = runner.GridRun((), pcts, 0.7)
     report = runner.OrderingReport(
@@ -674,3 +697,8 @@ def test_grid_summary_shape():
     assert doc["config"] == {"shots": 4}
     assert doc["percents"]["psi1a"]["DD1sp/XY8"] == 80.0
     assert doc["ordering"]["all_pass"] is True
+    # the written summary is what json.dump writes, and a final newline
+    runner.write_json(doc, tmp_path / "summary.json")
+    want = io.StringIO()
+    json.dump(doc, want, indent=2, sort_keys=True)
+    assert (tmp_path / "summary.json").read_text() == want.getvalue() + "\n"

@@ -18,9 +18,11 @@ stacks they replaced, compiling each gap length once. A plan of k units
 (spinsys.repeat_program) must match k walks of its unit, whether it is
 the closed-form power of one fused segment or the concatenation of a
 dense unit's own segments. A fused walk's shot-averaged map, stepped on
-its (8, 8) frame and per-shot level phases and read by every state in one
-gather, must match the expanded plan walked on a (shots, 8, 8) stack, for
-every protocol of the grid and the star run; a dense walk, which steps the
+its frame and per-shot level phases and read by every state at once, must
+match the expanded plan walked on a (shots, 8, 8) stack, for every
+protocol of the grid and the star run. It steps only the levels its states
+occupy, so each state walked alone must match too, under real pulses and
+under general signed permutations; a dense walk, which steps the
 shot stacks of all its states as one, must equal each state walked alone;
 and the grid, which walks each protocol once for all its states and steps
 no shot stack when it is fused, must match one run_decay per curve.
@@ -329,6 +331,10 @@ def test_map_walk_matches_state_walk(name, monkeypatch):
     for state_id, got in zip(state_ids, walked):
         want = _state_walk(sys, cycle, times, circuits.prepare(state_id))
         assert np.max(np.abs(got - want)) <= 1e-12
+        # walked alone, a state steps only the levels it occupies (two, or four for
+        # the star), and the permuting units move those rows
+        alone = runner._walk(sys, cycle, times, [circuits.prepare(state_id)])[0]
+        assert np.max(np.abs(alone - want)) <= 1e-12
     # |000><000| lands on |a><a| with P_t[a] = 0; the pulses flip bits, so P_t is
     # an XOR with a mask, and it is the identity exactly when it fixes |000>
     ground = np.zeros((spinsys.DIM, spinsys.DIM), dtype=complex)
@@ -349,6 +355,28 @@ def test_map_walk_matches_state_walk(name, monkeypatch):
     stack_steps.clear()  # _state_walk steps shot stacks too
     runner._walk(flip, cycle, times[:2], [ground])
     assert bool(stack_steps) == (cycle is not None)
+
+
+def test_a_fused_walk_steps_the_levels_its_states_occupy(monkeypatch):
+    # level phases are asked for on the occupied rows only: a catalog state
+    # occupies two levels, the seven table states all eight
+    rows, real = [], spinsys.level_phases
+
+    def recording(h, deltas):
+        rows.append(np.shape(h))
+        return real(h, deltas)
+
+    monkeypatch.setattr(spinsys, "level_phases", recording)
+    sys = runner.default_system()
+    for cycle in (None, runner.build_cycle(runner.default_protocol("DD1sp", "psi1a", "XY8"))):
+        times = runner.default_time_grid(None if cycle is None else cycle.unit_duration)
+        for state_ids, shape in ((["psi1a"], (2, 3)), (runner.TABLE_STATES, (8, 3))):
+            rows.clear()
+            runner._walk(sys, cycle, times, [circuits.prepare(s) for s in state_ids])
+            assert rows and set(rows) == {shape}
+    # no recorded step, on two levels or all eight, is an empty record of each state
+    for rho0 in (circuits.prepare("psi1a"), np.eye(spinsys.DIM) / spinsys.DIM):
+        assert spinsys.walk(sys, None, [], [rho0]).shape == (1, 0, spinsys.DIM, spinsys.DIM)
 
 
 def _grid_protocols():
@@ -501,6 +529,33 @@ def test_fused_run_matches_dense_walk_on_any_signed_permutation(case):
         spinsys.pulse_permutation, spinsys.pulse_propagator = real
     assert len(plan) == 1 and plan[0][0] == "fused"
     assert np.max(np.abs(got[0] - want[0])) <= 1e-12
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(signed_permutation_programs(), st.integers(1, 4))
+def test_fused_walk_moves_occupied_rows_under_any_signed_permutation(case, occupied):
+    # only general permutations, unlike bit flips, tell argsort(p)[rows] from p[rows]
+    program, table, seed = case
+    rng = np.random.default_rng(seed)
+    levels = rng.permutation(spinsys.DIM)[:occupied]
+    rho = np.zeros((spinsys.DIM, spinsys.DIM), dtype=complex)
+    rho[levels[:, None], levels] = random_rho(rng, occupied)
+    sys = SpinSystem(noise=NoiseModel((0.5, 0.8, 1.1), 0.3),
+                     disorder=DisorderModel((3.0, 4.0, 5.0), 6.0, shots=3, seed=seed % 100))
+    steps = (1, 2, 0, 3)
+    real = spinsys.pulse_permutation
+    spinsys.pulse_permutation = lambda ev, sys: table[ev.phase]
+    try:
+        got = spinsys.walk(sys, program, steps, [rho])[0]
+        plan = expanded_plan(sys, *program, sys.disorder.draw())
+    finally:
+        spinsys.pulse_permutation = real
+    states, want = np.broadcast_to(rho, (3,) + rho.shape), []
+    for k in steps:
+        for _ in range(k):
+            states = spinsys.apply_program(states, plan)
+        want.append(states.mean(axis=0))
+    assert np.max(np.abs(got - np.array(want))) <= 1e-12
 
 
 # -- k units in one plan, and one walk per grid protocol -------------------
