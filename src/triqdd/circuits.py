@@ -2,11 +2,11 @@
 
 Each catalog state is stated once, by its ket: data/state_catalog.json
 lists its nonzero amplitudes, and the ideal preparation is that ket's
-density matrix. Only the star state also has a physical preparation, a
-pulse program (data/star_program.json): controlled rotations compile to
-transverse pulses, z rotations as three-pulse composites, and
-controlled-Z via a coupling echo that refocuses everything except the one
-scalar coupling doing the work, run for 1/(2|J|).
+density matrix. Only the star state also has a physical preparation,
+stated as code in star_circuit_nmr (there is no program file): controlled
+rotations compile to transverse pulses, z rotations as three-pulse
+composites, and controlled-Z via a coupling echo that refocuses everything
+except the one scalar coupling doing the work, run for 1/(2|J|).
 
 Tomography reads out through pulse words: a three-letter word over
 {I, X, Y} applies a pi/2 rotation about the named axis to each non-I
@@ -81,11 +81,6 @@ def element_label(state_id: str) -> str:
 
 # -- pulse-level star circuit ----------------------------------------------
 
-@lru_cache(maxsize=1)
-def _star_template() -> dict:
-    return json.loads(resources.files("triqdd").joinpath("data/star_program.json").read_text())
-
-
 def _rz_events(t: float, target: int, angle: float) -> list[PulseEvent]:
     # z rotation as x(-90), y(angle), x(90), all instantaneous
     return [
@@ -106,33 +101,32 @@ def _echo_events(t0: float, pair, spectator: int, t_total: float) -> list[PulseE
 
 
 def star_circuit_nmr(sys: SpinSystem) -> tuple[tuple[PulseEvent, ...], float]:
-    """Timed pulse program preparing the star state on this system.
+    """Timed pulse program preparing the star state from |000> on this system.
 
-    Controlled-Z blocks borrow the coupling of the named pair for
-    1/(2 |J|) while an echo removes offsets and the two spectator
-    couplings; the sign of J picks the direction of the corrective z
-    rotations. Returns (events, duration); all rotations instantaneous.
+    y(120 deg) on qubit 1 leaves 1/4 of the population with q1 = 0. Each
+    controlled y(a) is CZ, y(-a/2) on the target, CZ, y(+a/2): on qubit 3,
+    a/2 = 54.7356 deg (a = 2 acos(1/sqrt(3))) splits the excited branch
+    1:sqrt(2); on qubit 2, a/2 = 45 deg halves the doubly excited branch.
+    All four amplitudes land on 1/2. A controlled-Z borrows its pair's
+    coupling for 1/(2 |J|) inside a four-pulse echo that refocuses the
+    offsets and both spectator couplings; the sign of J picks the direction
+    of the corrective z rotations, and a zero J is a ValueError. Returns
+    (events, duration); all rotations instantaneous.
     """
-    events: list[PulseEvent] = []
+    events = [pulse(0.0, 1, np.deg2rad(120.0), np.pi / 2)]
     t = 0.0
-    for step in _star_template()["steps"]:
-        op = step["op"]
-        if op == "ry":
-            events.append(pulse(t, step["target"], np.deg2rad(step["angle_deg"]), np.pi / 2))
-        elif op == "cz":
-            control, target = step["control"], step["target"]
-            spectator = step["spectator"]
-            j = sys.coupling(control, target)
-            if j == 0.0:
-                raise ValueError(f"coupling J{control}{target} is zero, no controlled-Z possible")
-            t_echo = 1.0 / (2.0 * abs(j))
+    # each controlled y(a): (control, target, spectator, a/2 in degrees)
+    for control, target, spectator, half_deg in ((1, 3, 2, 54.73561031724535), (3, 2, 1, 45.0)):
+        j = sys.coupling(control, target)
+        if j == 0.0:
+            raise ValueError(f"coupling J{control}{target} is zero, no controlled-Z possible")
+        t_echo, sign = 1.0 / (2.0 * abs(j)), 1.0 if j > 0 else -1.0
+        for angle_deg in (-half_deg, half_deg):
             events.extend(_echo_events(t, (control, target), spectator, t_echo))
             t += t_echo
-            sign = 1.0 if j > 0 else -1.0
             events.extend(_rz_events(t, control, -sign * np.pi / 2))
             events.extend(_rz_events(t, target, -sign * np.pi / 2))
-        else:
-            raise ValueError(f"unknown star-program op '{op}'")
+            events.append(pulse(t, target, np.deg2rad(angle_deg), np.pi / 2))
     return tuple(events), t
 
 

@@ -56,7 +56,8 @@ frame of average-Hamiltonian theory. Consecutive gaps and such pulses
 therefore fold into one fused map rho -> C * rho[perm][:, perm]. A pulse
 that mixes basis states, one with a flip-angle error or one integrated
 with the internal Hamiltonian in its window, stays a dense U rho
-U^dagger segment between fused ones.
+U^dagger segment between fused ones. A run closes only there or at the
+end, so a program with no dense pulse is one fused frame, none at length 0.
 
 repeat_program turns a compiled repeat unit into the plan of k units.
 A unit that is one fused segment, as every unit of ideal pulses is,
@@ -606,14 +607,16 @@ def walk(sys: SpinSystem, unit, steps, rho0s) -> np.ndarray:
     roundoff, and a zero step is the empty plan.
 
     When every segment is fused (free evolution always; DD with ideal
-    pulses), the state of shot s after step i is C_i(s) * rho0[P_i][:, P_i]
+    pulses), each step's plan is one frame or none, as compile_program and
+    repeat_program build it (module docstring), and a second frame fails to
+    unpack. The state of shot s after step i is C_i(s) * rho0[P_i][:, P_i]
     with C_i(s) = K_i * g_i(s) g_i(s)^H and a permutation P_i that no shot
     changes. Entry (a, b) reads only rho0[P_i a, P_i b], so the walk keeps
     the L occupied levels, those whose row or column is nonzero (NaN and
     inf included) in any input state, and the rows R_i = P_i^-1(occupied)
     they have moved to. It steps K_i on R_i x R_i, (L, L), and the per-shot
     level phases G_i on R_i, (shots, L), never a shot stack; a permuting
-    segment only moves the rows, R <- argsort(p)[R]. Each step's frame is
+    frame only moves the rows, R <- argsort(p)[R]. Each step's frame is
     built once per (plan, rows) pair, and the shot mean of C_i is
     K_i * (G_i^T G_i*) / shots, one (L x shots)(shots x L) GEMM per
     recorded step. Every other entry is exactly zero, the value the full
@@ -647,27 +650,20 @@ def walk(sys: SpinSystem, unit, steps, rho0s) -> np.ndarray:
         union = (rho0s != 0).any(axis=0)  # NaN and inf are nonzero
         occ = np.flatnonzero(union.any(axis=0) | union.any(axis=1))
         full, frames = len(occ) == DIM, {}
-
-        def frame(j, rows, key):
-            """Plan j entered on rows: per segment, the rows after it, their key (None
-            for occ itself), and the segment's K and level phases on those rows."""
-            out = []
-            for _, k_step, h, p in plans[j]:
-                if p is not None:  # the map reads rho[p][:, p]: row a moves to argsort(p)[a]
-                    rows = np.argsort(p)[rows]
-                    key = None if np.array_equal(rows, occ) else rows.tobytes()
-                if key is not None or not full:
-                    k_step, h = k_step[rows[:, None], rows], h[rows]
-                out.append((rows, key, k_step, level_phases(h, deltas)))
-            return out
-
         k, g = np.ones((len(occ),) * 2, dtype=complex), np.ones((len(deltas), len(occ)), complex)
         means = np.empty((len(steps), len(occ), len(occ)), complex)
         rows_at, rows, key, moved = [], occ, None, False
         for i, j in enumerate(which):
-            if (j, key) not in frames:
-                frames[j, key] = frame(j, rows, key)
-            for rows, key, k_step, g_step in frames[j, key]:
+            if plans[j]:  # plan j entered on rows (key None for occ), built once per pair
+                if (j, key) not in frames:
+                    [(_, k_step, h, p)] = plans[j]  # one frame: a second one fails here
+                    # the map reads rho[p][:, p]: row a moves to argsort(p)[a]
+                    to = rows if p is None else np.argsort(p)[rows]
+                    to_key = None if np.array_equal(to, occ) else to.tobytes()
+                    if to_key is not None or not full:
+                        k_step, h = k_step[to[:, None], to], h[to]
+                    frames[j, key] = to, to_key, k_step, level_phases(h, deltas)
+                rows, key, k_step, g_step = frames[j, key]
                 k, g = k_step * k, g_step * g
             means[i] = k * (g.T @ g.conj())
             rows_at.append(rows)
@@ -696,7 +692,9 @@ def walk(sys: SpinSystem, unit, steps, rho0s) -> np.ndarray:
 
 def read_ini(text: str) -> dict[str, dict[str, str]]:
     """Parse key = value sections from plain text, preserving case."""
-    cp = configparser.ConfigParser(interpolation=None)
+    # no header can spell "\n": [DEFAULT] is an ordinary section, whose keys are
+    # neither dropped nor copied into the others, and system_from_mapping refuses it
+    cp = configparser.ConfigParser(interpolation=None, default_section="\n")
     cp.optionxform = str
     try:
         cp.read_string(text)

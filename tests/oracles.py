@@ -1,8 +1,10 @@
 """Oracles the tests check the program against, which the program never calls.
 
 Each is a plain formula or a plain reader: per-time free-evolution
-factors, the element-wise frequency shift of a static offset draw, and
-loaders for exported density matrices and timed-event programs. The two
+factors, the element-wise frequency shift of a static offset draw,
+loaders for exported density matrices and timed-event programs, and the
+golden documents under tests/data (the coherence-order table and the star
+state), which only the tests read. The two
 formulas read the model's energy, decay and sensitivity tables
 (spinsys._tables), the tables the engine compiles from, so the tests
 that check them against the superoperator exponential still check the
@@ -10,6 +12,7 @@ program's model.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 
@@ -55,6 +58,16 @@ def rho_from_json(doc) -> np.ndarray:
         raise ValueError(f"expected {dim * dim} entries, got {len(entries)}")
     flat = np.array([complex(re, im) for re, im in entries])
     return flat.reshape(dim, dim)
+
+
+def load_data(name: str) -> dict:
+    """A golden document from tests/data."""
+    return json.loads((Path(__file__).parent / "data" / name).read_text())
+
+
+def star_rho() -> np.ndarray:
+    """The ideal star state, read from its golden document."""
+    return rho_from_json(load_data("star_state.json"))
 
 
 def program_from_json(doc) -> tuple[tuple[spinsys.PulseEvent, ...], float, str]:

@@ -5,10 +5,8 @@ here from first principles rather than imported from the module under
 test wherever the claim is about physics.
 """
 
-import json
 import math
 import time
-from importlib import resources
 
 import numpy as np
 import pytest
@@ -18,13 +16,9 @@ from triqdd import circuits, ddseq, qmat, runner, spinsys
 from triqdd.spinsys import DIM, NoiseModel, PulseErrorModel, SpinSystem
 
 from conftest import MATRIX_UNITS, random_rho, unit_channel, unitary_channel
-from oracles import disorder_phase_rates, free_factors
+from oracles import disorder_phase_rates, free_factors, load_data
 
 QUIET = SpinSystem(noise=NoiseModel())
-
-
-def load_data(name: str) -> dict:
-    return json.loads(resources.files("triqdd").joinpath(f"data/{name}").read_text())
 
 
 def phase_distance(u: np.ndarray, v: np.ndarray) -> float:

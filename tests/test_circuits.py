@@ -1,10 +1,8 @@
 """Preparation circuits, star pulse program, readout words, tomography."""
 
 import itertools
-import json
 import re
 from functools import lru_cache
-from importlib import resources
 
 import numpy as np
 import pytest
@@ -12,15 +10,7 @@ import pytest
 from triqdd import circuits, qmat, spinsys
 from triqdd.qmat import InvariantError
 
-from oracles import rho_from_json
-
-
-def load_data(name):
-    return json.loads(resources.files("triqdd").joinpath(f"data/{name}").read_text())
-
-
-def star_rho():
-    return rho_from_json(load_data("star_state.json"))
+from oracles import star_rho
 
 
 TWO_TERM_STATES = ("psi0a", "psi0b", "psi1a", "psi1b", "psi2a", "psi2b", "psi3")
@@ -126,6 +116,60 @@ def test_star_nmr_dephasing_costs_fidelity_monotonically():
             for s in (quiet, default, loud)]
     assert fids[0] > fids[1] > fids[2]
     assert fids[1] > 0.9  # echoes keep the default-noise run close
+
+
+# The star preparation as the nine-step program it was once shipped as: y
+# rotations on a target by degrees, and controlled-Z blocks on a
+# control/target pair with its spectator.
+STAR_STEPS = (
+    {"op": "ry", "target": 1, "angle_deg": 120.0},
+    {"op": "cz", "control": 1, "target": 3, "spectator": 2},
+    {"op": "ry", "target": 3, "angle_deg": -54.73561031724535},
+    {"op": "cz", "control": 1, "target": 3, "spectator": 2},
+    {"op": "ry", "target": 3, "angle_deg": 54.73561031724535},
+    {"op": "cz", "control": 3, "target": 2, "spectator": 1},
+    {"op": "ry", "target": 2, "angle_deg": -45.0},
+    {"op": "cz", "control": 3, "target": 2, "spectator": 1},
+    {"op": "ry", "target": 2, "angle_deg": 45.0},
+)
+
+
+def star_steps_schedule(sys):
+    """(events, duration) of STAR_STEPS, read one step at a time: a controlled-Z is
+    a pi-pulse echo on spectator, pair, spectator, pair over 1/(2|J|), then on
+    control and target the z rotation x(-90) y(-sign(J) 90) x(90)."""
+    events, t = [], 0.0
+    for step in STAR_STEPS:
+        if step["op"] == "ry":
+            angle = np.deg2rad(step["angle_deg"])
+            events.append(spinsys.pulse(t, step["target"], angle, np.pi / 2))
+            continue
+        control, target = step["control"], step["target"]
+        j = sys.coupling(control, target)
+        if j == 0.0:
+            raise ValueError(f"coupling J{control}{target} is zero")
+        t_echo = 1.0 / (2.0 * abs(j))
+        for n, on in enumerate((step["spectator"], (control, target)) * 2, 1):
+            events.append(spinsys.pulse(t + n * (t_echo / 4.0), on, np.pi, 0.0))
+        t += t_echo
+        for qubit in (control, target):
+            events += [spinsys.pulse(t, qubit, np.pi / 2, np.pi),
+                       spinsys.pulse(t, qubit, -np.sign(j) * np.pi / 2, np.pi / 2),
+                       spinsys.pulse(t, qubit, np.pi / 2, 0.0)]
+    return tuple(events), t
+
+
+def test_star_circuit_nmr_is_the_nine_step_program():
+    base = spinsys.SpinSystem()
+    for couplings in (base.couplings, tuple(-j for j in base.couplings), (30.0, 150.0, -100.0)):
+        sys = spinsys.SpinSystem(couplings=couplings)
+        assert circuits.star_circuit_nmr(sys) == star_steps_schedule(sys), couplings
+    # a zero coupling is refused by name, J13 before J23
+    for couplings, pair in (((48.0, 0.0, -192.0), "J13"), ((48.0, 161.0, 0.0), "J32"),
+                            ((48.0, 0.0, 0.0), "J13")):
+        for schedule in (circuits.star_circuit_nmr, star_steps_schedule):
+            with pytest.raises(ValueError, match=f"coupling {pair} is zero"):
+                schedule(spinsys.SpinSystem(couplings=couplings))
 
 
 def test_star_nmr_needs_both_couplings():

@@ -200,6 +200,13 @@ def test_decay_rejects_broken_config(capsys, tmp_path):
     assert code == 2 and "gamma_q" in err and "[noise]" in err
     code, _, err = run_cli(capsys, "decay", "--config", str(tmp_path / "nope.cfg"))
     assert code == 2
+    # [DEFAULT] is an unknown section, not a silent no-op on the built-in model
+    cfg.write_text("[DEFAULT]\nshots = 5\n")
+    code, out, err = run_cli(capsys, "decay", "--config", str(cfg), "--state", "psi3",
+                             "--families", "XY8", "--points", "3", "--out-csv",
+                             str(tmp_path / "d.csv"), "--out-json", str(tmp_path / "d.json"))
+    assert code == 2 and "unknown config section [DEFAULT]" in err and not out
+    assert not (tmp_path / "d.csv").exists()
     code, _, err = run_cli(capsys, "decay", "--set", "shots=16")
     assert code == 2 and "section.key=value" in err
     # the pulse section sets no width: widths come from the delay table

@@ -1,7 +1,6 @@
 """Density-matrix utilities: golden tables, hand oracles, random sweeps."""
 
 import json
-from importlib import resources
 
 import numpy as np
 import pytest
@@ -9,16 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_ket, random_rho, random_unitary
-from oracles import rho_from_json
+from oracles import load_data, rho_from_json, star_rho
 from triqdd import qmat
-
-
-def load_data(name):
-    return json.loads(resources.files("triqdd").joinpath(f"data/{name}").read_text())
-
-
-def star_rho():
-    return rho_from_json(load_data("star_state.json"))
 
 
 # -- coherence orders ------------------------------------------------------

@@ -429,8 +429,14 @@ def test_config_round_trip():
 
 
 def test_config_rejects_unknown_key():
-    for text in ("[system]\noffsets_hz = 1 2 3\ntypo_key = 5\n", "[mystery]\nx = 1\n"):
-        with pytest.raises(ConfigError):
+    # [DEFAULT] is refused like any unknown section: its keys are neither
+    # dropped nor copied into the sections beside it
+    for text in ("[system]\noffsets_hz = 1 2 3\ntypo_key = 5\n", "[mystery]\nx = 1\n",
+                 "[DEFAULT]\nshots = 5\nnonsense_key = 1\n",
+                 "[DEFAULT]\nshots = 5\n[disorder]\nsigma_corr_hz = 0.5\n",
+                 "[DEFAULT]\ngamma_s = 1 1 1\n[disorder]\nsigma_corr_hz = 0.5\n"):
+        with pytest.raises(ConfigError, match=r"unknown (key '\w+' in section \[system\]|"
+                                              r"config section \[(mystery|DEFAULT)\])"):
             spinsys.system_from_text(text)
 
 

@@ -416,6 +416,25 @@ def test_frame_walk_matches_the_expanded_shot_walk(name, monkeypatch):
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
+def test_an_all_fused_plan_is_one_frame_or_none():
+    # compile_program closes a fused run only before a dense pulse or at the end,
+    # and repeat_program composes a one-frame unit into one frame: walk reads each
+    # fused step's plan as one frame or none
+    sys = runner.default_system()
+    cycles = list(FRAME_WALKS.values())
+    cycles += [cycle for name, (cycle, _) in MAP_WALKS.items() if name.endswith("-permuting")]
+    # free evolution is the pulseless program of a gap; a zero step is the empty plan
+    programs = [((), runner.GRID_T_MAX / 19), ((), 0.0)]
+    programs += [ddseq.program(cycle, cycle.unit_cycles) for cycle in cycles if cycle is not None]
+    assert len(programs) == 2 + 23 + 2
+    for events, duration in programs:
+        unit = spinsys.compile_program(sys, events, duration)
+        assert all(seg[0] == "fused" for seg in unit)
+        assert len(unit) == (duration > 0)
+        for k in (0, 1, 2, 7):
+            assert len(spinsys.repeat_program(unit, k)) == min(len(unit), k)
+
+
 def old_disorder_times(sys, events, duration) -> np.ndarray:
     """Per spin, the element-wise disorder times A, (3, 8, 8), of a fused program.
 
