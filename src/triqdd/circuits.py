@@ -13,15 +13,17 @@ Tomography reads out through pulse words: a three-letter word over
 position (letter position = qubit). It records, for each of the seven
 words, the populations and the real and imaginary parts of every
 single-bit-flip element of the rotated state, averaged over SCANS noisy
-scans, then solves the linear model for the 64 real parameters of a
-Hermitian unit-trace matrix and projects onto the physical cone. The
-readout is linear, so a state's records are one product of its 64 real
-parameters with the cached design matrix; the rotation readout
-(_observe) is the definition that matrix is built from. A call reads one
-state, an (n, 8, 8) stack of recorded times, or an (m, n, 8, 8) stack of
-m experiments read at the same n times (a star run's protected pairs):
-time i draws its scan-averaged noise once, from seed + i, and every
-experiment read at that time adds the same draw.
+scans, then solves the linear model, with unit trace as one more
+equation, for the 64 real parameters of a Hermitian matrix and projects
+onto the physical cone. The rotation readout (_observe) defines the
+design matrix; the settings determine the state, so on a unit-trace
+Hermitian input (every caller passes a checked density matrix) the
+noiseless solve returns the input exactly, and a reading is the state
+plus the solve of its noise. No record of the state itself is formed. A
+call reads one state, an (n, 8, 8) stack of recorded times, or an
+(m, n, 8, 8) stack of m experiments read at the same n times (a star
+run's protected pairs): time i draws its scan-averaged noise once, from
+seed + i, and every experiment read at that time adds the same draw.
 """
 
 from __future__ import annotations
@@ -174,13 +176,6 @@ _LINE_PAIRS = [(a, b) for a in range(DIM) for b in range(a + 1, DIM)
 _RECORD_INDEX = _frozen(np.array(
     [2 * (k * DIM + k) for k in range(DIM)]
     + [2 * (a * DIM + b) + part for a, b in _LINE_PAIRS for part in (0, 1)]))
-# The 64 real parameters of a Hermitian matrix in _hermitian_basis order:
-# the diagonal, then the real and imaginary part of each (a, b), a < b, as
-# positions in its flattened float view.
-_PARAM_INDEX = _frozen(np.array(
-    [2 * (k * DIM + k) for k in range(DIM)]
-    + [2 * (a * DIM + b) + part for a in range(DIM) for b in range(a + 1, DIM)
-       for part in (0, 1)]))
 
 
 @lru_cache(maxsize=1)
@@ -191,8 +186,9 @@ def _readout_stack() -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _hermitian_basis() -> np.ndarray:
-    """(64, 8, 8) Hermitian basis matching the real parameter layout:
-    the diagonal units, then per a < b the real and imaginary pair."""
+    """(64, 8, 8) Hermitian basis, one matrix per column of the design
+    matrix: the diagonal units, then per a < b the real and imaginary
+    pair. A vector of 64 reals in this order is a Hermitian matrix."""
     basis = np.zeros((64, DIM, DIM), dtype=complex)
     k = np.arange(DIM)
     basis[k, k, k] = 1.0
@@ -214,8 +210,8 @@ def _observe(rho: np.ndarray) -> np.ndarray:
     stack, and the record is gathered through the fixed _RECORD_INDEX;
     the values are those of rotating by each word in turn and reading the
     elements one by one. This is the readout's definition: the design
-    matrix is built from it, and tomography reads through that matrix
-    (_records)."""
+    matrix is built from it, one column per basis matrix, and tomography
+    solves through that matrix's tables."""
     u = _readout_stack()
     rho = np.asarray(rho, dtype=complex)[..., None, :, :]
     rotated = u @ rho @ u.conj().swapaxes(-1, -2)
@@ -227,9 +223,13 @@ def _observe(rho: np.ndarray) -> np.ndarray:
 def _tomography_tables() -> tuple[np.ndarray, np.ndarray]:
     """(design matrix, solve matrix), built once and read-only.
 
-    The solve matrix is the pseudo-inverse of the design matrix with the
-    unit-trace row appended, so one matrix-vector product gives the same
-    least-squares parameters a fresh solve of that system would."""
+    The solve matrix S is the pseudo-inverse of the design matrix A with
+    the unit-trace row appended, so one matrix-vector product gives the
+    same least-squares parameters a fresh solve of that system would. A
+    has full column rank (checked here; settings that do not determine
+    the state raise InvariantError), so S is a left inverse: on the
+    records of a unit-trace Hermitian matrix it returns that matrix's
+    parameters, and only the noise's solve S[:, :-1] @ noise is left."""
     a = np.column_stack([_observe(m) for m in _hermitian_basis()])
     if np.linalg.matrix_rank(a) < 64:
         raise InvariantError("tomography design matrix is rank deficient; "
@@ -242,13 +242,6 @@ def _design_matrix() -> np.ndarray:
     """The (records, 64) design matrix; the first call fills every
     tomography cache (unitary stack, basis, solve matrix)."""
     return _tomography_tables()[0]
-
-
-def _records(rho: np.ndarray) -> np.ndarray:
-    """_observe of each member of a contiguous (..., 8, 8) Hermitian stack,
-    read as its 64 real parameters times the design matrix's transpose."""
-    params = rho.reshape(rho.shape[:-2] + (DIM * DIM,)).view(np.float64)[..., _PARAM_INDEX]
-    return params @ _design_matrix().T
 
 
 def tomography(rho_true: np.ndarray, sigma: float = 0.0, seed: int = 0) -> np.ndarray:
@@ -266,45 +259,37 @@ def tomography(rho_true: np.ndarray, sigma: float = 0.0, seed: int = 0) -> np.nd
     included; a noise level whose draws overflow is a ValueError. The draws
     live for one call; nothing is kept between calls.
 
-    The readout is linear in the state and the settings are fixed, so the
-    design matrix and the least-squares solve matrix are built once (see
-    _tomography_tables). A state's records are its 64 real parameters
-    (the diagonal, then Re and Im of each a < b) times the design matrix's
-    transpose. That equals the rotation readout (_observe) for Hermitian
-    input only, which every caller passes: a checked density matrix. The
-    linear solve enforces unit trace as an extra equation; the result is
-    then clipped to the positive cone and renormalized. Each experiment is
-    reconstructed as one stack (one product with the solve matrix, one
-    tensordot back to 8x8 matrices, one batched eigh), one experiment at a
-    time, so the solve's temporaries stay at one experiment's size.
+    The readout is linear: a state's records are A p, its 64 real
+    parameters p (the diagonal, then Re and Im of each a < b) times the
+    design matrix A, and the solve matrix S is a left inverse of A with the
+    unit-trace row appended (see _tomography_tables). So the least-squares
+    parameters of the noisy records are S [A p + noise; 1] = p + S[:, :-1]
+    noise, which holds for a unit-trace Hermitian input; every caller
+    passes one, a checked density matrix. No record of the state is
+    formed: the state plus its solved noise is clipped to the positive
+    cone and renormalized, over the whole stack with one batched eigh. The
+    tables are fetched on every call, so settings that do not determine
+    the state raise InvariantError at any sigma.
     """
-    rho_true = np.ascontiguousarray(rho_true, dtype=complex)
-    if rho_true.ndim not in (2, 3, 4) or rho_true.shape[-2:] != (DIM, DIM):
+    rho = np.asarray(rho_true, dtype=complex)
+    if rho.ndim not in (2, 3, 4) or rho.shape[-2:] != (DIM, DIM):
         raise ValueError("expected an 8x8 state, an (n, 8, 8) stack or an (m, n, 8, 8) stack, "
-                         f"got {rho_true.shape}")
+                         f"got {rho.shape}")
     if not 0.0 <= sigma < np.inf:
         raise ValueError(f"readout noise sigma must be finite and nonnegative, got {sigma}")
     if seed < 0:
         raise ValueError(f"tomography seed must be nonnegative, got {seed}")
-    n = rho_true.shape[-3] if rho_true.ndim > 2 else 1
-    m = rho_true.shape[0] if rho_true.ndim == 4 else 1
-    experiments = rho_true.reshape(m, n, DIM, DIM)
-    noise = 0.0
+    design, solve = _tomography_tables()
     if sigma > 0:
-        size = (SCANS, _design_matrix().shape[0])
+        n = rho.shape[-3] if rho.ndim > 2 else 1
+        size = (SCANS, design.shape[0])
         with np.errstate(over="ignore", invalid="ignore"):
             noise = np.array([np.random.default_rng(seed + i).normal(0.0, sigma, size=size)
                               .mean(axis=0) for i in range(n)])
         if not np.isfinite(noise).all():
             raise ValueError(f"readout noise sigma {sigma:g} overflows the recorded values")
-    _, solve = _tomography_tables()
-    out = np.empty_like(experiments)
-    for e, stack in enumerate(experiments):
-        y = _records(stack) + noise
-        x = np.concatenate([y, np.ones((n, 1))], axis=1) @ solve.T
-        rho = np.tensordot(x, _hermitian_basis(), axes=1)
-        w, v = np.linalg.eigh(rho)
-        w = np.clip(w, 0.0, None)
-        rho = (v * w[:, None, :]) @ v.conj().swapaxes(-1, -2)
-        out[e] = rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
-    return out.reshape(rho_true.shape)
+        rho = rho + np.tensordot(noise @ solve[:, :-1].T, _hermitian_basis(), axes=1)
+    w, v = np.linalg.eigh(rho)
+    rho = (v * np.clip(w, 0.0, None)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    rho = rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+    return rho.reshape(np.shape(rho_true))

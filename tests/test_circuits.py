@@ -268,6 +268,15 @@ def test_stacked_tomography_equals_single_calls_seeded_per_member(sigma):
         for i, rho in enumerate(stack):
             single = circuits.tomography(rho, sigma=sigma, seed=11 + i)
             assert np.max(np.abs(read[e, i] - single)) < 1e-14, (e, i)
+    # mixed members of every rank: each (e, i) is the literal readout of that
+    # member alone, seeded seed + i
+    rng = np.random.default_rng(21)
+    mixed = np.array([[random_rank_rho(rng, rank) for rank in (1, 2, 4, 8)] for _ in range(2)])
+    read = circuits.tomography(mixed, sigma=sigma, seed=11)
+    for e, stack in enumerate(mixed):
+        for i, rho in enumerate(stack):
+            want = literal_tomography(rho, sigma, 11 + i)
+            assert np.max(np.abs(read[e, i] - want)) <= 1e-12, (e, i)
 
 
 def test_views_read_as_their_contiguous_copies():
@@ -357,7 +366,6 @@ def test_cached_readout_matches_the_literal_one(rank):
     for _ in range(3):
         rho = random_rank_rho(rng, rank)
         assert np.max(np.abs(circuits._observe(rho) - literal_observe(rho))) <= 1e-12
-        assert np.max(np.abs(circuits._records(rho) - literal_observe(rho))) <= 1e-12
         for sigma in (0.0, 0.01):
             for seed in range(3):
                 got = circuits.tomography(rho, sigma=sigma, seed=seed)
@@ -390,8 +398,12 @@ def fresh_tomography_caches():
 
 def test_rank_deficient_settings_still_raise(monkeypatch, fresh_tomography_caches):
     monkeypatch.setattr(circuits, "TOMOGRAPHY_SETTINGS", ("III", "IIY", "IYY"))
-    with pytest.raises(InvariantError, match="rank deficient"):
-        circuits.tomography(np.eye(8) / 8)
+    mixed = np.eye(8) / 8
+    # every call fetches the tables, noiseless stacks and noisy states alike
+    for rho, sigma in ((mixed, 0.0), (np.broadcast_to(mixed, (3, 8, 8)), 0.0),
+                       (np.broadcast_to(mixed, (2, 3, 8, 8)), 0.0), (mixed, 0.01)):
+        with pytest.raises(InvariantError, match="rank deficient"):
+            circuits.tomography(rho, sigma=sigma)
 
 
 def test_overflowing_readout_noise_is_a_value_error():
