@@ -37,7 +37,7 @@ import numpy as np
 
 from . import qmat, spinsys
 from .qmat import InvariantError
-from .spinsys import DisorderModel, PulseErrorModel, PulseEvent, SpinSystem, pulse
+from .spinsys import DisorderModel, PulseErrorModel, PulseEvent, SpinSystem, _frozen, pulse
 
 DIM = spinsys.DIM
 
@@ -162,12 +162,6 @@ def readout_unitary(word: str) -> np.ndarray:
 
 # -- tomography ------------------------------------------------------------
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """Mark a cached array read-only, since every caller shares it."""
-    a.flags.writeable = False
-    return a
-
-
 # The recorded reals of one setting: the eight populations, then the real
 # and imaginary part of each single-bit-flip element (a, b), a < b. Each is
 # a position in the rotated state's flattened float view (re, im per entry).
@@ -265,11 +259,12 @@ def tomography(rho_true: np.ndarray, sigma: float = 0.0, seed: int = 0) -> np.nd
     unit-trace row appended (see _tomography_tables). So the least-squares
     parameters of the noisy records are S [A p + noise; 1] = p + S[:, :-1]
     noise, which holds for a unit-trace Hermitian input; every caller
-    passes one, a checked density matrix. No record of the state is
-    formed: the state plus its solved noise is clipped to the positive
-    cone and renormalized, over the whole stack with one batched eigh. The
-    tables are fetched on every call, so settings that do not determine
-    the state raise InvariantError at any sigma.
+    passes one, a checked density matrix, and an input member that is not
+    Hermitian is a ValueError naming it (qmat.assert_hermitian). No record
+    of the state is formed: the state plus its solved noise is clipped to
+    the positive cone and renormalized, over the whole stack with one
+    batched eigh. The tables are fetched on every call, so settings that
+    do not determine the state raise InvariantError at any sigma.
     """
     rho = np.asarray(rho_true, dtype=complex)
     if rho.ndim not in (2, 3, 4) or rho.shape[-2:] != (DIM, DIM):
@@ -279,6 +274,7 @@ def tomography(rho_true: np.ndarray, sigma: float = 0.0, seed: int = 0) -> np.nd
         raise ValueError(f"readout noise sigma must be finite and nonnegative, got {sigma}")
     if seed < 0:
         raise ValueError(f"tomography seed must be nonnegative, got {seed}")
+    qmat.assert_hermitian(rho)  # eigh reads one triangle: it would read any other input wrong
     design, solve = _tomography_tables()
     if sigma > 0:
         n = rho.shape[-3] if rho.ndim > 2 else 1

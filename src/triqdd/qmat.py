@@ -49,10 +49,29 @@ def ket_to_rho(psi: np.ndarray) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
+def _refuse(rho: np.ndarray, bad: np.ndarray, message) -> None:
+    """Raise ValueError(message(i)) at the first member i of rho's flattened
+    stack where bad holds."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(("" if rho.ndim == 2 else f"member {i}: ") + message(i))
+
+
+def assert_hermitian(rho: np.ndarray) -> None:
+    """Raise ValueError unless rho, or every member of a (..., d, d) stack, is
+    Hermitian: max-abs of rho - rho^dagger at most HERMITICITY_ATOL, NaN failing.
+    The message names the first failing member, counted over the flattened stack.
+    """
+    rho = np.asarray(rho)
+    stack = rho.reshape((-1,) + rho.shape[-2:])
+    skew = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    _refuse(rho, ~(skew <= HERMITICITY_ATOL), lambda i: "matrix is not Hermitian")
+
+
 def assert_density_matrix(rho: np.ndarray) -> None:
     """Raise ValueError unless rho is a valid density matrix, or a stack of them.
 
-    Checks shape, Hermiticity (max-abs), unit trace and positive
+    Checks shape, Hermiticity (assert_hermitian), unit trace and positive
     semidefiniteness (eigenvalues above -EIGENVALUE_ATOL). A (..., d, d)
     stack is checked at once with the same thresholds; the message names
     the first failing member, counted over the flattened stack. PSD is
@@ -64,23 +83,16 @@ def assert_density_matrix(rho: np.ndarray) -> None:
     if rho.ndim < 2 or rho.shape[-2] != rho.shape[-1]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {rho.shape}")
     n_qubits(rho.shape[-1])
+    assert_hermitian(rho)
     stack = rho.reshape((-1,) + rho.shape[-2:])
-
-    def fail(bad, message):
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ValueError(("" if rho.ndim == 2 else f"member {i}: ") + message(i))
-
-    skew = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    fail(~(skew <= HERMITICITY_ATOL), lambda i: "matrix is not Hermitian")  # NaN fails too
     tr = np.trace(stack, axis1=-2, axis2=-1)
-    fail(np.abs(tr - 1.0) > TRACE_ATOL, lambda i: f"trace is {tr[i]}, expected 1")
+    _refuse(rho, np.abs(tr - 1.0) > TRACE_ATOL, lambda i: f"trace is {tr[i]}, expected 1")
     try:  # every eigenvalue above -EIGENVALUE_ATOL: the shifted stack factorizes
         np.linalg.cholesky(stack + EIGENVALUE_ATOL * np.eye(stack.shape[-1]))
     except np.linalg.LinAlgError:
         lowest = np.linalg.eigvalsh(stack).min(axis=-1)
-        fail(lowest < -EIGENVALUE_ATOL, lambda i: "matrix is not positive semidefinite "
-                                                  f"(min eigenvalue {lowest[i]})")
+        _refuse(rho, lowest < -EIGENVALUE_ATOL, lambda i: "matrix is not positive semidefinite "
+                                                          f"(min eigenvalue {lowest[i]})")
 
 
 def coherence_order(i: int, j: int, n: int = 3) -> int:

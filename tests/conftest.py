@@ -1,6 +1,16 @@
 import numpy as np
+import pytest
 
 from triqdd import ddseq, spinsys
+
+
+@pytest.fixture(autouse=True)
+def fresh_compiled_plans():
+    """Each test compiles its own plans: a test that swaps a table the compiler
+    reads must not get a plan kept from another test, nor leave one behind."""
+    spinsys._compiled.cache_clear()
+    yield
+    spinsys._compiled.cache_clear()
 
 
 def random_ket(rng, dim):

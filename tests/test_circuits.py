@@ -252,6 +252,23 @@ def test_tomography_input_validation():
             circuits.tomography(np.eye(8) / 8, sigma=sigma, seed=-1)
 
 
+def test_tomography_refuses_a_state_that_is_not_hermitian():
+    # eigh reads one triangle: psi1a's upper triangle, its coherence doubled above
+    # the diagonal and zero below, would read back as a state 0.5 away from psi1a
+    rho = circuits.prepare("psi1a")
+    upper = np.triu(rho) + np.triu(rho, 1)
+    for sigma in (0.0, 0.01):
+        with pytest.raises(ValueError, match="^matrix is not Hermitian$"):
+            circuits.tomography(upper, sigma=sigma)
+    # a stack names its first failing member, counted over the flattened stack
+    stack = np.broadcast_to(rho, (2, 3, 8, 8)).copy()
+    stack[1, 1] = stack[1, 2] = upper
+    with pytest.raises(ValueError, match="^member 4: matrix is not Hermitian$"):
+        circuits.tomography(stack, sigma=0.01)
+    with pytest.raises(ValueError, match="^member 1: matrix is not Hermitian$"):
+        circuits.tomography(stack[1])
+
+
 @pytest.mark.parametrize("sigma", [0.0, 0.01, 0.3])
 def test_stacked_tomography_equals_single_calls_seeded_per_member(sigma):
     states = np.stack([circuits.prepare(state_id) for state_id in circuits.state_ids()])

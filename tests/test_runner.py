@@ -278,6 +278,22 @@ def test_run_decay_is_deterministic():
     assert a.values == b.values
 
 
+def test_a_grid_run_after_another_pulse_model_reads_as_before():
+    # plans are kept per pulse model: a run on other couplings in between takes
+    # none of the first run's plans and leaves none of its own to the third
+    sys = runner.default_system()
+    j12, j13, j23 = sys.couplings
+    first = runner.run_grid(sys)
+    other = runner.run_grid(dataclasses.replace(sys, couplings=(j12, 1.01 * j13, j23)))
+    third = runner.run_grid(sys)
+
+    def values(run):
+        return np.array([c.values for c in run.curves]).tobytes()
+
+    assert values(third) == values(first) and third == first
+    assert values(other) != values(first)
+
+
 # -- the placement map ----------------------------------------------------
 
 # noise-free systems with random offsets (+-400 Hz) and couplings (+-200 Hz):

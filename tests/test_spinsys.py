@@ -1,5 +1,7 @@
 """Spin-system model against an explicit superoperator-exponential oracle."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -388,10 +390,62 @@ def test_sequence_rejects_overlap_and_overrun():
     late = pulse(0.0099, 2, np.pi, 0.0, duration=2e-4)
     with pytest.raises(ValueError):
         walk_once(rho, sys, [late], 0.01)
-    # a pulseless program of NaN length would otherwise compile to no segment at all
-    for duration in (-0.01, np.nan, np.inf):
-        with pytest.raises(ValueError, match="finite and nonnegative"):
-            spinsys.compile_program(sys, (), duration)
+    # a pulseless program of NaN length would otherwise compile to no segment at all;
+    # a program that fails to compile is not kept, so it raises again on every call
+    for _ in range(2):
+        with pytest.raises(ValueError, match="overlapping"):
+            spinsys.compile_program(sys, [a, b], 0.01)
+        for duration in (-0.01, np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                spinsys.compile_program(sys, (), duration)
+
+
+# -- compiled plans, kept per pulse model ------------------------------------
+
+# a permuting pi pulse, a pi/2 pulse that mixes basis states and a free tail:
+# a fused frame with a perm, a dense segment and a fused frame without one
+KEPT_PROGRAM = ((pulse(0.2e-3, (1, 2), np.pi, 0.3, duration=4e-5),
+                 pulse(0.5e-3, 3, np.pi / 2, 0.0, duration=4e-5)), 1e-3)
+
+
+def plan_bytes(plan):
+    """Every segment's kind and the exact bytes of each of its arrays."""
+    return [(seg[0],) + tuple(None if a is None else (a.dtype, a.shape, a.tobytes())
+                              for a in seg[1:]) for seg in plan]
+
+
+def test_a_system_equal_but_for_its_disorder_shares_the_read_only_plan():
+    events, duration = KEPT_PROGRAM
+    for model in (PulseErrorModel(), PulseErrorModel(flip_fraction_error=0.02)):
+        sys = SpinSystem(pulse=model)
+        plan = spinsys.compile_program(sys, events, duration)
+        other = replace(sys, disorder=DisorderModel((1.0, 2.0, 3.0), 0.5, shots=7, seed=11))
+        assert spinsys.compile_program(other, list(events), duration) is plan
+        arrays = [a for seg in plan for a in seg[1:] if a is not None]
+        assert len(arrays) == (7 if model == PulseErrorModel() else 10)
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 0
+
+
+@pytest.mark.parametrize("change", [
+    dict(offsets=(510.0, -300.0, 150.0)),
+    dict(couplings=(48.0, 162.0, -192.0)),
+    dict(noise=NoiseModel((1.0, 1.3, 2.0), 1.5)),
+    dict(noise=NoiseModel((1.0, 1.2, 2.0), 1.6)),
+    dict(pulse=PulseErrorModel(flip_fraction_error=0.02)),
+    dict(pulse=PulseErrorModel(phase_error=0.02)),
+    dict(pulse=PulseErrorModel(internal_h_during_pulse=True)),
+], ids=["offsets", "couplings", "gamma", "gamma_corr", "flip_fraction_error", "phase_error",
+        "internal_h_during_pulse"])
+def test_each_field_compiling_reads_keys_its_own_plan(change):
+    base = SpinSystem()
+    kept = spinsys.compile_program(base, *KEPT_PROGRAM)
+    changed = spinsys.compile_program(replace(base, **change), *KEPT_PROGRAM)
+    assert changed is not kept and plan_bytes(changed) != plan_bytes(kept)
+    spinsys._compiled.cache_clear()
+    fresh = spinsys.compile_program(replace(base, **change), *KEPT_PROGRAM)
+    assert fresh is not changed and plan_bytes(fresh) == plan_bytes(changed)
 
 
 # -- configuration ---------------------------------------------------------

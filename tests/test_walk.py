@@ -539,6 +539,8 @@ def test_fused_run_matches_dense_walk_on_any_signed_permutation(case):
     rho = random_rho(np.random.default_rng(seed), spinsys.DIM)
     deltas = sys.disorder.draw()
     real = spinsys.pulse_permutation, spinsys.pulse_propagator
+    # examples reuse equal events with other tables: no plan may outlive its swap
+    spinsys._compiled.cache_clear()
     spinsys.pulse_permutation, spinsys.pulse_propagator = signed, unitary
     try:
         want, _ = averaged_states(_unit_plan, _apply_unit, rho, sys, program, deltas, 1)
@@ -546,6 +548,7 @@ def test_fused_run_matches_dense_walk_on_any_signed_permutation(case):
                                     rho, sys, program, deltas, 1)
     finally:
         spinsys.pulse_permutation, spinsys.pulse_propagator = real
+        spinsys._compiled.cache_clear()
     assert len(plan) == 1 and plan[0][0] == "fused"
     assert np.max(np.abs(got[0] - want[0])) <= 1e-12
 
@@ -563,12 +566,14 @@ def test_fused_walk_moves_occupied_rows_under_any_signed_permutation(case, occup
                      disorder=DisorderModel((3.0, 4.0, 5.0), 6.0, shots=3, seed=seed % 100))
     steps = (1, 2, 0, 3)
     real = spinsys.pulse_permutation
+    spinsys._compiled.cache_clear()  # as above: equal events, another table
     spinsys.pulse_permutation = lambda ev, sys: table[ev.phase]
     try:
         got = spinsys.walk(sys, program, steps, [rho])[0]
         plan = expanded_plan(sys, *program, sys.disorder.draw())
     finally:
         spinsys.pulse_permutation = real
+        spinsys._compiled.cache_clear()
     states, want = np.broadcast_to(rho, (3,) + rho.shape), []
     for k in steps:
         for _ in range(k):
