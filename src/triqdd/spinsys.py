@@ -96,6 +96,20 @@ states occupy (a catalog state occupies two of the eight), and writes
 zeros elsewhere: the values are those of the full map, which would
 multiply a finite coefficient by zero, and the whole (n, T, 8, 8) result
 is still checked as one stack.
+
+A shot turns element (a, b) of a fused frame by 2 pi (H[a] - H[b]) . delta_s
+only, so an element whose two levels share their filter function is
+refocused: its zero-frequency filter function vanishes (Cywinski et al.,
+PRB 77, 174509 (2008)) and every shot gives it K. walk counts a frame as
+refocused when |H[a] - H[b]|_inf * 2 pi max_s |delta_s|_1, a bound on that
+phase in every shot, is at most REFOCUS_RAD = 1e-12 rad on every element
+some state occupies; an overflowing bound (inf or NaN) is not. A walk
+whose frames all refocus records K alone: no level phases, no shots. DD
+on the qubits a coherence lives on refocuses it, as the paper's
+designated protocols and every all-spin family do, so 21 of the grid's
+22 walks take no shots; free evolution and both star pairs (mXY8 on a
+pair, with the third spin's coherences occupied) still do, as does any
+walk at the first frame that is not refocused.
 """
 
 from __future__ import annotations
@@ -196,6 +210,17 @@ class DisorderModel:
             raise ConfigError("the disorder widths overflow the offset draw")
         deltas.flags.writeable = False
         return deltas
+
+    @lru_cache(maxsize=1)
+    def phase_rate(self) -> float:
+        """2 pi max_s |delta_s|_1 over draw(), in rad/s (inf if that overflows), once per model.
+
+        A fused frame whose levels a and b have filter functions H[a] and
+        H[b] turns their relative phase by 2 pi (H[a] - H[b]) . delta_s,
+        at most |H[a] - H[b]|_inf times this in every shot (Hoelder).
+        """
+        with np.errstate(over="ignore"):
+            return float(2.0 * np.pi * np.abs(self.draw()).sum(axis=1).max())
 
 
 _NO_OFFSETS = np.zeros((1, N_QUBITS))
@@ -445,6 +470,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 PLAN_CACHE_SIZE = 64  # compiled plans kept per process (compile_program)
+REFOCUS_RAD = 1e-12  # disorder phase, rad, under which a fused frame refocuses (walk)
 
 
 def compile_program(sys: SpinSystem, events, duration: float) -> tuple:
@@ -459,19 +485,21 @@ def compile_program(sys: SpinSystem, events, duration: float) -> tuple:
     is read-only, so no walk can change another's. A program that fails to
     compile is not kept: it raises on every call. A grid plus a star run
     keeps 27 plans, about 96 KB; the worst case, 64 dense 42-pulse
-    flip-error plans, takes about 6.5 MB.
+    flip-error plans, takes about 4.1 MB.
 
     ('fused', K, H, perm) is a toggling frame, built with no disorder draw:
     the map rho -> C * rho[perm][:, perm], perm None for the identity, with
     C = K without disorder and C_s = K * g_s g_s^H under the static shift
     delta_s, g_s = level_phases(H, delta_s) (expand_program). ('dense', U,
     U dagger) is a pulse that mixes basis states and ends the fused run
-    before it. A run collects its gap lengths and the (p, d) of each
-    signed-permutation pulse, U[i, p[i]] = d[i], and closes in one pass
-    from its end: q, every later pulse of the run composed (the identity
-    at the end), becomes p[q] at each pulse, which also multiplies the
-    level phases u by d[q], and each gap adds its length to the total T_f
-    of its frame f = q. Then E = sum_f T_f (-2 pi i phase - decay)[f][:, f],
+    before it; equal pulses of a program share one such segment, U and U
+    dagger alike (a flip-error mKDD20 unit's 42 pulses hold 6). A run
+    collects its gap lengths and the (p, d) of each signed-permutation
+    pulse, U[i, p[i]] = d[i], and closes in one pass from its end: q,
+    every later pulse of the run composed (the identity at the end),
+    becomes p[q] at each pulse, which also multiplies the level phases u
+    by d[q], and each gap adds its length to the total T_f of its frame
+    f = q. Then E = sum_f T_f (-2 pi i phase - decay)[f][:, f],
     H = sum_f T_f s[f] / 2, K = (u u^H) * exp(E), 64 exps, and perm is the
     final q. Offsets or couplings that overflow K are a ConfigError.
     """
@@ -517,11 +545,15 @@ def _compiled(offsets, couplings, noise, pulse_model, events, duration) -> tuple
             continue
         key = (item.targets, item.phase, item.flip, item.duration)
         if key not in pulse_cache:
-            pulse_cache[key] = pulse_permutation(item, sys) or _frozen(pulse_propagator(item, sys))
+            seg = pulse_permutation(item, sys)
+            if seg is None:  # a unitary that mixes basis states: one U and U dagger per pulse
+                u = _frozen(pulse_propagator(item, sys))
+                seg = ("dense", u, _frozen(u.conj().T))
+            pulse_cache[key] = seg
         seg = pulse_cache[key]
-        if isinstance(seg, np.ndarray):  # a unitary that mixes basis states
+        if len(seg) == 3:  # ("dense", U, U dagger)
             close_run()
-            plan.append(("dense", seg, _frozen(seg.conj().T)))
+            plan.append(seg)
         else:
             run.append(seg)
     close_run()
@@ -654,9 +686,21 @@ def walk(sys: SpinSystem, unit, steps, rho0s) -> np.ndarray:
     map gives it: a coefficient of modulus at most 1 (compile_program
     refuses a K that overflows) times a zero of every state. level_phases
     refuses overflow in the phases it computes, the occupied levels'. A
-    single catalog state occupies L = 2 of the 8 levels. A dense
-    segment makes the walk expand the unit over the draw once and step one
-    (n, shots, 8, 8) stack of every state through it instead.
+    single catalog state occupies L = 2 of the 8 levels.
+
+    Each frame is checked for refocusing as it is built, in one vectorised
+    pass over the elements some state occupies (module docstring): it
+    refocuses when max |H[a] - H[b]|_inf * sys.disorder.phase_rate() is
+    at most REFOCUS_RAD, with H on the frame's rows. While every frame so
+    far refocuses, G is never formed and step i records K_i, so a walk
+    whose frames all refocus calls no level_phases and makes no GEMM. At
+    the first frame that does not, G starts from ones and the walk steps
+    it as above from there on; each refocused step before it moved every
+    occupied element's phase by at most REFOCUS_RAD. Zero widths give a
+    rate of 0, so every frame refocuses.
+
+    A dense segment makes the walk expand the unit over the draw once and
+    step one (n, shots, 8, 8) stack of every state through it instead.
 
     The result, all (n, T, 8, 8) of it, is checked as one stack to be
     density matrices before anything, tomography readout included, reads
@@ -680,10 +724,11 @@ def walk(sys: SpinSystem, unit, steps, rho0s) -> np.ndarray:
     if fused:
         union = (rho0s != 0).any(axis=0)  # NaN and inf are nonzero
         occ = np.flatnonzero(union.any(axis=0) | union.any(axis=1))
-        full, frames = len(occ) == DIM, {}
-        k, g = np.ones((len(occ),) * 2, dtype=complex), np.ones((len(deltas), len(occ)), complex)
+        ea, eb = np.nonzero(union[occ[:, None], occ])  # the occupied elements, by position
+        rate, full, frames = sys.disorder.phase_rate(), len(occ) == DIM, {}
+        k, g = np.ones((len(occ),) * 2, dtype=complex), None  # no G while every frame refocuses
         means = np.empty((len(steps), len(occ), len(occ)), complex)
-        rows_at, rows, key, moved = [], occ, None, False
+        rows_at, rows, key, moved, shots_from = [], occ, None, False, len(steps)
         for i, j in enumerate(which):
             if plans[j]:  # plan j entered on rows (key None for occ), built once per pair
                 if (j, key) not in frames:
@@ -693,13 +738,24 @@ def walk(sys: SpinSystem, unit, steps, rho0s) -> np.ndarray:
                     to_key = None if np.array_equal(to, occ) else to.tobytes()
                     if to_key is not None or not full:
                         k_step, h = k_step[to[:, None], to], h[to]
-                    frames[j, key] = to, to_key, k_step, level_phases(h, deltas)
-                rows, key, k_step, g_step = frames[j, key]
-                k, g = k_step * k, g_step * g
-            means[i] = k * (g.T @ g.conj())
+                    # checked only while G is None; NaN (an overflowing rate times 0) fails
+                    refocused = (g is None and float(np.abs(h[ea] - h[eb]).max(initial=0.0))
+                                 * rate <= REFOCUS_RAD)
+                    frames[j, key] = [to, to_key, k_step, h, None if refocused
+                                      else level_phases(h, deltas)]
+                frame = frames[j, key]
+                rows, key, k_step, h, g_step = frame
+                k = k_step * k
+                if g_step is not None or g is not None:  # the walk takes shots from here on
+                    if g is None:
+                        g, shots_from = np.ones((len(deltas), len(occ)), complex), i
+                    if g_step is None:  # a refocused frame met again after the switch
+                        g_step = frame[4] = level_phases(h, deltas)
+                    g = g_step * g
+            means[i] = k if g is None else k * (g.T @ g.conj())
             rows_at.append(rows)
             moved = moved or key is not None
-        means /= len(deltas)
+        means[shots_from:] /= len(deltas)
         out = means * (rho0s if full else rho0s[:, occ[:, None], occ])[:, None]
         if moved or not full:  # every other entry reads a zero of every state: it stays zero
             t = np.arange(len(steps))[:, None, None]

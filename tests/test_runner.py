@@ -198,6 +198,26 @@ def test_dd_refocuses_static_disorder_exactly():
     assert with_d.values == pytest.approx(without.values, abs=1e-9)
 
 
+def test_refocused_dd_curves_do_not_move_with_the_disorder():
+    # with ideal pulses every DD walk of the grid refocuses its elements, so it
+    # records K alone: bitwise the same curve at any width or seed, zero included
+    base = runner.default_system()
+    runs = [runner.run_grid(dataclasses.replace(base, disorder=disorder)) for disorder in (
+        base.disorder,
+        dataclasses.replace(base.disorder, sigma=(0.0, 0.0, 0.0), sigma_corr=0.0),
+        dataclasses.replace(base.disorder, sigma_corr=5.0),
+        dataclasses.replace(base.disorder, seed=3))]
+
+    def curves(run, free):
+        return [c.values for c in run.curves if (c.protocol.kind == "FreeEv") == free]
+
+    assert len(curves(runs[0], False)) == 52
+    for run in runs[1:]:
+        assert curves(run, False) == curves(runs[0], False)
+    # free evolution still takes the shots: another seed moves its curves
+    assert curves(runs[3], True) != curves(runs[0], True)
+
+
 def test_free_evolution_feels_disorder_as_gaussian_decay():
     sigma = 1.5
     sys = SpinSystem(noise=NoiseModel(),

@@ -428,6 +428,21 @@ def test_a_system_equal_but_for_its_disorder_shares_the_read_only_plan():
                 a[(0,) * a.ndim] = 0
 
 
+def test_equal_dense_pulses_share_one_read_only_segment():
+    # a flip error makes every pulse of the modified KDD20 pair unit dense: its 42
+    # pulses are 6 distinct rotations, and each keeps one U and one U dagger
+    cycle = ddseq.modify(ddseq.generate("KDD20", 5e-4, 2e-5, (1, 2)))
+    sys = SpinSystem(pulse=PulseErrorModel(flip_fraction_error=0.02))
+    plan = spinsys.compile_program(sys, *ddseq.program(cycle, cycle.unit_cycles))
+    dense = [seg for seg in plan if seg[0] == "dense"]
+    assert len(dense) == 42
+    for i in (1, 2):
+        assert len({id(seg[i]) for seg in dense}) == 6
+    for _, u, u_dagger in dense:
+        assert np.array_equal(u_dagger, u.conj().T)
+        assert not u.flags.writeable and not u_dagger.flags.writeable
+
+
 @pytest.mark.parametrize("change", [
     dict(offsets=(510.0, -300.0, 150.0)),
     dict(couplings=(48.0, 162.0, -192.0)),

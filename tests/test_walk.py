@@ -22,8 +22,12 @@ its frame and per-shot level phases and read by every state at once, must
 match the expanded plan walked on a (shots, 8, 8) stack, for every
 protocol of the grid and the star run. It steps only the levels its states
 occupy, so each state walked alone must match too, under real pulses and
-under general signed permutations; a dense walk, which steps the
-shot stacks of all its states as one, must equal each state walked alone;
+under general signed permutations. A frame that refocuses every element
+its states occupy adds no shot: the grid's DD walks record K alone and
+must still match the shot walk on the states the grid serves them, and a
+walk takes the shots from its first frame that does not refocus. A dense
+walk, which steps the shot stacks of all its states as one, must equal
+each state walked alone;
 and the grid, which walks each protocol once for all its states and steps
 no shot stack when it is fused, must match one run_decay per curve.
 """
@@ -357,9 +361,8 @@ def test_map_walk_matches_state_walk(name, monkeypatch):
     assert bool(stack_steps) == (cycle is not None)
 
 
-def test_a_fused_walk_steps_the_levels_its_states_occupy(monkeypatch):
-    # level phases are asked for on the occupied rows only: a catalog state
-    # occupies two levels, the seven table states all eight
+def _recording_level_phases(monkeypatch) -> list:
+    """Record the shape of the filter-function rows each level_phases call is asked for."""
     rows, real = [], spinsys.level_phases
 
     def recording(h, deltas):
@@ -367,16 +370,70 @@ def test_a_fused_walk_steps_the_levels_its_states_occupy(monkeypatch):
         return real(h, deltas)
 
     monkeypatch.setattr(spinsys, "level_phases", recording)
+    return rows
+
+
+def test_a_fused_walk_steps_the_levels_its_states_occupy(monkeypatch):
+    # level phases are asked for on the occupied rows only, and only by a walk that
+    # takes shots: a catalog state occupies two levels, the seven table states all eight
+    rows = _recording_level_phases(monkeypatch)
     sys = runner.default_system()
-    for cycle in (None, runner.build_cycle(runner.default_protocol("DD1sp", "psi1a", "XY8"))):
-        times = runner.default_time_grid(None if cycle is None else cycle.unit_duration)
-        for state_ids, shape in ((["psi1a"], (2, 3)), (runner.TABLE_STATES, (8, 3))):
-            rows.clear()
-            runner._walk(sys, cycle, times, [circuits.prepare(s) for s in state_ids])
-            assert rows and set(rows) == {shape}
+    dd1 = runner.default_protocol("DD1sp", "psi1a", "XY8")
+
+    def walked(proto, state_ids):
+        cycle = runner.build_cycle(proto)
+        rows.clear()
+        runner._walk(sys, cycle, runner.default_time_grid(None if cycle is None else
+                                                          cycle.unit_duration),
+                     [circuits.prepare(s) for s in state_ids])
+        return list(rows)
+
+    for proto in (runner.default_protocol("FreeEv"), dd1):
+        got = walked(proto, runner.TABLE_STATES)
+        assert got and set(got) == {(8, 3)}
+    got = walked(runner.default_protocol("FreeEv"), ["psi1a"])
+    assert got and set(got) == {(2, 3)}
+    # DD1sp on the spin psi1a's coherence lives on refocuses it: K alone, no phases
+    assert walked(dd1, ["psi1a"]) == []
+    # psi0a's coherence also lives on spin 2, which DD1sp on spin 1 leaves to the
+    # disorder: its walk takes shots, on its two rows, once per distinct step
+    off_target = runner.Protocol("DD1sp", "XY8", dd1.tau, dd1.t_p, (1,))
+    assert runner.differing_qubits("psi0a") == (1, 2)
+    cycle = runner.build_cycle(off_target)
+    counts = [ddseq.unit_count(t, cycle.unit_duration, cycle.name)
+              for t in runner.default_time_grid(cycle.unit_duration)]
+    assert walked(off_target, ["psi0a"]) == [(2, 3)] * len(set(np.diff(counts)))
     # no recorded step, on two levels or all eight, is an empty record of each state
     for rho0 in (circuits.prepare("psi1a"), np.eye(spinsys.DIM) / spinsys.DIM):
         assert spinsys.walk(sys, None, [], [rho0]).shape == (1, 0, spinsys.DIM, spinsys.DIM)
+
+
+def test_a_walk_takes_shots_from_its_first_frame_that_does_not_refocus(monkeypatch):
+    # free gaps of 2 ps, 10 ns and 10 s under a faint common-mode width: the 2 ps
+    # gap's frame refocuses every element, within REFOCUS_RAD, and the others do not.
+    # The walk records K alone until the 10 ns gap, takes the shots from there on,
+    # and asks for the 2 ps gap's phases only when it meets that frame again
+    sys = SpinSystem(noise=NoiseModel(), disorder=DisorderModel((0.0, 0.0, 0.0), 0.005,
+                                                                shots=64, seed=5))
+    short, medium, long = 2e-12, 1e-8, 10.0
+    rate = sys.disorder.phase_rate()
+    assert short * rate <= spinsys.REFOCUS_RAD < 1000 * spinsys.REFOCUS_RAD <= medium * rate
+    assert long * rate >= 1.0
+    rho0 = random_rho(np.random.default_rng(31), spinsys.DIM)
+    rows = _recording_level_phases(monkeypatch)
+    steps = [short, short, medium, short, long, short]
+    got = spinsys.walk(sys, None, steps, [rho0])[0]
+    assert rows == [(8, 3)] * 3
+    monkeypatch.undo()
+    deltas = sys.disorder.draw()
+    states = np.broadcast_to(rho0, (len(deltas),) + rho0.shape).copy()
+    for step, walked in zip(steps, got):
+        plan = spinsys.expand_program(spinsys.compile_program(sys, (), step), deltas)
+        states = spinsys.apply_program(states, plan)
+        assert np.max(np.abs(walked - states.mean(0))) <= 1e-12
+    # the disorder acts: the long gaps move the state away from its disorder-free walk
+    assert np.max(np.abs(got - spinsys.walk(replace(sys, disorder=DisorderModel()), None,
+                                            steps, [rho0])[0])) > 0.01
 
 
 def _grid_protocols():
@@ -414,6 +471,32 @@ def test_frame_walk_matches_the_expanded_shot_walk(name, monkeypatch):
     for rho0, got in zip(rho0s, walked):
         want = _state_walk(sys, cycle, times, rho0)
         assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_each_grid_walk_matches_the_shot_walk_on_the_states_it_serves(monkeypatch):
+    # the grid's own walks, each on exactly the catalog states run_grid serves with
+    # it: its 21 DD walks refocus every element they occupy and record K alone,
+    # free evolution takes shots, and every state matches its expanded shot walk
+    real_walk = runner._walk
+    rows, walks = _recording_level_phases(monkeypatch), []
+
+    def recording(sys, cycle, times, rho0s):
+        rows.clear()
+        out = real_walk(sys, cycle, times, rho0s)
+        walks.append((cycle, times, rho0s, out, len(rows)))
+        return out
+
+    monkeypatch.setattr(runner, "_walk", recording)
+    sys = runner.default_system()  # the committed 512-shot disorder
+    runner.run_grid(sys)
+    monkeypatch.undo()
+    assert len(walks) == len(GRID_PROTOCOLS) == 22
+    # the grid's 59 curves; a walk of several states refocuses the elements they occupy
+    assert sum(len(rho0s) for _, _, rho0s, _, _ in walks) == 59
+    for cycle, times, rho0s, got, calls in walks:
+        assert (calls > 0) == (cycle is None)
+        for rho0, states in zip(rho0s, got):
+            assert np.max(np.abs(states - _state_walk(sys, cycle, times, rho0))) <= 1e-12
 
 
 def test_an_all_fused_plan_is_one_frame_or_none():
