@@ -62,8 +62,9 @@ def _parse_families(raw: str | None) -> tuple[str, ...]:
 
 
 def _parse_targets(raw: str) -> tuple[int, ...]:
+    items = spinsys.split_list(raw, "--targets")
     try:
-        return tuple(int(p) for p in raw.replace(",", " ").split())
+        return tuple(int(p) for p in items)
     except ValueError:
         raise spinsys.ConfigError(f"bad target list '{raw}', want e.g. 1,2") from None
 

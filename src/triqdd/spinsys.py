@@ -89,27 +89,21 @@ phase per level, u, so K = (u u^H) * exp(E). The shot-s map is C_s = K * g_s g_s
 outer product of eight phases; expand_program writes it out over a draw
 for a walk that steps shot stacks through dense segments.
 
-A fused map acts element by element, rho_ab -> C_ab rho_{P a, P b}, so
-an element that no input state occupies stays exactly zero. walk
-therefore steps a fused walk's K and level phases only on the levels its
-states occupy (a catalog state occupies two of the eight), and writes
-zeros elsewhere: the values are those of the full map, which would
-multiply a finite coefficient by zero, and the whole (n, T, 8, 8) result
-is still checked as one stack.
-
 A shot turns element (a, b) of a fused frame by 2 pi (H[a] - H[b]) . delta_s
 only, so an element whose two levels share their filter function is
 refocused: its zero-frequency filter function vanishes (Cywinski et al.,
-PRB 77, 174509 (2008)) and every shot gives it K. walk counts a frame as
-refocused when |H[a] - H[b]|_inf * 2 pi max_s |delta_s|_1, a bound on that
-phase in every shot, is at most REFOCUS_RAD = 1e-12 rad on every element
-some state occupies; an overflowing bound (inf or NaN) is not. A walk
-whose frames all refocus records K alone: no level phases, no shots. DD
-on the qubits a coherence lives on refocuses it, as the paper's
-designated protocols and every all-spin family do, so 21 of the grid's
-22 walks take no shots; free evolution and both star pairs (mXY8 on a
-pair, with the third spin's coherences occupied) still do, as does any
-walk at the first frame that is not refocused.
+PRB 77, 174509 (2008)) and every shot gives it K. walk decides the shots
+once per walk: when every frame's |H[a] - H[b]|_inf * 2 pi max_s |delta_s|_1,
+a bound on that phase in every shot, is at most REFOCUS_RAD = 1e-12 rad on
+every element some state occupies, the walk records K alone: no level
+phases, no shots. Otherwise, an overflowing bound (inf or NaN) included,
+it takes every frame's shots from its first step. DD on the qubits a
+coherence lives on refocuses it, as the paper's designated protocols and
+every all-spin family do, so 21 of the grid's 22 walks take no shots;
+free evolution and both star pairs (mXY8 on a pair, with the third
+spin's coherences occupied) take them. Either way a fused walk steps all
+eight levels, so a state's record depends on the states beside it only
+through that one decision.
 """
 
 from __future__ import annotations
@@ -470,7 +464,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 PLAN_CACHE_SIZE = 64  # compiled plans kept per process (compile_program)
-REFOCUS_RAD = 1e-12  # disorder phase, rad, under which a fused frame refocuses (walk)
+REFOCUS_RAD = 1e-12  # disorder phase, rad, under which every frame of a walk refocuses (walk)
 
 
 def compile_program(sys: SpinSystem, events, duration: float) -> tuple:
@@ -561,11 +555,10 @@ def _compiled(offsets, couplings, noise, pulse_model, events, duration) -> tuple
 
 
 def level_phases(h: np.ndarray, deltas) -> np.ndarray:
-    """Per-shot level phases g_s[a] = exp(-2 pi i H[a] . delta_s), (shots, L).
+    """Per-shot level phases g_s[a] = exp(-2 pi i H[a] . delta_s), (shots, 8).
 
-    h is a fused frame's filter function on L of its levels, (L, 3), all
-    eight or the rows a walk occupies, and deltas a (shots, 3) offset
-    draw; shifts that overflow the phases are a ConfigError.
+    h is a fused frame's filter function, (8, 3), and deltas a (shots, 3)
+    offset draw; shifts that overflow the phases are a ConfigError.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         angle = -2.0 * np.pi * (deltas @ h.T)
@@ -674,30 +667,25 @@ def walk(sys: SpinSystem, unit, steps, rho0s) -> np.ndarray:
     repeat_program build it (module docstring), and a second frame fails to
     unpack. The state of shot s after step i is C_i(s) * rho0[P_i][:, P_i]
     with C_i(s) = K_i * g_i(s) g_i(s)^H and a permutation P_i that no shot
-    changes. Entry (a, b) reads only rho0[P_i a, P_i b], so the walk keeps
-    the L occupied levels, those whose row or column is nonzero (NaN and
-    inf included) in any input state, and the rows R_i = P_i^-1(occupied)
-    they have moved to. It steps K_i on R_i x R_i, (L, L), and the per-shot
-    level phases G_i on R_i, (shots, L), never a shot stack; a permuting
-    frame only moves the rows, R <- argsort(p)[R]. Each step's frame is
+    changes. The walk steps K_i, (8, 8), and the per-shot level phases G_i,
+    (shots, 8), on all eight levels, never a shot stack, and reads every
+    state at once. It keeps the rows R_i = P_i^-1(levels) the levels have
+    moved to: a permuting frame only moves them, R <- argsort(p)[R], and a
+    permutation-free walk never leaves the identity. Each step's frame is
     built once per (plan, rows) pair, and the shot mean of C_i is
-    K_i * (G_i^T G_i*) / shots, one (L x shots)(shots x L) GEMM per
-    recorded step. Every other entry is exactly zero, the value the full
-    map gives it: a coefficient of modulus at most 1 (compile_program
-    refuses a K that overflows) times a zero of every state. level_phases
-    refuses overflow in the phases it computes, the occupied levels'. A
-    single catalog state occupies L = 2 of the 8 levels.
+    K_i * (G_i^T G_i*) / shots, one (8 x shots)(shots x 8) GEMM per
+    recorded step.
 
-    Each frame is checked for refocusing as it is built, in one vectorised
-    pass over the elements some state occupies (module docstring): it
-    refocuses when max |H[a] - H[b]|_inf * sys.disorder.phase_rate() is
-    at most REFOCUS_RAD, with H on the frame's rows. While every frame so
-    far refocuses, G is never formed and step i records K_i, so a walk
-    whose frames all refocus calls no level_phases and makes no GEMM. At
-    the first frame that does not, G starts from ones and the walk steps
-    it as above from there on; each refocused step before it moved every
-    occupied element's phase by at most REFOCUS_RAD. Zero widths give a
-    rate of 0, so every frame refocuses.
+    The shots are decided once per walk, over the elements some state
+    occupies, those nonzero (NaN and inf included) in any input state
+    (module docstring): if every frame's max |H[a] - H[b]|_inf *
+    sys.disorder.phase_rate() is at most REFOCUS_RAD, with H on the
+    frame's rows, G is never formed and step i records K_i, so the walk
+    calls no level_phases and makes no GEMM; each step moved every
+    occupied element's phase by at most REFOCUS_RAD. Otherwise every
+    frame's G is formed, once per distinct frame, and the walk takes the
+    shots from its first step. Zero widths give a rate of 0, so every
+    frame refocuses.
 
     A dense segment makes the walk expand the unit over the draw once and
     step one (n, shots, 8, 8) stack of every state through it instead.
@@ -722,46 +710,37 @@ def walk(sys: SpinSystem, unit, steps, rho0s) -> np.ndarray:
             plans[i] = ([] if step == 0 else compile_program(sys, (), step)
                         if unit is None else repeat_program(unit, int(step)))
     if fused:
-        union = (rho0s != 0).any(axis=0)  # NaN and inf are nonzero
-        occ = np.flatnonzero(union.any(axis=0) | union.any(axis=1))
-        ea, eb = np.nonzero(union[occ[:, None], occ])  # the occupied elements, by position
-        rate, full, frames = sys.disorder.phase_rate(), len(occ) == DIM, {}
-        k, g = np.ones((len(occ),) * 2, dtype=complex), None  # no G while every frame refocuses
-        means = np.empty((len(steps), len(occ), len(occ)), complex)
-        rows_at, rows, key, moved, shots_from = [], occ, None, False, len(steps)
-        for i, j in enumerate(which):
-            if plans[j]:  # plan j entered on rows (key None for occ), built once per pair
-                if (j, key) not in frames:
-                    [(_, k_step, h, p)] = plans[j]  # one frame: a second one fails here
-                    # the map reads rho[p][:, p]: row a moves to argsort(p)[a]
-                    to = rows if p is None else np.argsort(p)[rows]
-                    to_key = None if np.array_equal(to, occ) else to.tobytes()
-                    if to_key is not None or not full:
-                        k_step, h = k_step[to[:, None], to], h[to]
-                    # checked only while G is None; NaN (an overflowing rate times 0) fails
-                    refocused = (g is None and float(np.abs(h[ea] - h[eb]).max(initial=0.0))
-                                 * rate <= REFOCUS_RAD)
-                    frames[j, key] = [to, to_key, k_step, h, None if refocused
-                                      else level_phases(h, deltas)]
-                frame = frames[j, key]
-                rows, key, k_step, h, g_step = frame
-                k = k_step * k
-                if g_step is not None or g is not None:  # the walk takes shots from here on
-                    if g is None:
-                        g, shots_from = np.ones((len(deltas), len(occ)), complex), i
-                    if g_step is None:  # a refocused frame met again after the switch
-                        g_step = frame[4] = level_phases(h, deltas)
-                    g = g_step * g
-            means[i] = k if g is None else k * (g.T @ g.conj())
+        ea, eb = np.nonzero((rho0s != 0).any(axis=0))  # the occupied elements; NaN and inf count
+        frames, walked, rows_at, rows, key = {}, [], [], np.arange(DIM), None
+        for j in which:  # each step's frame, None for the empty plan, and the rows it leaves
+            if plans[j] and (j, key) not in frames:  # plan j entered on rows (key None: levels)
+                [(_, k_step, h, p)] = plans[j]  # one frame: a second one fails here
+                # the map reads rho[p][:, p]: row a moves to argsort(p)[a]
+                to = rows if p is None else np.argsort(p)[rows]
+                to_key = None if np.array_equal(to, np.arange(DIM)) else to.tobytes()
+                if to_key is not None:
+                    k_step, h = k_step[to[:, None], to], h[to]
+                frames[j, key] = [to, to_key, k_step, h]
+            walked.append(frames[j, key] if plans[j] else None)
+            rows, key = walked[-1][:2] if plans[j] else (rows, key)
             rows_at.append(rows)
-            moved = moved or key is not None
-        means[shots_from:] /= len(deltas)
-        out = means * (rho0s if full else rho0s[:, occ[:, None], occ])[:, None]
-        if moved or not full:  # every other entry reads a zero of every state: it stays zero
-            t = np.arange(len(steps))[:, None, None]
-            rows_at = np.array(rows_at, dtype=int).reshape(len(steps), len(occ))
-            out, occupied = np.zeros(out.shape[:2] + (DIM, DIM), complex), out
-            out[:, t, rows_at[:, :, None], rows_at[:, None, :]] = occupied
+        # one decision per walk; NaN (an overflowing rate times 0) takes the shots
+        rate = sys.disorder.phase_rate()
+        shots = not all(float(np.abs(h[ea] - h[eb]).max(initial=0.0)) * rate <= REFOCUS_RAD
+                        for *_, h in frames.values())
+        for frame in frames.values():  # once per distinct frame, and only for a walk with shots
+            frame.append(level_phases(frame[3], deltas) if shots else None)
+        k, g = np.ones((DIM, DIM), dtype=complex), np.ones((len(deltas), DIM), dtype=complex)
+        means = np.empty((len(steps), DIM, DIM), complex)
+        for i, frame in enumerate(walked):
+            if frame is not None:
+                k = frame[2] * k
+                g = frame[4] * g if shots else g
+            means[i] = k * (g.T @ g.conj()) / len(deltas) if shots else k
+        out = means * rho0s[:, None]
+        if any(to_key is not None for _, to_key, *_ in frames.values()):  # a unit moved the rows
+            t, rows_at = np.arange(len(steps))[:, None, None], np.array(rows_at)
+            out[:, t, rows_at[:, :, None], rows_at[:, None, :]] = out.copy()
     else:
         out = np.empty((len(rho0s), len(steps), DIM, DIM), dtype=complex)
         states = np.repeat(rho0s[:, None], len(deltas), axis=1)
@@ -790,10 +769,17 @@ def read_ini(text: str) -> dict[str, dict[str, str]]:
     return {name: dict(cp[name]) for name in cp.sections()}
 
 
+def split_list(raw: str, where: str) -> list[str]:
+    """Items of a list set apart by commas, blanks or both; an empty item is refused."""
+    parts = [part.split() for part in raw.split(",")]
+    if len(parts) > 1 and not all(parts):
+        raise ConfigError(f"{where}: empty item in '{raw}'")
+    return [item for part in parts for item in part]
+
+
 def _floats(raw: str, count: int, where: str) -> tuple[float, ...]:
-    parts = [p.strip() for p in raw.replace(",", " ").split()]
     try:
-        vals = tuple(float(p) for p in parts)
+        vals = tuple(float(p) for p in split_list(raw, where))
     except ValueError as exc:
         raise ConfigError(f"{where}: expected numbers, got '{raw}'") from exc
     if not np.all(np.isfinite(vals)):

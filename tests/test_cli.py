@@ -100,6 +100,10 @@ def test_sequences_rejects_bad_input(capsys):
         assert code == 2 and "must be finite" in err and not out
     code, out, err = run_cli(capsys, "sequences", "XY8", "--targets", "1,1")
     assert code == 2 and "duplicate target in (1, 1)" in err and not out
+    # an empty item is refused by its key, not dropped: 1,,2 is not the targets 1,2
+    for targets in ("1,,2", ",1", "1,2,"):
+        code, out, err = run_cli(capsys, "sequences", "XY8", "--targets", targets)
+        assert code == 2 and f"--targets: empty item in '{targets}'" in err and not out
     # slot 0's doubled window would start before the cycle when t_p > tau
     code, out, err = run_cli(capsys, "sequences", "XY8", "--targets", "1,2", "--modified",
                              "--slot", "0", "--tau", "1e-3", "--tp", "1.5e-3")
@@ -209,6 +213,11 @@ def test_decay_rejects_broken_config(capsys, tmp_path):
     assert not (tmp_path / "d.csv").exists()
     code, _, err = run_cli(capsys, "decay", "--set", "shots=16")
     assert code == 2 and "section.key=value" in err
+    # an empty item in a comma list is refused by its key, not dropped
+    code, out, err = run_cli(capsys, *decay_args(tmp_path, "--set",
+                                                 "system.couplings_hz=48,,161,-192"))
+    assert code == 2 and "[system] couplings_hz: empty item in '48,,161,-192'" in err
+    assert not out and not (tmp_path / "curves.csv").exists()
     # the pulse section sets no width: widths come from the delay table
     code, _, err = run_cli(capsys, *decay_args(tmp_path, "--set", "pulse.duration_s=2e-5"))
     assert code == 2 and "unknown key 'duration_s'" in err

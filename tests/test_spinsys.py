@@ -516,6 +516,18 @@ def test_config_rejects_malformed_values():
             spinsys.system_from_text(text)
 
 
+def test_config_refuses_an_empty_item_in_a_comma_list():
+    # an empty item is never dropped: 48,,161,-192 is not the three couplings 48 161 -192
+    for raw in ("48,,161,-192", ",48,161,-192", "48,161,-192,", "48, ,161,-192"):
+        with pytest.raises(ConfigError, match=r"\[system\] couplings_hz: empty item in"):
+            spinsys.system_from_text(f"[system]\ncouplings_hz = {raw}\n")
+    # commas, blanks or both set the items apart
+    for raw in ("48,161,-192", "48 161 -192", "48, 161, -192", " 48 ,161 , -192 "):
+        assert spinsys.system_from_text(
+            f"[system]\ncouplings_hz = {raw}\n").couplings == (48.0, 161.0, -192.0)
+    assert spinsys.split_list("", "x") == [] and spinsys.split_list("1 2,3", "x") == ["1", "2", "3"]
+
+
 def test_config_parses_disorder_keys_while_disorder_is_off():
     # at zero widths disorder is off, yet every [disorder] key is parsed and validated
     for bad in ("sigma_hz = abc", "sigma_hz = 1 2", "sigma_hz = 0 -1 0", "sigma_corr_hz = -2",

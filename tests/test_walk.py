@@ -20,16 +20,16 @@ the closed-form power of one fused segment or the concatenation of a
 dense unit's own segments. A fused walk's shot-averaged map, stepped on
 its frame and per-shot level phases and read by every state at once, must
 match the expanded plan walked on a (shots, 8, 8) stack, for every
-protocol of the grid and the star run. It steps only the levels its states
-occupy, so each state walked alone must match too, under real pulses and
-under general signed permutations. A frame that refocuses every element
-its states occupy adds no shot: the grid's DD walks record K alone and
-must still match the shot walk on the states the grid serves them, and a
-walk takes the shots from its first frame that does not refocus. A dense
-walk, which steps the shot stacks of all its states as one, must equal
-each state walked alone;
-and the grid, which walks each protocol once for all its states and steps
-no shot stack when it is fused, must match one run_decay per curve.
+protocol of the grid and the star run. It steps all eight levels, so each
+state walked alone must match too, under real pulses and under general
+signed permutations. The shots are decided once per walk: a walk whose
+frames all refocus every element its states occupy records K alone, as the
+grid's DD walks do, which must still match the shot walk on the states the
+grid serves them, and a walk with any frame that does not refocus takes
+every frame's shots. A dense walk, which steps the shot stacks of all its
+states as one, must equal each state walked alone; and the grid, which
+walks each protocol once for all its states and steps no shot stack when
+it is fused, must match one run_decay per curve bit for bit.
 """
 
 from dataclasses import replace
@@ -335,8 +335,9 @@ def test_map_walk_matches_state_walk(name, monkeypatch):
     for state_id, got in zip(state_ids, walked):
         want = _state_walk(sys, cycle, times, circuits.prepare(state_id))
         assert np.max(np.abs(got - want)) <= 1e-12
-        # walked alone, a state steps only the levels it occupies (two, or four for
-        # the star), and the permuting units move those rows
+        # walked alone, a state matches too, and the permuting units move its rows; a
+        # unit may refocus one state's elements but not its walk-mates', so the walk
+        # alone may record K where the shared walk takes the shots
         alone = runner._walk(sys, cycle, times, [circuits.prepare(state_id)])[0]
         assert np.max(np.abs(alone - want)) <= 1e-12
     # |000><000| lands on |a><a| with P_t[a] = 0; the pulses flip bits, so P_t is
@@ -362,20 +363,20 @@ def test_map_walk_matches_state_walk(name, monkeypatch):
 
 
 def _recording_level_phases(monkeypatch) -> list:
-    """Record the shape of the filter-function rows each level_phases call is asked for."""
+    """Record the filter-function rows each level_phases call is asked for."""
     rows, real = [], spinsys.level_phases
 
     def recording(h, deltas):
-        rows.append(np.shape(h))
+        rows.append(np.array(h))
         return real(h, deltas)
 
     monkeypatch.setattr(spinsys, "level_phases", recording)
     return rows
 
 
-def test_a_fused_walk_steps_the_levels_its_states_occupy(monkeypatch):
-    # level phases are asked for on the occupied rows only, and only by a walk that
-    # takes shots: a catalog state occupies two levels, the seven table states all eight
+def test_a_fused_walk_steps_all_eight_levels(monkeypatch):
+    # a walk asks for level phases on all eight levels, once per distinct frame, and
+    # only when it takes shots, whether it carries one state or seven
     rows = _recording_level_phases(monkeypatch)
     sys = runner.default_system()
     dd1 = runner.default_protocol("DD1sp", "psi1a", "XY8")
@@ -386,33 +387,40 @@ def test_a_fused_walk_steps_the_levels_its_states_occupy(monkeypatch):
         runner._walk(sys, cycle, runner.default_time_grid(None if cycle is None else
                                                           cycle.unit_duration),
                      [circuits.prepare(s) for s in state_ids])
-        return list(rows)
+        return [h.shape for h in rows]
 
-    for proto in (runner.default_protocol("FreeEv"), dd1):
-        got = walked(proto, runner.TABLE_STATES)
-        assert got and set(got) == {(8, 3)}
-    got = walked(runner.default_protocol("FreeEv"), ["psi1a"])
-    assert got and set(got) == {(2, 3)}
+    def frame_count(cycle):  # the distinct nonzero steps of the walk on the default grid
+        times = runner.default_time_grid(None if cycle is None else cycle.unit_duration)
+        if cycle is None:
+            return len({round(b - a, 12) for a, b in zip(times, times[1:])})
+        counts = [ddseq.unit_count(t, cycle.unit_duration, cycle.name) for t in times]
+        return len(set(np.diff(counts, prepend=0)) - {0})
+
+    free = runner.default_protocol("FreeEv")
+    for proto, state_ids in ((free, runner.TABLE_STATES), (dd1, runner.TABLE_STATES),
+                             (free, ["psi1a"])):
+        assert walked(proto, state_ids) == [(8, 3)] * frame_count(runner.build_cycle(proto))
     # DD1sp on the spin psi1a's coherence lives on refocuses it: K alone, no phases
     assert walked(dd1, ["psi1a"]) == []
     # psi0a's coherence also lives on spin 2, which DD1sp on spin 1 leaves to the
-    # disorder: its walk takes shots, on its two rows, once per distinct step
+    # disorder: its walk takes shots, on all eight levels, once per distinct frame
     off_target = runner.Protocol("DD1sp", "XY8", dd1.tau, dd1.t_p, (1,))
     assert runner.differing_qubits("psi0a") == (1, 2)
     cycle = runner.build_cycle(off_target)
-    counts = [ddseq.unit_count(t, cycle.unit_duration, cycle.name)
-              for t in runner.default_time_grid(cycle.unit_duration)]
-    assert walked(off_target, ["psi0a"]) == [(2, 3)] * len(set(np.diff(counts)))
-    # no recorded step, on two levels or all eight, is an empty record of each state
+    assert frame_count(cycle) > 1
+    assert walked(off_target, ["psi0a"]) == [(8, 3)] * frame_count(cycle)
+    # no recorded step, for one catalog state or the maximally mixed one, is an empty
+    # record of each state
     for rho0 in (circuits.prepare("psi1a"), np.eye(spinsys.DIM) / spinsys.DIM):
         assert spinsys.walk(sys, None, [], [rho0]).shape == (1, 0, spinsys.DIM, spinsys.DIM)
 
 
-def test_a_walk_takes_shots_from_its_first_frame_that_does_not_refocus(monkeypatch):
+def test_a_walk_with_a_frame_that_does_not_refocus_takes_every_frames_shots(monkeypatch):
     # free gaps of 2 ps, 10 ns and 10 s under a faint common-mode width: the 2 ps
     # gap's frame refocuses every element, within REFOCUS_RAD, and the others do not.
-    # The walk records K alone until the 10 ns gap, takes the shots from there on,
-    # and asks for the 2 ps gap's phases only when it meets that frame again
+    # The shots are decided once per walk: a walk of 2 ps gaps alone records K and
+    # asks for no phases, and a walk that meets any other gap takes every frame's
+    # shots from its first step, asking once for each of its three distinct frames
     sys = SpinSystem(noise=NoiseModel(), disorder=DisorderModel((0.0, 0.0, 0.0), 0.005,
                                                                 shots=64, seed=5))
     short, medium, long = 2e-12, 1e-8, 10.0
@@ -421,16 +429,22 @@ def test_a_walk_takes_shots_from_its_first_frame_that_does_not_refocus(monkeypat
     assert long * rate >= 1.0
     rho0 = random_rho(np.random.default_rng(31), spinsys.DIM)
     rows = _recording_level_phases(monkeypatch)
+    refocused = spinsys.walk(sys, None, [short, short], [rho0])[0]
+    assert rows == []
     steps = [short, short, medium, short, long, short]
     got = spinsys.walk(sys, None, steps, [rho0])[0]
-    assert rows == [(8, 3)] * 3
+    assert [h.shape for h in rows] == [(8, 3)] * 3
+    # the first step's frame is asked for first: a free gap's H is the gap times s / 2
+    assert [2 * np.abs(h).max() for h in rows] == pytest.approx([short, medium, long])
     monkeypatch.undo()
     deltas = sys.disorder.draw()
     states = np.broadcast_to(rho0, (len(deltas),) + rho0.shape).copy()
-    for step, walked in zip(steps, got):
+    for i, (step, walked) in enumerate(zip(steps, got)):
         plan = spinsys.expand_program(spinsys.compile_program(sys, (), step), deltas)
         states = spinsys.apply_program(states, plan)
         assert np.max(np.abs(walked - states.mean(0))) <= 1e-12
+        if i < len(refocused):  # K alone moved each refocused element by at most REFOCUS_RAD
+            assert np.max(np.abs(refocused[i] - states.mean(0))) <= 1e-12
     # the disorder acts: the long gaps move the state away from its disorder-free walk
     assert np.max(np.abs(got - spinsys.walk(replace(sys, disorder=DisorderModel()), None,
                                             steps, [rho0])[0])) > 0.01
@@ -488,7 +502,7 @@ def test_each_grid_walk_matches_the_shot_walk_on_the_states_it_serves(monkeypatc
 
     monkeypatch.setattr(runner, "_walk", recording)
     sys = runner.default_system()  # the committed 512-shot disorder
-    runner.run_grid(sys)
+    run = runner.run_grid(sys)
     monkeypatch.undo()
     assert len(walks) == len(GRID_PROTOCOLS) == 22
     # the grid's 59 curves; a walk of several states refocuses the elements they occupy
@@ -497,6 +511,11 @@ def test_each_grid_walk_matches_the_shot_walk_on_the_states_it_serves(monkeypatc
         assert (calls > 0) == (cycle is None)
         for rho0, states in zip(rho0s, got):
             assert np.max(np.abs(states - _state_walk(sys, cycle, times, rho0))) <= 1e-12
+    # every walk steps all eight levels, so no curve depends on the states beside it:
+    # each equals its curve walked alone, bit for bit
+    assert len(run.curves) == 59
+    for curve in run.curves:
+        assert curve.values == runner.run_decay(curve.state, curve.protocol, sys).values
 
 
 def test_an_all_fused_plan_is_one_frame_or_none():
@@ -777,7 +796,7 @@ def test_grid_walks_each_protocol_once_for_all_its_states(monkeypatch):
     for curve in run.curves:
         alone = runner.run_decay(curve.state, curve.protocol, sys)
         assert curve.times == alone.times
-        assert np.max(np.abs(np.subtract(curve.values, alone.values))) <= 1e-12
+        assert curve.values == alone.values
         key = (curve.state, curve.protocol.kind, curve.protocol.family)
         assert run.percents[key] == 100.0 * curve.values[-1]
 
