@@ -58,7 +58,9 @@ def _add_system_flags(sub):
 def _parse_families(raw: str | None) -> tuple[str, ...]:
     if raw is None:
         return runner.FAMILIES
-    return tuple(p.strip() for p in raw.split(",") if p.strip())  # run_grid refuses an empty list
+    if not raw.replace(",", " ").split():  # no name at all: run_grid refuses the empty list
+        return ()
+    return tuple(spinsys.split_list(raw, "--families"))
 
 
 def _parse_targets(raw: str) -> tuple[int, ...]:
@@ -255,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_system_flags(sub)
     sub.add_argument("--state", action="append", metavar="ID",
                      help="restrict to this state, repeatable (default: all seven)")
-    sub.add_argument("--families", metavar="LIST", help="comma list (default: all four)")
+    sub.add_argument("--families", metavar="LIST", help="comma or blank list (default: all four)")
     sub.add_argument("--t-max", type=float, default=runner.GRID_T_MAX)
     sub.add_argument("--points", type=int, default=runner.GRID_POINTS)
     sub.add_argument("--out-csv", default="decay_curves.csv")
@@ -264,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("protect", help="check the protection orderings")
     _add_system_flags(sub)
-    sub.add_argument("--families", metavar="LIST", help="comma list (default: all four)")
+    sub.add_argument("--families", metavar="LIST", help="comma or blank list (default: all four)")
     sub.add_argument("--out-json", metavar="PATH", help="also write the summary here")
     sub.set_defaults(func=cmd_protect)
 

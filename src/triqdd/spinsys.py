@@ -97,7 +97,10 @@ once per walk: when every frame's |H[a] - H[b]|_inf * 2 pi max_s |delta_s|_1,
 a bound on that phase in every shot, is at most REFOCUS_RAD = 1e-12 rad on
 every element some state occupies, the walk records K alone: no level
 phases, no shots. Otherwise, an overflowing bound (inf or NaN) included,
-it takes every frame's shots from its first step. DD on the qubits a
+it takes every frame's shots from its first step. Record i is
+C_i * rho0[P_i][:, P_i], with P_i the permutation of the steps so far,
+so the check reads every frame on the occupied elements and, for every
+permuted record, on the rows argsort(P_i) moves them to. DD on the qubits a
 coherence lives on refocuses it, as the paper's designated protocols and
 every all-spin family do, so 21 of the grid's 22 walks take no shots;
 free evolution and both star pairs (mXY8 on a pair, with the third
@@ -663,29 +666,30 @@ def walk(sys: SpinSystem, unit, steps, rho0s) -> np.ndarray:
     roundoff, and a zero step is the empty plan.
 
     When every segment is fused (free evolution always; DD with ideal
-    pulses), each step's plan is one frame or none, as compile_program and
-    repeat_program build it (module docstring), and a second frame fails to
-    unpack. The state of shot s after step i is C_i(s) * rho0[P_i][:, P_i]
-    with C_i(s) = K_i * g_i(s) g_i(s)^H and a permutation P_i that no shot
-    changes. The walk steps K_i, (8, 8), and the per-shot level phases G_i,
-    (shots, 8), on all eight levels, never a shot stack, and reads every
-    state at once. It keeps the rows R_i = P_i^-1(levels) the levels have
-    moved to: a permuting frame only moves them, R <- argsort(p)[R], and a
-    permutation-free walk never leaves the identity. Each step's frame is
-    built once per (plan, rows) pair, and the shot mean of C_i is
-    K_i * (G_i^T G_i*) / shots, one (8 x shots)(shots x 8) GEMM per
-    recorded step.
+    pulses), each step's plan is one frame (K, H, p) or none, as
+    compile_program and repeat_program build it (module docstring), and a
+    second frame fails to unpack. The walk stays in level coordinates, on
+    all eight levels, never a shot stack: a step composes K_i = K *
+    K_(i-1)[p][:, p], the per-shot level phases G_i = g * G_(i-1)[:, p],
+    (shots, 8), and the permutation P_i = P_(i-1)[p], as _then composes
+    frames. Record i is C_i * rho0[P_i][:, P_i] for every state at once,
+    with the shot mean C_i = K_i * (G_i^T G_i*) / shots, one
+    (8 x shots)(shots x 8) GEMM per recorded step; a walk with no
+    permuting step reads all its records with one broadcast product.
 
     The shots are decided once per walk, over the elements some state
     occupies, those nonzero (NaN and inf included) in any input state
-    (module docstring): if every frame's max |H[a] - H[b]|_inf *
-    sys.disorder.phase_rate() is at most REFOCUS_RAD, with H on the
-    frame's rows, G is never formed and step i records K_i, so the walk
-    calls no level_phases and makes no GEMM; each step moved every
-    occupied element's phase by at most REFOCUS_RAD. Otherwise every
-    frame's G is formed, once per distinct frame, and the walk takes the
-    shots from its first step. Zero widths give a rate of 0, so every
-    frame refocuses.
+    (module docstring). Each distinct step frame's H is checked on those
+    elements (a, b) and, for every record i with a permutation, on
+    (argsort(P_i)[a], argsort(P_i)[b]), where that record holds them: a
+    superset of the elements each frame turns, so it may add shots but
+    never drops them. If every max |H[a] - H[b]|_inf *
+    sys.disorder.phase_rate() there is at most REFOCUS_RAD, G is never
+    formed and step i records K_i, so the walk calls no level_phases and
+    makes no GEMM; each step moved every occupied element's phase by at
+    most REFOCUS_RAD. Otherwise every frame's G is formed, once per
+    distinct frame, and the walk takes the shots from its first step. Zero
+    widths give a rate of 0, so every frame refocuses.
 
     A dense segment makes the walk expand the unit over the draw once and
     step one (n, shots, 8, 8) stack of every state through it instead.
@@ -711,36 +715,33 @@ def walk(sys: SpinSystem, unit, steps, rho0s) -> np.ndarray:
                         if unit is None else repeat_program(unit, int(step)))
     if fused:
         ea, eb = np.nonzero((rho0s != 0).any(axis=0))  # the occupied elements; NaN and inf count
-        frames, walked, rows_at, rows, key = {}, [], [], np.arange(DIM), None
-        for j in which:  # each step's frame, None for the empty plan, and the rows it leaves
-            if plans[j] and (j, key) not in frames:  # plan j entered on rows (key None: levels)
-                [(_, k_step, h, p)] = plans[j]  # one frame: a second one fails here
-                # the map reads rho[p][:, p]: row a moves to argsort(p)[a]
-                to = rows if p is None else np.argsort(p)[rows]
-                to_key = None if np.array_equal(to, np.arange(DIM)) else to.tobytes()
-                if to_key is not None:
-                    k_step, h = k_step[to[:, None], to], h[to]
-                frames[j, key] = [to, to_key, k_step, h]
-            walked.append(frames[j, key] if plans[j] else None)
-            rows, key = walked[-1][:2] if plans[j] else (rows, key)
-            rows_at.append(rows)
+        frames, perms, perm = {}, [], None  # perms[i] is P_i, None for the identity
+        for j in which:  # each distinct step's H, and each record's P_i
+            if plans[j]:
+                [(_, _, frames[j], p)] = plans[j]  # one frame: a second one fails here
+                perm = p if perm is None else perm if p is None else perm[p]
+            perms.append(perm)
+        # record i holds rho0's element (a, b) at (argsort(P_i)[a], argsort(P_i)[b])
+        moved = {q.tobytes(): q for q in perms if q is not None}.values()  # each distinct P_i
+        ra, rb = (np.concatenate([e] + [np.argsort(q)[e] for q in moved]) for e in (ea, eb))
         # one decision per walk; NaN (an overflowing rate times 0) takes the shots
         rate = sys.disorder.phase_rate()
-        shots = not all(float(np.abs(h[ea] - h[eb]).max(initial=0.0)) * rate <= REFOCUS_RAD
-                        for *_, h in frames.values())
-        for frame in frames.values():  # once per distinct frame, and only for a walk with shots
-            frame.append(level_phases(frame[3], deltas) if shots else None)
+        shots = not all(float(np.abs(h[ra] - h[rb]).max(initial=0.0)) * rate <= REFOCUS_RAD
+                        for h in frames.values())
+        # once per distinct frame, and only for a walk with shots
+        phases = {j: level_phases(h, deltas) for j, h in frames.items() if shots}
         k, g = np.ones((DIM, DIM), dtype=complex), np.ones((len(deltas), DIM), dtype=complex)
         means = np.empty((len(steps), DIM, DIM), complex)
-        for i, frame in enumerate(walked):
-            if frame is not None:
-                k = frame[2] * k
-                g = frame[4] * g if shots else g
+        for i, j in enumerate(which):
+            if plans[j]:
+                [(_, k_step, _, p)] = plans[j]
+                k = k_step * (k if p is None else k[p[:, None], p])
+                g = phases[j] * (g if p is None else g[:, p]) if shots else g
             means[i] = k * (g.T @ g.conj()) / len(deltas) if shots else k
         out = means * rho0s[:, None]
-        if any(to_key is not None for _, to_key, *_ in frames.values()):  # a unit moved the rows
-            t, rows_at = np.arange(len(steps))[:, None, None], np.array(rows_at)
-            out[:, t, rows_at[:, :, None], rows_at[:, None, :]] = out.copy()
+        for i, q in enumerate(perms):  # record i is C_i * rho0[P_i][:, P_i]
+            if q is not None:
+                out[:, i] = means[i] * rho0s[:, q[:, None], q]
     else:
         out = np.empty((len(rho0s), len(steps), DIM, DIM), dtype=complex)
         states = np.repeat(rho0s[:, None], len(deltas), axis=1)

@@ -256,6 +256,25 @@ def test_decay_rejects_broken_config(capsys, tmp_path):
     assert code == 2 and "finite t_max" in err
 
 
+def test_families_refuse_an_empty_item_between_names(capsys, tmp_path):
+    # XY8,,KDD20 is not the families XY8 and KDD20: the empty item is named by its flag
+    code, out, err = run_cli(capsys, "decay", "--state", "psi3", "--families", "XY8,,KDD20",
+                             "--points", "3", "--out-csv", str(tmp_path / "c.csv"),
+                             "--out-json", str(tmp_path / "s.json"))
+    assert code == 2 and "--families: empty item in 'XY8,,KDD20'" in err and not out
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_families_take_blanks_between_names(capsys, tmp_path):
+    # blanks set names apart, as in --targets and the config triples
+    code, _, _ = run_cli(capsys, "decay", "--state", "psi3", "--families", "XY8 KDD20",
+                         "--points", "3", "--out-csv", str(tmp_path / "c.csv"),
+                         "--out-json", str(tmp_path / "s.json"))
+    assert code == 0
+    summary = json.loads((tmp_path / "s.json").read_text())
+    assert sorted(summary["percents"]["psi3"]) == ["DD3sp/KDD20", "DD3sp/XY8", "FreeEv"]
+
+
 def test_uncountable_time_grid_exits_two(capsys, tmp_path):
     # finite horizons whose unit counts overflow a 64-bit grid, named, not a traceback
     for argv in (("decay", "--state", "psi3", "--families", "XY8", "--t-max", "1e20",

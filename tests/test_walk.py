@@ -20,13 +20,17 @@ the closed-form power of one fused segment or the concatenation of a
 dense unit's own segments. A fused walk's shot-averaged map, stepped on
 its frame and per-shot level phases and read by every state at once, must
 match the expanded plan walked on a (shots, 8, 8) stack, for every
-protocol of the grid and the star run. It steps all eight levels, so each
-state walked alone must match too, under real pulses and under general
-signed permutations. The shots are decided once per walk: a walk whose
-frames all refocus every element its states occupy records K alone, as the
-grid's DD walks do, which must still match the shot walk on the states the
-grid serves them, and a walk with any frame that does not refocus takes
-every frame's shots. A dense walk, which steps the shot stacks of all its
+protocol of the grid and the star run. It steps all eight levels in level
+coordinates and reads each record through the permutation of its steps so
+far, so each state walked alone must match too, under real pulses and
+under general signed permutations. A step's plan is one fused frame or
+none, and a walk handed two must fail, not drop one. The shots are decided
+once per walk: a walk whose frames all refocus every element its states
+occupy records K alone, as the grid's DD walks do, which must still match
+the shot walk on the states the grid serves them, and a walk with any
+frame that does not refocus takes every frame's shots. A permuted record
+holds its states' elements on other levels, and the decision must read
+its frames there too. A dense walk, which steps the shot stacks of all its
 states as one, must equal each state walked alone; and the grid, which
 walks each protocol once for all its states and steps no shot stack when
 it is fused, must match one run_decay per curve bit for bit.
@@ -335,7 +339,7 @@ def test_map_walk_matches_state_walk(name, monkeypatch):
     for state_id, got in zip(state_ids, walked):
         want = _state_walk(sys, cycle, times, circuits.prepare(state_id))
         assert np.max(np.abs(got - want)) <= 1e-12
-        # walked alone, a state matches too, and the permuting units move its rows; a
+        # walked alone, a state matches too, and the permuting units move its levels; a
         # unit may refocus one state's elements but not its walk-mates', so the walk
         # alone may record K where the shared walk takes the shots
         alone = runner._walk(sys, cycle, times, [circuits.prepare(state_id)])[0]
@@ -537,6 +541,21 @@ def test_an_all_fused_plan_is_one_frame_or_none():
             assert len(spinsys.repeat_program(unit, k)) == min(len(unit), k)
 
 
+def test_a_fused_walk_refuses_a_step_of_two_frames(monkeypatch):
+    # a step's plan of two fused frames breaks the rule above: the walk must fail on
+    # it, not walk its first frame and drop the second
+    real = spinsys.repeat_program
+    monkeypatch.setattr(spinsys, "repeat_program", lambda plan, k: real(plan, k) * 2)
+    cycle = runner.build_cycle(runner.default_protocol("DD3sp", "psi3", "XY8"))
+    program = ddseq.program(cycle, cycle.unit_cycles)
+    assert len(spinsys.repeat_program(spinsys.compile_program(runner.default_system(),
+                                                              *program), 3)) == 2
+    for sys in (runner.default_system(), replace(runner.default_system(),
+                                                 disorder=DisorderModel())):
+        with pytest.raises(ValueError, match="too many values to unpack"):
+            spinsys.walk(sys, program, [1, 3], [circuits.prepare("psi3")])
+
+
 def old_disorder_times(sys, events, duration) -> np.ndarray:
     """Per spin, the element-wise disorder times A, (3, 8, 8), of a fused program.
 
@@ -658,7 +677,8 @@ def test_fused_run_matches_dense_walk_on_any_signed_permutation(case):
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(signed_permutation_programs(), st.integers(1, 4))
 def test_fused_walk_moves_occupied_rows_under_any_signed_permutation(case, occupied):
-    # only general permutations, unlike bit flips, tell argsort(p)[rows] from p[rows]
+    # general permutations, unlike bit flips, need not be their own inverse: only they
+    # tell the walk's gathers K[p][:, p] and rho0[P][:, P] from the inverse ones
     program, table, seed = case
     rng = np.random.default_rng(seed)
     levels = rng.permutation(spinsys.DIM)[:occupied]
@@ -681,6 +701,30 @@ def test_fused_walk_moves_occupied_rows_under_any_signed_permutation(case, occup
         for _ in range(k):
             states = spinsys.apply_program(states, plan)
         want.append(states.mean(axis=0))
+    assert np.max(np.abs(got - np.array(want))) <= 1e-12
+
+
+@pytest.mark.parametrize("steps, level", [((1, 0), 4), ((1, 1), 2)])
+def test_a_permuted_record_decides_the_shots_on_the_rows_it_holds(steps, level, monkeypatch):
+    # p, a 3-cycle, moves rho0's element (0, 1) to (4, 5) = argsort(p)[:2] after one unit
+    # and to (2, 3) after two. A frame that turns only that record's first level
+    # refocuses (0, 1), where rho0 holds it, and (p[0], p[1]): the walk must take shots
+    p = np.array([2, 3, 4, 5, 0, 1, 6, 7])
+    h = np.zeros((spinsys.DIM, spinsys.N_QUBITS))
+    h[level, 0] = 1e-3
+    plan = [("fused", np.ones((spinsys.DIM, spinsys.DIM), dtype=complex), h, p)]
+    monkeypatch.setattr(spinsys, "compile_program", lambda sys, events, duration: plan)
+    sys = SpinSystem(disorder=DisorderModel((3.0, 4.0, 5.0), 6.0, shots=3, seed=1))
+    rho = np.zeros((spinsys.DIM, spinsys.DIM), dtype=complex)
+    rho[:2, :2] = 0.5
+    got = spinsys.walk(sys, ((), 1.0), steps, [rho])[0]
+    states, want = np.broadcast_to(rho, (3,) + rho.shape), []
+    for k in steps:
+        for _ in range(k):
+            states = spinsys.apply_program(states,
+                                           spinsys.expand_program(plan, sys.disorder.draw()))
+        want.append(states.mean(axis=0))
+    assert abs(want[-1][level, level + 1] - 0.5) > 1e-6  # K alone would be off
     assert np.max(np.abs(got - np.array(want))) <= 1e-12
 
 
