@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -93,6 +93,12 @@ class DDCycle:
     @property
     def unit_duration(self) -> float:
         return self.unit_cycles * self.cycle_duration
+
+    @cached_property
+    def unit_program(self) -> tuple[tuple[PulseEvent, ...], float]:
+        """program(self, unit_cycles), built once per cycle: every walk of the cycle
+        hands spinsys the same events tuple, so a kept plan's key compares by identity."""
+        return program(self, self.unit_cycles)
 
 
 def _build_events(targets, tau, t_p, phases_deg, slot):
@@ -179,6 +185,8 @@ def program(cycle: DDCycle, n_cycles: int) -> tuple[tuple[PulseEvent, ...], floa
 
 def unit_count(t: float, unit: float, name: str) -> int:
     """Number of repeat units of length unit in time t, which must be whole."""
+    if not np.isfinite(t):
+        raise ValueError(f"time {t} s is not a finite number of {name} units ({unit:.6g} s)")
     if t < 0:
         raise ValueError(f"negative time {t}")
     k = round(t / unit)
@@ -216,7 +224,7 @@ def single_spin_survival(cycle: DDCycle, offset_hz: float, flip_error: float,
     paulis = np.stack([spinsys.embed(s, q) for s in (spinsys.SIGMA_X, spinsys.SIGMA_Y)])
     rest = [spinsys.embed(np.diag([1.0, 0.0]), r) for r in (1, 2, 3) if r != q]
     rho0s = (np.eye(spinsys.DIM) + paulis) / 2 @ rest[0] @ rest[1]  # the others in |0><0|
-    states = spinsys.walk(probe, program(cycle, cycle.unit_cycles),
+    states = spinsys.walk(probe, cycle.unit_program,
                           [n_cycles / cycle.unit_cycles], rho0s)[:, 0]
     # block[a, b] = tr(sigma_a rho_b): the identity part has no transverse component
     block = np.einsum("aij,bji->ab", paulis, states).real
@@ -227,7 +235,7 @@ def single_spin_survival(cycle: DDCycle, offset_hz: float, flip_error: float,
 
 def cycle_to_json(cycle: DDCycle) -> dict:
     """Timed-event export of the repeat unit (two cycles when modified), one phase per event."""
-    events, duration = program(cycle, cycle.unit_cycles)
+    events, duration = cycle.unit_program
     return {
         "name": cycle.name,
         "tau_s": cycle.tau,

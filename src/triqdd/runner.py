@@ -20,14 +20,26 @@ they feel, while the all-spin sequence leaves every coupling running.
 
 Static disorder is averaged over shots: each shot keeps its offset
 shifts for the whole evolution, and magnitudes or concurrences are taken
-from the shot-averaged states. Every walk takes the system's shots, drawn
-once per model (DisorderModel.draw), so the protocols of a run share them.
+from the shot-averaged states. The shots are drawn once per model
+(DisorderModel.draw), so the protocols of a run share them. A walk whose
+frames refocus the disorder on every element its states occupy records
+without them (spinsys.walk): with ideal pulses that is every DD walk of
+the grid, so only free evolution and the star pairs, whose third spin
+rides along unpulsed, take the shots.
 
 Every curve records from one spinsys.walk of its protocol, which steps
 all the states the protocol serves as one stack. The grid prepares each
 state once and walks each protocol once (free evolution and each
 all-spin family serve all seven states); a star run walks once per pair
 and once per distinct grid for free evolution.
+
+A protocol's schedule, its time grid, its repeat unit's pulse program and
+the steps between recorded times, depends on the protocol and the grid
+arguments alone, never on the system, so it is built once per process:
+default_protocol, default_time_grid and the record steps are kept in
+bounded memos keyed by frozen values, and each cycle keeps its unit
+program (ddseq.DDCycle.unit_program). A call that fails keeps nothing.
+Nothing that depends on the system, the disorder draw or a seed is kept.
 
 Reference percentages from the published tables are bundled as data and
 used strictly for qualitative ordering checks (which protocol beats
@@ -52,6 +64,7 @@ from .spinsys import SpinSystem
 GRID_T_MAX = 0.7
 GRID_POINTS = 20
 MARGIN_PP = 5.0
+SCHEDULE_CACHE_SIZE = 128  # time grids, record steps and default protocols kept per process
 
 FAMILIES = ("XY8", "UR12", "XY16", "KDD20")
 KINDS = ("FreeEv", "DD1sp", "DD3sp", "mDD2sp")
@@ -152,8 +165,9 @@ def differing_qubits(state_id: str) -> tuple[int, ...]:
     return tuple(q for q in (1, 2, 3) if spinsys.bit(a, q) != spinsys.bit(b, q))
 
 
+@lru_cache(maxsize=SCHEDULE_CACHE_SIZE)
 def default_protocol(kind: str, state_id: str | None = None, family: str = "XY8") -> Protocol:
-    """Protocol with the committed delay, width, and target mapping."""
+    """Protocol with the committed delay, width, and target mapping; built once per process."""
     if kind == "FreeEv":
         return Protocol("FreeEv")
     blocks = delay_table()["protocols"]
@@ -205,9 +219,10 @@ class DecayCurve:
             raise InvariantError("amplitude curve must start at 1")
 
 
+@lru_cache(maxsize=SCHEDULE_CACHE_SIZE)
 def default_time_grid(unit: float | None, t_max: float = GRID_T_MAX,
                       points: int = GRID_POINTS) -> tuple[float, ...]:
-    """Grid of `points` targets from 0 to t_max, snapped to whole units.
+    """Grid of `points` targets from 0 to t_max, snapped to whole units; built once per process.
 
     Snapping can merge neighbors when the unit is coarse; the endpoints
     always survive. FreeEv (unit None) keeps the plain uniform grid.
@@ -225,17 +240,26 @@ def default_time_grid(unit: float | None, t_max: float = GRID_T_MAX,
     return tuple(k * unit for k in counts)
 
 
+@lru_cache(maxsize=SCHEDULE_CACHE_SIZE)
+def _record_steps(unit: float | None, name: str | None, times: tuple) -> tuple:
+    """A walk's steps to sorted, distinct times: the free gaps (unit None) or the
+    whole-unit count increments of the named unit; built once per process."""
+    if unit is None:
+        return tuple(np.diff(times, prepend=0.0).tolist())
+    counts = [ddseq.unit_count(t, unit, name) for t in times]
+    return tuple(np.diff(counts, prepend=0).tolist())
+
+
 def _walk(sys, cycle, times, rho0s) -> np.ndarray:
-    """spinsys.walk of n states to T sorted, distinct times, (n, T, 8, 8).
+    """spinsys.walk of n states to T sorted, distinct times (a tuple), (n, T, 8, 8).
 
     Free evolution (cycle None) steps the gaps between the times; DD steps
-    the repeat unit by the unit-count increments.
+    the cycle's repeat unit by the unit-count increments.
     """
     if cycle is None:
-        return spinsys.walk(sys, None, np.diff(times, prepend=0.0), rho0s)
-    counts = [ddseq.unit_count(t, cycle.unit_duration, cycle.name) for t in times]
-    return spinsys.walk(sys, ddseq.program(cycle, cycle.unit_cycles),
-                        np.diff(counts, prepend=0), rho0s)
+        return spinsys.walk(sys, None, _record_steps(None, None, times), rho0s)
+    return spinsys.walk(sys, cycle.unit_program,
+                        _record_steps(cycle.unit_duration, cycle.name, times), rho0s)
 
 
 def _protocol_curves(sys, proto, state_ids, rho0s, t_max=GRID_T_MAX,
@@ -244,7 +268,8 @@ def _protocol_curves(sys, proto, state_ids, rho0s, t_max=GRID_T_MAX,
     cycle = build_cycle(proto)
     if times is None:
         times = default_time_grid(None if cycle is None else cycle.unit_duration, t_max, points)
-    times = tuple(sorted(set(float(t) for t in times)))
+    else:
+        times = tuple(sorted(set(float(t) for t in times)))
     curves = []
     for state_id, rho0, states in zip(state_ids, rho0s,
                                       _walk(sys, cycle, times, rho0s)):
@@ -450,10 +475,11 @@ def star_protection(sys: SpinSystem, free: bool = False, prep: str = "ideal",
     walks, states, pairs_by_grid = {}, {}, {}
     for pair in STAR_PAIRS.values():
         proto = star_protocol(pair)
-        times = default_time_grid(build_cycle(proto).unit_duration, t_max, points)
+        cycle = build_cycle(proto)
+        times = default_time_grid(cycle.unit_duration, t_max, points)
         pairs_by_grid.setdefault(times, []).append(pair)
         walks[pair] = proto, times
-        states[pair] = _walk(sys, build_cycle(proto), times, [rho0])[0]
+        states[pair] = _walk(sys, cycle, times, [rho0])[0]
     if tomo_sigma is not None:
         for pairs in pairs_by_grid.values():
             read = circuits.tomography(np.stack([states[pair] for pair in pairs]),
@@ -481,13 +507,15 @@ def write_curves_csv(curves, path) -> None:
 
     The text is what csv.writer writes for these fields, none of which
     needs quoting: numbers as .12g, CRLF line ends. It is built whole and
-    written once.
+    written once; each distinct time grid is formatted once per call.
     """
-    lines = ["state,protocol,sequence,time_s,value,kind"]
+    lines, stamps = ["state,protocol,sequence,time_s,value,kind"], {}
     for curve in curves:
+        if curve.times not in stamps:
+            stamps[curve.times] = [f"{t:.12g}" for t in curve.times]
         head = f"{curve.state},{curve.protocol.kind},{curve.protocol.sequence_label},"
-        lines += [f"{head}{t:.12g},{v:.12g},{curve.kind}"
-                  for t, v in zip(curve.times, curve.values)]
+        lines += [f"{head}{t},{v:.12g},{curve.kind}"
+                  for t, v in zip(stamps[curve.times], curve.values)]
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join(lines) + "\r\n")
 

@@ -1,5 +1,6 @@
 """Sequence generation, modification, timing, and the robustness gate."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -315,6 +316,13 @@ def test_unit_count_empty_and_rejection():
     with pytest.raises(ValueError) as err:
         ddseq.unit_count(0.7 + 0.004, c.unit_duration, c.name)
     assert "nearest valid" in str(err.value)
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_unit_count_refuses_a_non_finite_time_by_name(t):
+    with pytest.raises(ValueError, match=rf"time {t} s is not a finite number of XY8 units "
+                                         r"\(0\.005 s\)"):
+        ddseq.unit_count(t, 0.005, "XY8")
 
 
 def test_program_unit_enforcement():

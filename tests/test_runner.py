@@ -105,6 +105,81 @@ def test_run_decay_rejects_off_unit_times():
         runner.run_decay("psi1a", p, QUIET, times=(0.0, 0.0071))
 
 
+def test_explicit_times_off_the_unit_raise_on_every_call():
+    # a failed schedule is not kept: a repeat call meets the same check
+    p = runner.default_protocol("DD3sp", "psi3", "XY8")
+    kept = runner._record_steps.cache_info().currsize
+    errors = []
+    for _ in range(2):
+        with pytest.raises(ValueError, match="nearest valid times") as err:
+            runner.run_decay("psi3", p, QUIET, times=(0.0, 0.0071))
+        errors.append(str(err.value))
+    assert errors[0] == errors[1]
+    assert runner._record_steps.cache_info().currsize == kept
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_run_decay_refuses_a_non_finite_time_as_a_value_error(t):
+    p = runner.default_protocol("DD3sp", "psi3", "XY8")
+    with pytest.raises(ValueError, match="not a finite number of XY8 units"):
+        runner.run_decay("psi3", p, runner.default_system(), times=(t,))
+
+
+# -- schedules kept per process --------------------------------------------
+
+def _counting(monkeypatch, module, name):
+    calls, real = [], getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_a_repeated_grid_rebuilds_no_schedule(monkeypatch):
+    sys = runner.default_system()
+    first = runner.run_grid(sys)
+    programs = _counting(monkeypatch, ddseq, "program")
+    counts = _counting(monkeypatch, ddseq, "unit_count")
+    again = runner.run_grid(sys)
+    assert (len(programs), len(counts)) == (0, 0)
+    assert len(again.curves) == 59
+    assert again.curves == first.curves  # same protocols, times and values, bit for bit
+    assert again.percents == first.percents
+
+
+def _frozen_only(value) -> bool:
+    if isinstance(value, tuple):
+        return all(_frozen_only(v) for v in value)
+    if dataclasses.is_dataclass(value):
+        return (value.__dataclass_params__.frozen
+                and all(_frozen_only(getattr(value, f.name)) for f in dataclasses.fields(value)))
+    return value is None or isinstance(value, (bool, int, float, str))
+
+
+def test_a_kept_schedule_holds_only_tuples_and_frozen_values():
+    protos = {c.protocol for c in runner.run_grid(runner.default_system()).curves}
+    protos |= {runner.star_protocol(pair) for pair in runner.STAR_PAIRS.values()}
+    assert len(protos) == 24
+    for proto in protos:
+        cycle = runner.build_cycle(proto)
+        unit = None if cycle is None else cycle.unit_duration
+        times = runner.default_time_grid(unit)
+        steps = runner._record_steps(unit, None if cycle is None else cycle.name, times)
+        kept = (proto, times, steps)
+        if cycle is not None:
+            kept += (cycle.unit_program,)
+            # the cycle keeps one program: every walk hands spinsys the same events
+            assert cycle.unit_program is cycle.unit_program
+            assert cycle.unit_program == ddseq.program(cycle, cycle.unit_cycles)
+        assert _frozen_only(kept), proto
+    # a default protocol is built once and shared, as a frozen value
+    assert runner.default_protocol("mDD2sp", "psi2a", "KDD20") is runner.default_protocol(
+        "mDD2sp", "psi2a", "KDD20")
+
+
 # -- free evolution analytics ----------------------------------------------
 
 def test_free_third_order_decays_at_summed_rates():
@@ -721,6 +796,24 @@ def test_csv_round_trip(tmp_path):
                         for t, v in zip(curve.times, curve.values))
         runner.write_curves_csv(curves, path)
         assert path.read_bytes() == want.getvalue().encode()
+
+
+def test_csv_formats_shared_and_separate_time_grids_per_row(tmp_path):
+    # one grid object shared by two curves, an equal grid built apart, and another grid
+    shared = (0.0, 0.1 + 0.2, 1 / 3, 0.7)
+    protos = (runner.default_protocol("FreeEv"), runner.default_protocol("DD1sp", "psi1a"))
+    curves = [runner.DecayCurve("psi1a", protos[0], "amplitude", shared, (1.0, 0.5, 1 / 7, 0.0)),
+              runner.DecayCurve("psi1b", protos[0], "amplitude", shared, (1.0, 2 / 3, 0.25, 1e-17)),
+              runner.DecayCurve("psi1a", protos[1], "amplitude", tuple(list(shared)),
+                                (1.0, 0.9, 0.8, 0.7)),
+              runner.DecayCurve("star", protos[1], "concurrence", (0.0, 0.35, 0.7 + 1e-13),
+                                (0.5, 0.25, 0.125))]
+    want = ["state,protocol,sequence,time_s,value,kind"]
+    for c in curves:
+        want += [f"{c.state},{c.protocol.kind},{c.protocol.sequence_label},"
+                 f"{t:.12g},{v:.12g},{c.kind}" for t, v in zip(c.times, c.values)]
+    runner.write_curves_csv(curves, tmp_path / "c.csv")
+    assert (tmp_path / "c.csv").read_bytes() == ("\r\n".join(want) + "\r\n").encode()
 
 
 def test_grid_summary_shape(tmp_path):
