@@ -130,20 +130,14 @@ def partial_trace(rho: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
     for q in keep:
         if not 1 <= q <= n:
             raise ValueError(f"qubit label {q} out of range 1..{n}")
-    # Reshape to one axis per ket bit then per bra bit after the stack axes;
-    # MSB-first indexing means ket axis q-1 is exactly qubit q.
-    lead = rho.shape[:-2]
-    t = rho.reshape(lead + (2,) * (2 * n))
-    m = len(lead)
-    traced = [q for q in range(1, n + 1) if q not in keep]
-    for q in sorted(traced, reverse=True):
-        t = np.trace(t, axis1=m + q - 1, axis2=m + q - 1 + (t.ndim - m) // 2)
-    # Axes now follow ascending label order of the kept qubits.
-    kept_sorted = sorted(keep)
-    perm = [m + kept_sorted.index(q) for q in keep]
-    k = len(keep)
-    t = t.transpose(tuple(range(m)) + tuple(perm) + tuple(p + k for p in perm))
-    return t.reshape(lead + (2 ** k, 2 ** k))
+    # One axis per ket bit, then one per bra bit, after the stack axes; MSB-first
+    # indexing makes axis q - 1 of each half qubit q. A traced qubit's bra axis
+    # takes its ket label, so einsum sums that diagonal.
+    ket = "abc"[:n]  # n <= 3 (SUPPORTED_DIMS)
+    bra = "".join(k if q not in keep else k.upper() for q, k in enumerate(ket, 1))
+    out = "".join(ket[q - 1] for q in keep) + "".join(bra[q - 1] for q in keep)
+    reduced = np.einsum(f"...{ket}{bra}->...{out}", rho.reshape(rho.shape[:-2] + (2,) * (2 * n)))
+    return reduced.reshape(rho.shape[:-2] + (2 ** len(keep),) * 2)
 
 
 _YY = np.array(

@@ -21,11 +21,14 @@ they feel, while the all-spin sequence leaves every coupling running.
 Static disorder is averaged over shots: each shot keeps its offset
 shifts for the whole evolution, and magnitudes or concurrences are taken
 from the shot-averaged states. The shots are drawn once per model
-(DisorderModel.draw), so the protocols of a run share them. A walk whose
-frames refocus the disorder on every element its states occupy records
-without them (spinsys.walk): with ideal pulses that is every DD walk of
-the grid, so only free evolution and the star pairs, whose third spin
-rides along unpulsed, take the shots.
+(DisorderModel.draw), so the protocols of a run share them. Refocusing is
+the sequence's: an element that flips only spins the walk's frames
+refocus records without the shots, whatever the draw and whatever states
+walk beside it, and a walk takes the shots only for the elements its
+states occupy that are not refocused (spinsys.walk). With ideal pulses
+every DD walk of the grid refocuses all it occupies, so only free
+evolution and the star pairs, whose third spin rides along unpulsed,
+take the shots.
 
 Every curve records from one spinsys.walk of its protocol, which steps
 all the states the protocol serves as one stack. The grid prepares each
@@ -36,9 +39,10 @@ and once per distinct grid for free evolution.
 A protocol's schedule, its time grid, its repeat unit's pulse program and
 the steps between recorded times, depends on the protocol and the grid
 arguments alone, never on the system, so it is built once per process:
-default_protocol, default_time_grid and the record steps are kept in
-bounded memos keyed by frozen values, and each cycle keeps its unit
-program (ddseq.DDCycle.unit_program). A call that fails keeps nothing.
+build_cycle, default_protocol, default_time_grid and the record steps
+are kept in memos of SCHEDULE_CACHE_SIZE entries each, keyed by frozen
+values, and each cycle keeps its unit program
+(ddseq.DDCycle.unit_program). A call that fails keeps nothing.
 Nothing that depends on the system, the disorder draw or a seed is kept.
 
 Reference percentages from the published tables are bundled as data and
@@ -64,7 +68,7 @@ from .spinsys import SpinSystem
 GRID_T_MAX = 0.7
 GRID_POINTS = 20
 MARGIN_PP = 5.0
-SCHEDULE_CACHE_SIZE = 128  # time grids, record steps and default protocols kept per process
+SCHEDULE_CACHE_SIZE = 128  # cycles, time grids, record steps and default protocols kept per process
 
 FAMILIES = ("XY8", "UR12", "XY16", "KDD20")
 KINDS = ("FreeEv", "DD1sp", "DD3sp", "mDD2sp")
@@ -107,9 +111,9 @@ class Protocol:
         return "-" if self.kind == "FreeEv" else _reference_row(self.kind, self.family)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SCHEDULE_CACHE_SIZE)
 def build_cycle(protocol: Protocol) -> ddseq.DDCycle | None:
-    """The executable cycle behind a protocol, None for free evolution; built once."""
+    """The executable cycle behind a protocol, None for free evolution; built once per process."""
     if protocol.kind == "FreeEv":
         return None
     cycle = ddseq.generate(protocol.family, protocol.tau, protocol.t_p, protocol.targets)

@@ -92,21 +92,20 @@ for a walk that steps shot stacks through dense segments.
 A shot turns element (a, b) of a fused frame by 2 pi (H[a] - H[b]) . delta_s
 only, so an element whose two levels share their filter function is
 refocused: its zero-frequency filter function vanishes (Cywinski et al.,
-PRB 77, 174509 (2008)) and every shot gives it K. walk decides the shots
-once per walk: when every frame's |H[a] - H[b]|_inf * 2 pi max_s |delta_s|_1,
-a bound on that phase in every shot, is at most REFOCUS_RAD = 1e-12 rad on
-every element some state occupies, the walk records K alone: no level
-phases, no shots. Otherwise, an overflowing bound (inf or NaN) included,
-it takes every frame's shots from its first step. Record i is
-C_i * rho0[P_i][:, P_i], with P_i the permutation of the steps so far,
-so the check reads every frame on the occupied elements and, for every
-permuted record, on the rows argsort(P_i) moves them to. DD on the qubits a
-coherence lives on refocuses it, as the paper's designated protocols and
-every all-spin family do, so 21 of the grid's 22 walks take no shots;
-free evolution and both star pairs (mXY8 on a pair, with the third
-spin's coherences occupied) take them. Either way a fused walk steps all
-eight levels, so a state's record depends on the states beside it only
-through that one decision.
+PRB 77, 174509 (2008)) and every shot gives it K. Refocusing belongs to
+the sequence, so walk reads it off the walk's own frames, never off the
+draw: spin q is turned when some frame's H changes by more than TIME_ATOL,
+the schedule's tolerance in seconds, as q flips, and an element is kept
+when it flips no turned spin. Every signed-permutation pulse permutes
+levels by a bit flip (pulse_permutation), so every fused frame keeps each
+element's flip pattern a ^ b, and a kept element records K alone in every
+walk, whatever its walk-mates and whatever the disorder width. A walk
+takes the shots only when some element a state occupies is not kept, and
+then only those elements read them. DD on the qubits a coherence lives on
+refocuses it, as the paper's designated protocols and every all-spin
+family do, so 21 of the grid's 22 walks take no shots; free evolution and
+both star pairs (mXY8 on a pair, with the third spin's coherences
+occupied) take them.
 """
 
 from __future__ import annotations
@@ -130,6 +129,7 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 
 # Schedule arithmetic tolerance, seconds.
 TIME_ATOL = 1e-12
+PLAN_CACHE_SIZE = 64  # compiled plans, and the system tables they read, kept per process
 
 
 class ConfigError(Exception):
@@ -171,7 +171,8 @@ class DisorderModel:
 
     The widths alone decide whether disorder acts: at the zero defaults
     every shot would be the same zero shift, so the draw is that one shot,
-    whatever shots and seed say.
+    whatever shots and seed say. Which elements a walk averages over the
+    draw is the sequence's to decide (walk), not the widths'.
     """
 
     sigma: tuple[float, float, float] = (0.0, 0.0, 0.0)
@@ -207,17 +208,6 @@ class DisorderModel:
             raise ConfigError("the disorder widths overflow the offset draw")
         deltas.flags.writeable = False
         return deltas
-
-    @lru_cache(maxsize=1)
-    def phase_rate(self) -> float:
-        """2 pi max_s |delta_s|_1 over draw(), in rad/s (inf if that overflows), once per model.
-
-        A fused frame whose levels a and b have filter functions H[a] and
-        H[b] turns their relative phase by 2 pi (H[a] - H[b]) . delta_s,
-        at most |H[a] - H[b]|_inf times this in every shot (Hoelder).
-        """
-        with np.errstate(over="ignore"):
-            return float(2.0 * np.pi * np.abs(self.draw()).sum(axis=1).max())
 
 
 _NO_OFFSETS = np.zeros((1, N_QUBITS))
@@ -257,12 +247,16 @@ def bit(b: int, q: int) -> int:
     return (b >> (N_QUBITS - q)) & 1
 
 
+# spin q's bit in a level index, as bit reads it: flipping q maps level a to a ^ _SPIN_BITS[q - 1]
+_SPIN_BITS = np.array([1 << (N_QUBITS - q) for q in range(1, N_QUBITS + 1)])
+
+
 def energies(sys: SpinSystem) -> np.ndarray:
     """E(b) in Hz for all eight basis states."""
     return _tables(sys.offsets, sys.couplings, sys.noise)[0]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _tables(offsets, couplings, noise):
     s = np.array([[1 - 2 * bit(b, q) for q in (1, 2, 3)] for b in range(DIM)], dtype=float)
     nu = np.array(offsets)
@@ -383,7 +377,7 @@ def pulse_permutation(ev: PulseEvent, sys: SpinSystem):
     (no internal Hamiltonian inside a finite window) whose flip angle,
     errors included, is a whole number n of half turns. With (c, s) the
     cosine and sine of n quarter turns, each target q at phase phi then
-    contributes in closed form: for odd n the bit flip 1 << (3 - q) and
+    contributes in closed form: for odd n the bit flip _SPIN_BITS[q - 1] and
     the entry -i s e^(-i phi) on rows where q's bit is 0, -i s e^(i phi)
     where it is 1; for even n the sign c on every row. Returns None for
     any other pulse, which needs pulse_propagator's dense unitary.
@@ -401,7 +395,7 @@ def pulse_permutation(ev: PulseEvent, sys: SpinSystem):
         return perm, np.full(DIM, complex(c ** len(ev.targets)))
     d, sin, cos = np.ones(DIM, dtype=complex), s * np.sin(phase), s * np.cos(phase)
     for q in ev.targets:
-        bit_q = 1 << (N_QUBITS - q)
+        bit_q = _SPIN_BITS[q - 1]
         d = d * np.where(perm & bit_q, complex(sin, -cos), complex(-sin, -cos))
         perm = perm ^ bit_q
     return perm, d
@@ -464,10 +458,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     """Mark a cached array read-only, since every caller shares it."""
     a.flags.writeable = False
     return a
-
-
-PLAN_CACHE_SIZE = 64  # compiled plans kept per process (compile_program)
-REFOCUS_RAD = 1e-12  # disorder phase, rad, under which every frame of a walk refocuses (walk)
 
 
 def compile_program(sys: SpinSystem, events, duration: float) -> tuple:
@@ -673,23 +663,22 @@ def walk(sys: SpinSystem, unit, steps, rho0s) -> np.ndarray:
     K_(i-1)[p][:, p], the per-shot level phases G_i = g * G_(i-1)[:, p],
     (shots, 8), and the permutation P_i = P_(i-1)[p], as _then composes
     frames. Record i is C_i * rho0[P_i][:, P_i] for every state at once,
-    with the shot mean C_i = K_i * (G_i^T G_i*) / shots, one
-    (8 x shots)(shots x 8) GEMM per recorded step; a walk with no
-    permuting step reads all its records with one broadcast product.
+    with C_i = K_i * (G_i^T G_i*) / shots, the shot mean, on the elements
+    that read it, one (8 x shots)(shots x 8) GEMM per recorded step; a
+    walk with no permuting step reads all its records with one broadcast
+    product.
 
-    The shots are decided once per walk, over the elements some state
-    occupies, those nonzero (NaN and inf included) in any input state
-    (module docstring). Each distinct step frame's H is checked on those
-    elements (a, b) and, for every record i with a permutation, on
-    (argsort(P_i)[a], argsort(P_i)[b]), where that record holds them: a
-    superset of the elements each frame turns, so it may add shots but
-    never drops them. If every max |H[a] - H[b]|_inf *
-    sys.disorder.phase_rate() there is at most REFOCUS_RAD, G is never
-    formed and step i records K_i, so the walk calls no level_phases and
-    makes no GEMM; each step moved every occupied element's phase by at
-    most REFOCUS_RAD. Otherwise every frame's G is formed, once per
-    distinct frame, and the walk takes the shots from its first step. Zero
-    widths give a rate of 0, so every frame refocuses.
+    The shots are decided once per walk, from its distinct step frames
+    alone (module docstring): spin q is turned when some frame's H changes
+    as q flips, max |H[a] - H[a ^ bit_q]| > TIME_ATOL, and element (a, b)
+    is kept when a ^ b flips no turned spin. Every fused pulse flips bits,
+    so P_i keeps a ^ b, and a kept element records K_i whichever states
+    walk beside it and whatever the draw. The walk takes the shots only if
+    some element a state occupies, nonzero (NaN and inf included) in any
+    input state, is not kept: then every frame's G is formed, once per
+    distinct frame, and only the elements that are not kept read the shot
+    mean. Otherwise step i records K_i, and the walk calls no level_phases
+    and makes no GEMM.
 
     A dense segment makes the walk expand the unit over the draw once and
     step one (n, shots, 8, 8) stack of every state through it instead.
@@ -714,34 +703,35 @@ def walk(sys: SpinSystem, unit, steps, rho0s) -> np.ndarray:
             plans[i] = ([] if step == 0 else compile_program(sys, (), step)
                         if unit is None else repeat_program(unit, int(step)))
     if fused:
-        ea, eb = np.nonzero((rho0s != 0).any(axis=0))  # the occupied elements; NaN and inf count
-        frames, perms, perm = {}, [], None  # perms[i] is P_i, None for the identity
-        for j in which:  # each distinct step's H, and each record's P_i
-            if plans[j]:
-                [(_, _, frames[j], p)] = plans[j]  # one frame: a second one fails here
-                perm = p if perm is None else perm if p is None else perm[p]
-            perms.append(perm)
-        # record i holds rho0's element (a, b) at (argsort(P_i)[a], argsort(P_i)[b])
-        moved = {q.tobytes(): q for q in perms if q is not None}.values()  # each distinct P_i
-        ra, rb = (np.concatenate([e] + [np.argsort(q)[e] for q in moved]) for e in (ea, eb))
-        # one decision per walk; NaN (an overflowing rate times 0) takes the shots
-        rate = sys.disorder.phase_rate()
-        shots = not all(float(np.abs(h[ra] - h[rb]).max(initial=0.0)) * rate <= REFOCUS_RAD
-                        for h in frames.values())
-        # once per distinct frame, and only for a walk with shots
-        phases = {j: level_phases(h, deltas) for j, h in frames.items() if shots}
+        frames = {j: plan for j, plan in plans.items() if plan}
+        # every frame's H side by side, (8, 3 * frames); a step of two frames fails here
+        hs = np.concatenate([np.empty((DIM, 0))] + [h for [(_, _, h, _)] in frames.values()], 1)
+        levels = np.arange(DIM)
+        # per spin, whether some frame's H changes as it flips; NaN counts as a change
+        turned = ~(np.abs(hs[levels ^ _SPIN_BITS[:, None]] - hs).reshape(N_QUBITS, -1).max(
+            axis=1, initial=0.0) <= TIME_ATOL)
+        fixed = levels & int(_SPIN_BITS @ turned)  # each level's bits on the turned spins
+        kept = fixed[:, None] == fixed  # a ^ b flips no turned spin
+        shots = bool(rho0s[:, ~kept].any())  # some state occupies an element not kept
+        phases = {j: level_phases(h, deltas) for j, [(_, _, h, _)] in frames.items() if shots}
         k, g = np.ones((DIM, DIM), dtype=complex), np.ones((len(deltas), DIM), dtype=complex)
-        means = np.empty((len(steps), DIM, DIM), complex)
+        ks = np.empty((len(steps), DIM, DIM), complex)
+        means = np.empty_like(ks) if shots else None
+        perms, perm = [], None  # perms[i] is P_i, None for the identity
         for i, j in enumerate(which):
-            if plans[j]:
-                [(_, k_step, _, p)] = plans[j]
+            for _, k_step, _, p in plans[j]:  # one frame, or none for a zero step
                 k = k_step * (k if p is None else k[p[:, None], p])
                 g = phases[j] * (g if p is None else g[:, p]) if shots else g
-            means[i] = k * (g.T @ g.conj()) / len(deltas) if shots else k
-        out = means * rho0s[:, None]
+                perm = p if perm is None else perm if p is None else perm[p]
+            ks[i] = k
+            if shots:
+                means[i] = g.T @ g.conj()
+            perms.append(perm)
+        ks = np.where(kept, ks, ks * means / len(deltas)) if shots else ks  # the shot mean
+        out = ks * rho0s[:, None]
         for i, q in enumerate(perms):  # record i is C_i * rho0[P_i][:, P_i]
             if q is not None:
-                out[:, i] = means[i] * rho0s[:, q[:, None], q]
+                out[:, i] = ks[i] * rho0s[:, q[:, None], q]
     else:
         out = np.empty((len(rho0s), len(steps), DIM, DIM), dtype=complex)
         states = np.repeat(rho0s[:, None], len(deltas), axis=1)

@@ -150,6 +150,24 @@ def test_a_repeated_grid_rebuilds_no_schedule(monkeypatch):
     assert again.percents == first.percents
 
 
+def test_a_sweep_keeps_at_most_the_bounded_cycles_and_tables():
+    # a sweep over J12 and KDD20 delays makes a new system and a new protocol per
+    # point: the cycles and the system tables it leaves behind stay within their
+    # bounds, and a grid run twice after it builds no cycle the second time
+    base = runner.default_system()
+    for i in range(300):
+        sys = dataclasses.replace(base, couplings=(40.0 + 0.1 * i,) + base.couplings[1:])
+        proto = Protocol("DD3sp", "KDD20", 0.4e-3 + 1e-6 * i, 0.0, (1, 2, 3))
+        unit = runner.build_cycle(proto).unit_duration
+        runner.run_decay("psi3", proto, sys, times=(0.0, 20 * unit))
+    assert runner.build_cycle.cache_info().currsize <= runner.SCHEDULE_CACHE_SIZE
+    assert spinsys._tables.cache_info().currsize <= spinsys.PLAN_CACHE_SIZE
+    runner.run_grid(base)
+    built = runner.build_cycle.cache_info().misses
+    runner.run_grid(base)
+    assert runner.build_cycle.cache_info().misses == built
+
+
 def _frozen_only(value) -> bool:
     if isinstance(value, tuple):
         return all(_frozen_only(v) for v in value)
@@ -273,15 +291,24 @@ def test_dd_refocuses_static_disorder_exactly():
     assert with_d.values == pytest.approx(without.values, abs=1e-9)
 
 
-def test_refocused_dd_curves_do_not_move_with_the_disorder():
+def test_refocused_dd_curves_do_not_move_with_the_disorder(monkeypatch):
     # with ideal pulses every DD walk of the grid refocuses its elements, so it
-    # records K alone: bitwise the same curve at any width or seed, zero included
+    # records K alone: bitwise the same curve at any width or seed, zero included.
+    # The walks decide that from their frames, never from the draw, so even a
+    # width of 1 MHz leaves them alone, and only free evolution's one distinct
+    # frame asks for level phases
     base = runner.default_system()
-    runs = [runner.run_grid(dataclasses.replace(base, disorder=disorder)) for disorder in (
-        base.disorder,
-        dataclasses.replace(base.disorder, sigma=(0.0, 0.0, 0.0), sigma_corr=0.0),
-        dataclasses.replace(base.disorder, sigma_corr=5.0),
-        dataclasses.replace(base.disorder, seed=3))]
+    phases = _counting(monkeypatch, spinsys, "level_phases")
+    runs, calls = [], []
+    for disorder in (base.disorder,
+                     dataclasses.replace(base.disorder, sigma=(0.0, 0.0, 0.0), sigma_corr=0.0),
+                     dataclasses.replace(base.disorder, sigma_corr=5.0),
+                     dataclasses.replace(base.disorder, seed=3),
+                     dataclasses.replace(base.disorder, sigma_corr=1e6)):
+        phases.clear()
+        runs.append(runner.run_grid(dataclasses.replace(base, disorder=disorder)))
+        calls.append(len(phases))
+    assert calls == [1] * 5
 
     def curves(run, free):
         return [c.values for c in run.curves if (c.protocol.kind == "FreeEv") == free]

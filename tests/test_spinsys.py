@@ -259,6 +259,9 @@ def test_hard_pulse_equals_expm_of_rf_hamiltonian():
 
 
 def test_pulse_permutation_is_the_exact_signed_permutation():
+    # spin q's bit of a level index is the one bit reads: the table walk decides refocusing by
+    for q, mask in zip((1, 2, 3), spinsys._SPIN_BITS):
+        assert [bool(b & mask) for b in range(8)] == [spinsys.bit(b, q) == 1 for b in range(8)]
     rng = np.random.default_rng(43)
     for _ in range(60):
         targets = tuple(int(q) for q in rng.permutation((1, 2, 3))[:rng.integers(1, 4)])
@@ -270,7 +273,11 @@ def test_pulse_permutation_is_the_exact_signed_permutation():
         perm, d = spinsys.pulse_permutation(ev, sys)
         signed = np.zeros((8, 8), dtype=complex)
         signed[np.arange(8), perm] = d
-        assert sorted(perm) == list(range(8))
+        # every signed-permutation pulse flips its targets' bits, or none for an even
+        # number of half turns, so it keeps each element's flip pattern a ^ b
+        odd = round(flip / np.pi) % 2
+        mask = sum(int(spinsys._SPIN_BITS[q - 1]) for q in targets) if odd else 0
+        assert np.array_equal(perm, np.arange(8) ^ mask)
         assert np.allclose(np.abs(d), 1.0, rtol=0, atol=1e-15)
         assert np.max(np.abs(signed - spinsys.pulse_propagator(ev, sys))) <= 1e-15
     ev = pulse(0.0, (1, 2), np.pi, 0.3, duration=3e-5)

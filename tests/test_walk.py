@@ -24,16 +24,18 @@ protocol of the grid and the star run. It steps all eight levels in level
 coordinates and reads each record through the permutation of its steps so
 far, so each state walked alone must match too, under real pulses and
 under general signed permutations. A step's plan is one fused frame or
-none, and a walk handed two must fail, not drop one. The shots are decided
-once per walk: a walk whose frames all refocus every element its states
-occupy records K alone, as the grid's DD walks do, which must still match
+none, and a walk handed two must fail, not drop one. Refocusing is read
+off the walk's frames, once per walk and never off the draw: an element
+that flips only spins every frame refocuses within TIME_ATOL records K
+alone, so a state reads the same bits alone or beside others and at any
+disorder width, the grid's DD walks take no shots and must still match
 the shot walk on the states the grid serves them, and a walk with any
-frame that does not refocus takes every frame's shots. A permuted record
-holds its states' elements on other levels, and the decision must read
-its frames there too. A dense walk, which steps the shot stacks of all its
-states as one, must equal each state walked alone; and the grid, which
-walks each protocol once for all its states and steps no shot stack when
-it is fused, must match one run_decay per curve bit for bit.
+frame that turns an occupied element takes every frame's shots. A
+permuted record holds its states' elements on other levels, and the
+shots must reach them there. A dense walk, which steps the shot stacks of
+all its states as one, must equal each state walked alone; and the grid,
+which walks each protocol once for all its states and steps no shot stack
+when it is fused, must match one run_decay per curve bit for bit.
 """
 
 from dataclasses import replace
@@ -339,11 +341,10 @@ def test_map_walk_matches_state_walk(name, monkeypatch):
     for state_id, got in zip(state_ids, walked):
         want = _state_walk(sys, cycle, times, circuits.prepare(state_id))
         assert np.max(np.abs(got - want)) <= 1e-12
-        # walked alone, a state matches too, and the permuting units move its levels; a
-        # unit may refocus one state's elements but not its walk-mates', so the walk
-        # alone may record K where the shared walk takes the shots
+        # walked alone, a state reads the same bits: a refocused element records K in
+        # either walk, and one that is not reads the same shot mean
         alone = runner._walk(sys, cycle, times, [circuits.prepare(state_id)])[0]
-        assert np.max(np.abs(alone - want)) <= 1e-12
+        assert np.array_equal(alone, got)
     # |000><000| lands on |a><a| with P_t[a] = 0; the pulses flip bits, so P_t is
     # an XOR with a mask, and it is the identity exactly when it fixes |000>
     ground = np.zeros((spinsys.DIM, spinsys.DIM), dtype=complex)
@@ -420,38 +421,84 @@ def test_a_fused_walk_steps_all_eight_levels(monkeypatch):
 
 
 def test_a_walk_with_a_frame_that_does_not_refocus_takes_every_frames_shots(monkeypatch):
-    # free gaps of 2 ps, 10 ns and 10 s under a faint common-mode width: the 2 ps
-    # gap's frame refocuses every element, within REFOCUS_RAD, and the others do not.
-    # The shots are decided once per walk: a walk of 2 ps gaps alone records K and
-    # asks for no phases, and a walk that meets any other gap takes every frame's
-    # shots from its first step, asking once for each of its three distinct frames
-    sys = SpinSystem(noise=NoiseModel(), disorder=DisorderModel((0.0, 0.0, 0.0), 0.005,
+    # two pi pulses on all three spins, a quarter and three quarters into a 1 ms unit,
+    # the first 0.4 ps late: as a spin flips, one unit's H changes by 0.8 ps, within
+    # TIME_ATOL, so that frame refocuses every spin, while two units change it by
+    # 1.6 ps and three by 2.4 ps, past it. The shots are decided once per walk, from
+    # its frames: a walk of single units records K alone and asks for no phases, and
+    # a walk that meets two or three units takes every frame's shots from its first
+    # step, asking once for each of its three distinct frames. The draw does not
+    # enter the decision: at a width of 1 GHz the single-unit walk still equals the
+    # zero-width walk bit for bit
+    unit = ((spinsys.pulse(0.25e-3 + 0.4e-12, (1, 2, 3), np.pi, 0.0),
+             spinsys.pulse(0.75e-3, (1, 2, 3), np.pi, 0.0)), 1e-3)
+    sys = SpinSystem(noise=NoiseModel(), disorder=DisorderModel((0.0, 0.0, 0.0), 1e9,
                                                                 shots=64, seed=5))
-    short, medium, long = 2e-12, 1e-8, 10.0
-    rate = sys.disorder.phase_rate()
-    assert short * rate <= spinsys.REFOCUS_RAD < 1000 * spinsys.REFOCUS_RAD <= medium * rate
-    assert long * rate >= 1.0
+    still = replace(sys, disorder=DisorderModel())
     rho0 = random_rho(np.random.default_rng(31), spinsys.DIM)
     rows = _recording_level_phases(monkeypatch)
-    refocused = spinsys.walk(sys, None, [short, short], [rho0])[0]
+    refocused = spinsys.walk(sys, unit, [1, 1], [rho0])
     assert rows == []
-    steps = [short, short, medium, short, long, short]
-    got = spinsys.walk(sys, None, steps, [rho0])[0]
+    assert np.array_equal(refocused, spinsys.walk(still, unit, [1, 1], [rho0]))
+    steps = [1, 1, 2, 1, 3, 1]
+    got = spinsys.walk(sys, unit, steps, [rho0])[0]
     assert [h.shape for h in rows] == [(8, 3)] * 3
-    # the first step's frame is asked for first: a free gap's H is the gap times s / 2
-    assert [2 * np.abs(h).max() for h in rows] == pytest.approx([short, medium, long])
+    # the first step's frame is asked for first: k units turn each level by k * 0.4 ps
+    assert [np.abs(h).max() for h in rows] == pytest.approx([0.4e-12, 0.8e-12, 1.2e-12],
+                                                            rel=1e-3)
     monkeypatch.undo()
-    deltas = sys.disorder.draw()
+    deltas, plan = sys.disorder.draw(), spinsys.compile_program(sys, *unit)
     states = np.broadcast_to(rho0, (len(deltas),) + rho0.shape).copy()
-    for i, (step, walked) in enumerate(zip(steps, got)):
-        plan = spinsys.expand_program(spinsys.compile_program(sys, (), step), deltas)
-        states = spinsys.apply_program(states, plan)
+    for step, walked in zip(steps, got):
+        states = spinsys.apply_program(
+            states, spinsys.expand_program(spinsys.repeat_program(plan, step), deltas))
         assert np.max(np.abs(walked - states.mean(0))) <= 1e-12
-        if i < len(refocused):  # K alone moved each refocused element by at most REFOCUS_RAD
-            assert np.max(np.abs(refocused[i] - states.mean(0))) <= 1e-12
-    # the disorder acts: the long gaps move the state away from its disorder-free walk
-    assert np.max(np.abs(got - spinsys.walk(replace(sys, disorder=DisorderModel()), None,
-                                            steps, [rho0])[0])) > 0.01
+    # the disorder acts: the shots move the state away from its disorder-free walk
+    assert np.max(np.abs(got - spinsys.walk(still, unit, steps, [rho0])[0])) > 1e-4
+
+
+def test_a_state_records_the_same_bits_alone_and_beside_the_table_states():
+    # CPMG3 on spins 1 and 2 refocuses them and leaves spin 3 turned: psi1a flips
+    # spin 1 only, so its elements are kept and record K whether the walk takes the
+    # shots for its walk-mates' spin-3 coherences or not
+    sys = runner.default_system()
+    steps = (0, 1, 2, 3, 5, 8, 401)
+    states = [circuits.prepare(state_id) for state_id in runner.TABLE_STATES]
+    beside = spinsys.walk(sys, _CPMG3.unit_program, steps, states)
+    alone = spinsys.walk(sys, _CPMG3.unit_program, steps, [circuits.prepare("psi1a")])[0]
+    assert np.array_equal(alone, beside[runner.TABLE_STATES.index("psi1a")])
+
+
+@pytest.mark.parametrize("pair", sorted(runner.STAR_PAIRS))
+def test_a_star_pair_walk_records_k_alone_on_every_element_it_refocuses(pair, monkeypatch):
+    # mXY8 on a pair refocuses its two spins and leaves the third unpulsed: the star
+    # state occupies elements that flip the third spin, so the walk takes the shots,
+    # and every element that flips only the pair records K * rho0 exactly, K stepped
+    # as the walk steps it
+    sys = runner.default_system()
+    cycle = runner.build_cycle(runner.star_protocol(runner.STAR_PAIRS[pair]))
+    counts = [ddseq.unit_count(t, cycle.unit_duration, cycle.name)
+              for t in runner.default_time_grid(cycle.unit_duration)]
+    steps = np.diff(counts, prepend=0)
+    rho0 = circuits.prepare("star")
+    rows = _recording_level_phases(monkeypatch)
+    got = spinsys.walk(sys, cycle.unit_program, steps, [rho0])[0]
+    assert rows
+    plan = spinsys.compile_program(sys, *cycle.unit_program)
+    k, want = np.ones((spinsys.DIM, spinsys.DIM), dtype=complex), []
+    for step in steps:
+        if step:
+            [(_, k_step, _, p)] = spinsys.repeat_program(plan, int(step))
+            assert p is None
+            k = k_step * k
+        want.append(k * rho0)
+    third, = set(range(1, 4)) - set(runner.STAR_PAIRS[pair])
+    levels = np.arange(spinsys.DIM)
+    kept = np.array([[spinsys.bit(a ^ b, third) == 0 for b in levels] for a in levels])
+    assert np.array_equal(got[:, kept], np.array(want)[:, kept])
+    # the shots act on the third spin's coherences the star state occupies
+    moved = ~kept & (rho0 != 0)
+    assert moved.any() and np.max(np.abs(got[:, moved] - np.array(want)[:, moved])) > 1e-6
 
 
 def _grid_protocols():
@@ -707,8 +754,9 @@ def test_fused_walk_moves_occupied_rows_under_any_signed_permutation(case, occup
 @pytest.mark.parametrize("steps, level", [((1, 0), 4), ((1, 1), 2)])
 def test_a_permuted_record_decides_the_shots_on_the_rows_it_holds(steps, level, monkeypatch):
     # p, a 3-cycle, moves rho0's element (0, 1) to (4, 5) = argsort(p)[:2] after one unit
-    # and to (2, 3) after two. A frame that turns only that record's first level
-    # refocuses (0, 1), where rho0 holds it, and (p[0], p[1]): the walk must take shots
+    # and to (2, 3) after two. A frame with a filter function on that record's first
+    # level alone changes it as any spin flips: the walk must take the shots, and
+    # they must reach the element where the record holds it
     p = np.array([2, 3, 4, 5, 0, 1, 6, 7])
     h = np.zeros((spinsys.DIM, spinsys.N_QUBITS))
     h[level, 0] = 1e-3
