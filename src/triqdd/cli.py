@@ -151,8 +151,7 @@ def cmd_decay(args) -> int:
 
 
 def _fact_line(f) -> str:
-    lhs = f"{f.lhs[0]}" + (f"/{f.lhs[1]}" if f.lhs[1] else "")
-    rhs = f"{f.rhs[0]}" + (f"/{f.rhs[1]}" if f.rhs[1] else "")
+    lhs, rhs = runner.cell_label(*f.lhs), runner.cell_label(*f.rhs)
     line = (f"{f.state:>6}  {lhs:<12} {f.lhs_pct:6.2f}  vs  {rhs:<12} "
             f"{f.rhs_pct:6.2f}  margin {f.margin_pp:6.2f}pp  {f.verdict}")
     if f.published_lhs is not None and f.published_rhs is not None:
@@ -211,11 +210,11 @@ def cmd_tomo(args) -> int:
 def cmd_config_reference(args) -> int:
     print("Config keys and their built-in defaults; every key may be omitted.")
     section = None
-    for sec, key, _, _, default, doc in spinsys.CONFIG_KEYS:
+    for sec, key, name, doc in spinsys.CONFIG_KEYS:
         if sec != section:
             print(f"\n[{sec}]")
             section = sec
-        print(f"  {key:<24} = {default:<14} {doc}")
+        print(f"  {key:<24} = {spinsys.default_text(sec, name):<14} {doc}")
     print("\nFlag overrides: --set section.key=value (repeatable) wins over the file.")
     print("Without --config, experiment commands run the committed configuration:\n")
     print(runner.default_config_text().rstrip())

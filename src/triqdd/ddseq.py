@@ -20,6 +20,9 @@ cycle leaves both qubits with an odd pulse count, so it is not a net
 identity; the execution unit is two cycles, which compose to the
 identity for ideal pulses.
 
+pulse_width inverts that duration rule: the width at which a family's cycle
+with a given delay lasts a given time, plain or modified.
+
 Each phase table is built from its family's rule, in phase_tables and _ur.
 Every table must keep the flip-angle robustness property checked in the
 test suite: the survival of a single-spin coherence under deliberately
@@ -129,12 +132,25 @@ def _make_cycle(name, targets, tau, t_p, phases_deg, slot=None) -> DDCycle:
         raise ValueError(f"pulse width {t_p} does not fit the delay grid (tau = {tau})")
     targets = tuple(targets)
     events, duration = _build_events(targets, tau, t_p, phases_deg, slot)
-    return DDCycle(name, targets, float(tau), float(t_p), tuple(float(p) for p in phases_deg),
-                   slot, events, duration)
+    cycle = DDCycle(name, targets, float(tau), float(t_p), tuple(float(p) for p in phases_deg),
+                    slot, events, duration)
+    if not np.isfinite(cycle.unit_duration):
+        raise ValueError(f"{name} overflows a float at tau {tau:g} s: unit {cycle.unit_duration} s")
+    return cycle
 
 
-def generate(family: str, tau: float, t_p: float = 0.0, targets=(1, 2, 3)) -> DDCycle:
-    """Build a cycle by name: a named table, CPMGn (n >= 1 pulses of phase 0) or URn (_ur)."""
+def pulse_width(family: str, tau: float, cycle_duration: float, modified: bool) -> float:
+    """The width t_p at which a cycle of the family and delay lasts cycle_duration.
+
+    The inverse of _build_events' duration, n (tau + t_p) plus one t_p when
+    modified. The cycle built from it refuses a negative width.
+    """
+    n = len(_phases(family))
+    return (cycle_duration - n * tau) / (n + modified)
+
+
+def _phases(family: str) -> tuple[float, ...]:
+    """A family's phase table by name: a named table, CPMGn (n >= 1 pulses of phase 0) or URn."""
     tables, counted = phase_tables(), re.fullmatch(r"(CPMG|UR)([1-9][0-9]*)", family)
     kind, n = (counted[1], int(counted[2])) if counted else ("", 0)
     phases = (tables[family] if family in tables else (0.0,) * n if kind == "CPMG"
@@ -142,7 +158,12 @@ def generate(family: str, tau: float, t_p: float = 0.0, targets=(1, 2, 3)) -> DD
     if phases is None:
         raise ValueError(f"unknown family '{family}', expected one of {sorted(tables)}, "
                          f"{FAMILY_PATTERNS}")
-    return _make_cycle(family, targets, tau, t_p, phases)
+    return phases
+
+
+def generate(family: str, tau: float, t_p: float = 0.0, targets=(1, 2, 3)) -> DDCycle:
+    """Build a cycle by name, on its family's phase table (_phases)."""
+    return _make_cycle(family, targets, tau, t_p, _phases(family))
 
 
 def modify(cycle: DDCycle, slot: int | None = None) -> DDCycle:

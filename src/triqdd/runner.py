@@ -75,6 +75,8 @@ KINDS = ("FreeEv", "DD1sp", "DD3sp", "mDD2sp")
 _KIND_TARGET_COUNT = {"DD1sp": 1, "mDD2sp": 2, "DD3sp": 3}
 
 TABLE_STATES = ("psi0a", "psi0b", "psi1a", "psi1b", "psi2a", "psi2b", "psi3")
+# the committed order of each family's ordering facts
+FACT_STATES = ("psi3", "psi1a", "psi1b", "psi2a", "psi2b", "psi0a", "psi0b")
 STAR_PAIRS = {"AC": (1, 3), "BC": (2, 3)}
 
 
@@ -157,12 +159,6 @@ def _delay_row(block: dict, state_id: str | None, family: str):
     return tau_ms * 1e-3, cycle_s
 
 
-def _pulse_width(family: str, tau: float, cycle_s: float, modified: bool) -> float:
-    n = len(ddseq.phase_tables()[family])
-    slack = cycle_s - n * tau
-    return slack / (n + 1) if modified else slack / n  # the cycle refuses a negative width
-
-
 def differing_qubits(state_id: str) -> tuple[int, ...]:
     """Qubits whose bit differs across the state's tracked element."""
     a, b = circuits.tracked_element(state_id)
@@ -178,7 +174,7 @@ def default_protocol(kind: str, state_id: str | None = None, family: str = "XY8"
     if kind not in blocks:
         raise ValueError(f"no delay defaults for kind '{kind}'")
     tau, cycle_s = _delay_row(blocks[kind], state_id, family)
-    t_p = _pulse_width(family, tau, cycle_s, modified=(kind == "mDD2sp"))
+    t_p = ddseq.pulse_width(family, tau, cycle_s, modified=(kind == "mDD2sp"))
     if kind == "DD3sp":
         targets = (1, 2, 3)
     else:
@@ -195,7 +191,7 @@ def star_protocol(pair: tuple[int, int]) -> Protocol:
     if key not in rows:
         raise ValueError(f"no star delay for pair {pair}, expected one of {sorted(rows)}")
     tau, cycle_s = _delay_row(rows, key, "XY8")
-    t_p = _pulse_width("XY8", tau, cycle_s, modified=True)
+    t_p = ddseq.pulse_width("XY8", tau, cycle_s, modified=True)
     return Protocol("mDD2sp", "XY8", tau, t_p, tuple(pair))
 
 
@@ -229,13 +225,14 @@ def default_time_grid(unit: float | None, t_max: float = GRID_T_MAX,
     """Grid of `points` targets from 0 to t_max, snapped to whole units; built once per process.
 
     Snapping can merge neighbors when the unit is coarse; the endpoints
-    always survive. FreeEv (unit None) keeps the plain uniform grid.
+    always survive. FreeEv (unit None) keeps the plain uniform grid. Either
+    grid is sorted and distinct, so t_max 0 is the one time 0.
     """
     if not 0 <= t_max < np.inf or points < 2:
         raise ValueError(f"need a finite t_max >= 0 and at least two grid points, "
                          f"got t_max {t_max}, points {points}")
     if unit is None:
-        return tuple(np.linspace(0.0, t_max, points).tolist())
+        return tuple(dict.fromkeys(np.linspace(0.0, t_max, points).tolist()))
     total = ddseq.unit_count(t_max, unit, "repeat")
     if total > np.iinfo(np.int64).max:
         raise ValueError(f"t_max {t_max:g} s is {float(total):.3g} repeat units of "
@@ -310,6 +307,10 @@ def run_decay(state_id: str, protocol: Protocol, sys: SpinSystem,
 DESIGNATED_KIND = {state_id: kind for state_id in TABLE_STATES
                    for kind, count in _KIND_TARGET_COUNT.items()
                    if count == len(differing_qubits(state_id))}
+# the coherence order of each state's tracked element: free evolution keeps order zero
+ELEMENT_ORDER = {s: qmat.coherence_order(*circuits.tracked_element(s)) for s in TABLE_STATES}
+# what every table state runs beside its designated protocol, and what that must beat
+FREE_KIND, ALL_SPIN_KIND = "FreeEv", "DD3sp"
 
 
 @dataclass(frozen=True)
@@ -337,11 +338,11 @@ def run_grid(sys: SpinSystem, families=FAMILIES, states=TABLE_STATES,
     cells = []  # (state, protocol), state-major
     for state_id in states:
         kind = DESIGNATED_KIND[state_id]
-        cells.append((state_id, default_protocol("FreeEv")))
+        cells.append((state_id, default_protocol(FREE_KIND)))
         for family in families:
             cells.append((state_id, default_protocol(kind, state_id, family)))
-            if kind != "DD3sp":
-                cells.append((state_id, default_protocol("DD3sp", state_id, family)))
+            if kind != ALL_SPIN_KIND:
+                cells.append((state_id, default_protocol(ALL_SPIN_KIND, state_id, family)))
     users: dict[Protocol, list[str]] = {}  # FreeEv and DD3sp serve every state
     for state_id, proto in cells:
         users.setdefault(proto, []).append(state_id)
@@ -430,19 +431,19 @@ class OrderingReport:
 
 
 def ordering_facts(families=FAMILIES):
-    """The committed qualitative claims, per family: (state, lhs, rhs)."""
-    free = ("FreeEv", None)
+    """The committed qualitative claims, per family: (state, lhs, rhs).
+
+    Each state's designated protocol beats free evolution, unless its element
+    is of order zero, and the all-spin protocol, unless that is the designated one.
+    """
     out = []
     for family in families:
-        out.append(("psi3", ("DD3sp", family), free))
-        for state_id in ("psi1a", "psi1b"):
-            out.append((state_id, ("DD1sp", family), free))
-            out.append((state_id, ("DD1sp", family), ("DD3sp", family)))
-        for state_id in ("psi2a", "psi2b"):
-            out.append((state_id, ("mDD2sp", family), free))
-            out.append((state_id, ("mDD2sp", family), ("DD3sp", family)))
-        for state_id in ("psi0a", "psi0b"):
-            out.append((state_id, ("mDD2sp", family), ("DD3sp", family)))
+        for state_id in FACT_STATES:
+            lhs = (DESIGNATED_KIND[state_id], family)
+            if ELEMENT_ORDER[state_id]:
+                out.append((state_id, lhs, (FREE_KIND, None)))
+            if lhs[0] != ALL_SPIN_KIND:
+                out.append((state_id, lhs, (ALL_SPIN_KIND, family)))
     return tuple(out)
 
 
@@ -524,13 +525,17 @@ def write_curves_csv(curves, path) -> None:
         fh.write("\r\n".join(lines) + "\r\n")
 
 
+def cell_label(kind: str, family: str | None) -> str:
+    """A grid cell's name: kind/family, or the kind alone for free evolution."""
+    return kind if family is None else f"{kind}/{family}"
+
+
 def grid_summary(run: GridRun, report: OrderingReport,
                  config_echo: dict | None = None) -> dict:
     """JSON-ready summary: per-state percents plus the ordering report."""
     percents: dict[str, dict] = {}
     for (state_id, kind, family), pct in run.percents.items():  # write_json sorts the keys
-        label = kind if family is None else f"{kind}/{family}"
-        percents.setdefault(state_id, {})[label] = pct
+        percents.setdefault(state_id, {})[cell_label(kind, family)] = pct
     return {
         "time_s": run.t_eval,
         "config": config_echo or {},

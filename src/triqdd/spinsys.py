@@ -247,8 +247,9 @@ def bit(b: int, q: int) -> int:
     return (b >> (N_QUBITS - q)) & 1
 
 
-# spin q's bit in a level index, as bit reads it: flipping q maps level a to a ^ _SPIN_BITS[q - 1]
-_SPIN_BITS = np.array([1 << (N_QUBITS - q) for q in range(1, N_QUBITS + 1)])
+# spin q's bit in a level index, the first level on which bit reads q as 1: flipping q
+# maps level a to a ^ _SPIN_BITS[q - 1]
+_SPIN_BITS = np.array([min(b for b in range(DIM) if bit(b, q)) for q in range(1, N_QUBITS + 1)])
 
 
 def energies(sys: SpinSystem) -> np.ndarray:
@@ -768,66 +769,59 @@ def split_list(raw: str, where: str) -> list[str]:
     return [item for part in parts for item in part]
 
 
-def _floats(raw: str, count: int, where: str) -> tuple[float, ...]:
+def _parse(raw: str, default, where: str):
+    """raw read as its key's default is typed: on/off, a whole number, a number or a tuple."""
+    if isinstance(default, bool):
+        val = raw.strip().lower()
+        if val in ("on", "true", "yes", "1"):
+            return True
+        if val in ("off", "false", "no", "0"):
+            return False
+        raise ConfigError(f"{where}: expected on/off, got '{raw}'")
     try:
         vals = tuple(float(p) for p in split_list(raw, where))
     except ValueError as exc:
         raise ConfigError(f"{where}: expected numbers, got '{raw}'") from exc
     if not np.all(np.isfinite(vals)):
         raise ConfigError(f"{where}: expected finite numbers, got '{raw}'")
-    if len(vals) != count:
-        raise ConfigError(f"{where}: expected {count} values, got {len(vals)}")
-    return vals
-
-
-def _triple(raw: str, where: str) -> tuple[float, float, float]:
-    return _floats(raw, N_QUBITS, where)
-
-
-def _number(raw: str, where: str) -> float:
-    return _floats(raw, 1, where)[0]
-
-
-def _whole(raw: str, where: str) -> int:
-    val = _number(raw, where)
-    if not val.is_integer():
+    if len(vals) != np.size(default):
+        raise ConfigError(f"{where}: expected {np.size(default)} values, got {len(vals)}")
+    if isinstance(default, tuple):
+        return vals
+    if isinstance(default, int) and not vals[0].is_integer():
         raise ConfigError(f"{where}: expected a whole number, got '{raw}'")
-    return int(val)
+    return type(default)(vals[0])
 
 
-def _flag(raw: str, where: str) -> bool:
-    val = raw.strip().lower()
-    if val in ("on", "true", "yes", "1"):
-        return True
-    if val in ("off", "false", "no", "0"):
-        return False
-    raise ConfigError(f"{where}: expected on/off, got '{raw}'")
-
-
-# Every config key: (section, key, model field, parser, default, doc). The
-# section names the model (SpinSystem itself for [system]); the defaults
-# are those of the models, which the test suite checks.
+# Every config key: (section, key, model field, doc). The section names the model,
+# getattr(system, section, system): SpinSystem itself for [system], which no field
+# is named. The field's value in SpinSystem() is the key's default and its type
+# picks the key's parser.
 CONFIG_KEYS = (
-    ("system", "offsets_hz", "offsets", _triple, "500 -300 150",
-     "chemical-shift offsets of the three spins, Hz"),
-    ("system", "couplings_hz", "couplings", _triple, "48 161 -192",
-     "scalar couplings J12 J13 J23, Hz"),
-    ("noise", "gamma_s", "gamma", _triple, "1.0 1.2 2.0",
-     "independent per-spin dephasing rates, 1/s"),
-    ("noise", "gamma_corr_s", "gamma_corr", _number, "1.5",
-     "correlated (common-mode) dephasing rate, 1/s"),
-    ("pulse", "flip_fraction_error", "flip_fraction_error", _number, "0",
+    ("system", "offsets_hz", "offsets", "chemical-shift offsets of the three spins, Hz"),
+    ("system", "couplings_hz", "couplings", "scalar couplings J12 J13 J23, Hz"),
+    ("noise", "gamma_s", "gamma", "independent per-spin dephasing rates, 1/s"),
+    ("noise", "gamma_corr_s", "gamma_corr", "correlated (common-mode) dephasing rate, 1/s"),
+    ("pulse", "flip_fraction_error", "flip_fraction_error",
      "fractional flip-angle error on every pulse"),
-    ("pulse", "phase_error_rad", "phase_error", _number, "0",
-     "phase offset added to every pulse, rad"),
-    ("pulse", "internal_h_during_pulse", "internal_h_during_pulse", _flag, "off",
+    ("pulse", "phase_error_rad", "phase_error", "phase offset added to every pulse, rad"),
+    ("pulse", "internal_h_during_pulse", "internal_h_during_pulse",
      "integrate offsets and couplings through pulse windows instead of around them"),
-    ("disorder", "sigma_hz", "sigma", _triple, "0 0 0",
+    ("disorder", "sigma_hz", "sigma",
      "per-spin disorder spread, Hz; any nonzero width turns disorder on"),
-    ("disorder", "sigma_corr_hz", "sigma_corr", _number, "0", "common-mode disorder spread, Hz"),
-    ("disorder", "shots", "shots", _whole, "128", "disorder samples per run"),
-    ("disorder", "seed", "seed", _whole, "0", "disorder rng seed"),
+    ("disorder", "sigma_corr_hz", "sigma_corr", "common-mode disorder spread, Hz"),
+    ("disorder", "shots", "shots", "disorder samples per run"),
+    ("disorder", "seed", "seed", "disorder rng seed"),
 )
+
+
+def default_text(section: str, name: str) -> str:
+    """A config key's default as config text: its field's value in SpinSystem()."""
+    base = SpinSystem()
+    value = getattr(getattr(base, section, base), name)
+    if isinstance(value, bool):
+        return "on" if value else "off"
+    return " ".join(f"{v:g}" for v in np.atleast_1d(value))
 
 
 def system_from_mapping(cfg: dict[str, dict[str, str]]) -> SpinSystem:
@@ -836,7 +830,8 @@ def system_from_mapping(cfg: dict[str, dict[str, str]]) -> SpinSystem:
     Every given key is parsed and validated; an unknown section or key
     is an error.
     """
-    table = {(section, key): (name, parse) for section, key, name, parse, _, _ in CONFIG_KEYS}
+    base = SpinSystem()
+    table = {(section, key): name for section, key, name, _ in CONFIG_KEYS}
     fields: dict[str, dict] = {section: {} for section, *_ in CONFIG_KEYS}
     for section, entries in cfg.items():
         if section not in fields:
@@ -844,9 +839,9 @@ def system_from_mapping(cfg: dict[str, dict[str, str]]) -> SpinSystem:
         for key, raw in entries.items():
             if (section, key) not in table:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")
-            name, parse = table[section, key]
-            fields[section][name] = parse(raw, f"[{section}] {key}")
-    base = SpinSystem()
+            name = table[section, key]
+            fields[section][name] = _parse(raw, getattr(getattr(base, section, base), name),
+                                           f"[{section}] {key}")
     try:
         return replace(base, **fields.pop("system"), **{
             section: replace(getattr(base, section), **given)

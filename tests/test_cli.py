@@ -87,7 +87,7 @@ def test_sequences_cpmg_and_modified_variants(capsys, tmp_path):
     assert "18 pulses per 2 cycles" in out
 
 
-def test_sequences_rejects_bad_input(capsys):
+def test_sequences_rejects_bad_input(capsys, tmp_path):
     code, _, err = run_cli(capsys, "sequences", "XY9")
     assert code == 2 and "config error" in err
     for family in ("CPMG", "CPMGx", "UR2", "UR5", "CPMG0"):
@@ -104,6 +104,11 @@ def test_sequences_rejects_bad_input(capsys):
     for targets in ("1,,2", ",1", "1,2,"):
         code, out, err = run_cli(capsys, "sequences", "XY8", "--targets", targets)
         assert code == 2 and f"--targets: empty item in '{targets}'" in err and not out
+    # a schedule past the largest float is refused by name, and nothing is written
+    code, out, err = run_cli(capsys, "sequences", "XY8", "--tau", "1e308", "--json",
+                             str(tmp_path / "x.json"))
+    assert code == 2 and "overflows a float" in err and not out
+    assert not (tmp_path / "x.json").exists()
     # slot 0's doubled window would start before the cycle when t_p > tau
     code, out, err = run_cli(capsys, "sequences", "XY8", "--targets", "1,2", "--modified",
                              "--slot", "0", "--tau", "1e-3", "--tp", "1.5e-3")
@@ -183,6 +188,16 @@ def test_decay_writes_deterministic_artifacts(capsys, tmp_path):
     assert len(summary["ordering"]["facts"]) == 2
     run_cli(capsys, *decay_args(tmp_path))
     assert (tmp_path / "curves.csv").read_text() == csv_text
+
+
+def test_decay_at_t_max_zero_writes_one_row_per_curve(capsys, tmp_path):
+    # every grid is sorted and distinct: free evolution's twenty targets at 0 are one time,
+    # as each DD grid's are
+    code, out, _ = run_cli(capsys, *decay_args(tmp_path, "--t-max", "0"))
+    assert code == 0 and "wrote 3 decay curves" in out
+    rows = (tmp_path / "curves.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1:5] for row in rows] == [
+        ["FreeEv", "-", "0", "1"], ["DD1sp", "XY8", "0", "1"], ["DD3sp", "XY8", "0", "1"]]
 
 
 def test_decay_honors_config_file_and_overrides(capsys, tmp_path):
@@ -347,7 +362,8 @@ _NUMBERS = st.floats(allow_nan=True, allow_infinity=True).map(repr)
 
 @st.composite
 def overrides(draw):
-    section, key, _, _, default, _ = draw(st.sampled_from(spinsys.CONFIG_KEYS))
+    section, key, name, _ = draw(st.sampled_from(spinsys.CONFIG_KEYS))
+    default = spinsys.default_text(section, name)  # the model's default, a valid value
     if draw(st.booleans()):  # an unknown key, in a known or an unknown section
         section, key = draw(st.tuples(st.sampled_from(_SECTIONS) | _NAMES, _NAMES))
     value = draw(st.one_of(

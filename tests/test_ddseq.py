@@ -94,6 +94,24 @@ def test_generate_rejects_bad_input():
     for tau, t_p in ((np.nan, 0.0), (np.inf, 0.0), (1e-3, np.nan)):
         with pytest.raises(ValueError, match="finite"):
             ddseq.generate("XY8", tau, t_p)
+    # a schedule past the largest float is refused: a plain cycle, and a modified one whose
+    # cycle fits but whose two-cycle unit does not
+    with pytest.raises(ValueError, match=r"XY8 overflows a float at tau 1e\+308 s: unit inf s"):
+        ddseq.generate("XY8", 1e308)
+    plain = ddseq.generate("XY8", 1.5e307, 0.0, (1, 2))
+    assert np.isfinite(plain.unit_duration)
+    with pytest.raises(ValueError, match="mXY8 overflows a float"):
+        ddseq.modify(plain)
+
+
+def test_pulse_width_inverts_the_cycle_duration():
+    for family in ("XY8", "UR12", "CPMG3"):
+        duration = 1.1 * ddseq.generate(family, 1e-3).cycle_duration
+        for modified, targets in ((False, (1, 2, 3)), (True, (1, 2))):
+            t_p = ddseq.pulse_width(family, 1e-3, duration, modified)
+            cycle = ddseq.generate(family, 1e-3, t_p, targets)
+            cycle = ddseq.modify(cycle) if modified else cycle
+            assert t_p > 0 and cycle.cycle_duration == pytest.approx(duration, rel=1e-15)
 
 
 def test_cpmg_generator():

@@ -87,6 +87,11 @@ def test_default_time_grid_free_is_linspace():
     assert np.allclose(np.diff(grid), grid[1] - grid[0])
 
 
+def test_a_zero_span_grid_is_the_one_time_zero():
+    assert runner.default_time_grid(None, 0.0) == (0.0,)
+    assert runner.default_time_grid(0.005, 0.0) == (0.0,)
+
+
 def test_default_time_grid_snaps_to_units():
     grid = runner.default_time_grid(0.005)
     assert grid[0] == 0.0 and grid[-1] == pytest.approx(0.7)
@@ -546,6 +551,9 @@ def test_ordering_facts_cover_the_committed_claims():
         assert states.count(s) == 2
     for s in ("psi0a", "psi0b"):
         assert states.count(s) == 1
+    # the committed claims, in the order the frozen baseline lists them
+    assert runner.ordering_facts() == tuple(
+        (f["state"], tuple(f["lhs"]), tuple(f["rhs"])) for f in runner.load_baseline()["facts"])
 
 
 # -- reference table -------------------------------------------------------

@@ -10,7 +10,7 @@ from scipy.linalg import expm
 
 from conftest import random_rho
 from oracles import disorder_phase_rates, free_factors
-from triqdd import ddseq, qmat, spinsys
+from triqdd import cli, ddseq, qmat, spinsys
 from triqdd.spinsys import (
     ConfigError,
     DisorderModel,
@@ -551,11 +551,20 @@ def test_config_parses_disorder_keys_while_disorder_is_off():
     assert on.disorder.draw().shape == (64, 3)
 
 
-def test_config_table_defaults_are_the_model_defaults():
-    every_default = {}
-    for section, key, _, _, default, _ in spinsys.CONFIG_KEYS:
-        every_default.setdefault(section, {})[key] = default
-    assert spinsys.system_from_mapping(every_default) == SpinSystem()
+def test_config_table_defaults_are_the_model_defaults(capsys):
+    # every default config-reference prints, under its section, parses back to the model
+    assert cli.main(["config-reference"]) == 0
+    docs = {(section, key): doc for section, key, _, doc in spinsys.CONFIG_KEYS}
+    printed, section = {}, None
+    for line in capsys.readouterr().out.split("\nFlag overrides")[0].splitlines():
+        if line.startswith("["):
+            section = line.strip("[]")
+        elif line.startswith("  "):
+            key, value = (part.strip() for part in line.split("=", 1))
+            printed.setdefault(section, {})[key] = value.removesuffix(docs[section, key]).strip()
+    assert sorted((sec, key) for sec in printed for key in printed[sec]) == sorted(docs)
+    assert printed["noise"]["gamma_s"] == "1 1.2 2"
+    assert spinsys.system_from_mapping(printed) == SpinSystem()
 
 
 def test_coupling_lookup():
