@@ -41,10 +41,10 @@ def resolve_system(args) -> tuple[spinsys.SpinSystem, dict]:
     """(system, merged config sections) from --config/--set, or committed."""
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = runner.default_config_text()
-    cfg = _merge_overrides(spinsys.read_ini(text), getattr(args, "set", None) or [])
+            cfg = spinsys.read_ini(fh.read())
+    else:  # a fresh copy of the committed sections, parsed once per process
+        cfg = {section: dict(entries) for section, entries in runner.default_config().items()}
+    cfg = _merge_overrides(cfg, getattr(args, "set", None) or [])
     return spinsys.system_from_mapping(cfg), cfg
 
 

@@ -1,8 +1,9 @@
 """Experiment protocols: decay curves, ordering reports, star protection.
 
-A Protocol names what runs on which qubits: free evolution or a DD
-family on one spin, on two as the m-modified pair cycle, or on all
-three spins. Decay runs prepare a catalog state, evolve it over a
+A Protocol names what runs on which qubits: free evolution (no family),
+or a DD family's cycle on a set of targets, plain or, on a pair, the
+m-modified cycle. Its kind is read off what it pulses: FreeEv, DD1sp,
+DD2sp, mDD2sp or DD3sp. Decay runs prepare a catalog state, evolve it over a
 commensurate time grid, and record the state's tracked element
 normalized to its starting value; star runs track the concurrence of
 each reduced pair instead, from one preparation of the star state.
@@ -71,8 +72,8 @@ MARGIN_PP = 5.0
 SCHEDULE_CACHE_SIZE = 128  # cycles, time grids, record steps and default protocols kept per process
 
 FAMILIES = ("XY8", "UR12", "XY16", "KDD20")
-KINDS = ("FreeEv", "DD1sp", "DD3sp", "mDD2sp")
-_KIND_TARGET_COUNT = {"DD1sp": 1, "mDD2sp": 2, "DD3sp": 3}
+# what every table state runs beside its designated protocol, and what that must beat
+FREE_KIND, ALL_SPIN_KIND = "FreeEv", "DD3sp"
 
 TABLE_STATES = ("psi0a", "psi0b", "psi1a", "psi1b", "psi2a", "psi2b", "psi3")
 # the committed order of each family's ordering facts
@@ -80,48 +81,49 @@ FACT_STATES = ("psi3", "psi1a", "psi1b", "psi2a", "psi2b", "psi0a", "psi0b")
 STAR_PAIRS = {"AC": (1, 3), "BC": (2, 3)}
 
 
+def _kind(targets, modified) -> str:
+    """The one naming rule: FreeEv with no targets, else DDnsp on n targets, m when modified."""
+    return f"{'m' if modified else ''}DD{len(targets)}sp" if targets else FREE_KIND
+
+
 @dataclass(frozen=True)
 class Protocol:
-    """What runs during the evolution: nothing, or a DD cycle on targets.
+    """What runs during the evolution: nothing (no family), or a DD cycle on targets.
 
-    A protocol checks its own rules (a known kind, and a DD kind's delay
-    and target count) and then builds its cycle, which checks the cycle's.
+    A protocol checks its own rules (free evolution takes nothing, a cycle
+    needs a delay) and then builds its cycle, which checks the cycle's.
     """
 
-    kind: str
     family: str | None = None
     tau: float | None = None
     t_p: float = 0.0
     targets: tuple[int, ...] = ()
+    modified: bool = False
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown protocol kind '{self.kind}', expected one of {KINDS}")
-        if self.kind == "FreeEv":
-            if self.family is not None or self.targets:
-                raise ValueError("FreeEv takes no family and no targets")
-            return
-        if self.tau is None:
-            raise ValueError(f"{self.kind} needs an interpulse delay")
-        want = _KIND_TARGET_COUNT[self.kind]
-        if len(self.targets) != want:
-            raise ValueError(f"{self.kind} targets exactly {want} qubit(s), got {self.targets}")
+        if self.family is None:
+            if (self.tau, self.t_p, self.targets, self.modified) != (None, 0.0, (), False):
+                raise ValueError("free evolution takes no delay, width, targets or modification")
+        elif self.tau is None:
+            raise ValueError(f"{self.family} needs an interpulse delay")
         build_cycle(self)
 
     @property
+    def kind(self) -> str:
+        return _kind(self.targets, self.modified)
+
+    @property
     def sequence_label(self) -> str:
-        return "-" if self.kind == "FreeEv" else _reference_row(self.kind, self.family)
+        return "-" if self.family is None else build_cycle(self).name
 
 
 @lru_cache(maxsize=SCHEDULE_CACHE_SIZE)
 def build_cycle(protocol: Protocol) -> ddseq.DDCycle | None:
     """The executable cycle behind a protocol, None for free evolution; built once per process."""
-    if protocol.kind == "FreeEv":
+    if protocol.family is None:
         return None
     cycle = ddseq.generate(protocol.family, protocol.tau, protocol.t_p, protocol.targets)
-    if protocol.kind == "mDD2sp":
-        cycle = ddseq.modify(cycle)
-    return cycle
+    return ddseq.modify(cycle) if protocol.modified else cycle
 
 
 # -- committed defaults ----------------------------------------------------
@@ -133,9 +135,16 @@ def default_config_text() -> str:
 
 
 @lru_cache(maxsize=1)
+def default_config() -> MappingProxyType:
+    """The committed run configuration's sections, parsed once; read-only, as callers share it."""
+    return MappingProxyType({section: MappingProxyType(entries) for section, entries
+                             in spinsys.read_ini(default_config_text()).items()})
+
+
+@lru_cache(maxsize=1)
 def default_system() -> SpinSystem:
     """The committed run configuration bundled with the package."""
-    return spinsys.system_from_text(default_config_text())
+    return spinsys.system_from_mapping(default_config())
 
 
 @lru_cache(maxsize=1)
@@ -167,21 +176,28 @@ def differing_qubits(state_id: str) -> tuple[int, ...]:
 
 @lru_cache(maxsize=SCHEDULE_CACHE_SIZE)
 def default_protocol(kind: str, state_id: str | None = None, family: str = "XY8") -> Protocol:
-    """Protocol with the committed delay, width, and target mapping; built once per process."""
-    if kind == "FreeEv":
-        return Protocol("FreeEv")
+    """Protocol with the committed delay, width, and target mapping; built once per process.
+
+    DD3sp pulses all three spins, any other kind the qubits the state's
+    tracked element differs on, and they must make that kind.
+    """
+    if kind == FREE_KIND:
+        return Protocol()
     blocks = delay_table()["protocols"]
     if kind not in blocks:
         raise ValueError(f"no delay defaults for kind '{kind}'")
     tau, cycle_s = _delay_row(blocks[kind], state_id, family)
-    t_p = ddseq.pulse_width(family, tau, cycle_s, modified=(kind == "mDD2sp"))
-    if kind == "DD3sp":
+    modified = kind == "mDD2sp"
+    if kind == ALL_SPIN_KIND:
         targets = (1, 2, 3)
+    elif state_id is None:
+        raise ValueError(f"{kind} needs a state to pick its target qubits")
     else:
-        if state_id is None:
-            raise ValueError(f"{kind} needs a state to pick its target qubits")
-        targets = differing_qubits(state_id)  # Protocol checks their count against kind
-    return Protocol(kind, family, tau, t_p, targets)
+        targets = differing_qubits(state_id)
+    if _kind(targets, modified) != kind:
+        raise ValueError(f"{kind} does not fit {state_id}: its element differs on qubits {targets}")
+    t_p = ddseq.pulse_width(family, tau, cycle_s, modified)
+    return Protocol(family, tau, t_p, targets, modified)
 
 
 def star_protocol(pair: tuple[int, int]) -> Protocol:
@@ -192,7 +208,7 @@ def star_protocol(pair: tuple[int, int]) -> Protocol:
         raise ValueError(f"no star delay for pair {pair}, expected one of {sorted(rows)}")
     tau, cycle_s = _delay_row(rows, key, "XY8")
     t_p = ddseq.pulse_width("XY8", tau, cycle_s, modified=True)
-    return Protocol("mDD2sp", "XY8", tau, t_p, tuple(pair))
+    return Protocol("XY8", tau, t_p, tuple(pair), modified=True)
 
 
 # -- curves ----------------------------------------------------------------
@@ -277,7 +293,7 @@ def _protocol_curves(sys, proto, state_ids, rho0s, t_max=GRID_T_MAX,
         element = circuits.tracked_element(state_id)
         raw = states[(slice(None),) + element].tolist()
         ref = complex(rho0[element])
-        if proto.kind == "FreeEv":
+        if cycle is None:
             values = tuple(abs(v) / abs(ref) for v in raw)
         else:
             unit = ref / abs(ref)
@@ -303,14 +319,11 @@ def run_decay(state_id: str, protocol: Protocol, sys: SpinSystem,
 
 # -- table grid ------------------------------------------------------------
 
-# the paper's rule: pulse exactly the qubits the tracked coherence differs on
-DESIGNATED_KIND = {state_id: kind for state_id in TABLE_STATES
-                   for kind, count in _KIND_TARGET_COUNT.items()
-                   if count == len(differing_qubits(state_id))}
+# the paper's rule: pulse exactly the qubits the tracked coherence differs on, a pair modified
+DESIGNATED_KIND = {state_id: _kind(qubits, modified=len(qubits) == 2) for state_id in TABLE_STATES
+                   for qubits in [differing_qubits(state_id)]}
 # the coherence order of each state's tracked element: free evolution keeps order zero
 ELEMENT_ORDER = {s: qmat.coherence_order(*circuits.tracked_element(s)) for s in TABLE_STATES}
-# what every table state runs beside its designated protocol, and what that must beat
-FREE_KIND, ALL_SPIN_KIND = "FreeEv", "DD3sp"
 
 
 @dataclass(frozen=True)
@@ -374,9 +387,8 @@ def load_reference() -> MappingProxyType:
 
 
 def _reference_row(kind: str, family: str | None) -> str:
-    if kind == "FreeEv":
-        return "FreeEv"
-    return ("m" + family) if kind == "mDD2sp" else family
+    """A cell's row in the published tables: the kind for free evolution, else its cycle's name."""
+    return kind if family is None else ("m" if kind == "mDD2sp" else "") + family
 
 
 @dataclass(frozen=True)
@@ -495,7 +507,7 @@ def star_protection(sys: SpinSystem, free: bool = False, prep: str = "ideal",
     if free:
         for times, pairs in pairs_by_grid.items():
             states = _walk(sys, None, times, [rho0])[0]
-            rows += [_star_curve(Protocol("FreeEv"), times, states, pair) for pair in pairs]
+            rows += [_star_curve(Protocol(), times, states, pair) for pair in pairs]
     return tuple(rows)
 
 

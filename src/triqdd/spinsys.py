@@ -93,19 +93,9 @@ A shot turns element (a, b) of a fused frame by 2 pi (H[a] - H[b]) . delta_s
 only, so an element whose two levels share their filter function is
 refocused: its zero-frequency filter function vanishes (Cywinski et al.,
 PRB 77, 174509 (2008)) and every shot gives it K. Refocusing belongs to
-the sequence, so walk reads it off the walk's own frames, never off the
-draw: spin q is turned when some frame's H changes by more than TIME_ATOL,
-the schedule's tolerance in seconds, as q flips, and an element is kept
-when it flips no turned spin. Every signed-permutation pulse permutes
-levels by a bit flip (pulse_permutation), so every fused frame keeps each
-element's flip pattern a ^ b, and a kept element records K alone in every
-walk, whatever its walk-mates and whatever the disorder width. A walk
-takes the shots only when some element a state occupies is not kept, and
-then only those elements read them. DD on the qubits a coherence lives on
-refocuses it, as the paper's designated protocols and every all-spin
-family do, so 21 of the grid's 22 walks take no shots; free evolution and
-both star pairs (mXY8 on a pair, with the third spin's coherences
-occupied) take them.
+the sequence: walk reads it off the walk's own frames, never off the
+draw, and takes the shots only for the occupied elements it does not
+keep (walk states the rule).
 """
 
 from __future__ import annotations

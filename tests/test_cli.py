@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import triqdd
-from triqdd import circuits, cli, ddseq, qmat, spinsys
+from triqdd import circuits, cli, ddseq, qmat, runner, spinsys
 
 from oracles import program_from_json
 
@@ -388,6 +388,27 @@ def test_fuzzed_overrides_give_a_system_or_a_config_error(pairs):
         return
     assert isinstance(sys_, spinsys.SpinSystem)
 
+
+
+def test_set_overrides_leave_the_committed_config_as_it_was(monkeypatch):
+    # the committed config is parsed once per process and --set merges onto a copy:
+    # an override into an existing section, or into a new one, reaches no later call
+    parser = cli.build_parser()
+    committed = {section: dict(entries) for section, entries in runner.default_config().items()}
+    runner.default_config.cache_clear()
+    reads, real = [], spinsys.read_ini
+    monkeypatch.setattr(spinsys, "read_ini", lambda text: reads.append(text) or real(text))
+    sys_, cfg = cli.resolve_system(parser.parse_args(["decay", "--set", "disorder.shots=16"]))
+    assert sys_.disorder.shots == 16 and cfg["disorder"]["shots"] == "16"
+    with pytest.raises(spinsys.ConfigError, match=r"unknown config section \[extra\]"):
+        cli.resolve_system(parser.parse_args(
+            ["decay", "--set", "noise.gamma_corr_s=0", "--set", "extra.key=1"]))
+    for _ in range(3):
+        sys_, cfg = cli.resolve_system(parser.parse_args(["decay"]))
+        assert sys_ == runner.default_system() and cfg == committed
+    assert len(reads) == 1
+    with pytest.raises(TypeError):
+        runner.default_config()["disorder"]["shots"] = "16"
 
 # -- protect ---------------------------------------------------------------
 

@@ -29,21 +29,58 @@ def unit_grid(protocol, t_max=0.7, points=20):
 # -- protocol validation ---------------------------------------------------
 
 def test_protocol_rejections():
-    with pytest.raises(ValueError, match="unknown protocol kind"):
-        Protocol("DD4sp")
-    with pytest.raises(ValueError, match="no family and no targets"):
-        Protocol("FreeEv", family="XY8")
+    # a protocol's own rules: free evolution takes nothing, and a cycle needs a delay
+    for given in ({"tau": 1e-3}, {"t_p": 1e-5}, {"targets": (1,)}, {"modified": True}):
+        with pytest.raises(ValueError, match="free evolution takes no"):
+            Protocol(**given)
+    with pytest.raises(ValueError, match="XY8 needs an interpulse delay"):
+        Protocol("XY8", targets=(1,))
     with pytest.raises(ValueError, match="unknown family"):
-        Protocol("DD1sp", family="XY9", tau=1e-3, targets=(1,))
+        Protocol("XY9", tau=1e-3, targets=(1,))
     # the cycle rules are ddseq's, and a protocol meets them as it is made
     with pytest.raises(ValueError, match="interpulse delay must be positive"):
-        Protocol("DD1sp", family="XY8", tau=0.0, targets=(1,))
+        Protocol("XY8", tau=0.0, targets=(1,))
     with pytest.raises(ValueError, match="does not fit the delay grid"):
-        Protocol("DD1sp", family="XY8", tau=1e-3, t_p=2e-3, targets=(1,))
+        Protocol("XY8", tau=1e-3, t_p=2e-3, targets=(1,))
     with pytest.raises(ValueError, match="must be finite"):
-        Protocol("DD1sp", family="XY8", tau=math.nan, targets=(1,))
-    with pytest.raises(ValueError, match="targets exactly 3"):
-        Protocol("DD3sp", family="XY8", tau=1e-3, targets=(1, 2))
+        Protocol("XY8", tau=math.nan, targets=(1,))
+    with pytest.raises(ValueError, match="at least one target"):
+        Protocol("XY8", tau=1e-3)
+    with pytest.raises(ValueError, match="modification needs a two-qubit cycle"):
+        Protocol("XY8", tau=1e-3, targets=(1, 2, 3), modified=True)
+
+
+def test_every_default_protocol_has_the_kind_it_was_asked_for():
+    for state_id in runner.TABLE_STATES:
+        for kind in {runner.FREE_KIND, runner.DESIGNATED_KIND[state_id], runner.ALL_SPIN_KIND}:
+            for family in runner.FAMILIES:
+                assert runner.default_protocol(kind, state_id, family).kind == kind
+    for pair in runner.STAR_PAIRS.values():
+        assert runner.star_protocol(pair).kind == "mDD2sp"
+    assert runner.DESIGNATED_KIND == {"psi0a": "mDD2sp", "psi0b": "mDD2sp", "psi1a": "DD1sp",
+                                      "psi1b": "DD1sp", "psi2a": "mDD2sp", "psi2b": "mDD2sp",
+                                      "psi3": "DD3sp"}
+
+
+def test_the_plain_pair_cycle_is_a_protocol():
+    tau, t_p = 0.538e-3, 2e-5
+    proto = Protocol("XY8", tau, t_p, (1, 2))
+    assert (proto.kind, proto.sequence_label) == ("DD2sp", "XY8")
+    cycle = ddseq.generate("XY8", tau, t_p, (1, 2))
+    assert runner.build_cycle(proto) == cycle
+    sys, rho0s = runner.default_system(), [circuits.prepare(s) for s in ("psi0a", "psi2a")]
+    times = tuple(k * cycle.unit_duration for k in (0, 1, 3, 6))
+    assert np.array_equal(runner._walk(sys, runner.build_cycle(proto), times, rho0s),
+                          spinsys.walk(sys, cycle.unit_program, [0, 1, 2, 3], rho0s))
+
+
+def test_default_protocol_refuses_a_kind_its_targets_do_not_make():
+    with pytest.raises(ValueError, match="no delay defaults for kind 'DD2sp'"):
+        runner.default_protocol("DD2sp", "psi0a")
+    with pytest.raises(ValueError, match=r"DD1sp does not fit psi0a: .* qubits \(1, 2\)"):
+        runner.default_protocol("DD1sp", "psi0a")
+    with pytest.raises(ValueError, match=r"mDD2sp does not fit psi1a: .* qubits \(2,\)"):
+        runner.default_protocol("mDD2sp", "psi1a")
 
 
 def test_default_protocol_table_values():
@@ -162,7 +199,7 @@ def test_a_sweep_keeps_at_most_the_bounded_cycles_and_tables():
     base = runner.default_system()
     for i in range(300):
         sys = dataclasses.replace(base, couplings=(40.0 + 0.1 * i,) + base.couplings[1:])
-        proto = Protocol("DD3sp", "KDD20", 0.4e-3 + 1e-6 * i, 0.0, (1, 2, 3))
+        proto = Protocol("KDD20", 0.4e-3 + 1e-6 * i, 0.0, (1, 2, 3))
         unit = runner.build_cycle(proto).unit_duration
         runner.run_decay("psi3", proto, sys, times=(0.0, 20 * unit))
     assert runner.build_cycle.cache_info().currsize <= runner.SCHEDULE_CACHE_SIZE

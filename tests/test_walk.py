@@ -409,7 +409,7 @@ def test_a_fused_walk_steps_all_eight_levels(monkeypatch):
     assert walked(dd1, ["psi1a"]) == []
     # psi0a's coherence also lives on spin 2, which DD1sp on spin 1 leaves to the
     # disorder: its walk takes shots, on all eight levels, once per distinct frame
-    off_target = runner.Protocol("DD1sp", "XY8", dd1.tau, dd1.t_p, (1,))
+    off_target = runner.Protocol("XY8", dd1.tau, dd1.t_p, (1,))
     assert runner.differing_qubits("psi0a") == (1, 2)
     cycle = runner.build_cycle(off_target)
     assert frame_count(cycle) > 1
@@ -514,7 +514,7 @@ def _grid_protocols():
 GRID_PROTOCOLS = _grid_protocols()
 FRAME_WALKS = {  # name: cycle, for the grid's 22 protocols and both star pairs
     f"grid{i:02d}-{p.kind}-{p.sequence_label}": runner.build_cycle(p)
-    for i, p in enumerate(sorted(GRID_PROTOCOLS, key=repr))}
+    for i, p in enumerate(sorted(GRID_PROTOCOLS, key=lambda p: (p.kind, repr(p))))}
 FRAME_WALKS.update({f"star-{name}": runner.build_cycle(runner.star_protocol(pair))
                     for name, pair in runner.STAR_PAIRS.items()})
 
