@@ -386,11 +386,6 @@ def load_reference() -> MappingProxyType:
         for state_id, pct in zip(block["states"], pcts, strict=True)})
 
 
-def _reference_row(kind: str, family: str | None) -> str:
-    """A cell's row in the published tables: the kind for free evolution, else its cycle's name."""
-    return kind if family is None else ("m" if kind == "mDD2sp" else "") + family
-
-
 @dataclass(frozen=True)
 class FactCheck:
     """One simulated ordering claim with its verdict and published context."""
@@ -421,10 +416,11 @@ def fact_check(percents: dict, state_id: str, lhs: tuple, rhs: tuple) -> FactChe
     margin = lhs_pct - rhs_pct
     verdict = "pass" if margin >= MARGIN_PP else "fail"
     table = load_reference()
-    # a family row only speaks for the state's designated protocol
-    published = [table.get((state_id, _reference_row(*side)))
-                 if side[0] in ("FreeEv", DESIGNATED_KIND.get(state_id)) else None
-                 for side in (lhs, rhs)]
+    # a cycle's row only speaks for the state's designated protocol, and is named by the cycle
+    published = [table.get((state_id, FREE_KIND if kind == FREE_KIND
+                            else default_protocol(kind, state_id, family).sequence_label))
+                 if kind in (FREE_KIND, DESIGNATED_KIND.get(state_id)) else None
+                 for kind, family in (lhs, rhs)]
     return FactCheck(state_id, f"{lhs[0]}>{rhs[0]}", lhs, rhs, lhs_pct, rhs_pct,
                      margin, verdict, *published)
 

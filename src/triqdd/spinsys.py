@@ -75,19 +75,17 @@ fused pulse only permutes levels, so in the toggling frame a shot's
 disorder is one phase per level: g_s[a] = exp(-2 pi i H[a] . delta_s),
 where H, (8, 3), is each level's zero-frequency filter function.
 compile_program therefore builds each fused segment's frame (K, H, perm)
-with no draw, on small arrays, in one pass from the end of its run, once
-per pulse model and program per process: the plan is kept in a least
-recently used cache of PLAN_CACHE_SIZE plans, keyed by the offsets,
-couplings, noise and pulse models, the events and the duration (not the
-disorder, which no plan reads), and every array in it is read-only, so
-every walk of every job shares it safely. A gap evolves in the frame q
-of the pulses after it, so the generator E (phase and decay) and H are
-sums over the run's distinct frames (two to eight in a DD unit) of each
-frame's gap time times the free generator, or the level table, gathered
-by q. The pulse phases of a product of signed permutations are one
-phase per level, u, so K = (u u^H) * exp(E). The shot-s map is C_s = K * g_s g_s^H, a rank-1
-outer product of eight phases; expand_program writes it out over a draw
-for a walk that steps shot stacks through dense segments.
+with no draw, on small arrays, once per pulse model and program per
+process: the plan is kept in a least recently used cache of
+PLAN_CACHE_SIZE plans, keyed by the offsets, couplings, noise and pulse
+models, the events and the duration (not the disorder, which no plan
+reads), and every array in it is read-only, so every walk of every job
+shares it safely. Every gap and signed-permutation pulse is a frame of
+its own, and _then, which states the frame algebra, composes them: a run
+is the left fold of its frames, and repeat_program squares units by the
+same rule. The shot-s map is C_s = K * g_s g_s^H, a rank-1 outer product
+of eight phases; expand_program writes it out over a draw for a walk that
+steps shot stacks through dense segments.
 
 A shot turns element (a, b) of a fused frame by 2 pi (H[a] - H[b]) . delta_s
 only, so an element whose two levels share their filter function is
@@ -102,7 +100,8 @@ from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import groupby
 
 import numpy as np
 
@@ -451,6 +450,27 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _then(first, second):
+    """(K, H, perm) of fused frame first followed by fused frame second.
+
+    This is the frame algebra, and the only place it is written. A frame
+    maps rho -> K * rho[perm][:, perm], perm None for the identity, and H
+    is its zero-frequency filter function (module docstring). Frame 2 after
+    frame 1 is K2 * K1[p2][:, p2], H2 + H1[p2] and perm p1[p2], an identity
+    perm again None. A gap of t seconds is the frame (exp(t G), t s / 2,
+    None), with the free generator G = -2 pi i phase - decay and the level
+    table s / 2 of _tables; a signed-permutation pulse U[i, p[i]] = d[i] is
+    (d d^H, 0, p). compile_program folds each fused run with this rule and
+    repeat_program squares a one-frame unit with it.
+    """
+    (k1, h1, p1), (k2, h2, p2) = first, second
+    if p2 is None:
+        return k2 * k1, h2 + h1, p1
+    perm = p2 if p1 is None else p1[p2]
+    return (k2 * k1[p2[:, None], p2], h2 + h1[p2],
+            None if np.array_equal(perm, np.arange(DIM)) else perm)
+
+
 def compile_program(sys: SpinSystem, events, duration: float) -> tuple:
     """Segment tuple of a timed pulse program, for apply_program.
 
@@ -471,15 +491,10 @@ def compile_program(sys: SpinSystem, events, duration: float) -> tuple:
     delta_s, g_s = level_phases(H, delta_s) (expand_program). ('dense', U,
     U dagger) is a pulse that mixes basis states and ends the fused run
     before it; equal pulses of a program share one such segment, U and U
-    dagger alike (a flip-error mKDD20 unit's 42 pulses hold 6). A run
-    collects its gap lengths and the (p, d) of each signed-permutation
-    pulse, U[i, p[i]] = d[i], and closes in one pass from its end: q,
-    every later pulse of the run composed (the identity at the end),
-    becomes p[q] at each pulse, which also multiplies the level phases u
-    by d[q], and each gap adds its length to the total T_f of its frame
-    f = q. Then E = sum_f T_f (-2 pi i phase - decay)[f][:, f],
-    H = sum_f T_f s[f] / 2, K = (u u^H) * exp(E), 64 exps, and perm is the
-    final q. Offsets or couplings that overflow K are a ConfigError.
+    dagger alike (a flip-error mKDD20 unit's 42 pulses hold 6). A fused run
+    is the left fold, by _then, of the frames of its gaps and
+    signed-permutation pulses. Offsets or couplings that overflow K are a
+    ConfigError.
     """
     return _compiled(sys.offsets, sys.couplings, sys.noise, sys.pulse, tuple(events), duration)
 
@@ -490,51 +505,33 @@ def _compiled(offsets, couplings, noise, pulse_model, events, duration) -> tuple
     sys = SpinSystem(offsets, couplings, noise, pulse_model)
     _, phase, decay, levels = _tables(offsets, couplings, noise)
     generator = -2j * np.pi * phase - decay
-    plan, pulse_cache, run = [], {}, []
-
-    def close_run():
-        if not run:
-            return
-        q, u, frames = np.arange(DIM), np.ones(DIM, dtype=complex), {}
-        for step in reversed(run):
-            if isinstance(step, tuple):  # a pulse (p, d)
-                p, d = step
-                u = u * d[q]
-                q = p[q]
-            else:  # a gap, in the frame of the pulses after it
-                key = q.tobytes()
-                f, total = frames.get(key, (q, 0.0))
-                frames[key] = (f, total + step)
-        gen, h = np.zeros((DIM, DIM), dtype=complex), np.zeros((DIM, N_QUBITS))
-        for f, total in frames.values():
-            gen += total * generator[f[:, None], f]
-            h += total * levels[f]
-        k = np.outer(u, u.conj()) * np.exp(gen)
-        if not np.isfinite(k).all():
-            raise ConfigError(f"the system's offsets or couplings overflow the free "
-                              f"evolution of a {duration:g} s program")
-        plan.append(("fused", _frozen(k), _frozen(h),
-                     None if np.array_equal(q, np.arange(DIM)) else _frozen(q)))
-        run.clear()
-
+    pulse_cache, steps = {}, []  # each step's segment: a gap's or a pulse's frame, or a dense pulse
     for kind, item in program_steps(events, duration, sys.pulse.internal_h_during_pulse):
         if kind == "free":
-            run.append(item)
+            steps.append(("fused", np.exp(item * generator), item * levels, None))
             continue
         key = (item.targets, item.phase, item.flip, item.duration)
         if key not in pulse_cache:
-            seg = pulse_permutation(item, sys)
-            if seg is None:  # a unitary that mixes basis states: one U and U dagger per pulse
+            signed = pulse_permutation(item, sys)
+            if signed is None:  # a unitary that mixes basis states: one U and U dagger per pulse
                 u = _frozen(pulse_propagator(item, sys))
-                seg = ("dense", u, _frozen(u.conj().T))
-            pulse_cache[key] = seg
-        seg = pulse_cache[key]
-        if len(seg) == 3:  # ("dense", U, U dagger)
-            close_run()
-            plan.append(seg)
-        else:
-            run.append(seg)
-    close_run()
+                pulse_cache[key] = ("dense", u, _frozen(u.conj().T))
+            else:
+                p, d = signed
+                pulse_cache[key] = ("fused", np.outer(d, d.conj()), np.zeros((DIM, N_QUBITS)), p)
+        steps.append(pulse_cache[key])
+    plan = []
+    for fused, run in groupby(steps, key=lambda seg: seg[0] == "fused"):
+        if not fused:
+            plan.extend(run)
+            continue
+        # from the identity frame, so that an identity perm comes out None
+        k, h, perm = reduce(_then, (seg[1:] for seg in run),
+                            (np.ones((DIM, DIM)), np.zeros((DIM, N_QUBITS)), None))
+        if not np.isfinite(k).all():
+            raise ConfigError(f"the system's offsets or couplings overflow the free "
+                              f"evolution of a {duration:g} s program")
+        plan.append(("fused", _frozen(k), _frozen(h), perm if perm is None else _frozen(perm)))
     return tuple(plan)
 
 
@@ -598,24 +595,14 @@ def apply_program(states: np.ndarray, plan) -> np.ndarray:
     return states
 
 
-def _then(first, second):
-    """(K, H, perm) of fused frame first followed by fused frame second."""
-    (k1, h1, p1), (k2, h2, p2) = first, second
-    if p2 is None:
-        return k2 * k1, h2 + h1, p1
-    perm = p2 if p1 is None else p1[p2]
-    return (k2 * k1[p2[:, None], p2], h2 + h1[p2],
-            None if np.array_equal(perm, np.arange(DIM)) else perm)
-
-
 def repeat_program(plan, k: int) -> list:
     """Plan of k consecutive walks of a compiled plan.
 
-    A plan that is one fused frame composes in closed form on its small
-    arrays, by products and sums only: K2 * K1[p2][:, p2], H2 + H1[p2]
-    and perm p1[p2], squared up to k units. Any other plan is the k-fold
-    concatenation of its own segment objects: nothing is copied or
-    recompiled, and the list holds one reference per segment per unit.
+    A plan that is one fused frame composes with itself by _then, on its
+    small arrays, by products and sums only, squared up to k units. Any
+    other plan is the k-fold concatenation of its own segment objects:
+    nothing is copied or recompiled, and the list holds one reference per
+    segment per unit.
     Repeat first, then expand: an expanded frame has no H to compose.
     """
     if k < 0:

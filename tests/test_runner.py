@@ -577,6 +577,21 @@ def test_fact_check_attaches_published_context():
                           ("DD1sp", "XY8"), ("FreeEv", None))
     assert f.published_lhs == pytest.approx(63.94)
     assert f.published_rhs == pytest.approx(0.603)
+    # every committed fact: a designated cell reads the row of the cycle it runs, free
+    # evolution its own row, and the all-spin control of a state designated otherwise none
+    facts = runner.ordering_facts()
+    assert len(facts) == 44
+    percents = {(state_id,) + side: 0.0 for state_id, lhs, rhs in facts for side in (lhs, rhs)}
+    table = runner.load_reference()
+    for state_id, lhs, rhs in facts:
+        f = runner.fact_check(percents, state_id, lhs, rhs)
+        kind, family = lhs
+        assert kind == runner.DESIGNATED_KIND[state_id]
+        assert f.published_lhs == table[state_id, ("m" if kind == "mDD2sp" else "") + family]
+        if rhs == ("FreeEv", None):
+            assert f.published_rhs == table[state_id, "FreeEv"]
+        else:
+            assert rhs[0] == "DD3sp" != kind and f.published_rhs is None
 
 
 def test_ordering_facts_cover_the_committed_claims():

@@ -10,7 +10,7 @@ from scipy.linalg import expm
 
 from conftest import random_rho
 from oracles import disorder_phase_rates, free_factors
-from triqdd import cli, ddseq, qmat, spinsys
+from triqdd import cli, ddseq, qmat, runner, spinsys
 from triqdd.spinsys import (
     ConfigError,
     DisorderModel,
@@ -468,6 +468,42 @@ def test_each_field_compiling_reads_keys_its_own_plan(change):
     spinsys._compiled.cache_clear()
     fresh = spinsys.compile_program(replace(base, **change), *KEPT_PROGRAM)
     assert fresh is not changed and plan_bytes(fresh) == plan_bytes(changed)
+
+
+# -- the frame algebra that compile and repeat share --------------------------
+
+_SIGNED_PULSE = st.tuples(st.sets(st.sampled_from((1, 2, 3)), min_size=1).map(sorted).map(tuple),
+                          st.sampled_from((np.pi, 2 * np.pi)), st.floats(-np.pi, np.pi))
+_GAP = st.floats(1e-5, 1e-3)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(pulses=st.lists(st.tuples(_GAP, _SIGNED_PULSE), max_size=8), tail=_GAP,
+       phase_error=st.just(0.0) | st.floats(-0.3, 0.3), split=st.integers(0, 8),
+       fraction=st.floats(0.1, 0.9))
+def test_a_compiled_program_is_then_of_its_compiled_halves(pulses, tail, phase_error,
+                                                           split, fraction):
+    # ideal pulses, phase errors and 2 pi pulses are signed permutations: each program
+    # is one fused frame, and cutting it inside a gap splits the frame by _then
+    sys = replace(runner.default_system(), pulse=PulseErrorModel(phase_error=phase_error))
+    events, t = [], 0.0
+    for gap, (targets, flip, phase) in pulses:
+        t += gap
+        events.append(pulse(t, targets, flip, phase))
+    gaps = [gap for gap, _ in pulses] + [tail]
+    split = min(split, len(pulses))
+    cut = sum(gaps[:split]) + fraction * gaps[split]
+    duration = t + tail
+    assert duration <= 10e-3
+    first = [ev for ev in events if ev.start < cut]
+    second = [replace(ev, start=ev.start - cut) for ev in events if ev.start > cut]
+    [(_, k, h, perm)] = spinsys.compile_program(sys, events, duration)
+    [(_, *head)] = spinsys.compile_program(sys, first, cut)
+    [(_, *rest)] = spinsys.compile_program(sys, second, duration - cut)
+    k2, h2, perm2 = spinsys._then(head, rest)
+    assert np.allclose(k2, k, rtol=0, atol=1e-12)
+    assert np.allclose(h2, h, rtol=0, atol=1e-12)
+    assert (perm is None and perm2 is None) or np.array_equal(perm, perm2)
 
 
 # -- configuration ---------------------------------------------------------
