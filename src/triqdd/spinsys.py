@@ -27,10 +27,12 @@ exp(-i (theta/2) (cos(phi) X + sin(phi) Y)); a pulse of finite duration
 t_p integrates the rf term (amplitude theta / (2 pi t_p) in Hz) together
 with the internal Hamiltonian when that is enabled, which is what exposes
 simultaneously driven spins to their mutual coupling. Without it the rf
-terms of different targets commute, so every pulse is the plain product
-of its single-target rotations. A rotation by a whole number of half
-turns maps basis states onto basis states: its unitary is a signed
-permutation, which pulse_permutation returns exactly.
+terms of different targets commute, so every pulse is the tensor product
+of its single-target rotations. A pulse is stated once, by its unitary
+(pulse_propagator). A rotation by a whole number of half turns maps basis
+states onto basis states, and rotation2 takes its half-angle cosine and
+sine exactly, so its unitary is an exact signed permutation: the engine
+reads that off the unitary (signed_permutation), never off the pulse.
 
 Timed pulse programs
 --------------------
@@ -69,31 +71,13 @@ the walk slower.
 
 Static offset disorder (slow inhomogeneity, off at the zero default
 widths) draws Gaussian per-spin offsets plus a correlated common mode
-once per shot; walk averages over the model's one seeded set of shots.
-The shifts delta_s are diagonal and enter every gap linearly, and a
-fused pulse only permutes levels, so in the toggling frame a shot's
-disorder is one phase per level: g_s[a] = exp(-2 pi i H[a] . delta_s),
-where H, (8, 3), is each level's zero-frequency filter function.
-compile_program therefore builds each fused segment's frame (K, H, perm)
-with no draw, on small arrays, once per pulse model and program per
-process: the plan is kept in a least recently used cache of
-PLAN_CACHE_SIZE plans, keyed by the offsets, couplings, noise and pulse
-models, the events and the duration (not the disorder, which no plan
-reads), and every array in it is read-only, so every walk of every job
-shares it safely. Every gap and signed-permutation pulse is a frame of
-its own, and _then, which states the frame algebra, composes them: a run
-is the left fold of its frames, and repeat_program squares units by the
-same rule. The shot-s map is C_s = K * g_s g_s^H, a rank-1 outer product
-of eight phases; expand_program writes it out over a draw for a walk that
-steps shot stacks through dense segments.
-
-A shot turns element (a, b) of a fused frame by 2 pi (H[a] - H[b]) . delta_s
-only, so an element whose two levels share their filter function is
-refocused: its zero-frequency filter function vanishes (Cywinski et al.,
-PRB 77, 174509 (2008)) and every shot gives it K. Refocusing belongs to
-the sequence: walk reads it off the walk's own frames, never off the
-draw, and takes the shots only for the occupied elements it does not
-keep (walk states the rule).
+once per shot (DisorderModel). The shifts are diagonal and a fused pulse
+only permutes levels, so on a fused frame a shot's disorder is one phase
+per level, read off the frame's zero-frequency filter function H: _then
+states the frame (K, H, perm) and its algebra, compile_program builds
+and keeps the frames with no draw, and expand_program writes them out
+over a draw. Which elements take the shots is the sequence's to decide,
+never the draw's: walk states the refocusing rule.
 """
 
 from __future__ import annotations
@@ -301,52 +285,60 @@ def pulse(start: float, targets, flip: float, phase: float, duration: float = 0.
     return PulseEvent(float(start), float(duration), targets, float(phase), float(flip))
 
 
+def _on_spins(ops: dict) -> np.ndarray:
+    """Tensor product of the 2x2 operators ops[q] on 1-based spins q, the identity elsewhere.
+
+    This fixes the register's order: qubit 1 is the most significant bit.
+    """
+    a, b, c = (ops.get(q, IDENTITY_2) for q in range(1, N_QUBITS + 1))
+    return np.einsum("ab,cd,ef->acebdf", a, b, c).reshape(DIM, DIM)
+
+
 def embed(op: np.ndarray, q: int) -> np.ndarray:
     """Single-qubit operator placed on 1-based qubit q of the register."""
-    ops = [IDENTITY_2] * N_QUBITS
-    ops[q - 1] = op
-    out = ops[0]
-    for o in ops[1:]:
-        out = np.kron(out, o)
-    return out
+    return _on_spins({q: op})
+
+
+# cos and sin of a rotation's half angle, indexed by its half turns mod 4
+_HALF_TURN_COS_SIN = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
 def rotation2(theta: float, phi: float) -> np.ndarray:
-    """2x2 rotation about the transverse axis at phase phi."""
+    """2x2 rotation about the transverse axis at phase phi.
+
+    A whole number of half turns takes its half-angle cosine and sine
+    exactly, so its rotation is an exact signed permutation.
+    """
+    half_turns = float(theta / np.pi)  # inf and NaN are not whole: they take np.cos and np.sin
+    c, s = (_HALF_TURN_COS_SIN[int(half_turns) % 4] if half_turns.is_integer()
+            else (np.cos(theta / 2), np.sin(theta / 2)))
     axis = np.cos(phi) * SIGMA_X + np.sin(phi) * SIGMA_Y
-    return np.cos(theta / 2) * IDENTITY_2 - 1j * np.sin(theta / 2) * axis
+    return c * IDENTITY_2 - 1j * s * axis
 
 
 def rotation_product(targets, flip: float, phases) -> np.ndarray:
-    """Product of flip-angle rotations on 1-based targets, first target first."""
-    u = np.eye(DIM, dtype=complex)
-    for q, ph in zip(targets, phases):
-        u = embed(rotation2(flip, ph), q) @ u
-    return u
-
-
-def _applied_rotation(ev: PulseEvent, sys: SpinSystem) -> tuple[float, float]:
-    """Flip angle and phase after the system's pulse errors."""
-    if ev.duration > 0.0 and ev.flip == 0.0:
-        raise ValueError("finite-duration pulse with zero flip angle has no defined rf amplitude")
-    err = sys.pulse
-    flip = ev.flip * (1.0 + err.flip_fraction_error)
-    # from 2^52 half turns on every float is a whole number: no fraction of a turn is left
-    if not abs(flip) / np.pi < 2.0 ** 52:
-        raise ConfigError(f"pulse.flip_fraction_error {err.flip_fraction_error:g} takes the "
-                          f"flip angle of a {ev.flip:g} rad pulse past 2^52 half turns")
-    return flip, ev.phase + err.phase_error
+    """Flip-angle rotations on distinct 1-based targets, at their phases: they commute."""
+    return _on_spins({q: rotation2(flip, ph) for q, ph in zip(targets, phases)})
 
 
 def pulse_propagator(ev: PulseEvent, sys: SpinSystem) -> np.ndarray:
     """Unitary of one pulse event under the system's pulse model.
 
-    Only a finite window with the internal Hamiltonian on needs a matrix
-    exponential, of the Hermitian h t_p by its eigendecomposition; any
-    other pulse is the product of its single-target rotations.
+    This is the one statement of a pulse; the engine reads its signed
+    permutation off it (signed_permutation). Only a finite window with
+    the internal Hamiltonian on needs a matrix exponential, of the
+    Hermitian h t_p by its eigendecomposition; any other pulse is the
+    tensor product of its single-target rotations.
     """
-    flip, phase = _applied_rotation(ev, sys)
-    if ev.duration == 0.0 or not sys.pulse.internal_h_during_pulse:
+    if ev.duration > 0.0 and ev.flip == 0.0:
+        raise ValueError("finite-duration pulse with zero flip angle has no defined rf amplitude")
+    err = sys.pulse
+    flip, phase = ev.flip * (1.0 + err.flip_fraction_error), ev.phase + err.phase_error
+    # from 2^52 half turns on every float is a whole number: no fraction of a turn is left
+    if not abs(flip) / np.pi < 2.0 ** 52:
+        raise ConfigError(f"pulse.flip_fraction_error {err.flip_fraction_error:g} takes the "
+                          f"flip angle of a {ev.flip:g} rad pulse past 2^52 half turns")
+    if ev.duration == 0.0 or not err.internal_h_during_pulse:
         return rotation_product(ev.targets, flip, [phase] * len(ev.targets))
     # h t_p with the rf part written as its rotation angle: no width divides anything
     ht = 2.0 * np.pi * ev.duration * np.diag(energies(sys)).astype(complex)
@@ -356,39 +348,19 @@ def pulse_propagator(ev: PulseEvent, sys: SpinSystem) -> np.ndarray:
     return (v * np.exp(-1j * w)) @ v.conj().T
 
 
-# cos and sin of a rotation's half angle, indexed by its half turns mod 4
-_HALF_TURN_COS_SIN = ((1, 0), (0, 1), (-1, 0), (0, -1))
+def signed_permutation(u: np.ndarray):
+    """(perm, d) with u[i, perm[i]] = d[i] when each row of unitary u has one nonzero entry.
 
-
-def pulse_permutation(ev: PulseEvent, sys: SpinSystem):
-    """Signed-permutation form (perm, d) of a pulse, U[i, perm[i]] = d[i].
-
-    A pulse is a signed permutation when it is a plain rotation product
-    (no internal Hamiltonian inside a finite window) whose flip angle,
-    errors included, is a whole number n of half turns. With (c, s) the
-    cosine and sine of n quarter turns, each target q at phase phi then
-    contributes in closed form: for odd n the bit flip _SPIN_BITS[q - 1] and
-    the entry -i s e^(-i phi) on rows where q's bit is 0, -i s e^(i phi)
-    where it is 1; for even n the sign c on every row. Returns None for
-    any other pulse, which needs pulse_propagator's dense unitary.
+    Any other u, one that mixes basis states, reads None. A rotation by a
+    whole number of half turns reads exactly (rotation2); a window that
+    eigh integrates with the internal Hamiltonian is not an exact signed
+    permutation, so it reads None and stays dense.
     """
-    flip, phase = _applied_rotation(ev, sys)
-    if ev.duration > 0.0 and sys.pulse.internal_h_during_pulse:
+    nonzero = u != 0
+    if not (nonzero.sum(axis=1) == 1).all():
         return None
-    half_turns = flip / np.pi
-    if half_turns != round(half_turns):
-        return None
-    n = int(half_turns)
-    c, s = _HALF_TURN_COS_SIN[n % 4]
-    perm = np.arange(DIM)
-    if n % 2 == 0:
-        return perm, np.full(DIM, complex(c ** len(ev.targets)))
-    d, sin, cos = np.ones(DIM, dtype=complex), s * np.sin(phase), s * np.cos(phase)
-    for q in ev.targets:
-        bit_q = _SPIN_BITS[q - 1]
-        d = d * np.where(perm & bit_q, complex(sin, -cos), complex(-sin, -cos))
-        perm = perm ^ bit_q
-    return perm, d
+    perm = nonzero.argmax(axis=1)
+    return perm, u[np.arange(DIM), perm]
 
 
 # -- the schedule engine ---------------------------------------------------
@@ -454,8 +426,9 @@ def _then(first, second):
     """(K, H, perm) of fused frame first followed by fused frame second.
 
     This is the frame algebra, and the only place it is written. A frame
-    maps rho -> K * rho[perm][:, perm], perm None for the identity, and H
-    is its zero-frequency filter function (module docstring). Frame 2 after
+    maps rho -> K * rho[perm][:, perm], perm None for the identity, and H,
+    (8, 3), is its zero-frequency filter function, one row per level, off
+    which level_phases reads a shot's phase per level. Frame 2 after
     frame 1 is K2 * K1[p2][:, p2], H2 + H1[p2] and perm p1[p2], an identity
     perm again None. A gap of t seconds is the frame (exp(t G), t s / 2,
     None), with the free generator G = -2 pi i phase - decay and the level
@@ -488,13 +461,15 @@ def compile_program(sys: SpinSystem, events, duration: float) -> tuple:
     ('fused', K, H, perm) is a toggling frame, built with no disorder draw:
     the map rho -> C * rho[perm][:, perm], perm None for the identity, with
     C = K without disorder and C_s = K * g_s g_s^H under the static shift
-    delta_s, g_s = level_phases(H, delta_s) (expand_program). ('dense', U,
-    U dagger) is a pulse that mixes basis states and ends the fused run
-    before it; equal pulses of a program share one such segment, U and U
-    dagger alike (a flip-error mKDD20 unit's 42 pulses hold 6). A fused run
-    is the left fold, by _then, of the frames of its gaps and
-    signed-permutation pulses. Offsets or couplings that overflow K are a
-    ConfigError.
+    delta_s, g_s = level_phases(H, delta_s) (expand_program). Each distinct
+    gap length and each distinct pulse of a program is built once, a pulse
+    as its unitary U (pulse_propagator). A U that signed_permutation reads
+    as a signed permutation is a frame; any other U mixes basis states and
+    is ('dense', U, U dagger), which ends the fused run before it, one such
+    segment per distinct pulse (a flip-error mKDD20 unit's 42 pulses hold
+    6). A fused run is the left fold, by _then, of the frames of its gaps
+    and signed-permutation pulses. Offsets or couplings that overflow K are
+    a ConfigError.
     """
     return _compiled(sys.offsets, sys.couplings, sys.noise, sys.pulse, tuple(events), duration)
 
@@ -505,21 +480,20 @@ def _compiled(offsets, couplings, noise, pulse_model, events, duration) -> tuple
     sys = SpinSystem(offsets, couplings, noise, pulse_model)
     _, phase, decay, levels = _tables(offsets, couplings, noise)
     generator = -2j * np.pi * phase - decay
-    pulse_cache, steps = {}, []  # each step's segment: a gap's or a pulse's frame, or a dense pulse
+    segments, steps = {}, []  # each distinct gap length's or pulse's segment, built once
     for kind, item in program_steps(events, duration, sys.pulse.internal_h_during_pulse):
-        if kind == "free":
-            steps.append(("fused", np.exp(item * generator), item * levels, None))
-            continue
-        key = (item.targets, item.phase, item.flip, item.duration)
-        if key not in pulse_cache:
-            signed = pulse_permutation(item, sys)
+        key = item if kind == "free" else (item.targets, item.phase, item.flip, item.duration)
+        if key not in segments and kind == "free":
+            segments[key] = ("fused", np.exp(item * generator), item * levels, None)
+        elif key not in segments:
+            u = pulse_propagator(item, sys)
+            signed = signed_permutation(u)
             if signed is None:  # a unitary that mixes basis states: one U and U dagger per pulse
-                u = _frozen(pulse_propagator(item, sys))
-                pulse_cache[key] = ("dense", u, _frozen(u.conj().T))
+                segments[key] = ("dense", _frozen(u), _frozen(u.conj().T))
             else:
                 p, d = signed
-                pulse_cache[key] = ("fused", np.outer(d, d.conj()), np.zeros((DIM, N_QUBITS)), p)
-        steps.append(pulse_cache[key])
+                segments[key] = ("fused", np.outer(d, d.conj()), np.zeros((DIM, N_QUBITS)), p)
+        steps.append(segments[key])
     plan = []
     for fused, run in groupby(steps, key=lambda seg: seg[0] == "fused"):
         if not fused:
@@ -635,7 +609,7 @@ def walk(sys: SpinSystem, unit, steps, rho0s) -> np.ndarray:
 
     When every segment is fused (free evolution always; DD with ideal
     pulses), each step's plan is one frame (K, H, p) or none, as
-    compile_program and repeat_program build it (module docstring), and a
+    compile_program and repeat_program build it (_then), and a
     second frame fails to unpack. The walk stays in level coordinates, on
     all eight levels, never a shot stack: a step composes K_i = K *
     K_(i-1)[p][:, p], the per-shot level phases G_i = g * G_(i-1)[:, p],
@@ -646,17 +620,21 @@ def walk(sys: SpinSystem, unit, steps, rho0s) -> np.ndarray:
     walk with no permuting step reads all its records with one broadcast
     product.
 
-    The shots are decided once per walk, from its distinct step frames
-    alone (module docstring): spin q is turned when some frame's H changes
-    as q flips, max |H[a] - H[a ^ bit_q]| > TIME_ATOL, and element (a, b)
-    is kept when a ^ b flips no turned spin. Every fused pulse flips bits,
-    so P_i keeps a ^ b, and a kept element records K_i whichever states
-    walk beside it and whatever the draw. The walk takes the shots only if
-    some element a state occupies, nonzero (NaN and inf included) in any
-    input state, is not kept: then every frame's G is formed, once per
-    distinct frame, and only the elements that are not kept read the shot
-    mean. Otherwise step i records K_i, and the walk calls no level_phases
-    and makes no GEMM.
+    A shot turns element (a, b) of a frame by 2 pi (H[a] - H[b]) . delta_s
+    only, so an element whose two levels share their filter function is
+    refocused: its zero-frequency filter function vanishes (Cywinski et
+    al., PRB 77, 174509 (2008)) and every shot gives it K. Refocusing
+    belongs to the sequence, so the shots are decided once per walk, from
+    its distinct step frames alone, never from the draw: spin q is turned
+    when some frame's H changes as q flips, max |H[a] - H[a ^ bit_q]| >
+    TIME_ATOL, and element (a, b) is kept when a ^ b flips no turned spin.
+    Every fused pulse flips bits, so P_i keeps a ^ b, and a kept element
+    records K_i whichever states walk beside it and whatever the draw. The
+    walk takes the shots only if some element a state occupies, nonzero
+    (NaN and inf included) in any input state, is not kept: then every
+    frame's G is formed, once per distinct frame, and only the elements
+    that are not kept read the shot mean. Otherwise step i records K_i, and
+    the walk calls no level_phases and makes no GEMM.
 
     A dense segment makes the walk expand the unit over the draw once and
     step one (n, shots, 8, 8) stack of every state through it instead.

@@ -1,14 +1,15 @@
 """Oracles the tests check the program against, which the program never calls.
 
 Each is a plain formula or a plain reader: per-time free-evolution
-factors, the element-wise frequency shift of a static offset draw,
-loaders for exported density matrices and timed-event programs, and the
-golden documents under tests/data (the coherence-order table and the star
-state), which only the tests read. The two
-formulas read the model's energy, decay and sensitivity tables
-(spinsys._tables), the tables the engine compiles from, so the tests
-that check them against the superoperator exponential still check the
-program's model.
+factors, the element-wise frequency shift of a static offset draw, a
+pulse's rotation product as sequential matrix products and its signed
+permutation in closed form, loaders for exported density matrices and
+timed-event programs, and the golden documents under tests/data (the
+coherence-order table and the star state), which only the tests read.
+The two free-evolution formulas read the model's energy, decay and
+sensitivity tables (spinsys._tables), the tables the engine compiles
+from, so the tests that check them against the superoperator
+exponential still check the program's model.
 """
 
 import json
@@ -45,6 +46,45 @@ def free_factors(sys: SpinSystem, t: float, extra_hz: np.ndarray | None = None) 
     if extra_hz is not None:
         phase = phase + extra_hz
     return np.exp((-2j * np.pi * phase - decay) * t)
+
+
+def sequential_rotation_product(targets, flip: float, phases) -> np.ndarray:
+    """Flip-angle rotations on 1-based targets, multiplied in one at a time, first target first."""
+    u = np.eye(spinsys.DIM, dtype=complex)
+    for q, ph in zip(targets, phases):
+        u = spinsys.embed(spinsys.rotation2(flip, ph), q) @ u
+    return u
+
+
+def pulse_permutation(ev: spinsys.PulseEvent, sys: SpinSystem):
+    """Signed-permutation form (perm, d) of a pulse in closed form, U[i, perm[i]] = d[i].
+
+    A pulse is a signed permutation when it is a plain rotation product
+    (no internal Hamiltonian inside a finite window) whose flip angle,
+    errors included, is a whole number n of half turns. With (c, s) the
+    cosine and sine of n quarter turns, each target q at phase phi then
+    contributes: for odd n the bit flip of q and the entry -i s e^(-i phi)
+    on rows where q's bit is 0, -i s e^(i phi) where it is 1; for even n
+    the sign c on every row. Returns None for any other pulse.
+    """
+    flip = ev.flip * (1.0 + sys.pulse.flip_fraction_error)
+    phase = ev.phase + sys.pulse.phase_error
+    if ev.duration > 0.0 and sys.pulse.internal_h_during_pulse:
+        return None
+    half_turns = flip / np.pi
+    if half_turns != round(half_turns):
+        return None
+    n = int(half_turns)
+    c, s = ((1, 0), (0, 1), (-1, 0), (0, -1))[n % 4]
+    perm = np.arange(spinsys.DIM)
+    if n % 2 == 0:
+        return perm, np.full(spinsys.DIM, complex(c ** len(ev.targets)))
+    d, sin, cos = np.ones(spinsys.DIM, dtype=complex), s * np.sin(phase), s * np.cos(phase)
+    for q in ev.targets:
+        bit_q = 1 << (spinsys.N_QUBITS - q)
+        d = d * np.where(perm & bit_q, complex(sin, -cos), complex(-sin, -cos))
+        perm = perm ^ bit_q
+    return perm, d
 
 
 def rho_from_json(doc) -> np.ndarray:

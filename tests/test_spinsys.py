@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import random_rho
-from oracles import disorder_phase_rates, free_factors
-from triqdd import cli, ddseq, qmat, runner, spinsys
+from oracles import (disorder_phase_rates, free_factors, pulse_permutation,
+                     sequential_rotation_product)
+from triqdd import circuits, cli, ddseq, qmat, runner, spinsys
 from triqdd.spinsys import (
     ConfigError,
     DisorderModel,
@@ -258,6 +259,11 @@ def test_hard_pulse_equals_expm_of_rf_hamiltonian():
             assert np.max(np.abs(got - expm(-1j * h * duration))) <= 1e-13
 
 
+def read_off(ev, sys):
+    """The signed permutation the engine reads off a pulse's unitary, or None."""
+    return spinsys.signed_permutation(spinsys.pulse_propagator(ev, sys))
+
+
 def test_pulse_permutation_is_the_exact_signed_permutation():
     # spin q's bit of a level index is the one bit reads: the table walk decides refocusing by
     for q, mask in zip((1, 2, 3), spinsys._SPIN_BITS):
@@ -270,7 +276,8 @@ def test_pulse_permutation_is_the_exact_signed_permutation():
         duration = rng.choice((0.0, 3e-5))
         sys = plain_system(pulse=PulseErrorModel(phase_error=rng.uniform(-0.1, 0.1)))
         ev = pulse(0.0, targets, flip, phase, duration)
-        perm, d = spinsys.pulse_permutation(ev, sys)
+        u = spinsys.pulse_propagator(ev, sys)
+        perm, d = spinsys.signed_permutation(u)
         signed = np.zeros((8, 8), dtype=complex)
         signed[np.arange(8), perm] = d
         # every signed-permutation pulse flips its targets' bits, or none for an even
@@ -279,14 +286,53 @@ def test_pulse_permutation_is_the_exact_signed_permutation():
         mask = sum(int(spinsys._SPIN_BITS[q - 1]) for q in targets) if odd else 0
         assert np.array_equal(perm, np.arange(8) ^ mask)
         assert np.allclose(np.abs(d), 1.0, rtol=0, atol=1e-15)
-        assert np.max(np.abs(signed - spinsys.pulse_propagator(ev, sys))) <= 1e-15
+        # exact half turns leave every other entry exactly zero: u is its read-off
+        assert np.array_equal(signed, u)
     ev = pulse(0.0, (1, 2), np.pi, 0.3, duration=3e-5)
-    assert spinsys.pulse_permutation(
-        ev, plain_system(pulse=PulseErrorModel(flip_fraction_error=0.02))) is None
+    assert read_off(ev, plain_system(pulse=PulseErrorModel(flip_fraction_error=0.02))) is None
     inside = plain_system(pulse=PulseErrorModel(internal_h_during_pulse=True))
-    assert spinsys.pulse_permutation(ev, inside) is None
-    assert spinsys.pulse_permutation(pulse(0.0, (1, 2), np.pi, 0.3), inside) is not None
-    assert spinsys.pulse_permutation(pulse(0.0, 1, np.pi / 2, 0.0), plain_system()) is None
+    assert read_off(ev, inside) is None
+    assert read_off(pulse(0.0, (1, 2), np.pi, 0.3), inside) is not None
+    assert read_off(pulse(0.0, 1, np.pi / 2, 0.0), plain_system()) is None
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.sampled_from((1, 2, 3)), min_size=1, max_size=3, unique=True),
+       st.sampled_from((-4, -3, -2, -1, 1, 2, 3, 4)), st.floats(-np.pi, np.pi),
+       st.one_of(st.just(0.0), st.floats(-0.2, 0.2)), st.sampled_from((0.0, 30e-6)),
+       st.booleans(), st.sampled_from((0.0, 0.02)))
+def test_the_signed_permutation_read_off_a_pulse_is_its_closed_form(
+        targets, half_turns, phase, phase_error, duration, internal_h, flip_error):
+    sys = SpinSystem(pulse=PulseErrorModel(flip_error, phase_error, internal_h))
+    ev = pulse(0.0, targets, half_turns * np.pi, phase, duration)
+    got, want = read_off(ev, sys), pulse_permutation(ev, sys)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert np.array_equal(got[0], want[0])
+        assert np.max(np.abs(got[1] - want[1])) <= 1e-15
+
+
+def test_rotation_product_is_the_sequential_product_and_keeps_the_tomography_tables(
+        monkeypatch):
+    rng = np.random.default_rng(44)
+    for _ in range(500):
+        targets = tuple(int(q) for q in rng.permutation((1, 2, 3))[:rng.integers(1, 4)])
+        flip = rng.choice((rng.integers(-4, 5) * np.pi, rng.uniform(-4 * np.pi, 4 * np.pi)))
+        phases = rng.uniform(-np.pi, np.pi, len(targets))
+        got = spinsys.rotation_product(targets, flip, phases)
+        assert np.max(np.abs(got - sequential_rotation_product(targets, flip, phases))) <= 1e-15
+    # the readout rotations built either way give the same tables, bit for bit
+    kept = circuits._tomography_tables()
+    caches = (circuits._readout_stack, circuits._tomography_tables)
+    monkeypatch.setattr(spinsys, "rotation_product", sequential_rotation_product)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        sequential = circuits._tomography_tables()
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    assert all(np.array_equal(a, b) for a, b in zip(kept, sequential))
 
 
 def test_finite_pulse_with_internal_h_feels_couplings():
@@ -311,13 +357,14 @@ def test_flip_error_past_whole_float_half_turns_is_refused():
     # from 2^52 half turns on every float is whole, so a pi pulse would read as the identity
     ev = pulse(0.5e-3, (1, 2, 3), np.pi, 0.0)
     big = plain_system(pulse=PulseErrorModel(flip_fraction_error=1e15))
-    assert spinsys.pulse_permutation(ev, big) is None  # still resolved: a dense rotation
+    assert read_off(ev, big) is None  # still resolved: a dense rotation
     plan = spinsys.compile_program(big, [ev], 1e-3)
     assert [seg[0] for seg in plan] == ["fused", "dense", "fused"]
     qmat.assert_density_matrix(spinsys.apply_program(random_rho(np.random.default_rng(5), 8), plan))
     for eps in (1e16, 1e17):
         huge = plain_system(pulse=PulseErrorModel(flip_fraction_error=eps))
-        for build in (spinsys.pulse_permutation, spinsys.pulse_propagator):
+        for build in (spinsys.pulse_propagator, lambda ev, sys: spinsys.compile_program(
+                sys, [ev], 1e-3)):
             with pytest.raises(ConfigError, match="2\\^52 half turns"):
                 build(ev, huge)
 
@@ -448,6 +495,25 @@ def test_equal_dense_pulses_share_one_read_only_segment():
     for _, u, u_dagger in dense:
         assert np.array_equal(u_dagger, u.conj().T)
         assert not u.flags.writeable and not u_dagger.flags.writeable
+
+
+@pytest.mark.parametrize("model", [PulseErrorModel(), PulseErrorModel(flip_fraction_error=0.02)],
+                         ids=["fused", "dense"])
+def test_compiling_builds_each_distinct_pulse_once(model, monkeypatch):
+    # the unitary is the one statement of a pulse: compiling builds each distinct
+    # pulse of the 42 once, whether it reads as a frame or stays dense
+    real, built = spinsys.pulse_propagator, []
+
+    def counting(ev, sys):
+        built.append((ev.targets, ev.phase, ev.flip, ev.duration))
+        return real(ev, sys)
+
+    monkeypatch.setattr(spinsys, "pulse_propagator", counting)
+    cycle = ddseq.modify(ddseq.generate("KDD20", 5e-4, 2e-5, (1, 2)))
+    events, duration = ddseq.program(cycle, cycle.unit_cycles)
+    spinsys._compiled.cache_clear()
+    spinsys.compile_program(SpinSystem(pulse=model), events, duration)
+    assert len(events) == 42 and len(built) == len(set(built)) == 6
 
 
 @pytest.mark.parametrize("change", [

@@ -617,7 +617,7 @@ def old_disorder_times(sys, events, duration) -> np.ndarray:
         if kind == "free":
             times_a = times_a + sens * item
         else:
-            p, _ = spinsys.pulse_permutation(item, sys)
+            p, _ = spinsys.signed_permutation(spinsys.pulse_propagator(item, sys))
             times_a = times_a[:, p[:, None], p]
     return times_a
 
@@ -674,13 +674,17 @@ def signed_permutation_programs(draw):
 
     Every pulse the program builds flips bits, and bit flips commute, so only
     general permutations tell the order in which a run composes its pulses.
-    Each pulse's (perm, d) is keyed by its phase, which is distinct per pulse.
+    Each pulse's unitary, U[i, perm[i]] = d[i], is keyed by its phase, which
+    is distinct per pulse.
     """
     slot, n = 1e-3, draw(st.integers(1, 6))
     angles = st.lists(st.floats(-np.pi, np.pi), min_size=spinsys.DIM, max_size=spinsys.DIM)
-    table = {float(i): (np.array(draw(st.permutations(range(spinsys.DIM)))),
-                           np.exp(1j * np.array(draw(angles))))
-             for i in range(n)}
+    table = {}
+    for i in range(n):
+        u = np.zeros((spinsys.DIM, spinsys.DIM), dtype=complex)
+        u[np.arange(spinsys.DIM), draw(st.permutations(range(spinsys.DIM)))] = np.exp(
+            1j * np.array(draw(angles)))
+        table[float(i)] = u
     events = tuple(spinsys.pulse(i * slot + draw(st.floats(0.01, 0.75)) * slot,
                                  draw(st.sampled_from(_TARGET_SETS[:3])), np.pi, float(i),
                                  draw(st.sampled_from((0.0, 1e-4))))
@@ -692,30 +696,20 @@ def signed_permutation_programs(draw):
 @given(signed_permutation_programs())
 def test_fused_run_matches_dense_walk_on_any_signed_permutation(case):
     program, table, seed = case
-
-    def signed(ev, sys):
-        return table[ev.phase]
-
-    def unitary(ev, sys):
-        perm, d = table[ev.phase]
-        u = np.zeros((spinsys.DIM, spinsys.DIM), dtype=complex)
-        u[np.arange(spinsys.DIM), perm] = d
-        return u
-
     sys = SpinSystem(noise=NoiseModel((0.5, 0.8, 1.1), 0.3),
                      disorder=DisorderModel((3.0, 4.0, 5.0), 6.0, shots=3, seed=seed % 100))
     rho = random_rho(np.random.default_rng(seed), spinsys.DIM)
     deltas = sys.disorder.draw()
-    real = spinsys.pulse_permutation, spinsys.pulse_propagator
+    real = spinsys.pulse_propagator
     # examples reuse equal events with other tables: no plan may outlive its swap
     spinsys._compiled.cache_clear()
-    spinsys.pulse_permutation, spinsys.pulse_propagator = signed, unitary
+    spinsys.pulse_propagator = lambda ev, sys: table[ev.phase]
     try:
         want, _ = averaged_states(_unit_plan, _apply_unit, rho, sys, program, deltas, 1)
         got, plan = averaged_states(expanded_plan, spinsys.apply_program,
                                     rho, sys, program, deltas, 1)
     finally:
-        spinsys.pulse_permutation, spinsys.pulse_propagator = real
+        spinsys.pulse_propagator = real
         spinsys._compiled.cache_clear()
     assert len(plan) == 1 and plan[0][0] == "fused"
     assert np.max(np.abs(got[0] - want[0])) <= 1e-12
@@ -734,14 +728,14 @@ def test_fused_walk_moves_occupied_rows_under_any_signed_permutation(case, occup
     sys = SpinSystem(noise=NoiseModel((0.5, 0.8, 1.1), 0.3),
                      disorder=DisorderModel((3.0, 4.0, 5.0), 6.0, shots=3, seed=seed % 100))
     steps = (1, 2, 0, 3)
-    real = spinsys.pulse_permutation
+    real = spinsys.pulse_propagator
     spinsys._compiled.cache_clear()  # as above: equal events, another table
-    spinsys.pulse_permutation = lambda ev, sys: table[ev.phase]
+    spinsys.pulse_propagator = lambda ev, sys: table[ev.phase]
     try:
         got = spinsys.walk(sys, program, steps, [rho])[0]
         plan = expanded_plan(sys, *program, sys.disorder.draw())
     finally:
-        spinsys.pulse_permutation = real
+        spinsys.pulse_propagator = real
         spinsys._compiled.cache_clear()
     states, want = np.broadcast_to(rho, (3,) + rho.shape), []
     for k in steps:
