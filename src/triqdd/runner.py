@@ -23,10 +23,11 @@ Static disorder is averaged over shots: each shot keeps its offset
 shifts for the whole evolution, and magnitudes or concurrences are taken
 from the shot-averaged states. The shots are drawn once per model
 (DisorderModel.draw), so the protocols of a run share them. Refocusing is
-the sequence's: an element that flips only spins the walk's frames
-refocus records without the shots, whatever the draw and whatever states
-walk beside it, and a walk takes the shots only for the elements its
-states occupy that are not refocused (spinsys.walk). With ideal pulses
+the sequence's, read per element: an element whose two levels share
+their zero-frequency filter function in every frame of the walk records
+without the shots, whatever the draw and whatever states walk beside it,
+and a walk takes the shots only for the elements its states occupy that
+are not refocused (spinsys.walk). With ideal pulses
 every DD walk of the grid refocuses all it occupies, so only free
 evolution and the star pairs, whose third spin rides along unpulsed,
 take the shots.

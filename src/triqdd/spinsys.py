@@ -83,6 +83,7 @@ never the draw's: walk states the refocusing rule.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, reduce
 from itertools import groupby
@@ -220,11 +221,6 @@ def bit(b: int, q: int) -> int:
     return (b >> (N_QUBITS - q)) & 1
 
 
-# spin q's bit in a level index, the first level on which bit reads q as 1: flipping q
-# maps level a to a ^ _SPIN_BITS[q - 1]
-_SPIN_BITS = np.array([min(b for b in range(DIM) if bit(b, q)) for q in range(1, N_QUBITS + 1)])
-
-
 def energies(sys: SpinSystem) -> np.ndarray:
     """E(b) in Hz for all eight basis states."""
     return _tables(sys.offsets, sys.couplings, sys.noise)[0]
@@ -262,6 +258,9 @@ class PulseEvent:
     flip: float
 
     def __post_init__(self):
+        for name in ("start", "duration", "phase", "flip"):  # NaN passes every bound below
+            if math.isnan(getattr(self, name)):
+                raise ValueError(f"pulse {name} is NaN")
         if self.start < -TIME_ATOL:
             raise ValueError(f"pulse start {self.start} is negative")
         if self.duration < 0:
@@ -373,8 +372,10 @@ def _validate_schedule(events: tuple[PulseEvent, ...], duration: float) -> None:
             raise ValueError(
                 f"event at t={ev.start} runs to {ev.end}, past the sequence duration {duration}"
             )
-    for a, b in zip(events, events[1:]):
-        if b.start < a.end - TIME_ATOL:
+    running = []  # the earlier pulses still running at b's start, events being sorted by start
+    for b in events:
+        running = [a for a in running if b.start < a.end - TIME_ATOL]
+        for a in running:
             if set(a.targets) & set(b.targets):
                 raise ValueError(
                     f"overlapping pulses on qubits {set(a.targets) & set(b.targets)} "
@@ -384,6 +385,7 @@ def _validate_schedule(events: tuple[PulseEvent, ...], duration: float) -> None:
                 raise ValueError(
                     "time-overlapping finite pulses on disjoint qubits are not supported"
                 )
+        running.append(b)
 
 
 def program_steps(events, duration: float, windowed: bool) -> list:
@@ -576,15 +578,13 @@ def repeat_program(plan, k: int) -> list:
     small arrays, by products and sums only, squared up to k units. Any
     other plan is the k-fold concatenation of its own segment objects:
     nothing is copied or recompiled, and the list holds one reference per
-    segment per unit.
-    Repeat first, then expand: an expanded frame has no H to compose.
+    segment per unit. An expanded frame has no H to compose, so it
+    concatenates too, as walk repeats a unit expanded over its draw.
     """
     if k < 0:
         raise ValueError(f"repeat count must be nonnegative, got {k}")
-    if len(plan) != 1 or plan[0][0] != "fused" or k < 2:
+    if len(plan) != 1 or plan[0][0] != "fused" or plan[0][2] is None or k < 2:
         return list(plan) * k
-    if plan[0][2] is None:
-        raise ValueError("cannot repeat an expanded fused frame: repeat the plan, then expand")
     power, base = None, plan[0][1:]
     while k:
         if k & 1:
@@ -607,37 +607,33 @@ def walk(sys: SpinSystem, unit, steps, rho0s) -> np.ndarray:
     steps within TIME_ATOL share one, as a uniform grid's gaps differ by
     roundoff, and a zero step is the empty plan.
 
-    When every segment is fused (free evolution always; DD with ideal
-    pulses), each step's plan is one frame (K, H, p) or none, as
-    compile_program and repeat_program build it (_then), and a
-    second frame fails to unpack. The walk stays in level coordinates, on
-    all eight levels, never a shot stack: a step composes K_i = K *
-    K_(i-1)[p][:, p], the per-shot level phases G_i = g * G_(i-1)[:, p],
-    (shots, 8), and the permutation P_i = P_(i-1)[p], as _then composes
-    frames. Record i is C_i * rho0[P_i][:, P_i] for every state at once,
-    with C_i = K_i * (G_i^T G_i*) / shots, the shot mean, on the elements
-    that read it, one (8 x shots)(shots x 8) GEMM per recorded step; a
-    walk with no permuting step reads all its records with one broadcast
-    product.
+    Free evolution, and a unit that compiles to one fused frame that
+    permutes no level (every committed DD unit, with ideal pulses or a
+    phase error), walks its frames: each step's plan is one frame (K, H,
+    None) or none, as compile_program and repeat_program build it (_then),
+    and a second frame fails to unpack. Such a walk never forms a shot
+    stack: a step composes K_i = K * K_(i-1) and the per-shot level phases
+    G_i = g * G_(i-1), (shots, 8), and record i is C_i * rho0, every
+    record of every state in one broadcast product, with C_i = K_i *
+    (G_i^T G_i*) / shots, the shot mean, on the elements that read it, one
+    (8 x shots)(shots x 8) GEMM per recorded step.
 
     A shot turns element (a, b) of a frame by 2 pi (H[a] - H[b]) . delta_s
-    only, so an element whose two levels share their filter function is
-    refocused: its zero-frequency filter function vanishes (Cywinski et
-    al., PRB 77, 174509 (2008)) and every shot gives it K. Refocusing
-    belongs to the sequence, so the shots are decided once per walk, from
-    its distinct step frames alone, never from the draw: spin q is turned
-    when some frame's H changes as q flips, max |H[a] - H[a ^ bit_q]| >
-    TIME_ATOL, and element (a, b) is kept when a ^ b flips no turned spin.
-    Every fused pulse flips bits, so P_i keeps a ^ b, and a kept element
-    records K_i whichever states walk beside it and whatever the draw. The
-    walk takes the shots only if some element a state occupies, nonzero
-    (NaN and inf included) in any input state, is not kept: then every
-    frame's G is formed, once per distinct frame, and only the elements
-    that are not kept read the shot mean. Otherwise step i records K_i, and
-    the walk calls no level_phases and makes no GEMM.
+    only, so the element is refocused, its zero-frequency filter function
+    vanishing (Cywinski et al., PRB 77, 174509 (2008)), when |H[a] - H[b]|
+    <= TIME_ATOL in every distinct step frame; NaN is never refocused.
+    Refocusing belongs to the sequence, so it is decided once per walk,
+    from its frames alone, never from the draw, and a refocused element
+    records K_i whichever states walk beside it and whatever the draw.
+    The walk takes the shots only if some element a state occupies,
+    nonzero (NaN and inf included) in any input state, is not refocused:
+    then every frame's G is formed, once per distinct frame, and only the
+    elements that are not refocused read the shot mean. Otherwise step i
+    records K_i, and the walk calls no level_phases and makes no GEMM.
 
-    A dense segment makes the walk expand the unit over the draw once and
-    step one (n, shots, 8, 8) stack of every state through it instead.
+    Any other unit, one with a dense segment or a fused frame that permutes
+    levels, is expanded over the draw once, and the walk steps one
+    (n, shots, 8, 8) stack of every state through it instead.
 
     The result, all (n, T, 8, 8) of it, is checked as one stack to be
     density matrices before anything, tomography readout included, reads
@@ -647,7 +643,7 @@ def walk(sys: SpinSystem, unit, steps, rho0s) -> np.ndarray:
     steps = np.asarray(steps).tolist()  # Python numbers: the dedupe compares them pairwise
     if unit is not None:
         unit = compile_program(sys, *unit)
-    fused = unit is None or all(seg[0] == "fused" for seg in unit)
+    fused = unit is None or all(seg[0] == "fused" and seg[3] is None for seg in unit)
     if not fused:  # a step repeats the expanded unit by concatenation
         unit = expand_program(unit, deltas)
     plans, which = {}, []  # step i walks plans[which[i]]
@@ -662,32 +658,20 @@ def walk(sys: SpinSystem, unit, steps, rho0s) -> np.ndarray:
         frames = {j: plan for j, plan in plans.items() if plan}
         # every frame's H side by side, (8, 3 * frames); a step of two frames fails here
         hs = np.concatenate([np.empty((DIM, 0))] + [h for [(_, _, h, _)] in frames.values()], 1)
-        levels = np.arange(DIM)
-        # per spin, whether some frame's H changes as it flips; NaN counts as a change
-        turned = ~(np.abs(hs[levels ^ _SPIN_BITS[:, None]] - hs).reshape(N_QUBITS, -1).max(
-            axis=1, initial=0.0) <= TIME_ATOL)
-        fixed = levels & int(_SPIN_BITS @ turned)  # each level's bits on the turned spins
-        kept = fixed[:, None] == fixed  # a ^ b flips no turned spin
+        kept = (np.abs(hs[:, None] - hs) <= TIME_ATOL).all(axis=-1)  # refocused; NaN never is
         shots = bool(rho0s[:, ~kept].any())  # some state occupies an element not kept
         phases = {j: level_phases(h, deltas) for j, [(_, _, h, _)] in frames.items() if shots}
         k, g = np.ones((DIM, DIM), dtype=complex), np.ones((len(deltas), DIM), dtype=complex)
         ks = np.empty((len(steps), DIM, DIM), complex)
         means = np.empty_like(ks) if shots else None
-        perms, perm = [], None  # perms[i] is P_i, None for the identity
         for i, j in enumerate(which):
-            for _, k_step, _, p in plans[j]:  # one frame, or none for a zero step
-                k = k_step * (k if p is None else k[p[:, None], p])
-                g = phases[j] * (g if p is None else g[:, p]) if shots else g
-                perm = p if perm is None else perm if p is None else perm[p]
+            for _, k_step, _, _ in plans[j]:  # one frame, or none for a zero step
+                k, g = k_step * k, phases[j] * g if shots else g
             ks[i] = k
             if shots:
                 means[i] = g.T @ g.conj()
-            perms.append(perm)
         ks = np.where(kept, ks, ks * means / len(deltas)) if shots else ks  # the shot mean
         out = ks * rho0s[:, None]
-        for i, q in enumerate(perms):  # record i is C_i * rho0[P_i][:, P_i]
-            if q is not None:
-                out[:, i] = ks[i] * rho0s[:, q[:, None], q]
     else:
         out = np.empty((len(rho0s), len(steps), DIM, DIM), dtype=complex)
         states = np.repeat(rho0s[:, None], len(deltas), axis=1)

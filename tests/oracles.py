@@ -3,9 +3,10 @@
 Each is a plain formula or a plain reader: per-time free-evolution
 factors, the element-wise frequency shift of a static offset draw, a
 pulse's rotation product as sequential matrix products and its signed
-permutation in closed form, loaders for exported density matrices and
-timed-event programs, and the golden documents under tests/data (the
-coherence-order table and the star state), which only the tests read.
+permutation in closed form, refocusing decided per spin, loaders for
+exported density matrices and timed-event programs, and the golden
+documents under tests/data (the coherence-order table and the star
+state), which only the tests read.
 The two free-evolution formulas read the model's energy, decay and
 sensitivity tables (spinsys._tables), the tables the engine compiles
 from, so the tests that check them against the superoperator
@@ -85,6 +86,25 @@ def pulse_permutation(ev: spinsys.PulseEvent, sys: SpinSystem):
         d = d * np.where(perm & bit_q, complex(sin, -cos), complex(-sin, -cos))
         perm = perm ^ bit_q
     return perm, d
+
+
+def unrefocused_by_spin(hs) -> np.ndarray:
+    """(8, 8) mask of the elements that frames' filter functions leave to the disorder, per spin.
+
+    hs is the frames' H side by side, (8, 3 * frames). Spin q is turned
+    when some frame's H changes as q flips, max |H[a] - H[a ^ m_q]| >
+    TIME_ATOL with m_q the one-bit level on which spinsys.bit reads q (NaN
+    counts as a change), and element (a, b) is unrefocused when a ^ b
+    flips a turned spin. Real pulses only flip bits, so H[a, q] = s_q(a)
+    T_q, and this is the rule spinsys.walk reads per element.
+    """
+    hs = np.asarray(hs, dtype=float)
+    levels = np.arange(spinsys.DIM)
+    masks = np.array([sum(b for b in (1, 2, 4) if spinsys.bit(b, q)) for q in (1, 2, 3)])
+    turned = ~(np.abs(hs[levels ^ masks[:, None]] - hs).reshape(spinsys.N_QUBITS, -1).max(
+        axis=1, initial=0.0) <= spinsys.TIME_ATOL)
+    fixed = levels & int(masks @ turned)  # each level's bits on the turned spins
+    return fixed[:, None] != fixed
 
 
 def rho_from_json(doc) -> np.ndarray:

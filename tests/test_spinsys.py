@@ -265,9 +265,6 @@ def read_off(ev, sys):
 
 
 def test_pulse_permutation_is_the_exact_signed_permutation():
-    # spin q's bit of a level index is the one bit reads: the table walk decides refocusing by
-    for q, mask in zip((1, 2, 3), spinsys._SPIN_BITS):
-        assert [bool(b & mask) for b in range(8)] == [spinsys.bit(b, q) == 1 for b in range(8)]
     rng = np.random.default_rng(43)
     for _ in range(60):
         targets = tuple(int(q) for q in rng.permutation((1, 2, 3))[:rng.integers(1, 4)])
@@ -283,7 +280,8 @@ def test_pulse_permutation_is_the_exact_signed_permutation():
         # every signed-permutation pulse flips its targets' bits, or none for an even
         # number of half turns, so it keeps each element's flip pattern a ^ b
         odd = round(flip / np.pi) % 2
-        mask = sum(int(spinsys._SPIN_BITS[q - 1]) for q in targets) if odd else 0
+        # of the one-bit levels, those on which bit reads a target
+        mask = sum(b for b in (1, 2, 4) if any(spinsys.bit(b, q) for q in targets)) if odd else 0
         assert np.array_equal(perm, np.arange(8) ^ mask)
         assert np.allclose(np.abs(d), 1.0, rtol=0, atol=1e-15)
         # exact half turns leave every other entry exactly zero: u is its read-off
@@ -384,6 +382,16 @@ def test_pulse_event_validation():
         pulse(0.0, 4, np.pi, 0.0)
 
 
+def test_a_nan_pulse_field_is_refused_by_name():
+    # NaN compares false against every bound, so each field is refused as NaN, by name
+    for name, args in (("start", (np.nan, 1, np.pi, 0.0)), ("duration", (0.0, 1, np.pi, 0.0, np.nan)),
+                       ("phase", (0.0, 1, np.pi, np.nan)), ("flip", (0.0, 1, np.nan, 0.0))):
+        with pytest.raises(ValueError, match=f"^pulse {name} is NaN$"):
+            pulse(*args)
+    # an infinite start is no NaN: the schedule is left to refuse it
+    assert pulse(np.inf, 1, np.pi, 0.0).start == np.inf
+
+
 # -- timed sequences -------------------------------------------------------
 
 def walk_once(rho, sys, events, duration):
@@ -452,6 +460,22 @@ def test_sequence_rejects_overlap_and_overrun():
         for duration in (-0.01, np.nan, np.inf):
             with pytest.raises(ValueError, match="finite and nonnegative"):
                 spinsys.compile_program(sys, (), duration)
+
+
+def test_a_pulse_is_checked_against_every_earlier_pulse_still_running():
+    # an instantaneous pulse on spin 2 sits between a 10 us pulse at 0 and a 1 us pulse
+    # at 3 us: the third overlaps the first, not its predecessor, on spin 1 and on
+    # disjoint spin 3 alike
+    sys = plain_system()
+    first, between = pulse(0.0, 1, np.pi, 0.0, duration=10e-6), pulse(1e-6, 2, np.pi, 0.0)
+    for q, match in ((1, r"overlapping pulses on qubits \{1\} at t=0.0 and t=3e-06"),
+                     (3, "time-overlapping finite pulses on disjoint qubits")):
+        third = pulse(3e-6, q, np.pi, 0.0, duration=1e-6)
+        with pytest.raises(ValueError, match=match):
+            spinsys.compile_program(sys, [first, between, third], 1e-3)
+        # a first pulse that ends before the third starts leaves the schedule valid
+        short = replace(first, duration=2e-6)
+        assert spinsys.program_steps([short, between, third], 1e-3, False)
 
 
 # -- compiled plans, kept per pulse model ------------------------------------

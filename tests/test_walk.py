@@ -20,19 +20,22 @@ the closed-form power of one fused segment or the concatenation of a
 dense unit's own segments. A fused walk's shot-averaged map, stepped on
 its frame and per-shot level phases and read by every state at once, must
 match the expanded plan walked on a (shots, 8, 8) stack, for every
-protocol of the grid and the star run. It steps all eight levels in level
-coordinates and reads each record through the permutation of its steps so
-far, so each state walked alone must match too, under real pulses and
-under general signed permutations. A step's plan is one fused frame or
+protocol of the grid and the star run. It steps all eight levels, so each
+state walked alone must match too. A unit whose fused frame permutes the
+levels, which no committed protocol compiles to, is walked on the shot
+stack instead, and must match as well, under real pulses and under
+general signed permutations. A step's plan is one fused frame or
 none, and a walk handed two must fail, not drop one. Refocusing is read
-off the walk's frames, once per walk and never off the draw: an element
-that flips only spins every frame refocuses within TIME_ATOL records K
-alone, so a state reads the same bits alone or beside others and at any
-disorder width, the grid's DD walks take no shots and must still match
-the shot walk on the states the grid serves them, and a walk with any
-frame that turns an occupied element takes every frame's shots. A
-permuted record holds its states' elements on other levels, and the
-shots must reach them there. A dense walk, which steps the shot stacks of
+per element off the walk's frames, once per walk and never off the draw:
+an element whose two levels' filter functions agree within TIME_ATOL in
+every frame records K alone, so a state reads the same bits alone or
+beside others and at any disorder width, the grid's DD walks take no
+shots and must still match the shot walk on the states the grid serves
+them, and a walk with any frame that turns an occupied element takes
+every frame's shots. On real pulses, which only flip bits, the rule per
+element is the rule per spin (oracles.unrefocused_by_spin). A permuted
+record holds its states' elements on other levels, and the shots must
+reach them there. A dense walk, which steps the shot stacks of
 all its states as one, must equal each state walked alone; and the grid,
 which walks each protocol once for all its states and steps no shot stack
 when it is fused, must match one run_decay per curve bit for bit.
@@ -42,7 +45,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from triqdd import circuits, ddseq, runner, spinsys
@@ -50,7 +53,7 @@ from triqdd.qmat import InvariantError
 from triqdd.spinsys import DisorderModel, NoiseModel, PulseErrorModel, SpinSystem
 
 from conftest import random_rho
-from oracles import disorder_phase_rates, free_factors
+from oracles import disorder_phase_rates, free_factors, unrefocused_by_spin
 
 
 # -- reference: the dense walk ---------------------------------------------
@@ -336,13 +339,15 @@ def test_map_walk_matches_state_walk(name, monkeypatch):
     state_ids = runner.TABLE_STATES + ("star",)
     stack_steps = _count_stack_steps(monkeypatch)
     walked = runner._walk(sys, cycle, times, [circuits.prepare(state_id) for state_id in state_ids])
-    # a fused walk steps its frame, never a shot stack
-    assert not stack_steps
+    # an unpermuted fused walk steps its frame, never a shot stack; a unit whose frame
+    # permutes the levels is expanded over the draw and steps the shot stack
+    assert bool(stack_steps) == name.endswith("-permuting")
     for state_id, got in zip(state_ids, walked):
         want = _state_walk(sys, cycle, times, circuits.prepare(state_id))
         assert np.max(np.abs(got - want)) <= 1e-12
         # walked alone, a state reads the same bits: a refocused element records K in
-        # either walk, and one that is not reads the same shot mean
+        # either fused walk, one that is not reads the same shot mean, and a shot-stack
+        # walk steps each state's stack as it would alone
         alone = runner._walk(sys, cycle, times, [circuits.prepare(state_id)])[0]
         assert np.array_equal(alone, got)
     # |000><000| lands on |a><a| with P_t[a] = 0; the pulses flip bits, so P_t is
@@ -458,9 +463,9 @@ def test_a_walk_with_a_frame_that_does_not_refocus_takes_every_frames_shots(monk
 
 
 def test_a_state_records_the_same_bits_alone_and_beside_the_table_states():
-    # CPMG3 on spins 1 and 2 refocuses them and leaves spin 3 turned: psi1a flips
-    # spin 1 only, so its elements are kept and record K whether the walk takes the
-    # shots for its walk-mates' spin-3 coherences or not
+    # CPMG3 on spins 1 and 2 pulses each an odd number of times: its frame permutes the
+    # levels, so the walk steps one shot stack of its states, and psi1a's stack
+    # walks as it would alone
     sys = runner.default_system()
     steps = (0, 1, 2, 3, 5, 8, 401)
     states = [circuits.prepare(state_id) for state_id in runner.TABLE_STATES]
@@ -668,6 +673,34 @@ def test_level_filter_function_gives_the_element_disorder_times(case):
     assert np.max(np.abs(got - want)) <= 1e-15
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(fused_cases())
+def test_a_walk_takes_shots_exactly_on_the_elements_a_spin_rule_leaves_unrefocused(case):
+    # one element pair at a time, of the pure state (|a> + |b>) / sqrt 2: a walk of one
+    # and of several units asks for level phases exactly when the rule per spin calls
+    # (a, b) unrefocused in either frame; a population never asks
+    events, duration, sys, units = case
+    unit = spinsys.compile_program(sys, events, duration)
+    assume(unit[0][3] is None)  # a permuting unit walks the shot stack
+    steps = (1, units)
+    hs = np.concatenate([spinsys.repeat_program(unit, k)[0][2] for k in set(steps)], axis=1)
+    want = unrefocused_by_spin(hs)
+    asked, real = [], spinsys.level_phases
+    spinsys.level_phases = lambda h, deltas: asked.append(h) or real(h, deltas)
+    try:
+        got = np.zeros((spinsys.DIM, spinsys.DIM), dtype=bool)
+        for a in range(spinsys.DIM):
+            for b in range(a, spinsys.DIM):
+                psi = np.zeros(spinsys.DIM)
+                psi[[a, b]] = 1.0
+                asked.clear()
+                spinsys.walk(sys, (events, duration), steps, [np.outer(psi, psi) / psi.sum()])
+                got[a, b] = got[b, a] = bool(asked)
+    finally:
+        spinsys.level_phases = real
+    assert np.array_equal(got, want)
+
+
 @st.composite
 def signed_permutation_programs(draw):
     """Pulses at random places, each a signed permutation drawn at random.
@@ -719,7 +752,7 @@ def test_fused_run_matches_dense_walk_on_any_signed_permutation(case):
 @given(signed_permutation_programs(), st.integers(1, 4))
 def test_fused_walk_moves_occupied_rows_under_any_signed_permutation(case, occupied):
     # general permutations, unlike bit flips, need not be their own inverse: only they
-    # tell the walk's gathers K[p][:, p] and rho0[P][:, P] from the inverse ones
+    # tell apply_program's gather rho[p][:, p], on the walk's shot stack, from the inverse one
     program, table, seed = case
     rng = np.random.default_rng(seed)
     levels = rng.permutation(spinsys.DIM)[:occupied]
@@ -749,8 +782,8 @@ def test_fused_walk_moves_occupied_rows_under_any_signed_permutation(case, occup
 def test_a_permuted_record_decides_the_shots_on_the_rows_it_holds(steps, level, monkeypatch):
     # p, a 3-cycle, moves rho0's element (0, 1) to (4, 5) = argsort(p)[:2] after one unit
     # and to (2, 3) after two. A frame with a filter function on that record's first
-    # level alone changes it as any spin flips: the walk must take the shots, and
-    # they must reach the element where the record holds it
+    # level alone turns it, and the frame permutes: the walk steps the expanded shot
+    # stack, and the shots must reach the element where the record holds it
     p = np.array([2, 3, 4, 5, 0, 1, 6, 7])
     h = np.zeros((spinsys.DIM, spinsys.N_QUBITS))
     h[level, 0] = 1e-3
@@ -818,13 +851,23 @@ def test_repeated_plan_matches_unit_walks(case, k):
 
 
 def test_repeat_refuses_an_expanded_fused_frame():
-    # the closed form composes the frame's H, which expanding drops: repeat first, then expand
-    sys = SpinSystem(disorder=DisorderModel((3.0, 4.0, 5.0), 6.0, shots=4, seed=2))
+    # expanding drops the frame's H, so the closed form has nothing to compose: an
+    # expanded one-frame plan repeats by concatenation, as a walk repeats a permuting
+    # unit expanded over its draw, and walks as the expanded k-unit frame
+    sys = SpinSystem(noise=NoiseModel((0.5, 0.8, 1.1), 0.3),
+                     disorder=DisorderModel((3.0, 4.0, 5.0), 6.0, shots=4, seed=2))
     cycle = ddseq.generate("CPMG3", 0.5e-3, 0.0, (1, 2))
     plan = spinsys.compile_program(sys, *ddseq.program(cycle, cycle.unit_cycles))
-    assert len(plan) == 1 and plan[0][0] == "fused"
-    with pytest.raises(ValueError, match="repeat the plan, then expand"):
-        spinsys.repeat_program(spinsys.expand_program(plan, sys.disorder.draw()), 3)
+    assert len(plan) == 1 and plan[0][0] == "fused" and plan[0][3] is not None
+    deltas = sys.disorder.draw()
+    expanded = spinsys.expand_program(plan, deltas)
+    rho = np.broadcast_to(random_rho(np.random.default_rng(29), spinsys.DIM), (4, 8, 8))
+    for k in (0, 1, 2, 3, 6):
+        repeated = spinsys.repeat_program(expanded, k)
+        assert len(repeated) == k and all(seg is expanded[0] for seg in repeated)
+        want = spinsys.apply_program(
+            rho, spinsys.expand_program(spinsys.repeat_program(plan, k), deltas))
+        assert np.max(np.abs(spinsys.apply_program(rho, repeated) - want)) <= 1e-12
 
 
 GRID_STATES = ("psi0a", "psi1a", "psi3")
