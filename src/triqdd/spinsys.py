@@ -52,31 +52,33 @@ is integrated as rf plus internal Hamiltonian, without dephasing, and
 free evolution covers only the gaps between windows.
 Events at the same instant keep their list order.
 
-Free evolution is element-wise, and a signed-permutation pulse carries
-an element-wise factor into another element-wise factor: the toggling
-frame of average-Hamiltonian theory. Consecutive gaps and such pulses
-therefore fold into one fused map rho -> C * rho[perm][:, perm]. A pulse
-that mixes basis states, one with a flip-angle error or one integrated
-with the internal Hamiltonian in its window, stays a dense U rho
-U^dagger segment between fused ones. A run closes only there or at the
-end, so a program with no dense pulse is one fused frame, none at length 0.
+Free evolution is element-wise, and a pulse that flips bits, a signed
+permutation i -> i ^ m for an XOR mask m, carries an element-wise factor
+into another element-wise factor: the toggling frame of
+average-Hamiltonian theory. Consecutive gaps and such pulses therefore
+fold into one fused map rho -> C * rho[perm][:, perm] with perm = levels
+^ m, m = 0 for the identity. A pulse that mixes basis states, one with a
+flip-angle error or one integrated with the internal Hamiltonian in its
+window, stays a dense U rho U^dagger segment between fused ones. A run
+closes only there or at the end, so a program with no dense pulse is one
+fused frame, none at length 0.
 
-repeat_program turns a compiled repeat unit into the plan of k units.
-A unit that is one fused segment, as every unit of ideal pulses is,
-stays one: its frame composes with itself, by repeated squaring, without
-a new exp, so k units cost one walk step. A unit with dense segments
-repeats as the plain concatenation of its segments; folding one unit's
-fused tail into the next unit's head would save no dense step and makes
-the walk slower.
+repeat_program turns a plan of one repeat unit into the plan of k units.
+A unit that is one fused frame, as every unit of ideal pulses is, stays
+one, compiled or expanded over a draw: its frame composes with itself, by
+repeated squaring, without a new exp, so k units cost one walk step. A
+unit with dense segments repeats as the plain concatenation of its
+segments; folding one unit's fused tail into the next unit's head would
+save no dense step and makes the walk slower.
 
 Static offset disorder (slow inhomogeneity, off at the zero default
 widths) draws Gaussian per-spin offsets plus a correlated common mode
 once per shot (DisorderModel). The shifts are diagonal and a fused pulse
 only permutes levels, so on a fused frame a shot's disorder is one phase
 per level, read off the frame's zero-frequency filter function H: _then
-states the frame (K, H, perm) and its algebra, compile_program builds
-and keeps the frames with no draw, and expand_program writes them out
-over a draw. Which elements take the shots is the sequence's to decide,
+states the frame (K, H, m) and its algebra, compile_program builds and
+keeps the frames with no draw, and expand_program writes them out over a
+draw. Which elements take the shots is the sequence's to decide,
 never the draw's: walk states the refocusing rule.
 """
 
@@ -104,6 +106,7 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 # Schedule arithmetic tolerance, seconds.
 TIME_ATOL = 1e-12
 PLAN_CACHE_SIZE = 64  # compiled plans, and the system tables they read, kept per process
+_LEVELS = np.arange(DIM)
 
 
 class ConfigError(Exception):
@@ -348,18 +351,21 @@ def pulse_propagator(ev: PulseEvent, sys: SpinSystem) -> np.ndarray:
 
 
 def signed_permutation(u: np.ndarray):
-    """(perm, d) with u[i, perm[i]] = d[i] when each row of unitary u has one nonzero entry.
+    """(m, d) with u[i, i ^ m] = d[i] when unitary u is zero off those entries.
 
-    Any other u, one that mixes basis states, reads None. A rotation by a
-    whole number of half turns reads exactly (rotation2); a window that
-    eigh integrates with the internal Hamiltonian is not an exact signed
-    permutation, so it reads None and stays dense.
+    m is an int XOR mask, 0 for the identity: every pulse that keeps the
+    basis flips bits. Any other u reads None, one that mixes basis states
+    and a signed permutation that is not a mask alike, so the fused-or-dense
+    choice follows from the unitary alone. A rotation by a whole number of
+    half turns reads exactly (rotation2); a window that eigh integrates with
+    the internal Hamiltonian is not an exact signed permutation, so it reads
+    None and stays dense.
     """
     nonzero = u != 0
-    if not (nonzero.sum(axis=1) == 1).all():
+    m = int(nonzero[0].argmax())
+    if nonzero.sum() != DIM or not nonzero[_LEVELS, _LEVELS ^ m].all():
         return None
-    perm = nonzero.argmax(axis=1)
-    return perm, u[np.arange(DIM), perm]
+    return m, u[_LEVELS, _LEVELS ^ m]
 
 
 # -- the schedule engine ---------------------------------------------------
@@ -425,25 +431,25 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _then(first, second):
-    """(K, H, perm) of fused frame first followed by fused frame second.
+    """(K, H, m) of fused frame first followed by fused frame second.
 
     This is the frame algebra, and the only place it is written. A frame
-    maps rho -> K * rho[perm][:, perm], perm None for the identity, and H,
-    (8, 3), is its zero-frequency filter function, one row per level, off
-    which level_phases reads a shot's phase per level. Frame 2 after
-    frame 1 is K2 * K1[p2][:, p2], H2 + H1[p2] and perm p1[p2], an identity
-    perm again None. A gap of t seconds is the frame (exp(t G), t s / 2,
-    None), with the free generator G = -2 pi i phase - decay and the level
-    table s / 2 of _tables; a signed-permutation pulse U[i, p[i]] = d[i] is
-    (d d^H, 0, p). compile_program folds each fused run with this rule and
-    repeat_program squares a one-frame unit with it.
+    maps rho -> K * rho[p][:, p] with p = levels ^ m, m an int XOR mask, 0
+    for the identity, and H, (8, 3), is its zero-frequency filter function,
+    one row per level, off which level_phases reads a shot's phase per
+    level. Frame 2 after frame 1 is K2 * K1[p2][:, p2], H2 + H1[p2] and m1
+    ^ m2. K may carry leading axes: a frame expanded over a draw, K
+    (shots, 8, 8), composes the same way. A gap of t seconds is the frame
+    (exp(t G), t s / 2, 0), with the free generator G = -2 pi i phase -
+    decay and the level table s / 2 of _tables; a pulse U[i, i ^ m] = d[i]
+    is (d d^H, 0, m). compile_program folds each fused run with this rule
+    and repeat_program squares a one-frame unit with it.
     """
-    (k1, h1, p1), (k2, h2, p2) = first, second
-    if p2 is None:
-        return k2 * k1, h2 + h1, p1
-    perm = p2 if p1 is None else p1[p2]
-    return (k2 * k1[p2[:, None], p2], h2 + h1[p2],
-            None if np.array_equal(perm, np.arange(DIM)) else perm)
+    (k1, h1, m1), (k2, h2, m2) = first, second
+    if m2:  # m2 = 0 gathers nothing, as in squaring every committed unit
+        p2 = _LEVELS ^ m2
+        k1, h1 = k1[..., p2[:, None], p2], h1[p2]
+    return k2 * k1, h2 + h1, m1 ^ m2
 
 
 def compile_program(sys: SpinSystem, events, duration: float) -> tuple:
@@ -460,18 +466,18 @@ def compile_program(sys: SpinSystem, events, duration: float) -> tuple:
     keeps 27 plans, about 96 KB; the worst case, 64 dense 42-pulse
     flip-error plans, takes about 4.1 MB.
 
-    ('fused', K, H, perm) is a toggling frame, built with no disorder draw:
-    the map rho -> C * rho[perm][:, perm], perm None for the identity, with
-    C = K without disorder and C_s = K * g_s g_s^H under the static shift
-    delta_s, g_s = level_phases(H, delta_s) (expand_program). Each distinct
-    gap length and each distinct pulse of a program is built once, a pulse
-    as its unitary U (pulse_propagator). A U that signed_permutation reads
-    as a signed permutation is a frame; any other U mixes basis states and
-    is ('dense', U, U dagger), which ends the fused run before it, one such
+    ('fused', K, H, m) is a toggling frame, built with no disorder draw:
+    the map rho -> C * rho[p][:, p], p = levels ^ m for the int XOR mask
+    m, 0 for the identity, with C = K without disorder and C_s = K * g_s
+    g_s^H under the static shift delta_s, g_s = level_phases(H, delta_s)
+    (expand_program). Each distinct gap length and each distinct pulse of
+    a program is built once, a pulse as its unitary U (pulse_propagator).
+    A U that signed_permutation reads as a mask is a frame; any other U is
+    ('dense', U, U dagger), which ends the fused run before it, one such
     segment per distinct pulse (a flip-error mKDD20 unit's 42 pulses hold
     6). A fused run is the left fold, by _then, of the frames of its gaps
-    and signed-permutation pulses. Offsets or couplings that overflow K are
-    a ConfigError.
+    and mask pulses. Offsets or couplings that overflow K are a
+    ConfigError. No plan holds a permutation array.
     """
     return _compiled(sys.offsets, sys.couplings, sys.noise, sys.pulse, tuple(events), duration)
 
@@ -486,28 +492,26 @@ def _compiled(offsets, couplings, noise, pulse_model, events, duration) -> tuple
     for kind, item in program_steps(events, duration, sys.pulse.internal_h_during_pulse):
         key = item if kind == "free" else (item.targets, item.phase, item.flip, item.duration)
         if key not in segments and kind == "free":
-            segments[key] = ("fused", np.exp(item * generator), item * levels, None)
+            segments[key] = ("fused", np.exp(item * generator), item * levels, 0)
         elif key not in segments:
             u = pulse_propagator(item, sys)
             signed = signed_permutation(u)
-            if signed is None:  # a unitary that mixes basis states: one U and U dagger per pulse
+            if signed is None:  # a unitary that is no bit flip: one U and U dagger per pulse
                 segments[key] = ("dense", _frozen(u), _frozen(u.conj().T))
             else:
-                p, d = signed
-                segments[key] = ("fused", np.outer(d, d.conj()), np.zeros((DIM, N_QUBITS)), p)
+                m, d = signed
+                segments[key] = ("fused", np.outer(d, d.conj()), np.zeros((DIM, N_QUBITS)), m)
         steps.append(segments[key])
     plan = []
     for fused, run in groupby(steps, key=lambda seg: seg[0] == "fused"):
         if not fused:
             plan.extend(run)
             continue
-        # from the identity frame, so that an identity perm comes out None
-        k, h, perm = reduce(_then, (seg[1:] for seg in run),
-                            (np.ones((DIM, DIM)), np.zeros((DIM, N_QUBITS)), None))
+        k, h, m = reduce(_then, (seg[1:] for seg in run))
         if not np.isfinite(k).all():
             raise ConfigError(f"the system's offsets or couplings overflow the free "
                               f"evolution of a {duration:g} s program")
-        plan.append(("fused", _frozen(k), _frozen(h), perm if perm is None else _frozen(perm)))
+        plan.append(("fused", _frozen(k), _frozen(h), m))
     return tuple(plan)
 
 
@@ -530,16 +534,17 @@ def level_phases(h: np.ndarray, deltas) -> np.ndarray:
 def expand_program(plan, deltas) -> list:
     """A compiled plan written out over a (shots, 3) offset draw.
 
-    Each fused frame becomes ('fused', C, None, perm) with the per-shot
+    Each fused frame becomes ('fused', C, H, m) with the per-shot
     coefficients C_s = K * g_s g_s^H, (shots, 8, 8): eight exps per shot.
-    Dense segments are kept as they are. The result walks a shot stack.
+    It keeps H and m, so it composes by _then like a compiled frame. Dense
+    segments are kept as they are. The result walks a shot stack.
     """
     out = []
     for seg in plan:
         if seg[0] == "fused":
-            _, k, h, perm = seg
+            _, k, h, m = seg
             g = level_phases(h, deltas)
-            seg = ("fused", k * (g[:, :, None] * g[:, None, :].conj()), None, perm)
+            seg = ("fused", k * (g[:, :, None] * g[:, None, :].conj()), h, m)
         out.append(seg)
     return out
 
@@ -562,9 +567,9 @@ def apply_program(states: np.ndarray, plan) -> np.ndarray:
             np.matmul(seg[1], states, out=spare)
             np.matmul(spare, seg[2], out=states)
             continue
-        _, coef, _, perm = seg
-        if perm is not None:
-            np.take(states.reshape(flat), (perm[:, None] * DIM + perm).ravel(), axis=-1,
+        _, coef, _, m = seg
+        if m:  # row i ^ m and column j ^ m: flat index (8 i + j) ^ 9 m
+            np.take(states.reshape(flat), np.arange(DIM * DIM) ^ (DIM + 1) * m, axis=-1,
                     out=spare.reshape(flat))
             states, spare = spare, states
         np.multiply(coef, states, out=states)
@@ -572,18 +577,17 @@ def apply_program(states: np.ndarray, plan) -> np.ndarray:
 
 
 def repeat_program(plan, k: int) -> list:
-    """Plan of k consecutive walks of a compiled plan.
+    """Plan of k consecutive walks of a plan, compiled or expanded.
 
-    A plan that is one fused frame composes with itself by _then, on its
-    small arrays, by products and sums only, squared up to k units. Any
-    other plan is the k-fold concatenation of its own segment objects:
-    nothing is copied or recompiled, and the list holds one reference per
-    segment per unit. An expanded frame has no H to compose, so it
-    concatenates too, as walk repeats a unit expanded over its draw.
+    A plan that is one fused frame composes with itself by _then, by
+    products and sums only, squared up to k units: a compiled frame on its
+    (8, 8) K, an expanded one on its (shots, 8, 8) C. Any other plan is the
+    k-fold concatenation of its own segment objects: nothing is copied or
+    recompiled, and the list holds one reference per segment per unit.
     """
     if k < 0:
         raise ValueError(f"repeat count must be nonnegative, got {k}")
-    if len(plan) != 1 or plan[0][0] != "fused" or plan[0][2] is None or k < 2:
+    if len(plan) != 1 or plan[0][0] != "fused" or k < 2:
         return list(plan) * k
     power, base = None, plan[0][1:]
     while k:
@@ -610,7 +614,7 @@ def walk(sys: SpinSystem, unit, steps, rho0s) -> np.ndarray:
     Free evolution, and a unit that compiles to one fused frame that
     permutes no level (every committed DD unit, with ideal pulses or a
     phase error), walks its frames: each step's plan is one frame (K, H,
-    None) or none, as compile_program and repeat_program build it (_then),
+    0) or none, as compile_program and repeat_program build it (_then),
     and a second frame fails to unpack. Such a walk never forms a shot
     stack: a step composes K_i = K * K_(i-1) and the per-shot level phases
     G_i = g * G_(i-1), (shots, 8), and record i is C_i * rho0, every
@@ -632,8 +636,10 @@ def walk(sys: SpinSystem, unit, steps, rho0s) -> np.ndarray:
     records K_i, and the walk calls no level_phases and makes no GEMM.
 
     Any other unit, one with a dense segment or a fused frame that permutes
-    levels, is expanded over the draw once, and the walk steps one
-    (n, shots, 8, 8) stack of every state through it instead.
+    levels (mask m != 0), is expanded over the draw once, and the walk
+    steps one (n, shots, 8, 8) stack of every state through its steps'
+    plans instead, each repeat_program's of the expanded unit: a permuting
+    frame is one frame per step, a dense unit its segments step by step.
 
     The result, all (n, T, 8, 8) of it, is checked as one stack to be
     density matrices before anything, tomography readout included, reads
@@ -643,8 +649,8 @@ def walk(sys: SpinSystem, unit, steps, rho0s) -> np.ndarray:
     steps = np.asarray(steps).tolist()  # Python numbers: the dedupe compares them pairwise
     if unit is not None:
         unit = compile_program(sys, *unit)
-    fused = unit is None or all(seg[0] == "fused" and seg[3] is None for seg in unit)
-    if not fused:  # a step repeats the expanded unit by concatenation
+    fused = unit is None or all(seg[0] == "fused" and not seg[3] for seg in unit)
+    if not fused:  # a step repeats the expanded unit
         unit = expand_program(unit, deltas)
     plans, which = {}, []  # step i walks plans[which[i]]
     for i, step in enumerate(steps):

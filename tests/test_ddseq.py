@@ -233,8 +233,8 @@ def test_xy8_pulse_product_is_exactly_identity():
     c = ddseq.generate("XY8", 1e-3, 0.0, (2,))
     plan = spinsys.compile_program(PULSES_ONLY, *ddseq.program(c, 1))
     assert len(plan) == 1
-    kind, coef, _, perm = plan[0]
-    assert kind == "fused" and perm is None
+    kind, coef, _, mask = plan[0]
+    assert kind == "fused" and type(mask) is int and mask == 0
     assert np.array_equal(coef, np.ones((8, 8)))
 
 

@@ -412,8 +412,8 @@ def test_shot_average_matches_the_gaussian_disorder_oracle():
         cycle = runner.build_cycle(proto)
         program = ddseq.program(cycle, cycle.unit_cycles)
         frame = spinsys.compile_program(sys, *program)
-        (kind, coef, _, perm), = spinsys.expand_program(frame, unit_offsets)
-        assert kind == "fused" and perm is None
+        (kind, coef, _, mask), = spinsys.expand_program(frame, unit_offsets)
+        assert kind == "fused" and mask == 0
         times_a = -np.angle(coef[1:] / coef[0]) / (2 * np.pi)  # A, one (8, 8) per spin
         # each element's offset sensitivity times its spin's zero-frequency filter
         assert np.allclose(times_a, sens * toggling_integrals(program)[:, None, None],
@@ -475,7 +475,7 @@ def differs_on(a, b):
 def unit_frame(sys, cycle):
     """K of a cycle's repeat unit, which must compile to one fused frame that permutes nothing."""
     plan = spinsys.compile_program(sys, *ddseq.program(cycle, cycle.unit_cycles))
-    assert [seg[0] for seg in plan] == ["fused"] and plan[0][3] is None
+    assert [seg[0] for seg in plan] == ["fused"] and plan[0][3] == 0
     return plan[0][1]
 
 

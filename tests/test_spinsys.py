@@ -274,15 +274,15 @@ def test_pulse_permutation_is_the_exact_signed_permutation():
         sys = plain_system(pulse=PulseErrorModel(phase_error=rng.uniform(-0.1, 0.1)))
         ev = pulse(0.0, targets, flip, phase, duration)
         u = spinsys.pulse_propagator(ev, sys)
-        perm, d = spinsys.signed_permutation(u)
+        m, d = spinsys.signed_permutation(u)
         signed = np.zeros((8, 8), dtype=complex)
-        signed[np.arange(8), perm] = d
+        signed[np.arange(8), np.arange(8) ^ m] = d
         # every signed-permutation pulse flips its targets' bits, or none for an even
         # number of half turns, so it keeps each element's flip pattern a ^ b
         odd = round(flip / np.pi) % 2
         # of the one-bit levels, those on which bit reads a target
         mask = sum(b for b in (1, 2, 4) if any(spinsys.bit(b, q) for q in targets)) if odd else 0
-        assert np.array_equal(perm, np.arange(8) ^ mask)
+        assert type(m) is int and m == mask
         assert np.allclose(np.abs(d), 1.0, rtol=0, atol=1e-15)
         # exact half turns leave every other entry exactly zero: u is its read-off
         assert np.array_equal(signed, u)
@@ -292,6 +292,12 @@ def test_pulse_permutation_is_the_exact_signed_permutation():
     assert read_off(ev, inside) is None
     assert read_off(pulse(0.0, (1, 2), np.pi, 0.3), inside) is not None
     assert read_off(pulse(0.0, 1, np.pi / 2, 0.0), plain_system()) is None
+    # a signed permutation that is no XOR mask reads None too, as does a zero row
+    for perm in ([1, 2, 0, 3, 4, 5, 6, 7], [1, 0, 2, 3, 4, 5, 6, 7], [7, 6, 5, 4, 3, 2, 0, 1]):
+        assert spinsys.signed_permutation(np.eye(8, dtype=complex)[perm]) is None
+    assert spinsys.signed_permutation(np.diag([0j] + [1] * 7)) is None
+    for m in range(8):
+        assert spinsys.signed_permutation(-1j * np.eye(8)[np.arange(8) ^ m])[0] == m
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -306,7 +312,7 @@ def test_the_signed_permutation_read_off_a_pulse_is_its_closed_form(
     got, want = read_off(ev, sys), pulse_permutation(ev, sys)
     assert (got is None) == (want is None)
     if want is not None:
-        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(np.arange(8) ^ got[0], want[0])
         assert np.max(np.abs(got[1] - want[1])) <= 1e-15
 
 
@@ -481,15 +487,15 @@ def test_a_pulse_is_checked_against_every_earlier_pulse_still_running():
 # -- compiled plans, kept per pulse model ------------------------------------
 
 # a permuting pi pulse, a pi/2 pulse that mixes basis states and a free tail:
-# a fused frame with a perm, a dense segment and a fused frame without one
+# a fused frame with a nonzero mask, a dense segment and a fused frame with mask 0
 KEPT_PROGRAM = ((pulse(0.2e-3, (1, 2), np.pi, 0.3, duration=4e-5),
                  pulse(0.5e-3, 3, np.pi / 2, 0.0, duration=4e-5)), 1e-3)
 
 
 def plan_bytes(plan):
-    """Every segment's kind and the exact bytes of each of its arrays."""
-    return [(seg[0],) + tuple(None if a is None else (a.dtype, a.shape, a.tobytes())
-                              for a in seg[1:]) for seg in plan]
+    """Every segment's kind, the exact bytes of each of its arrays and its mask."""
+    return [(seg[0],) + tuple((a.dtype, a.shape, a.tobytes()) if isinstance(a, np.ndarray)
+                              else a for a in seg[1:]) for seg in plan]
 
 
 def test_a_system_equal_but_for_its_disorder_shares_the_read_only_plan():
@@ -499,8 +505,10 @@ def test_a_system_equal_but_for_its_disorder_shares_the_read_only_plan():
         plan = spinsys.compile_program(sys, events, duration)
         other = replace(sys, disorder=DisorderModel((1.0, 2.0, 3.0), 0.5, shots=7, seed=11))
         assert spinsys.compile_program(other, list(events), duration) is plan
-        arrays = [a for seg in plan for a in seg[1:] if a is not None]
-        assert len(arrays) == (7 if model == PulseErrorModel() else 10)
+        # a fused frame holds K, H and an int mask, never a permutation array
+        assert all(type(seg[3]) is int for seg in plan if seg[0] == "fused")
+        arrays = [a for seg in plan for a in seg[1:] if isinstance(a, np.ndarray)]
+        assert len(arrays) == (6 if model == PulseErrorModel() else 10)
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] = 0
@@ -555,6 +563,8 @@ def test_each_field_compiling_reads_keys_its_own_plan(change):
     kept = spinsys.compile_program(base, *KEPT_PROGRAM)
     changed = spinsys.compile_program(replace(base, **change), *KEPT_PROGRAM)
     assert changed is not kept and plan_bytes(changed) != plan_bytes(kept)
+    # spins 1 and 2 flip bits 4 and 2; the pi/2 pulse stays dense
+    assert [seg[3] if seg[0] == "fused" else "dense" for seg in kept] == [6, "dense", 0]
     spinsys._compiled.cache_clear()
     fresh = spinsys.compile_program(replace(base, **change), *KEPT_PROGRAM)
     assert fresh is not changed and plan_bytes(fresh) == plan_bytes(changed)
@@ -587,13 +597,13 @@ def test_a_compiled_program_is_then_of_its_compiled_halves(pulses, tail, phase_e
     assert duration <= 10e-3
     first = [ev for ev in events if ev.start < cut]
     second = [replace(ev, start=ev.start - cut) for ev in events if ev.start > cut]
-    [(_, k, h, perm)] = spinsys.compile_program(sys, events, duration)
+    [(_, k, h, m)] = spinsys.compile_program(sys, events, duration)
     [(_, *head)] = spinsys.compile_program(sys, first, cut)
     [(_, *rest)] = spinsys.compile_program(sys, second, duration - cut)
-    k2, h2, perm2 = spinsys._then(head, rest)
+    k2, h2, m2 = spinsys._then(head, rest)
     assert np.allclose(k2, k, rtol=0, atol=1e-12)
     assert np.allclose(h2, h, rtol=0, atol=1e-12)
-    assert (perm is None and perm2 is None) or np.array_equal(perm, perm2)
+    assert type(m2) is int and m2 == m
 
 
 # -- configuration ---------------------------------------------------------

@@ -8,24 +8,26 @@ per gap. spinsys.compile_program, expanded over the draw, must reproduce
 its shot-averaged states over random families, targets, modification
 slots, pulse errors, pulse widths and disorder shots, and on the
 pulse-level star preparation; spinsys.walk, which every timed evolution
-runs through, must agree with it on the committed protocols. A fused frame's per-level
-filter function H must give the element-wise disorder times A it
-replaced, A[a, b] = H[a] - H[b], and a fused run must match the dense walk
-also when its pulses are general signed permutations, which, unlike the
-bit flips of real pulses, do not commute. The runner's free-evolution curves, which walk one
-pulseless program per distinct gap, must reproduce the per-time factor
-stacks they replaced, compiling each gap length once. A plan of k units
-(spinsys.repeat_program) must match k walks of its unit, whether it is
-the closed-form power of one fused segment or the concatenation of a
+runs through, must agree with it on the committed protocols. A fused
+frame's per-level filter function H must give the element-wise disorder
+times A it replaced, A[a, b] = H[a] - H[b]. A fused frame permutes
+levels by an XOR mask, as every pulse that keeps the basis flips bits; a
+pulse that is a signed permutation but no mask compiles dense, and a run
+of either kind must match the dense walk. The runner's free-evolution
+curves, which walk one pulseless program per distinct gap, must
+reproduce the per-time factor stacks they replaced, compiling each gap
+length once. A plan of k units (spinsys.repeat_program) must match k
+walks of its unit, whether it is the closed-form power of one fused
+frame, compiled or expanded over the draw, or the concatenation of a
 dense unit's own segments. A fused walk's shot-averaged map, stepped on
-its frame and per-shot level phases and read by every state at once, must
-match the expanded plan walked on a (shots, 8, 8) stack, for every
-protocol of the grid and the star run. It steps all eight levels, so each
-state walked alone must match too. A unit whose fused frame permutes the
-levels, which no committed protocol compiles to, is walked on the shot
-stack instead, and must match as well, under real pulses and under
-general signed permutations. A step's plan is one fused frame or
-none, and a walk handed two must fail, not drop one. Refocusing is read
+its frame and per-shot level phases and read by every state at once,
+must match the expanded plan walked on a (shots, 8, 8) stack, for every
+protocol of the grid and the star run. It steps all eight levels, so
+each state walked alone must match too. A unit whose fused frame
+permutes the levels, which no committed protocol compiles to, is walked
+on the shot stack instead, one expanded frame per recorded step, and
+must match as well. A step's plan is one fused frame or none, and a walk
+handed two must fail, not drop one. Refocusing is read
 per element off the walk's frames, once per walk and never off the draw:
 an element whose two levels' filter functions agree within TIME_ATOL in
 every frame records K alone, so a state reads the same bits alone or
@@ -168,11 +170,11 @@ def test_fused_walk_matches_dense_walk(case):
     n_pulses = len(program[0])
     n_dense = sum(seg[0] == "dense" for seg in plan)
     assert n_dense == (n_pulses if mixing else 0)
-    if not mixing:  # a whole unit is one fused map, unpermuted when its pulses are
-        # ideal pi pulses keep the basis when every spin gets an even number
-        keeps_basis = all(sum(q in ev.targets for ev in program[0]) % 2 == 0
-                          for q in (1, 2, 3))
-        assert len(plan) == 1 and (plan[0][3] is None) == keeps_basis
+    if not mixing:  # a whole unit is one fused map, whose mask flips the bits pulses flip
+        # ideal pi pulses flip the bit of every spin pulsed an odd number of times
+        mask = sum(8 >> q for q in (1, 2, 3)
+                   if sum(q in ev.targets for ev in program[0]) % 2 == 1)
+        assert len(plan) == 1 and type(plan[0][3]) is int and plan[0][3] == mask
 
 
 STAR_SYSTEMS = (
@@ -340,8 +342,14 @@ def test_map_walk_matches_state_walk(name, monkeypatch):
     stack_steps = _count_stack_steps(monkeypatch)
     walked = runner._walk(sys, cycle, times, [circuits.prepare(state_id) for state_id in state_ids])
     # an unpermuted fused walk steps its frame, never a shot stack; a unit whose frame
-    # permutes the levels is expanded over the draw and steps the shot stack
+    # permutes the levels is expanded over the draw and steps the shot stack, once per
+    # recorded step that adds units, through one frame that repeat_program squares
     assert bool(stack_steps) == name.endswith("-permuting")
+    if name.endswith("-permuting"):
+        counts = [ddseq.unit_count(t, cycle.unit_duration, cycle.name) for t in times]
+        added = np.count_nonzero(np.diff(counts, prepend=0))
+        assert max(counts) > added > 1
+        assert [len(plan) for plan in stack_steps if plan] == [1] * added
     for state_id, got in zip(state_ids, walked):
         want = _state_walk(sys, cycle, times, circuits.prepare(state_id))
         assert np.max(np.abs(got - want)) <= 1e-12
@@ -493,8 +501,8 @@ def test_a_star_pair_walk_records_k_alone_on_every_element_it_refocuses(pair, mo
     k, want = np.ones((spinsys.DIM, spinsys.DIM), dtype=complex), []
     for step in steps:
         if step:
-            [(_, k_step, _, p)] = spinsys.repeat_program(plan, int(step))
-            assert p is None
+            [(_, k_step, _, mask)] = spinsys.repeat_program(plan, int(step))
+            assert mask == 0
             k = k_step * k
         want.append(k * rho0)
     third, = set(range(1, 4)) - set(runner.STAR_PAIRS[pair])
@@ -612,8 +620,8 @@ def old_disorder_times(sys, events, duration) -> np.ndarray:
     """Per spin, the element-wise disorder times A, (3, 8, 8), of a fused program.
 
     The way the engine accumulated them before its per-level frames: a gap
-    of t adds (s_q(a) - s_q(b)) t / 2, a signed-permutation pulse takes A
-    to A[p][:, p].
+    of t adds (s_q(a) - s_q(b)) t / 2, a pulse U[i, i ^ m] = d[i] takes A
+    to A[p][:, p] with p = levels ^ m.
     """
     s = np.array([[1 - 2 * spinsys.bit(b, q) for b in range(spinsys.DIM)] for q in (1, 2, 3)])
     sens = (s[:, :, None] - s[:, None, :]) / 2.0
@@ -622,7 +630,8 @@ def old_disorder_times(sys, events, duration) -> np.ndarray:
         if kind == "free":
             times_a = times_a + sens * item
         else:
-            p, _ = spinsys.signed_permutation(spinsys.pulse_propagator(item, sys))
+            m, _ = spinsys.signed_permutation(spinsys.pulse_propagator(item, sys))
+            p = np.arange(spinsys.DIM) ^ m
             times_a = times_a[:, p[:, None], p]
     return times_a
 
@@ -681,7 +690,7 @@ def test_a_walk_takes_shots_exactly_on_the_elements_a_spin_rule_leaves_unrefocus
     # (a, b) unrefocused in either frame; a population never asks
     events, duration, sys, units = case
     unit = spinsys.compile_program(sys, events, duration)
-    assume(unit[0][3] is None)  # a permuting unit walks the shot stack
+    assume(unit[0][3] == 0)  # a permuting unit walks the shot stack
     steps = (1, units)
     hs = np.concatenate([spinsys.repeat_program(unit, k)[0][2] for k in set(steps)], axis=1)
     want = unrefocused_by_spin(hs)
@@ -705,18 +714,19 @@ def test_a_walk_takes_shots_exactly_on_the_elements_a_spin_rule_leaves_unrefocus
 def signed_permutation_programs(draw):
     """Pulses at random places, each a signed permutation drawn at random.
 
-    Every pulse the program builds flips bits, and bit flips commute, so only
-    general permutations tell the order in which a run composes its pulses.
-    Each pulse's unitary, U[i, perm[i]] = d[i], is keyed by its phase, which
-    is distinct per pulse.
+    A pulse's permutation is an XOR mask, as every pulse the program builds
+    flips bits, or a general permutation, which no pulse makes and which
+    must compile dense. Each pulse's unitary, U[i, perm[i]] = d[i], is keyed
+    by its phase, which is distinct per pulse.
     """
     slot, n = 1e-3, draw(st.integers(1, 6))
     angles = st.lists(st.floats(-np.pi, np.pi), min_size=spinsys.DIM, max_size=spinsys.DIM)
+    perms = st.one_of(st.integers(0, spinsys.DIM - 1).map(lambda m: np.arange(spinsys.DIM) ^ m),
+                      st.permutations(range(spinsys.DIM)))
     table = {}
     for i in range(n):
         u = np.zeros((spinsys.DIM, spinsys.DIM), dtype=complex)
-        u[np.arange(spinsys.DIM), draw(st.permutations(range(spinsys.DIM)))] = np.exp(
-            1j * np.array(draw(angles)))
+        u[np.arange(spinsys.DIM), draw(perms)] = np.exp(1j * np.array(draw(angles)))
         table[float(i)] = u
     events = tuple(spinsys.pulse(i * slot + draw(st.floats(0.01, 0.75)) * slot,
                                  draw(st.sampled_from(_TARGET_SETS[:3])), np.pi, float(i),
@@ -744,15 +754,19 @@ def test_fused_run_matches_dense_walk_on_any_signed_permutation(case):
     finally:
         spinsys.pulse_propagator = real
         spinsys._compiled.cache_clear()
-    assert len(plan) == 1 and plan[0][0] == "fused"
+    # a mask pulse folds into its fused run; any other pulse is a dense segment of its
+    # own, with a gap on either side
+    perms = [np.argmax(u != 0, axis=1) for u in table.values()]
+    n_dense = sum(not np.array_equal(p, np.arange(spinsys.DIM) ^ p[0]) for p in perms)
+    assert [seg[0] for seg in plan] == ["fused"] + ["dense", "fused"] * n_dense
     assert np.max(np.abs(got[0] - want[0])) <= 1e-12
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(signed_permutation_programs(), st.integers(1, 4))
 def test_fused_walk_moves_occupied_rows_under_any_signed_permutation(case, occupied):
-    # general permutations, unlike bit flips, need not be their own inverse: only they
-    # tell apply_program's gather rho[p][:, p], on the walk's shot stack, from the inverse one
+    # a state on a few levels walks to the levels the pulses move it to, under masks and,
+    # through dense segments, under permutations that are no mask
     program, table, seed = case
     rng = np.random.default_rng(seed)
     levels = rng.permutation(spinsys.DIM)[:occupied]
@@ -778,16 +792,16 @@ def test_fused_walk_moves_occupied_rows_under_any_signed_permutation(case, occup
     assert np.max(np.abs(got - np.array(want))) <= 1e-12
 
 
-@pytest.mark.parametrize("steps, level", [((1, 0), 4), ((1, 1), 2)])
-def test_a_permuted_record_decides_the_shots_on_the_rows_it_holds(steps, level, monkeypatch):
-    # p, a 3-cycle, moves rho0's element (0, 1) to (4, 5) = argsort(p)[:2] after one unit
-    # and to (2, 3) after two. A frame with a filter function on that record's first
-    # level alone turns it, and the frame permutes: the walk steps the expanded shot
-    # stack, and the shots must reach the element where the record holds it
-    p = np.array([2, 3, 4, 5, 0, 1, 6, 7])
+@pytest.mark.parametrize("steps, mask, level", [((1, 0), 4, 4), ((1, 1), 2, 0)])
+def test_a_permuted_record_decides_the_shots_on_the_rows_it_holds(steps, mask, level,
+                                                                   monkeypatch):
+    # the mask moves rho0's element (0, 1) to (mask, mask ^ 1) after one unit and back
+    # after two. A frame with a filter function on the record's first level alone turns
+    # it only on a unit that lands it there, and the frame permutes: the walk steps the
+    # expanded shot stack, and the shots must reach the element where the record holds it
     h = np.zeros((spinsys.DIM, spinsys.N_QUBITS))
     h[level, 0] = 1e-3
-    plan = [("fused", np.ones((spinsys.DIM, spinsys.DIM), dtype=complex), h, p)]
+    plan = [("fused", np.ones((spinsys.DIM, spinsys.DIM), dtype=complex), h, mask)]
     monkeypatch.setattr(spinsys, "compile_program", lambda sys, events, duration: plan)
     sys = SpinSystem(disorder=DisorderModel((3.0, 4.0, 5.0), 6.0, shots=3, seed=1))
     rho = np.zeros((spinsys.DIM, spinsys.DIM), dtype=complex)
@@ -835,38 +849,43 @@ def test_repeated_plan_matches_unit_walks(case, k):
                                 spinsys.expand_program(repeated, deltas))
     assert np.max(np.abs(got - want)) <= 1e-12
     if case.startswith("fused-"):  # one frame, whatever k: the closed form
-        assert len(plan) == 1 and plan[0][0] == "fused" and plan[0][3] is not None
+        assert len(plan) == 1 and plan[0][0] == "fused" and plan[0][3] != 0
         assert len(repeated) == min(k, 1)
-        assert repeated == [] or (repeated[0][3] is None) == (k % 2 == 0)
+        assert repeated == [] or (repeated[0][3] == 0) == (k % 2 == 0)
     else:  # the plain concatenation, of the unit's own segment objects
         assert any(seg[0] == "dense" for seg in plan)
         assert len(repeated) == k * len(plan)
         assert all(seg is plan[i % len(plan)] for i, seg in enumerate(repeated))
-        # the walk's order: expand the unit once, then concatenate its expanded segments
-        walked = spinsys.apply_program(np.broadcast_to(rho, (4,) + rho.shape),
-                                       spinsys.repeat_program(shot_plan, k))
-        assert np.max(np.abs(walked - want)) <= 1e-12
+    # the walk's order: expand the unit once, then repeat the expanded plan, whose one
+    # frame squares as the compiled frame does and whose dense unit concatenates
+    walked = spinsys.repeat_program(shot_plan, k)
+    assert len(walked) == len(repeated)
+    got = spinsys.apply_program(np.broadcast_to(rho, (4,) + rho.shape), walked)
+    assert np.max(np.abs(got - want)) <= 1e-12
     with pytest.raises(ValueError):
         spinsys.repeat_program(plan, -1)
 
 
 def test_repeat_refuses_an_expanded_fused_frame():
-    # expanding drops the frame's H, so the closed form has nothing to compose: an
-    # expanded one-frame plan repeats by concatenation, as a walk repeats a permuting
-    # unit expanded over its draw, and walks as the expanded k-unit frame
+    # an expanded frame keeps its H and mask, so it composes by _then as a compiled
+    # frame does: an expanded one-frame plan repeats as one frame, squared on its
+    # (shots, 8, 8) coefficients, not as k units, and walks as the expanded k-unit frame
     sys = SpinSystem(noise=NoiseModel((0.5, 0.8, 1.1), 0.3),
                      disorder=DisorderModel((3.0, 4.0, 5.0), 6.0, shots=4, seed=2))
     cycle = ddseq.generate("CPMG3", 0.5e-3, 0.0, (1, 2))
     plan = spinsys.compile_program(sys, *ddseq.program(cycle, cycle.unit_cycles))
-    assert len(plan) == 1 and plan[0][0] == "fused" and plan[0][3] is not None
+    assert len(plan) == 1 and plan[0][0] == "fused" and plan[0][3] != 0
     deltas = sys.disorder.draw()
     expanded = spinsys.expand_program(plan, deltas)
     rho = np.broadcast_to(random_rho(np.random.default_rng(29), spinsys.DIM), (4, 8, 8))
     for k in (0, 1, 2, 3, 6):
-        repeated = spinsys.repeat_program(expanded, k)
-        assert len(repeated) == k and all(seg is expanded[0] for seg in repeated)
-        want = spinsys.apply_program(
-            rho, spinsys.expand_program(spinsys.repeat_program(plan, k), deltas))
+        repeated, compiled = spinsys.repeat_program(expanded, k), spinsys.repeat_program(plan, k)
+        assert len(repeated) == min(k, 1) and (k != 1 or repeated[0] is expanded[0])
+        if k:
+            [(_, coef, h, mask)], [(_, _, want_h, want_mask)] = repeated, compiled
+            assert coef.shape == (4, 8, 8) and mask == want_mask == 6 * (k % 2)
+            assert np.array_equal(h, want_h)
+        want = spinsys.apply_program(rho, spinsys.expand_program(compiled, deltas))
         assert np.max(np.abs(spinsys.apply_program(rho, repeated) - want)) <= 1e-12
 
 
