@@ -792,7 +792,8 @@ def test_fused_walk_moves_occupied_rows_under_any_signed_permutation(case, occup
     assert np.max(np.abs(got - np.array(want))) <= 1e-12
 
 
-@pytest.mark.parametrize("steps, mask, level", [((1, 0), 4, 4), ((1, 1), 2, 0)])
+@pytest.mark.parametrize("steps, mask, level", [((1, 0), 4, 4), ((1, 1), 2, 0)],
+                         ids=["steps0-4", "steps1-2"])
 def test_a_permuted_record_decides_the_shots_on_the_rows_it_holds(steps, mask, level,
                                                                    monkeypatch):
     # the mask moves rho0's element (0, 1) to (mask, mask ^ 1) after one unit and back
