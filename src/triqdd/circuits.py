@@ -224,7 +224,7 @@ def _tomography_tables() -> tuple[np.ndarray, np.ndarray]:
     the state raise InvariantError), so S is a left inverse: on the
     records of a unit-trace Hermitian matrix it returns that matrix's
     parameters, and only the noise's solve S[:, :-1] @ noise is left."""
-    a = np.column_stack([_observe(m) for m in _hermitian_basis()])
+    a = _observe(_hermitian_basis()).T
     if np.linalg.matrix_rank(a) < 64:
         raise InvariantError("tomography design matrix is rank deficient; "
                              "the setting list does not determine the state")
@@ -249,9 +249,10 @@ def tomography(rho_true: np.ndarray, sigma: float = 0.0, seed: int = 0) -> np.nd
     scan-averaged noise once, from seed + i, and every experiment read at
     that time adds that one draw: an (n, 8, 8) stack reconstructs as n
     single calls would, and an (m, n, 8, 8) stack as m stacked calls with
-    the same seed. A negative seed is refused at every sigma, noiseless
-    included; a noise level whose draws overflow is a ValueError. The draws
-    live for one call; nothing is kept between calls.
+    the same seed; a stack of no times draws nothing and reads back empty.
+    A negative seed is refused at every sigma, noiseless included; a noise
+    level whose draws overflow is a ValueError. The draws live for one call;
+    nothing is kept between calls.
 
     The readout is linear: a state's records are A p, its 64 real
     parameters p (the diagonal, then Re and Im of each a < b) times the
@@ -279,9 +280,9 @@ def tomography(rho_true: np.ndarray, sigma: float = 0.0, seed: int = 0) -> np.nd
     if sigma > 0:
         n = rho.shape[-3] if rho.ndim > 2 else 1
         size = (SCANS, design.shape[0])
-        with np.errstate(over="ignore", invalid="ignore"):
-            noise = np.array([np.random.default_rng(seed + i).normal(0.0, sigma, size=size)
-                              .mean(axis=0) for i in range(n)])
+        with np.errstate(over="ignore", invalid="ignore"):  # (n, records), n = 0 too
+            noise = np.array([(np.random.default_rng(seed + i).standard_normal(size) * sigma)
+                              .mean(axis=0) for i in range(n)]).reshape(n, size[1])
         if not np.isfinite(noise).all():
             raise ValueError(f"readout noise sigma {sigma:g} overflows the recorded values")
         rho = rho + np.tensordot(noise @ solve[:, :-1].T, _hermitian_basis(), axes=1)

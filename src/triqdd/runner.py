@@ -32,11 +32,13 @@ every DD walk of the grid refocuses all it occupies, so only free
 evolution and the star pairs, whose third spin rides along unpulsed,
 take the shots.
 
-Every curve records from one spinsys.walk of its protocol, which steps
-all the states the protocol serves as one stack. The grid prepares each
-state once and walks each protocol once (free evolution and each
-all-spin family serve all seven states); a star run walks once per pair
-and once per distinct grid for free evolution.
+Every amplitude curve is a cell, a (state, protocol) pair, read by
+run_cells: it prepares each distinct state once and walks each distinct
+protocol once, one spinsys.walk that steps all the states the protocol
+serves as one stack. run_grid is the table's cells through it (free
+evolution and each all-spin family serve all seven states), and run_decay
+is one cell. A star run walks once per pair and once per distinct grid
+for free evolution.
 
 A protocol's schedule, its time grid, its repeat unit's pulse program and
 the steps between recorded times, depends on the protocol and the grid
@@ -280,27 +282,40 @@ def _walk(sys, cycle, times, rho0s) -> np.ndarray:
                         _record_steps(cycle.unit_duration, cycle.name, times), rho0s)
 
 
-def _protocol_curves(sys, proto, state_ids, rho0s, t_max=GRID_T_MAX,
-                     points=GRID_POINTS, times=None) -> list[DecayCurve]:
-    """One protocol's curve on each state from one walk; times default to its grid."""
-    cycle = build_cycle(proto)
-    if times is None:
-        times = default_time_grid(None if cycle is None else cycle.unit_duration, t_max, points)
-    else:
+def run_cells(sys: SpinSystem, cells, t_max: float = GRID_T_MAX, points: int = GRID_POINTS,
+              times=None) -> tuple[DecayCurve, ...]:
+    """One amplitude curve per (state_id, Protocol) cell of a sequence, in cell order.
+
+    Each distinct state is prepared once, and each distinct protocol is
+    walked once over all the distinct states its cells name, so a repeated
+    cell reads the same curve. Times default to each protocol's own grid
+    (default_time_grid of t_max and points); given times are sorted and
+    deduplicated, and every protocol records at them.
+    """
+    prepared = {state_id: circuits.prepare(state_id)
+                for state_id in dict.fromkeys(state_id for state_id, _ in cells)}
+    users: dict[Protocol, dict[str, None]] = {}  # FreeEv and DD3sp serve every table state
+    for state_id, proto in cells:
+        users.setdefault(proto, {})[state_id] = None
+    if times is not None:
         times = tuple(sorted(set(float(t) for t in times)))
-    curves = []
-    for state_id, rho0, states in zip(state_ids, rho0s,
-                                      _walk(sys, cycle, times, rho0s)):
-        element = circuits.tracked_element(state_id)
-        raw = states[(slice(None),) + element].tolist()
-        ref = complex(rho0[element])
-        if cycle is None:
-            values = tuple(abs(v) / abs(ref) for v in raw)
-        else:
-            unit = ref / abs(ref)
-            values = tuple(max((v * unit.conjugate()).real, 0.0) / abs(ref) for v in raw)
-        curves.append(DecayCurve(state_id, proto, "amplitude", times, values))
-    return curves
+    done = {}
+    for proto, state_ids in users.items():
+        cycle = build_cycle(proto)
+        grid = times if times is not None else default_time_grid(
+            None if cycle is None else cycle.unit_duration, t_max, points)
+        rho0s = [prepared[state_id] for state_id in state_ids]
+        for state_id, rho0, states in zip(state_ids, rho0s, _walk(sys, cycle, grid, rho0s)):
+            element = circuits.tracked_element(state_id)
+            raw = states[(slice(None),) + element].tolist()
+            ref = complex(rho0[element])
+            if cycle is None:
+                values = tuple(abs(v) / abs(ref) for v in raw)
+            else:
+                unit = ref / abs(ref)
+                values = tuple(max((v * unit.conjugate()).real, 0.0) / abs(ref) for v in raw)
+            done[state_id, proto] = DecayCurve(state_id, proto, "amplitude", grid, values)
+    return tuple(done[cell] for cell in cells)
 
 
 def run_decay(state_id: str, protocol: Protocol, sys: SpinSystem,
@@ -314,8 +329,7 @@ def run_decay(state_id: str, protocol: Protocol, sys: SpinSystem,
     residual phase, couplings to pulsed partners included, registers as
     loss, the way an unphased echo line loses absorption amplitude.
     """
-    return _protocol_curves(sys, protocol, [state_id], [circuits.prepare(state_id)],
-                            times=times)[0]
+    return run_cells(sys, [(state_id, protocol)], times=times)[0]
 
 
 # -- table grid ------------------------------------------------------------
@@ -357,16 +371,7 @@ def run_grid(sys: SpinSystem, families=FAMILIES, states=TABLE_STATES,
             cells.append((state_id, default_protocol(kind, state_id, family)))
             if kind != ALL_SPIN_KIND:
                 cells.append((state_id, default_protocol(ALL_SPIN_KIND, state_id, family)))
-    users: dict[Protocol, list[str]] = {}  # FreeEv and DD3sp serve every state
-    for state_id, proto in cells:
-        users.setdefault(proto, []).append(state_id)
-    prepared = {state_id: circuits.prepare(state_id) for state_id in states}
-    done = {}
-    for proto, state_ids in users.items():
-        curves = _protocol_curves(sys, proto, state_ids, [prepared[s] for s in state_ids],
-                                  t_max, points)
-        done.update(((state_id, proto), c) for state_id, c in zip(state_ids, curves))
-    curves = tuple(done[cell] for cell in cells)
+    curves = run_cells(sys, cells, t_max, points)
     # the grid always ends on t_max
     percents = {(c.state, c.protocol.kind, c.protocol.family): 100.0 * c.values[-1]
                 for c in curves}

@@ -296,6 +296,14 @@ def test_stacked_tomography_equals_single_calls_seeded_per_member(sigma):
             assert np.max(np.abs(read[e, i] - want)) <= 1e-12, (e, i)
 
 
+@pytest.mark.parametrize("sigma", [0.0, 0.01])
+def test_an_empty_stack_reads_back_empty(sigma):
+    # a stack with no members reads back empty, with or without noise
+    for shape in ((0, 8, 8), (2, 0, 8, 8), (0, 3, 8, 8)):
+        read = circuits.tomography(np.zeros(shape, dtype=complex), sigma=sigma, seed=4)
+        assert read.shape == shape
+
+
 def test_views_read_as_their_contiguous_copies():
     states = np.stack([circuits.prepare(state_id) for state_id in circuits.state_ids()])
     views = (np.broadcast_to(states[2], (4, 8, 8)),

@@ -38,9 +38,10 @@ every frame's shots. On real pulses, which only flip bits, the rule per
 element is the rule per spin (oracles.unrefocused_by_spin). A permuted
 record holds its states' elements on other levels, and the shots must
 reach them there. A dense walk, which steps the shot stacks of
-all its states as one, must equal each state walked alone; and the grid,
-which walks each protocol once for all its states and steps no shot stack
-when it is fused, must match one run_decay per curve bit for bit.
+all its states as one, must equal each state walked alone; and
+runner.run_cells, which walks each protocol once for all the states its
+cells name and steps no shot stack when it is fused, must match one
+run_decay per cell bit for bit, on the grid's table cells and on any others.
 """
 
 from dataclasses import replace
@@ -52,6 +53,7 @@ from hypothesis import strategies as st
 
 from triqdd import circuits, ddseq, runner, spinsys
 from triqdd.qmat import InvariantError
+from triqdd.runner import Protocol
 from triqdd.spinsys import DisorderModel, NoiseModel, PulseErrorModel, SpinSystem
 
 from conftest import random_rho
@@ -894,8 +896,7 @@ GRID_STATES = ("psi0a", "psi1a", "psi3")
 
 
 def test_grid_walks_each_protocol_once_for_all_its_states(monkeypatch):
-    real, real_apply, real_curves = (spinsys.compile_program, spinsys.apply_program,
-                                     runner._protocol_curves)
+    real, real_apply, real_walk = spinsys.compile_program, spinsys.apply_program, runner._walk
     units, gaps, stack_walks, walked = [], [], [], {}
 
     def counting(sys, events, duration):
@@ -907,15 +908,15 @@ def test_grid_walks_each_protocol_once_for_all_its_states(monkeypatch):
             stack_walks.append(plan)
         return real_apply(states, plan)
 
-    def per_protocol(sys, proto, state_ids, *rest):
+    def per_cycle(sys, cycle, times, rho0s):
         before = len(stack_walks)
-        curves = real_curves(sys, proto, state_ids, *rest)
-        walked[proto] = (len(stack_walks) - before, len(state_ids), len(curves[0].times))
-        return curves
+        out = real_walk(sys, cycle, times, rho0s)
+        walked[cycle] = (len(stack_walks) - before, len(rho0s), len(times))
+        return out
 
     monkeypatch.setattr(spinsys, "compile_program", counting)
     monkeypatch.setattr(spinsys, "apply_program", counting_apply)
-    monkeypatch.setattr(runner, "_protocol_curves", per_protocol)
+    monkeypatch.setattr(runner, "_walk", per_cycle)
     sys = runner.default_system()  # the committed 512-shot disorder
     run = runner.run_grid(sys, ("XY8",), GRID_STATES)
     # FreeEv and DD3sp serve all three states, each DD protocol compiles its unit once
@@ -932,14 +933,15 @@ def test_grid_walks_each_protocol_once_for_all_its_states(monkeypatch):
     # for all the protocol's states together, while free evolution still steps no stack
     flip = replace(sys, pulse=PulseErrorModel(flip_fraction_error=0.02))
     walked.clear()
-    runner.run_grid(flip, ("XY8",), ("psi0a", "psi3"), t_max=0.05, points=3)
-    by_kind = {proto.kind: counts for proto, counts in walked.items()}
+    flip_run = runner.run_grid(flip, ("XY8",), ("psi0a", "psi3"), t_max=0.05, points=3)
+    by_kind = {proto.kind: walked[runner.build_cycle(proto)]
+               for proto in {c.protocol for c in flip_run.curves}}
     assert by_kind["FreeEv"][0] == 0
     calls, n_states, steps = by_kind["DD3sp"]
     assert n_states == 2 and calls == steps > 0
     monkeypatch.setattr(spinsys, "compile_program", real)
     monkeypatch.setattr(spinsys, "apply_program", real_apply)
-    monkeypatch.setattr(runner, "_protocol_curves", real_curves)
+    monkeypatch.setattr(runner, "_walk", real_walk)
     # state-major order, and the curves of one run_decay each
     assert [c.state for c in run.curves] == ["psi0a"] * 3 + ["psi1a"] * 3 + ["psi3"] * 2
     for curve in run.curves:
@@ -948,6 +950,55 @@ def test_grid_walks_each_protocol_once_for_all_its_states(monkeypatch):
         assert curve.values == alone.values
         key = (curve.state, curve.protocol.kind, curve.protocol.family)
         assert run.percents[key] == 100.0 * curve.values[-1]
+
+
+def test_cells_read_as_one_run_decay_each_from_one_walk_per_protocol(monkeypatch):
+    # any cells: a target subset outside the table, the plain pair cycle, free
+    # evolution, a table protocol on a state it does not serve, and a repeated cell
+    base = runner.default_protocol("DD1sp", "psi1a", "XY8")  # a delay that fits t_max
+    single, pair = (Protocol("XY8", base.tau, base.t_p, targets) for targets in ((2,), (1, 2)))
+    free = runner.default_protocol("FreeEv")
+    table = runner.default_protocol("DD3sp", "psi3", "KDD20")
+    cells = [("psi1a", single), ("psi0a", pair), ("psi3", free), ("psi2a", pair),
+             ("psi0a", free), ("psi1a", single), ("psi3", single), ("psi1b", table)]
+    unit = runner.build_cycle(single).unit_duration
+    assert runner.build_cycle(pair).unit_duration == unit and single.kind == "DD1sp"
+    assert (pair.kind, table.kind) == ("DD2sp", "DD3sp")
+    real_walk, real_prepare, walks, prepared = runner._walk, circuits.prepare, [], []
+
+    def recording(sys, cycle, times, rho0s):
+        walks.append((cycle, len(rho0s)))
+        return real_walk(sys, cycle, times, rho0s)
+
+    def preparing(state_id):
+        prepared.append(state_id)
+        return real_prepare(state_id)
+
+    sys = runner.default_system()  # the committed 512-shot disorder
+    # each protocol's own grid, then given times: unsorted, repeated, on XY8's unit
+    for times in (None, (3 * unit, 0.0, unit, 7 * unit, 3 * unit)):
+        with monkeypatch.context() as patch:
+            patch.setattr(runner, "_walk", recording)
+            patch.setattr(circuits, "prepare", preparing)
+            walks.clear()
+            prepared.clear()
+            kept = cells if times is None else cells[:-1]  # KDD20's unit is not XY8's
+            curves = runner.run_cells(sys, kept, times=times)
+        # one walk per distinct protocol over its distinct states, each state prepared once
+        users = {}
+        for state_id, proto in kept:
+            users.setdefault(runner.build_cycle(proto), set()).add(state_id)
+        assert sorted(walks, key=repr) == sorted(
+            ((cycle, len(state_ids)) for cycle, state_ids in users.items()), key=repr)
+        assert sorted(prepared) == sorted({state_id for state_id, _ in kept})
+        # cell order, and one run_decay per cell bit for bit
+        assert [(c.state, c.protocol) for c in curves] == kept
+        assert curves[0] == curves[5]
+        for (state_id, proto), curve in zip(kept, curves):
+            alone = runner.run_decay(state_id, proto, sys, times=times)
+            assert curve.times == alone.times and curve.values == alone.values
+            if times is not None:
+                assert curve.times == (0.0, unit, 3 * unit, 7 * unit)
 
 
 def test_dense_walk_of_several_states_equals_each_walked_alone():
